@@ -17,6 +17,7 @@ from .errors import (
     ConfigError,
     CyclicGraph,
     DimensionMismatch,
+    DisjointnessViolation,
     InsufficientRows,
     MissingTarget,
     ParseError,
@@ -33,6 +34,7 @@ from .runner import (
 )
 from .scm import LinearSCM, sample_scm
 
+_CONFIG_ERRORS = (ConfigError, DisjointnessViolation)
 _DATA_ERRORS = (ParseError, MissingTarget, DimensionMismatch)
 _NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, TooManyPlayers, CyclicGraph)
 
@@ -73,7 +75,7 @@ def _cmd_demo(args) -> int:
     else:
         run_census_demo(
             seed=args.seed, n=args.n, n_sage_orders=args.sage_orders,
-            n_decomp_orders=args.decomp_orders, n_workers=args.threads, outdir=args.out,
+            n_decomp_orders=args.decomp_orders, outdir=args.out,
         )
     print(f"demo {args.which} written to {args.out}")
     return 0
@@ -119,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--sage-orders", type=int, default=60)
     p.add_argument("--decomp-orders", type=int, default=25)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="pretty-print a result bundle")
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
             return _cmd_demo(args)
         if args.command == "report":
             return _cmd_report(args)
-    except ConfigError as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:

@@ -9,7 +9,6 @@ are sampled).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from .core import ImportanceEstimate, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator
+from .importance import ImportanceEvaluator, pool_orders, sage_contexts
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -204,17 +203,40 @@ def shapley_decompose_pfi(
     )
 
 
-# -- SAGE decompositions ----------------------------------------------------
+# -- AI and SAGE decompositions ----------------------------------------------
 
 
-def _sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:
-    rng = np.random.default_rng(derive_seed(seed, 7001))
-    contexts = []
-    for _ in range(n_orders):
-        perm = rng.permutation(d)
-        pos = int(np.where(perm == j)[0][0])
-        contexts.append([int(c) for c in perm[:pos]])
-    return contexts
+def fast_decompose_ai(
+    ev: ImportanceEvaluator, j: int, pathways: Optional[list[int]] = None,
+    n_mc: Optional[int] = None, seed: Optional[int] = None,
+) -> DecompositionTable:
+    """Total AI(j | {}) and one AI-via evaluation per feature pathway."""
+    seed = ev.seed if seed is None else seed
+    pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
+    total = ev.associative_importance([j], [], n_mc=n_mc, seed=seed)
+    components = {}
+    for k in pathways:
+        est = ev.ai_via([j], [], [k], n_mc=n_mc, seed=seed)
+        components[ev.data.column_names[k]] = (est.value, est.std_error)
+    return DecompositionTable(ev.data.column_names[j], total, components, "fast")
+
+
+def _sage_table(
+    ev: ImportanceEvaluator, j: int, pathways: list[int], contexts: list[list[int]],
+    alphas: np.ndarray, contributions: np.ndarray, method: str, seed: int, per_context=(),
+) -> DecompositionTable:
+    """Pool per-context totals and per-pathway contributions (one row
+    per context) into a table."""
+    n_orders = len(contexts)
+    sets = {"measure": "SAGE", "interest": (j,), "n_orders": n_orders}
+    total = ImportanceEstimate(*pool_orders(alphas), n_orders, "marginalized", sets, seed)
+    components = {
+        ev.data.column_names[k]: pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
+    }
+    return DecompositionTable(
+        ev.data.column_names[j], total, components, method,
+        order_log=[list(c) for c in contexts], per_context=list(per_context),
+    )
 
 
 def fast_decompose_sage(
@@ -229,7 +251,7 @@ def fast_decompose_sage(
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
-    contexts = _sage_contexts(d, j, n_orders, seed)
+    contexts = sage_contexts(d, j, n_orders, seed)
     alphas = np.empty(n_orders)
     comp = np.empty((n_orders, len(pathways)))
     for o, context in enumerate(contexts):
@@ -240,34 +262,23 @@ def fast_decompose_sage(
             blocked = [c for c in range(d) if c != k]
             via = ev.ai_via([j], context, blocked, mode="marginalized", n_mc=n_mc, seed=seed_o)
             comp[o, p] = alpha.value - via.value
-    total = ImportanceEstimate(
-        float(alphas.mean()),
-        float(alphas.std(ddof=1) / np.sqrt(n_orders)) if n_orders > 1 else 0.0,
-        n_orders, "marginalized",
-        {"measure": "SAGE", "interest": (j,), "n_orders": n_orders}, seed,
-    )
-    components = {}
-    for p, k in enumerate(pathways):
-        se = float(comp[:, p].std(ddof=1) / np.sqrt(n_orders)) if n_orders > 1 else 0.0
-        components[ev.data.column_names[k]] = (float(comp[:, p].mean()), se)
-    return DecompositionTable(
-        ev.data.column_names[j], total, components, "fast", order_log=[list(c) for c in contexts]
-    )
+    return _sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
 
 
 def shapley_decompose_sage(
     ev: ImportanceEvaluator, j: int, pathways: Optional[list[int]] = None,
     solver: str = "auto", n_sage_orders: int = 60, n_decomp_orders: int = 25,
-    n_mc: Optional[int] = None, seed: Optional[int] = None, n_workers: int = 1,
+    n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """Pathway games per SAGE context, Shapley-solved and pooled."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
-    contexts = _sage_contexts(d, j, n_sage_orders, seed)
-
-    def solve_context(o: int):
-        context = contexts[o]
+    contexts = sage_contexts(d, j, n_sage_orders, seed)
+    alphas = np.empty(n_sage_orders)
+    phis = np.empty((n_sage_orders, len(pathways)))
+    solver_name = solver
+    for o, context in enumerate(contexts):
         seed_o = derive_seed(seed, 813, o)
 
         def value_fn(coalition: frozenset) -> float:
@@ -276,32 +287,10 @@ def shapley_decompose_sage(
 
         game = CooperativeGame(len(pathways), value_fn)
         result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
-        alpha = game.value(frozenset(range(len(pathways))))
-        return alpha, result
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            solved = list(pool.map(solve_context, range(n_sage_orders)))
-    else:
-        solved = [solve_context(o) for o in range(n_sage_orders)]
-
-    alphas = np.array([alpha for alpha, _ in solved])
-    phis = np.stack([res.attributions for _, res in solved])
-    total = ImportanceEstimate(
-        float(alphas.mean()),
-        float(alphas.std(ddof=1) / np.sqrt(n_sage_orders)) if n_sage_orders > 1 else 0.0,
-        n_sage_orders, "marginalized",
-        {"measure": "SAGE", "interest": (j,), "n_orders": n_sage_orders}, seed,
-    )
-    components = {}
-    for p, k in enumerate(pathways):
-        col = phis[:, p]
-        se = float(col.std(ddof=1) / np.sqrt(n_sage_orders)) if n_sage_orders > 1 else 0.0
-        components[ev.data.column_names[k]] = (float(col.mean()), se)
-    solver_name = solved[0][1].solver if solved else solver
-    return DecompositionTable(
-        ev.data.column_names[j], total, components, f"shapley_{solver_name}",
-        order_log=[list(c) for c in contexts],
-        per_context=[{"context": contexts[o], "alpha": float(alphas[o]),
-                      "phi": [float(x) for x in phis[o]]} for o in range(n_sage_orders)],
-    )
+        alphas[o] = game.value(frozenset(range(len(pathways))))
+        phis[o] = result.attributions
+        solver_name = result.solver
+    per_context = [{"context": contexts[o], "alpha": float(alphas[o]),
+                    "phi": [float(x) for x in phis[o]]} for o in range(n_sage_orders)]
+    return _sage_table(ev, j, pathways, contexts, alphas, phis, f"shapley_{solver_name}", seed,
+                       per_context=per_context)

@@ -32,7 +32,7 @@ from .core import (
     derive_seed,
 )
 from .errors import DimensionMismatch, DisjointnessViolation
-from .sampler import GaussianModel, _stable_cholesky
+from .sampler import GaussianModel, _stable_cholesky, conditional_params
 
 MEASURES = ("DI", "AI", "DI_from", "AI_via")
 
@@ -163,29 +163,14 @@ class ImportanceEvaluator:
     # -- execution ---------------------------------------------------------
 
     def _conditional_affine(self, cond: tuple[int, ...], targets: tuple[int, ...]):
-        """Affine conditional mean map plus Cholesky factor, in the given
-        column order (canonical, not numeric)."""
+        """Conditional-mean map plus Cholesky factor of the conditional
+        covariance, in the given column order (canonical, not numeric)."""
         key = (cond, targets)
         hit = self._cond_cache.get(key)
-        if hit is not None:
-            return hit
-        g = self.gaussian
-        c, t = list(cond), list(targets)
-        mu_t, mu_c = g.mean[t], g.mean[c]
-        cov_tt = g.cov[np.ix_(t, t)]
-        if c:
-            cov_cc = g.cov[np.ix_(c, c)] + 1e-9 * np.eye(len(c))
-            cov_tc = g.cov[np.ix_(t, c)]
-            matrix = np.linalg.solve(cov_cc, cov_tc.T).T
-            cov_schur = cov_tt - matrix @ cov_tc.T
-            cov_schur = (cov_schur + cov_schur.T) / 2.0
-        else:
-            matrix = np.zeros((len(t), 0))
-            cov_schur = cov_tt
-        chol = _stable_cholesky(cov_schur)
-        out = (mu_t, mu_c, matrix, chol)
-        self._cond_cache[key] = out
-        return out
+        if hit is None:
+            mean_map, cov = conditional_params(self.gaussian, cond, targets)
+            hit = self._cond_cache[key] = (mean_map, _stable_cholesky(cov))
+        return hit
 
     def _by_canon(self, cols) -> tuple[int, ...]:
         return tuple(sorted(cols, key=lambda c: self._canon_rank[c]))
@@ -200,12 +185,11 @@ class ImportanceEvaluator:
         for cond in sorted(groups, key=lambda s: self._by_canon(s)):
             targets = self._by_canon(groups[cond])
             cond_cols = self._by_canon(cond)
-            mu_t, mu_c, matrix, chol = self._conditional_affine(cond_cols, targets)
-            if cond_cols:
-                mean = mu_t + (self.data.values[:, list(cond_cols)] - mu_c) @ matrix.T
-            else:
-                mean = mu_t
+            mean_map, chol = self._conditional_affine(cond_cols, targets)
             z_cols = [self._canon_rank[c] for c in targets]
+            # an independent redraw's mean is the constant offset, which
+            # broadcasts without the n x |targets| copy `apply` would make
+            mean = mean_map.apply(self.data.values[:, list(cond_cols)]) if cond_cols else mean_map.offset
             m[:, list(targets)] = mean + z[:, z_cols] @ chol.T
         return m
 
@@ -342,21 +326,30 @@ class ImportanceEvaluator:
                          n_mc=None, seed=None) -> ImportanceEstimate:
         """Average surplus of j over uniformly random permutation prefixes."""
         seed = self.seed if seed is None else seed
-        d = self.data.n_cols
-        rng = np.random.default_rng(derive_seed(seed, 7001))
         per_order = []
-        inner = None
-        for o in range(n_orders):
-            perm = rng.permutation(d)
-            pos = int(np.where(perm == j)[0][0])
-            context = [int(c) for c in perm[:pos]]
+        for o, context in enumerate(sage_contexts(self.data.n_cols, j, n_orders, seed)):
             inner = self.sage_surplus(j, context, variant=variant, n_mc=n_mc, seed=derive_seed(seed, 7002, o))
             per_order.append(inner.value)
-        arr = np.asarray(per_order)
-        value = float(arr.mean())
-        if n_orders > 1:
-            se = float(arr.std(ddof=1) / np.sqrt(n_orders))
-        else:
+        value, se = pool_orders(per_order)
+        if n_orders == 1:
             se = inner.std_error
         sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
         return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
+
+
+def sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:
+    """The columns preceding j in each of n_orders uniformly random orders."""
+    rng = np.random.default_rng(derive_seed(seed, 7001))
+    contexts = []
+    for _ in range(n_orders):
+        perm = rng.permutation(d)
+        pos = int(np.where(perm == j)[0][0])
+        contexts.append([int(c) for c in perm[:pos]])
+    return contexts
+
+
+def pool_orders(per_order) -> tuple[float, float]:
+    """Mean of per-order values and its standard error (0 for one order)."""
+    arr = np.asarray(per_order, dtype=float)
+    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), se

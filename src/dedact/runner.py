@@ -25,6 +25,7 @@ from .core import (
 )
 from .decompose import (
     DecompositionTable,
+    fast_decompose_ai,
     fast_decompose_pfi,
     fast_decompose_pfi_ordered,
     fast_decompose_sage,
@@ -51,6 +52,8 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     header = rows[0]
     if target_column not in header:
         raise MissingTarget(f"{path}: target column {target_column!r} not in header")
+    if len(rows) < 2:
+        raise ParseError(f"{path}: no data rows")
     t_idx = header.index(target_column)
     parsed = []
     for r, row in enumerate(rows[1:], start=2):
@@ -101,6 +104,10 @@ class RunConfig:
             raise ConfigError("config requires an explicit 'seed' (no wall-clock default)")
         if "data" not in self.raw:
             raise ConfigError("config requires a 'data' block")
+        try:
+            int(self.raw["seed"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"'seed' must be an integer, got {self.raw['seed']!r}") from None
 
     @property
     def seed(self) -> int:
@@ -272,8 +279,7 @@ def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) 
     raise ConfigError(f"[{name}] unknown measure {kind!r}")
 
 
-def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix,
-                       n_workers: int) -> DecompositionTable:
+def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) -> DecompositionTable:
     name = block.get("name", "?")
     method = block.get("method", "fast")
     kind = block.get("kind", "pfi")
@@ -294,6 +300,8 @@ def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMa
                 evaluator, k, sources, block.get("solver", "auto"),
                 int(block.get("n_orders", 50)), n_mc, seed,
             )
+    if kind == "ai" and method == "fast":
+        return fast_decompose_ai(evaluator, k, pathways, n_mc, seed)
     if kind == "sage":
         if method == "fast":
             return fast_decompose_sage(
@@ -303,7 +311,7 @@ def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMa
             return shapley_decompose_sage(
                 evaluator, k, pathways, block.get("solver", "auto"),
                 int(block.get("n_sage_orders", 60)), int(block.get("n_decomp_orders", 25)),
-                n_mc, seed, n_workers,
+                n_mc, seed,
             )
     raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
 
@@ -318,7 +326,6 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "n_rows": data.n_rows,
         "columns": list(data.column_names),
     }
-    n_workers = int(config.raw.get("threads", 1))
     for block in config.raw.get("measures", []):
         name = block.get("name", block.get("measure", "?"))
         try:
@@ -328,7 +335,7 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     for block in config.raw.get("decompositions", []):
         name = block.get("name", block.get("method", "?"))
         try:
-            bundle.add_table(name, _run_decomposition(evaluator, block, data, n_workers))
+            bundle.add_table(name, _run_decomposition(evaluator, block, data))
         except DedactError as exc:
             raise type(exc)(f"[{name}] {exc}") from exc
     outdir = outdir or config.raw.get("output", {}).get("directory")
@@ -341,61 +348,49 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
 def run_biomarker_demo(seed: int = 0, n: int = 20000, n_mc: int = 20, outdir=None) -> ResultBundle:
     """Tables behind the biomarker figures: AI of the hidden driver, its
     two feature-pathway components, PFI of the proxy, and its sources."""
-    scm = biomarker_scm()
-    data, target = sample_scm(scm, n, derive_seed(seed, 1), include_observed=True)
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, 0.5, seed)
-    predictor = fit_ols(fit_x, fit_y, scm.model_feature_indices(include_observed=True))
-    gaussian = fit_gaussian(fit_x)
-    ev = ImportanceEvaluator(eval_x, eval_y, predictor, gaussian, n_mc=n_mc, seed=seed)
-    b, c, p = (data.index_of(x) for x in ("B", "C", "P"))
-    bundle = ResultBundle(config_echo={"demo": "biomarker", "seed": seed, "n": n, "n_mc": n_mc})
-    bundle.metadata = {"seed": seed, "input_hash": _content_hash(bundle.config_echo, data, target),
-                       "columns": list(data.column_names)}
-    ai_total = ev.associative_importance([p], [])
-    bundle.add_estimate("AI_PSA", ai_total)
-    via = {}
-    for label, pathway in (("B", b), ("C", c)):
-        est = ev.ai_via([p], [], [pathway])
-        via[label] = (est.value, est.std_error)
-        bundle.add_estimate(f"AI_PSA_via_{label}", est)
-    bundle.add_table("AI_PSA_pathways", DecompositionTable("P", ai_total, via, "fast"))
-    bundle.add_estimate("PFI_cycling", ev.pfi(c))
-    bundle.add_table("PFI_cycling_sources", fast_decompose_pfi(ev, c, sources=[b, c, p]))
-    if outdir:
-        bundle.write(outdir)
-    return bundle
+    return run(RunConfig({
+        "seed": seed,
+        "data": {"scm": "biomarker", "n": n, "include_observed": True},
+        "n_mc": n_mc,
+        "measures": [
+            {"name": "AI_PSA", "measure": "AI", "interest": ["P"], "baseline": []},
+            {"name": "AI_PSA_via_B", "measure": "AI_via", "interest": ["P"], "baseline": [], "aux": ["B"]},
+            {"name": "AI_PSA_via_C", "measure": "AI_via", "interest": ["P"], "baseline": [], "aux": ["C"]},
+            {"name": "PFI_cycling", "measure": "PFI", "interest": ["C"]},
+        ],
+        "decompositions": [
+            {"name": "AI_PSA_pathways", "kind": "ai", "method": "fast", "target": "P",
+             "pathways": ["B", "C"]},
+            {"name": "PFI_cycling_sources", "kind": "pfi", "method": "fast", "target": "C",
+             "sources": ["B", "C", "P"]},
+        ],
+    }), outdir)
 
 
 def run_census_demo(seed: int = 0, n: int = 20000, n_sage_orders: int = 60,
-                    n_decomp_orders: int = 25, n_workers: int = 1, game_n_mc: int = 3,
-                    outdir=None) -> ResultBundle:
+                    n_decomp_orders: int = 25, game_n_mc: int = 3, outdir=None) -> ResultBundle:
     """Shapley SAGE pathway tables for the protected roots and Shapley
-    PFI source tables for three mediator features."""
-    scm = census_scm()
-    data, target = sample_scm(scm, n, derive_seed(seed, 1))
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, 0.5, seed)
-    predictor = fit_ols(fit_x, fit_y, scm.model_feature_indices())
-    gaussian = fit_gaussian(fit_x)
-    # linear model: closed-form marginalization is exact and far cheaper
-    ev = ImportanceEvaluator(eval_x, eval_y, predictor, gaussian, n_mc=game_n_mc,
-                             seed=seed, exact_marginalization=True)
-    bundle = ResultBundle(config_echo={
-        "demo": "census", "seed": seed, "n": n, "n_sage_orders": n_sage_orders,
-        "n_decomp_orders": n_decomp_orders, "game_n_mc": game_n_mc,
-    })
-    bundle.metadata = {"seed": seed, "input_hash": _content_hash(bundle.config_echo, data, target),
-                       "columns": list(data.column_names)}
-    for variable in ("race", "sex", "age"):
-        table = shapley_decompose_sage(
-            ev, data.index_of(variable), n_sage_orders=n_sage_orders,
-            n_decomp_orders=n_decomp_orders, n_workers=n_workers,
-        )
-        bundle.add_table(f"sage_{variable}", table)
-    for feature in ("nr_educ", "work_class", "occupation"):
-        k = data.index_of(feature)
-        sources = [i for i in range(data.n_cols) if i != k]
-        table = shapley_decompose_pfi(ev, k, players=sources, n_orders=50)
-        bundle.add_table(f"pfi_{feature}", table)
-    if outdir:
-        bundle.write(outdir)
-    return bundle
+    PFI source tables for three mediator features.
+
+    The PFI tables take every column but the target as a player, so each
+    table's remainder is the target's conditional FI, not zero.
+    """
+    columns = census_scm().data_columns()
+    sage = [
+        {"name": f"sage_{v}", "kind": "sage", "method": "shapley", "target": v,
+         "n_sage_orders": n_sage_orders, "n_decomp_orders": n_decomp_orders}
+        for v in ("race", "sex", "age")
+    ]
+    pfi = [
+        {"name": f"pfi_{f}", "kind": "pfi", "method": "shapley", "target": f, "n_orders": 50,
+         "sources": [c for c in columns if c != f]}
+        for f in ("nr_educ", "work_class", "occupation")
+    ]
+    return run(RunConfig({
+        "seed": seed,
+        "data": {"scm": "census", "n": n},
+        "n_mc": game_n_mc,
+        # linear model: closed-form marginalization is exact and far cheaper
+        "exact_marginalization": True,
+        "decompositions": sage + pfi,
+    }), outdir)

@@ -9,6 +9,7 @@ one sampling path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -78,19 +79,21 @@ def _stable_cholesky(cov: np.ndarray) -> np.ndarray:
 
 
 def conditional_params(
-    g: GaussianModel, cond: FeatureIndexSet, targets: FeatureIndexSet
+    g: GaussianModel, cond: Iterable[int], targets: Iterable[int]
 ) -> tuple[AffineMap, np.ndarray]:
     """Closed-form Gaussian conditional of `targets` given `cond`.
 
     Returns the conditional-mean affine map and the Schur-complement
-    covariance. The two index sets must be disjoint.
+    covariance. Either index set may be a `FeatureIndexSet` or a
+    sequence of column indices; the map's inputs and outputs and the
+    covariance follow the order given. The two sets must be disjoint.
     """
-    if not cond.is_disjoint(targets):
-        raise DisjointnessViolation(f"cond {cond.indices} overlaps targets {targets.indices}")
-    cond.validate_within(g.dim)
-    targets.validate_within(g.dim)
-    c = list(cond)
-    t = list(targets)
+    c = [int(i) for i in cond]
+    t = [int(i) for i in targets]
+    if set(c) & set(t):
+        raise DisjointnessViolation(f"cond {tuple(c)} overlaps targets {tuple(t)}")
+    for cols in (c, t):
+        FeatureIndexSet.of(cols).validate_within(g.dim)
     mu_t = g.mean[t]
     mu_c = g.mean[c]
     cov_tt = g.cov[np.ix_(t, t)]
@@ -123,8 +126,6 @@ class PerturbationSampler:
 
 def perturb(sampler: PerturbationSampler, data: DataMatrix, targets: FeatureIndexSet) -> np.ndarray:
     """One conditional (or marginal) draw per row for the target columns."""
-    if not sampler.conditioning_set.is_disjoint(targets):
-        raise DisjointnessViolation("targets overlap the conditioning set")
     mean_map, cov_c = conditional_params(sampler.base, sampler.conditioning_set, targets)
     chol = _stable_cholesky(cov_c)
     rng = np.random.default_rng(sampler.rng_seed)

@@ -291,7 +291,7 @@ class TestAcceptance:
     def test_criterion_6_census_reproduction(self):
         start = time.perf_counter()
         bundle = run_census_demo(seed=0, n=20000, n_sage_orders=60,
-                                 n_decomp_orders=25, n_workers=8)
+                                 n_decomp_orders=25)
         elapsed = time.perf_counter() - start
         tables = {t["name"]: t for t in bundle.tables}
 
@@ -321,8 +321,7 @@ class TestAcceptance:
         pop_ev = ImportanceEvaluator(data, target, predictor, gaussian, n_mc=3,
                                      seed=0, exact_marginalization=True)
         pop_table = shapley_decompose_sage(pop_ev, data.index_of("age"),
-                                           n_sage_orders=20, n_decomp_orders=10,
-                                           n_workers=8)
+                                           n_sage_orders=20, n_decomp_orders=10)
         age_value, age_se = pop_table.components["age"]
         age_ok = abs(age_value) <= max(4 * age_se, 1e-12)
 

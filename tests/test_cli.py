@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
+from dedact import cli
 from dedact.cli import main
-from dedact.errors import MissingTarget, ParseError
-from dedact.runner import RunConfig, ingest_csv, run, train_eval_split
+from dedact.errors import DedactError, MissingTarget, ParseError
+from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, train_eval_split
 from dedact.scm import biomarker_scm, sample_scm
 
 
@@ -38,6 +39,11 @@ class TestIngestCsv:
     def test_empty_file(self, tmp_path):
         path = self._write(tmp_path, "")
         with pytest.raises(ParseError, match="no header"):
+            ingest_csv(path, "y")
+
+    def test_header_only(self, tmp_path):
+        path = self._write(tmp_path, "a,y\n")
+        with pytest.raises(ParseError, match="no data rows"):
             ingest_csv(path, "y")
 
     def test_ragged_row(self, tmp_path):
@@ -129,9 +135,21 @@ class TestRunCommands:
         assert payload["config"]["seed"] == 0
 
     def test_config_error_exit_2(self, tmp_path, capsys):
-        cfg = _config(tmp_path, {"data": {"scm": "biomarker"}})  # no seed
-        assert main(["importance", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        overlap = [{"name": "bad", "measure": "DI", "interest": ["C"], "baseline": ["C"]}]
+        for raw, key in (
+            ({"data": {"scm": "biomarker"}}, "seed"),  # no seed
+            (dict(_BASE, seed="abc"), "seed"),
+            (dict(_BASE, measures=overlap), "overlaps"),
+        ):
+            cfg = _config(tmp_path, raw)
+            assert main(["importance", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and key in err
+
+    def test_every_error_has_one_exit_code(self):
+        groups = (cli._CONFIG_ERRORS, cli._DATA_ERRORS, cli._NUMERICAL_ERRORS)
+        for cls in DedactError.__subclasses__():
+            assert sum(cls in group for group in groups) == 1, cls
 
     def test_unknown_column_exit_2(self, tmp_path):
         raw = dict(_BASE, measures=[{"name": "bad", "measure": "PFI", "interest": ["nope"]}])
@@ -182,6 +200,31 @@ class TestDemoAndReport:
         assert main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(a)]) == 0
         assert main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(b)]) == 0
         assert (a / "bundle.json").read_bytes() == (b / "bundle.json").read_bytes()
+
+    def test_biomarker_demo_numbers_pinned(self):
+        # recorded before the demo was expressed as a run() config
+        bundle = run_biomarker_demo(seed=0, n=2000)
+        got = {}
+        for e in bundle.estimates:
+            got[e["name"]], got[e["name"] + "/se"] = e["value"], e["std_error"]
+        for t in bundle.tables:
+            got[t["name"]], got[t["name"] + "/se"] = t["total"], t["total_se"]
+            for source, comp in t["components"].items():
+                got[f"{t['name']}/{source}"], got[f"{t['name']}/{source}/se"] = comp["value"], comp["se"]
+        ai = (2.1337867907486854, 0.015982101874434277)
+        via_b = (0.2018287516107339, 0.0017068064752929497)
+        via_c = (2.1087697628260673, 0.01562629783614451)
+        pfi = (2.059940506421296, 0.028791833088295075)
+        pinned = {}
+        for name, (value, se) in {
+            "AI_PSA": ai, "AI_PSA_via_B": via_b, "AI_PSA_via_C": via_c, "PFI_cycling": pfi,
+            "AI_PSA_pathways": ai, "AI_PSA_pathways/B": via_b, "AI_PSA_pathways/C": via_c,
+            "PFI_cycling_sources": pfi, "PFI_cycling_sources/C": pfi,
+            "PFI_cycling_sources/B": (-0.007379219865110254, 0.0004910613145045328),
+            "PFI_cycling_sources/P": (1.9982840180385104, 0.013844406444063661),
+        }.items():
+            pinned[name], pinned[name + "/se"] = value, se
+        assert got == pytest.approx(pinned, rel=1e-9)
 
     def test_report_prints_tables(self, tmp_path, capsys):
         out = tmp_path / "demo"

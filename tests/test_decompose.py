@@ -360,13 +360,6 @@ class TestShapleyDecomposeSage:
             assert set(rec) == {"context", "alpha", "phi"}
             assert rec["alpha"] == pytest.approx(sum(rec["phi"]), abs=1e-10)
 
-    def test_parallel_matches_serial(self):
-        ev = _linear_evaluator(np.eye(2), [1.0, 1.0], n=2000, n_mc=2)
-        serial = shapley_decompose_sage(ev, 0, solver="exact", n_sage_orders=4, n_workers=1)
-        parallel = shapley_decompose_sage(ev, 0, solver="exact", n_sage_orders=4, n_workers=3)
-        assert serial.total.value == parallel.total.value
-        assert serial.components == parallel.components
-
 
 class TestFastVsShapleyConsistency:
     def test_agree_for_independent_additive_model(self):

@@ -84,6 +84,24 @@ class TestConditionalParams:
         with pytest.raises(DisjointnessViolation):
             conditional_params(_bivariate(0.0), FeatureIndexSet.of([0]), FeatureIndexSet.of([0, 1]))
 
+    def test_sequences_follow_given_order(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((4, 4))
+        g = GaussianModel(mean=rng.standard_normal(4), cov=a @ a.T + np.eye(4))
+        ref_map, ref_cov = conditional_params(g, FeatureIndexSet.of([0, 3]), FeatureIndexSet.of([1, 2]))
+        mean_map, cov_c = conditional_params(g, [3, 0], [2, 1])
+        flip = [1, 0]
+        assert np.allclose(mean_map.offset, ref_map.offset[flip])
+        assert np.allclose(mean_map.cond_mean, ref_map.cond_mean[flip])
+        assert np.allclose(mean_map.matrix, ref_map.matrix[np.ix_(flip, flip)])
+        assert np.allclose(cov_c, ref_cov[np.ix_(flip, flip)])
+        x = rng.standard_normal((5, 2))
+        assert np.allclose(mean_map.apply(x), ref_map.apply(x[:, flip])[:, flip])
+
+    def test_sequence_overlap_rejected(self):
+        with pytest.raises(DisjointnessViolation):
+            conditional_params(_bivariate(0.0), [1], [0, 1])
+
 
 class TestPerturb:
     def test_independent_perturbation_breaks_association(self):
