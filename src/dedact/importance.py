@@ -7,11 +7,38 @@ empty conditioning set means an independent redraw). Columns sharing a
 conditioning set are drawn jointly, so the covariate joint is preserved
 within each plan group.
 
+Plan key: a plan is a tuple with one entry per column, `_KEEP` (-1) for
+a kept column or the bitmask of the columns it is redrawn given (0 for
+an independent redraw). Two measures that assign the same plan to a
+term ask for the same risk.
+
 Common random numbers: both terms of a repetition consume the same
 underlying standard-normal matrix, keyed by the canonical (name-sorted)
 column order. Identical plans therefore produce bit-identical risks and
 an exactly zero estimate, and paired runs under a shared seed reuse
 draws.
+
+Term memo: a term's risk is a pure function of its plan, its loss and
+the draws it consumes. Those draws are fixed by (mode, seed, repetition,
+stream slot): `original_f` terms share the repetition's matrix (slot 0),
+Monte-Carlo marginalized terms each take their own integration stream
+(slot 1 or 2), and exact-marginalized terms consume no draws at all. So
+each evaluator keeps the risks it has computed in a dict keyed on
+`(plan, loss kind, mode, seed, rep, slot)`, or on `(plan, loss kind)`
+alone for exact marginalization, and `evaluate` draws a repetition's
+normals only when a term it needs is missing. A reused risk is the
+float that recomputation would give, bit for bit; only the evaluator's
+`terms_computed` / `terms_reused` counters can tell the two apart.
+
+Linear form: for a `LinearPredictor` with weights w and intercept b, a
+plan's prediction is `X @ u + z @ v + c`. Per redrawn group (targets T,
+conditioning C, conditional mean `mu_T + (x_C - mu_C) A^T`, Cholesky
+factor L of the conditional covariance), u is w with every redrawn
+column zeroed plus `A^T w_T` on C (conditioning reads the original
+columns), `v` holds `L^T w_T` at the targets' canonical draw columns,
+and `c = b + sum(mu_T . w_T - mu_C . A^T w_T)`. No n x d plan matrix is
+built; exact marginalization is `X @ u + c`. Any other `Predictor` is
+evaluated on the materialized plan matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +63,7 @@ from .sampler import GaussianModel, _stable_cholesky, conditional_params
 
 MEASURES = ("DI", "AI", "DI_from", "AI_via")
 
-_KEEP = None  # marker: column keeps its original value
+_KEEP = -1  # plan entry: column keeps its original value
 
 _eval_count = 0
 
@@ -48,6 +75,10 @@ def reset_evaluation_count() -> None:
 
 def evaluation_count() -> int:
     return _eval_count
+
+
+def _mask(cols) -> int:
+    return sum(1 << c for c in cols)
 
 
 @dataclass(frozen=True)
@@ -86,6 +117,9 @@ class ImportanceEvaluator:
 
     The data passed here is the evaluation split; fitting the predictor
     and the Gaussian on a disjoint split is the caller's responsibility.
+    `evaluations`, `terms_computed` and `terms_reused` count this
+    evaluator's `evaluate` calls and the plan-term risks it computed or
+    took from its memo.
     """
 
     def __init__(
@@ -118,47 +152,61 @@ class ImportanceEvaluator:
         order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(order)}
         self._cond_cache: dict[tuple, tuple] = {}
+        self._risks: dict[tuple, float] = {}
+        self.evaluations = 0
+        self.terms_computed = 0
+        self.terms_reused = 0
+
+    def counters(self) -> dict:
+        """The evaluator's counters, as `run()` writes them to a bundle."""
+        return {
+            "evaluations": self.evaluations,
+            "terms_computed": self.terms_computed,
+            "terms_reused": self.terms_reused,
+        }
 
     # -- plan construction ------------------------------------------------
 
-    def _assignments(self, spec: MeasureSpec) -> tuple[dict, dict]:
+    def _plans(self, spec: MeasureSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Plan keys of the two terms (see the module docstring)."""
         d = self.data.n_cols
         for s in (spec.interest, spec.baseline, spec.aux):
             s.validate_within(d)
-        cols = range(d)
-        empty = frozenset()
+
+        def plan(kept, cond_mask):
+            return tuple(_KEEP if c in kept else cond_mask for c in range(d))
+
+        interest, baseline, aux = set(spec.interest), set(spec.baseline), set(spec.aux)
         if spec.measure == "DI":
-            k, b = set(spec.interest), set(spec.baseline)
-            t1 = {c: (_KEEP if c in b else empty) for c in cols}
-            t2 = {c: (_KEEP if c in b | k else empty) for c in cols}
-        elif spec.measure == "AI":
-            j, c_set = set(spec.interest), set(spec.baseline)
-            cj = frozenset(c_set | j)
-            t1 = {c: (_KEEP if c in c_set else frozenset(c_set)) for c in cols}
-            t2 = {c: (_KEEP if c in cj else cj) for c in cols}
-        elif spec.measure == "DI_from":
-            k, b, j = set(spec.interest), set(spec.baseline), frozenset(spec.aux)
-            t1 = {c: (_KEEP if c in b else empty) for c in cols}
-            t2 = {}
-            for c in cols:
-                if c in b:
-                    t2[c] = _KEEP
-                elif c in k:
-                    t2[c] = _KEEP if c in j else j
-                else:
-                    t2[c] = empty
-        else:  # AI_via
-            j, c_set, k = set(spec.interest), set(spec.baseline), set(spec.aux)
-            cj = frozenset(c_set | j)
-            cs = frozenset(c_set)
-            t1 = {c: (_KEEP if c in c_set else cs) for c in cols}
-            t2 = {}
-            for c in cols:
-                if c in k:
-                    t2[c] = _KEEP if c in cj else cj
-                else:
-                    t2[c] = _KEEP if c in c_set else cs
+            return plan(baseline, 0), plan(baseline | interest, 0)
+        if spec.measure == "DI_from":
+            kept, sources = baseline | (interest & aux), _mask(aux)
+            t2 = tuple(_KEEP if c in kept else (sources if c in interest else 0) for c in range(d))
+            return plan(baseline, 0), t2
+        t1 = plan(baseline, _mask(baseline))
+        with_interest = baseline | interest
+        if spec.measure == "AI":
+            return t1, plan(with_interest, _mask(with_interest))
+        # AI_via: only the pathway columns see the interest columns
+        t2 = tuple(
+            (_KEEP if c in with_interest else _mask(with_interest)) if c in aux else t1[c]
+            for c in range(d)
+        )
         return t1, t2
+
+    def _groups(self, plan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(conditioning columns, redrawn columns) of each redrawn group,
+        both in canonical order; groups ordered canonically by their
+        conditioning columns."""
+        by_mask: dict[int, list[int]] = {}
+        for col, mask in enumerate(plan):
+            if mask != _KEEP:
+                by_mask.setdefault(mask, []).append(col)
+        groups = [
+            (self._by_canon(c for c in range(len(plan)) if mask >> c & 1), self._by_canon(cols))
+            for mask, cols in by_mask.items()
+        ]
+        return sorted(groups, key=lambda g: [self._canon_rank[c] for c in g[0]])
 
     # -- execution ---------------------------------------------------------
 
@@ -175,16 +223,11 @@ class ImportanceEvaluator:
     def _by_canon(self, cols) -> tuple[int, ...]:
         return tuple(sorted(cols, key=lambda c: self._canon_rank[c]))
 
-    def _build_matrix(self, assignments: dict, z: np.ndarray) -> np.ndarray:
+    def _build_matrix(self, plan, z: np.ndarray) -> np.ndarray:
+        """The evaluation data with the plan's redrawn columns replaced,
+        using the standard normals z (n x d, canonical column order)."""
         m = self.data.values.copy()
-        groups: dict[frozenset, list[int]] = {}
-        for col, cond in assignments.items():
-            if cond is _KEEP:
-                continue
-            groups.setdefault(cond, []).append(col)
-        for cond in sorted(groups, key=lambda s: self._by_canon(s)):
-            targets = self._by_canon(groups[cond])
-            cond_cols = self._by_canon(cond)
+        for cond_cols, targets in self._groups(plan):
             mean_map, chol = self._conditional_affine(cond_cols, targets)
             z_cols = [self._canon_rank[c] for c in targets]
             # an independent redraw's mean is the constant offset, which
@@ -193,27 +236,50 @@ class ImportanceEvaluator:
             m[:, list(targets)] = mean + z[:, z_cols] @ chol.T
         return m
 
-    def _plan_prediction(self, assignments: dict, rng: np.random.Generator | None):
-        """Marginalize the model over the plan's perturbed columns.
+    def _linear_form(self, plan) -> tuple[np.ndarray, np.ndarray, float]:
+        """(u, v, c) with `X @ u + z @ v + c` the linear predictor's
+        output on `_build_matrix(plan, z)`; u is in column order, v in
+        canonical (draw) order."""
+        w = self.predictor.weights
+        u = w.copy()
+        u[[col for col, mask in enumerate(plan) if mask != _KEEP]] = 0.0
+        v = np.zeros_like(w)
+        c = self.predictor.intercept
+        for cond_cols, targets in self._groups(plan):
+            mean_map, chol = self._conditional_affine(cond_cols, targets)
+            w_t = w[list(targets)]
+            a_w = mean_map.matrix.T @ w_t
+            u[list(cond_cols)] += a_w
+            v[[self._canon_rank[t] for t in targets]] = chol.T @ w_t
+            c = c + (mean_map.offset @ w_t - mean_map.cond_mean @ a_w)
+        return u, v, c
+
+    def _plan_predictor(self, plan):
+        """z -> the model's predictions on the plan's perturbed data, for
+        standard normals z (n x d, canonical order), or None for the
+        conditional means (linear predictor only)."""
+        if isinstance(self.predictor, LinearPredictor):
+            u, v, c = self._linear_form(plan)
+            base = self.data.values @ u + c
+            return lambda z: base if z is None else base + z @ v
+        return lambda z: self.predictor.predict(self._build_matrix(plan, z))
+
+    def _marginalized_prediction(self, predict, rng: np.random.Generator):
+        """Marginalize the model over a plan's perturbed columns.
 
         Predictions are averaged over n_integration draws, so the
         result approximates E[f(X_keep, X_perturbed) | conditioning]
         row by row. Returns the per-row mean prediction and the per-row
         variance of that mean (sample variance over draws divided by
         the draw count), which is the integration-noise correction for
-        squared-error risks. With `exact_marginalization` (linear model
-        only) the perturbed columns are set to their conditional means,
-        which integrates the expectation in closed form.
+        squared-error risks.
         """
         n, d = self.data.values.shape
-        if self.exact_marginalization:
-            zero = np.zeros((n, d))
-            return self.predictor.predict(self._build_matrix(assignments, zero)), np.zeros(n)
         m = self.n_integration
         total = np.zeros(n)
         total_sq = np.zeros(n)
         for _ in range(m):
-            p = self.predictor.predict(self._build_matrix(assignments, rng.standard_normal((n, d))))
+            p = predict(rng.standard_normal((n, d)))
             total += p
             total_sq += p * p
         mean = total / m
@@ -234,39 +300,61 @@ class ImportanceEvaluator:
     def evaluate(self, spec: MeasureSpec) -> ImportanceEstimate:
         global _eval_count
         _eval_count += 1
-        t1, t2 = self._assignments(spec)
+        self.evaluations += 1
+        plans = self._plans(spec)
         sets = {
             "measure": spec.measure,
             "interest": spec.interest.indices,
             "baseline": spec.baseline.indices,
             "aux": spec.aux.indices,
         }
-        if t1 == t2:
+        if plans[0] == plans[1]:
             return ImportanceEstimate(0.0, 0.0, spec.n_mc, spec.mode, sets, spec.seed)
+        # with exact marginalization the conditional means integrate
+        # the expectation in closed form, so a term needs no draws
         exact = spec.mode == "marginalized" and self.exact_marginalization
         if exact and not isinstance(self.predictor, LinearPredictor):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
         n, d = self.data.values.shape
         y = self.target.values
+        kind = spec.loss.kind
+        predictors = {}
         n_reps = 1 if exact else spec.n_mc
         values = np.empty(n_reps)
         for rep in range(n_reps):
-            rng = np.random.default_rng(derive_seed(spec.seed, rep))
-            if spec.mode == "original_f":
-                z = rng.standard_normal((n, d))
-                pred1 = self.predictor.predict(self._build_matrix(t1, z))
-                pred2 = self.predictor.predict(self._build_matrix(t2, z))
-                var1 = var2 = None
-            else:
-                # the two plans assign different conditionals to the
-                # perturbed columns, so their integration draws come
-                # from independent streams and the reported SE covers
-                # the marginalization noise of both terms
-                rng1 = np.random.default_rng(derive_seed(spec.seed, rep, 1))
-                rng2 = np.random.default_rng(derive_seed(spec.seed, rep, 2))
-                pred1, var1 = self._plan_prediction(t1, rng1)
-                pred2, var2 = self._plan_prediction(t2, rng2)
-            values[rep] = self._term_risk(spec, y, pred1, var1) - self._term_risk(spec, y, pred2, var2)
+            z = None  # the repetition's shared draws, made on first need
+            risks = []
+            # in marginalized mode the two plans assign different
+            # conditionals to the perturbed columns, so their integration
+            # draws come from independent streams (slots 1 and 2) and the
+            # reported SE covers the marginalization noise of both terms
+            for slot, plan in enumerate(plans, 1):
+                if exact:
+                    key = (plan, kind)
+                else:
+                    stream = slot if spec.mode == "marginalized" else 0
+                    key = (plan, kind, spec.mode, spec.seed, rep, stream)
+                risk = self._risks.get(key)
+                if risk is not None:
+                    self.terms_reused += 1
+                    risks.append(risk)
+                    continue
+                if plan not in predictors:
+                    predictors[plan] = self._plan_predictor(plan)
+                predict = predictors[plan]
+                if exact:
+                    pred, var = predict(None), None
+                elif spec.mode == "original_f":
+                    if z is None:
+                        z = np.random.default_rng(derive_seed(spec.seed, rep)).standard_normal((n, d))
+                    pred, var = predict(z), None
+                else:
+                    rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                    pred, var = self._marginalized_prediction(predict, rng)
+                risk = self._risks[key] = self._term_risk(spec, y, pred, var)
+                self.terms_computed += 1
+                risks.append(risk)
+            values[rep] = risks[0] - risks[1]
         value = float(values.mean())
         se = float(values.std(ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else 0.0
         return ImportanceEstimate(value, se, n_reps, spec.mode, sets, spec.seed)

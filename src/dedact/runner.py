@@ -127,6 +127,23 @@ def _resolve_columns(names, data: DataMatrix, block: str) -> list[int]:
     return out
 
 
+def _required(block: dict, key: str, where: str):
+    if key not in block:
+        raise ConfigError(f"[{where}] missing required key {key!r}")
+    return block[key]
+
+
+def _int_key(block: dict, key: str, default, where: str):
+    """block[key] (or the default) as an int; None stays None."""
+    value = block.get(key, default)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"[{where}] {key!r} must be an integer, got {value!r}") from None
+
+
 def _loss_from(name: str) -> LossFunction:
     if name in ("squared_error", None):
         return SQUARED_ERROR
@@ -217,7 +234,7 @@ def _load_data(config: RunConfig) -> tuple[DataMatrix, TargetVector, LinearSCM |
         else:
             with open(name) as fh:
                 scm = LinearSCM.from_config(yaml.safe_load(fh))
-        n = int(block.get("n", 20000))
+        n = _int_key(block, "n", 20000, "data")
         include_observed = bool(block.get("include_observed", False))
         data, target = sample_scm(scm, n, derive_seed(config.seed, 1), include_observed)
         return data, target, scm
@@ -242,7 +259,7 @@ def build_evaluator(config: RunConfig):
     loss = _loss_from(config.raw.get("loss", "squared_error"))
     evaluator = ImportanceEvaluator(
         eval_x, eval_y, predictor, gaussian, loss=loss,
-        n_mc=int(config.raw.get("n_mc", 20)), seed=config.seed,
+        n_mc=_int_key(config.raw, "n_mc", 20, "config"), seed=config.seed,
         exact_marginalization=bool(config.raw.get("exact_marginalization", False)),
     )
     return evaluator, data, target
@@ -255,8 +272,10 @@ def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) 
     baseline = _resolve_columns(block.get("baseline"), data, name)
     aux = _resolve_columns(block.get("aux"), data, name)
     mode = block.get("mode", "original_f")
-    n_mc = block.get("n_mc")
-    seed = block.get("seed")
+    n_mc = _int_key(block, "n_mc", None, name)
+    seed = _int_key(block, "seed", None, name)
+    if kind in ("PFI", "conditional_FI", "SAGE_attribution") and not interest:
+        raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column")
     if kind == "DI":
         return evaluator.direct_importance(interest, baseline, mode, n_mc, seed)
     if kind == "AI":
@@ -274,7 +293,7 @@ def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) 
     if kind == "SAGE_attribution":
         return evaluator.sage_attribution(
             interest[0], block.get("variant", "conditional"),
-            int(block.get("n_orders", 60)), n_mc, seed,
+            _int_key(block, "n_orders", 60, name), n_mc, seed,
         )
     raise ConfigError(f"[{name}] unknown measure {kind!r}")
 
@@ -283,37 +302,53 @@ def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMa
     name = block.get("name", "?")
     method = block.get("method", "fast")
     kind = block.get("kind", "pfi")
-    target_cols = _resolve_columns([block["target"]], data, name)
-    k = target_cols[0]
+    k = _resolve_columns([_required(block, "target", name)], data, name)[0]
     sources = _resolve_columns(block.get("sources"), data, name) or None
     pathways = _resolve_columns(block.get("pathways"), data, name) or None
-    n_mc = block.get("n_mc")
-    seed = block.get("seed")
+    n_mc = _int_key(block, "n_mc", None, name)
+    seed = _int_key(block, "seed", None, name)
     if kind == "pfi":
         if method == "fast":
             return fast_decompose_pfi(evaluator, k, sources, n_mc, seed)
         if method == "fast_ordered":
-            order = _resolve_columns(block["order"], data, name)
+            order = _resolve_columns(_required(block, "order", name), data, name)
             return fast_decompose_pfi_ordered(evaluator, k, order, n_mc, seed)
         if method == "shapley":
             return shapley_decompose_pfi(
                 evaluator, k, sources, block.get("solver", "auto"),
-                int(block.get("n_orders", 50)), n_mc, seed,
+                _int_key(block, "n_orders", 50, name), n_mc, seed,
             )
     if kind == "ai" and method == "fast":
         return fast_decompose_ai(evaluator, k, pathways, n_mc, seed)
     if kind == "sage":
         if method == "fast":
             return fast_decompose_sage(
-                evaluator, k, pathways, int(block.get("n_orders", 25)), n_mc, seed
+                evaluator, k, pathways, _int_key(block, "n_orders", 25, name), n_mc, seed
             )
         if method == "shapley":
             return shapley_decompose_sage(
                 evaluator, k, pathways, block.get("solver", "auto"),
-                int(block.get("n_sage_orders", 60)), int(block.get("n_decomp_orders", 25)),
+                _int_key(block, "n_sage_orders", 60, name), _int_key(block, "n_decomp_orders", 25, name),
                 n_mc, seed,
             )
     raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
+
+
+def _blocks(config: RunConfig, section: str) -> list[dict]:
+    blocks = config.raw.get(section) or []
+    if not isinstance(blocks, list):
+        raise ConfigError(f"[{section}] must be a list of mappings, got {blocks!r}")
+    for i, block in enumerate(blocks):
+        if not isinstance(block, dict):
+            raise ConfigError(f"[{section}] entry {i} must be a mapping, got {block!r}")
+    return blocks
+
+
+def _in_block(exc: DedactError, name: str) -> DedactError:
+    """The same error with the block name in front of its message, once."""
+    prefix = f"[{name}] "
+    message = str(exc)
+    return type(exc)(message if message.startswith(prefix) else prefix + message)
 
 
 def run(config: RunConfig, outdir=None) -> ResultBundle:
@@ -326,18 +361,19 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "n_rows": data.n_rows,
         "columns": list(data.column_names),
     }
-    for block in config.raw.get("measures", []):
+    for block in _blocks(config, "measures"):
         name = block.get("name", block.get("measure", "?"))
         try:
             bundle.add_estimate(name, _run_measure(evaluator, block, data))
         except DedactError as exc:
-            raise type(exc)(f"[{name}] {exc}") from exc
-    for block in config.raw.get("decompositions", []):
+            raise _in_block(exc, name) from exc
+    for block in _blocks(config, "decompositions"):
         name = block.get("name", block.get("method", "?"))
         try:
             bundle.add_table(name, _run_decomposition(evaluator, block, data))
         except DedactError as exc:
-            raise type(exc)(f"[{name}] {exc}") from exc
+            raise _in_block(exc, name) from exc
+    bundle.metadata["engine"] = evaluator.counters()
     outdir = outdir or config.raw.get("output", {}).get("directory")
     if outdir:
         formats = tuple(config.raw.get("output", {}).get("formats", ("csv", "json")))

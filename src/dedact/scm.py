@@ -9,15 +9,43 @@ simulator.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .core import DataMatrix, FeatureIndexSet, TargetVector
 from .errors import CyclicGraph, DimensionMismatch
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 ROLES = ("feature", "observed", "target", "label", "latent")
+
+
+def _topological_order(nodes: tuple[str, ...], edges) -> tuple[str, ...]:
+    """Kahn's algorithm that always emits the ready node listed first, so
+    an order that is already topological is kept as it is."""
+    index = {n: i for i, n in enumerate(nodes)}
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    in_degree = dict.fromkeys(nodes, 0)
+    for parent, child in edges:
+        children[parent].append(child)
+        in_degree[child] += 1
+    ready = [index[n] for n in nodes if in_degree[n] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        node = nodes[heapq.heappop(ready)]
+        order.append(node)
+        for child in children[node]:
+            in_degree[child] -= 1
+            if in_degree[child] == 0:
+                heapq.heappush(ready, index[child])
+    if len(order) != len(nodes):
+        raise CyclicGraph("edge set contains a cycle")
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -44,14 +72,12 @@ class LinearSCM:
         if len(supervision) != 1:
             raise DimensionMismatch("exactly one node must have role target or label")
         # node order must be (or be reordered to) a topological order
-        graph = self.graph()
-        try:
-            topo = list(nx.lexicographical_topological_sort(graph, key=lambda n: self.nodes.index(n)))
-        except nx.NetworkXUnfeasible as exc:
-            raise CyclicGraph("edge set contains a cycle") from exc
-        object.__setattr__(self, "nodes", tuple(topo))
+        object.__setattr__(self, "nodes", _topological_order(self.nodes, self.edges))
 
     def graph(self) -> nx.DiGraph:
+        # networkx costs about 0.2 s to import and only graph queries need it
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
         g.add_edges_from(self.edges.keys())
@@ -140,6 +166,8 @@ def d_separated(scm: LinearSCM, j, c, y) -> bool:
     j = {j} if isinstance(j, str) else set(j)
     c = set() if c is None else ({c} if isinstance(c, str) else set(c))
     y = {y} if isinstance(y, str) else set(y)
+    import networkx as nx
+
     return nx.is_d_separator(scm.graph(), j, y, c)
 
 

@@ -146,6 +146,23 @@ class TestRunCommands:
             err = capsys.readouterr().err
             assert "config error" in err and key in err
 
+    @pytest.mark.parametrize("command,change,block,key", [
+        ("decompose", {"decompositions": [{"name": "t", "kind": "pfi", "method": "fast"}]},
+         "t", "target"),
+        ("decompose", {"decompositions": [{"name": "t", "method": "fast_ordered", "target": "C"}]},
+         "t", "order"),
+        ("importance", {"measures": [{"name": "m", "measure": "PFI"}]}, "m", "interest"),
+        ("importance", {"measures": ["PFI"]}, "measures", "PFI"),
+        ("importance", {"n_mc": "abc"}, "config", "n_mc"),
+        ("decompose", {"decompositions": [{"name": "t", "method": "shapley", "target": "C",
+                                           "n_orders": "x"}]}, "t", "n_orders"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
+        cfg = _config(tmp_path, dict(_BASE, **change))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"[{block}]" in err and key in err
+
     def test_every_error_has_one_exit_code(self):
         groups = (cli._CONFIG_ERRORS, cli._DATA_ERRORS, cli._NUMERICAL_ERRORS)
         for cls in DedactError.__subclasses__():
@@ -235,6 +252,33 @@ class TestDemoAndReport:
         assert "AI_PSA" in text
         assert "PFI_cycling_sources" in text
         assert "(remainder)" in text
+
+    def test_report_prints_engine_counters_when_present(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(out)])
+        bundle = json.loads((out / "bundle.json").read_text())
+        engine = bundle["metadata"]["engine"]
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(out)]) == 0
+        assert (f"engine: {engine['evaluations']} evaluations, {engine['terms_computed']} plan terms"
+                f" computed, {engine['terms_reused']} reused") in capsys.readouterr().out
+        # bundles written before the counters existed still read
+        del bundle["metadata"]["engine"]
+        (out / "bundle.json").write_text(json.dumps(bundle))
+        assert main(["report", "--bundle", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "PFI_cycling_sources" in text and "engine:" not in text
+
+    def test_engine_counters_in_metadata(self):
+        bundle = run_biomarker_demo(seed=0, n=2000)
+        engine = bundle.metadata["engine"]
+        # four measures, the ai table (AI plus two AI-vias) and the pfi
+        # table (PFI plus three DI-froms)
+        assert engine["evaluations"] == 4 + 3 + 4
+        # two terms in each of 20 repetitions per evaluation; the tables
+        # repeat the measures' plans, so some of those terms are reused
+        assert engine["terms_computed"] + engine["terms_reused"] == 2 * 20 * engine["evaluations"]
+        assert engine["terms_reused"] > 0
 
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "dedact.cli", "--help"],

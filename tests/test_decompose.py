@@ -17,7 +17,7 @@ from dedact.decompose import (
     solve_game,
 )
 from dedact.errors import DimensionMismatch, TooManyPlayers
-from dedact.importance import ImportanceEvaluator
+from dedact.importance import ImportanceEvaluator, evaluation_count, reset_evaluation_count
 from dedact.sampler import GaussianModel
 
 
@@ -380,3 +380,43 @@ class TestDecompositionTable:
         table = DecompositionTable("t", total, {"a": (2.0, 0.4), "b": (1.0, 0.0)}, "fast")
         assert table.remainder == pytest.approx(2.0)
         assert table.combined_std_error == pytest.approx(0.5)
+
+
+class _FreshPerEvaluation(ImportanceEvaluator):
+    """Runs every evaluation on a new evaluator, so no term is reused."""
+
+    def evaluate(self, spec):
+        fresh = ImportanceEvaluator(
+            self.data, self.target, self.predictor, self.gaussian, self.loss, self.n_mc,
+            self.seed, self.n_integration, self.exact_marginalization,
+        )
+        return fresh.evaluate(spec)
+
+
+def _shapley_tables(ev):
+    """Sampled and exact Shapley tables of both kinds, and the number of
+    evaluations they took."""
+    reset_evaluation_count()
+    tables = [
+        shapley_decompose_pfi(ev, 1, solver="exact"),
+        shapley_decompose_pfi(ev, 0, solver="sampled", n_orders=4),
+        shapley_decompose_sage(ev, 2, solver="exact", n_sage_orders=3),
+        shapley_decompose_sage(ev, 0, solver="sampled", n_sage_orders=2, n_decomp_orders=3),
+    ]
+    return tables, evaluation_count()
+
+
+class TestTermMemoInvisible:
+    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    def test_tables_equal_fresh_evaluations(self, exact_marginalization):
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        kw = dict(n_mc=3, n_integration=4, exact_marginalization=exact_marginalization)
+        shared = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=3000, **kw)
+        fresh = _FreshPerEvaluation(shared.data, shared.target, shared.predictor, shared.gaussian, **kw)
+        (tables, count), (fresh_tables, fresh_count) = _shapley_tables(shared), _shapley_tables(fresh)
+        for a, b in zip(tables, fresh_tables):
+            assert a.as_dict() == b.as_dict()
+            assert a.per_context == b.per_context
+        # the memo saves terms, never evaluations
+        assert count == fresh_count == shared.evaluations
+        assert shared.terms_reused > 0

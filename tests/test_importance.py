@@ -3,13 +3,16 @@ import pytest
 
 from dedact.core import (
     CROSS_ENTROPY,
+    SQUARED_ERROR,
     DataMatrix,
     FeatureIndexSet,
     LinearPredictor,
+    Predictor,
     TargetVector,
 )
 from dedact.errors import DimensionMismatch, DisjointnessViolation
 from dedact.importance import (
+    MEASURES,
     ImportanceEvaluator,
     MeasureSpec,
     evaluation_count,
@@ -272,3 +275,103 @@ class TestEngineContracts:
                 data, TargetVector(np.zeros(100)), pred,
                 GaussianModel(mean=np.zeros(3), cov=np.eye(3)),
             )
+
+
+class _OpaqueLinear(Predictor):
+    """The same affine map as a LinearPredictor, hidden from the engine's
+    linear form, so evaluation goes through the materialized plan matrix."""
+
+    def __init__(self, weights, intercept):
+        self.weights, self.intercept = weights, intercept
+        self.support = FeatureIndexSet.of(np.nonzero(weights)[0])
+
+    def predict(self, x):
+        return np.asarray(x, dtype=float) @ self.weights + self.intercept
+
+
+def _random_specs(d, rng, count, **kw):
+    specs = []
+    while len(specs) < count:
+        cols = rng.permutation(d)
+        n_interest, n_baseline = int(rng.integers(1, d)), int(rng.integers(0, d))
+        interest = cols[:n_interest]
+        baseline = cols[n_interest:n_interest + n_baseline]
+        aux = rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False)
+        specs.append(MeasureSpec(
+            MEASURES[len(specs) % len(MEASURES)], FeatureIndexSet.of(interest),
+            FeatureIndexSet.of(baseline), FeatureIndexSet.of(aux), **kw,
+        ))
+    return specs
+
+
+def _linear_and_opaque(d=4, n=400, seed=3, **kw):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d)) / np.sqrt(d)
+    cov = a @ a.T + 0.5 * np.eye(d)
+    mean = rng.standard_normal(d)
+    values = mean + rng.standard_normal((n, d)) @ np.linalg.cholesky(cov).T
+    data = DataMatrix(values, tuple(f"c{i}" for i in (3, 0, 2, 1)[:d]))
+    w, b = rng.standard_normal(d), 0.7
+    y = TargetVector(values @ w + rng.standard_normal(n))
+    g = GaussianModel(mean=mean, cov=cov)
+    linear = ImportanceEvaluator(data, y, LinearPredictor(weights=w, intercept=b), g, **kw)
+    opaque = ImportanceEvaluator(data, y, _OpaqueLinear(w, b), g, **kw)
+    return linear, opaque, rng
+
+
+class TestPlanEngine:
+    @pytest.mark.parametrize("mode", ["original_f", "marginalized"])
+    def test_generic_path_matches_linear_form(self, mode):
+        linear, opaque, rng = _linear_and_opaque(n_integration=4)
+        for spec in _random_specs(4, rng, 24, mode=mode, n_mc=3, seed=5):
+            a, b = linear.evaluate(spec), opaque.evaluate(spec)
+            assert a.value == pytest.approx(b.value, rel=0, abs=1e-12), spec
+            assert a.std_error == pytest.approx(b.std_error, rel=0, abs=1e-12), spec
+
+    def test_linear_form_matches_materialized_plan(self):
+        linear, _, rng = _linear_and_opaque()
+        x, predictor = linear.data.values, linear.predictor
+        for spec in _random_specs(4, rng, 24):
+            for plan in linear._plans(spec):
+                u, v, c = linear._linear_form(plan)
+                zero = np.zeros(x.shape)
+                z = rng.standard_normal(x.shape)
+                expected = predictor.predict(linear._build_matrix(plan, zero))
+                np.testing.assert_allclose(x @ u + c, expected, rtol=0, atol=1e-12)
+                expected = predictor.predict(linear._build_matrix(plan, z))
+                np.testing.assert_allclose(x @ u + z @ v + c, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_reused_terms_are_bit_identical(self, exact):
+        linear, _, rng = _linear_and_opaque(n_integration=4, exact_marginalization=exact)
+        specs = [s for mode in ("original_f", "marginalized") for loss in (SQUARED_ERROR, CROSS_ENTROPY)
+                 for s in _random_specs(4, rng, 8, mode=mode, loss=loss, n_mc=3, seed=2)]
+        warm = [linear.evaluate(s) for s in specs + specs]
+        assert linear.terms_reused > linear.terms_computed
+        for spec, est in zip(specs + specs, warm):
+            fresh = ImportanceEvaluator(
+                linear.data, linear.target, linear.predictor, linear.gaussian,
+                n_integration=4, exact_marginalization=exact,
+            ).evaluate(spec)
+            assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
+
+    def test_baseline_term_computed_once_per_rep(self):
+        # every DI-from of x0 against the rest shares term 1 (x0 redrawn
+        # independently); term 2 differs per source set
+        ev = _evaluator(np.eye(4), [1.0, 1.0, 1.0, 1.0], n=500, n_mc=3)
+        for j in (1, 2, 3):
+            ev.di_from([0], [1, 2, 3], [j], seed=4)
+        assert ev.counters() == {"evaluations": 3, "terms_computed": 3 * (1 + 3), "terms_reused": 3 * 2}
+        ev.di_from([0], [1, 2, 3], [2], seed=4)
+        assert ev.terms_computed == 12 and ev.terms_reused == 6 + 2 * 3
+
+    def test_counters_belong_to_the_evaluator(self):
+        a = _evaluator(np.eye(2), [1.0, 1.0], n=200, n_mc=2)
+        b = _evaluator(np.eye(2), [1.0, 1.0], n=200, n_mc=2)
+        reset_evaluation_count()
+        a.pfi(0)
+        a.pfi(0)
+        b.direct_importance([], [0])  # identical plans: no terms at all
+        assert evaluation_count() == 3
+        assert a.counters() == {"evaluations": 2, "terms_computed": 4, "terms_reused": 4}
+        assert b.counters() == {"evaluations": 1, "terms_computed": 0, "terms_reused": 0}

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,30 @@ def _chain(noise_b=1.0):
 
 
 class TestValidation:
+    def test_import_leaves_networkx_unloaded(self):
+        code = "import dedact, sys; assert 'networkx' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_node_order_matches_networkx(self):
+        # the order networkx's lexicographic topological sort gives, keyed
+        # on the position in the given node tuple
+        import networkx as nx
+
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            names = tuple(f"v{i}" for i in rng.permutation(n))
+            rank = rng.permutation(n)  # a hidden topological order
+            edges = {(names[i], names[j]): 1.0 for i in range(n) for j in range(n)
+                     if rank[i] < rank[j] and rng.random() < 0.3}
+            roles = {name: "feature" for name in names}
+            roles[names[-1]] = "target"
+            scm = LinearSCM(nodes=names, edges=edges, noise_std=dict.fromkeys(names, 1.0), roles=roles)
+            graph = nx.DiGraph(list(edges))
+            graph.add_nodes_from(names)
+            assert scm.nodes == tuple(nx.lexicographical_topological_sort(graph, key=names.index))
+
     def test_cycle_rejected(self):
         with pytest.raises(CyclicGraph):
             LinearSCM(
