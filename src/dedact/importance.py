@@ -16,7 +16,12 @@ Common random numbers: both terms of a repetition consume the same
 underlying standard-normal matrix, keyed by the canonical (name-sorted)
 column order. Identical plans therefore produce bit-identical risks and
 an exactly zero estimate, and paired runs under a shared seed reuse
-draws.
+draws. Estimates do not depend on the order or position of the columns:
+bit for bit for a linear predictor under squared error in `original_f`
+and exact-marginalized mode (the moment form below sums in canonical
+order), and to rounding on every other path (cross-entropy, Monte-Carlo
+marginalization, any other predictor), whose row sums follow the
+column order.
 
 Term memo: a term's risk is a pure function of its plan, its loss and
 the draws it consumes. Those draws are fixed by (mode, seed, repetition,
@@ -29,6 +34,8 @@ alone for exact marginalization, and `evaluate` draws a repetition's
 normals only when a term it needs is missing. A reused risk is the
 float that recomputation would give, bit for bit; only the evaluator's
 `terms_computed` / `terms_reused` counters can tell the two apart.
+Under the moment form below a repetition is drawn at most once per
+evaluator, however many terms miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. Per redrawn group (targets T,
@@ -39,6 +46,32 @@ columns), `v` holds `L^T w_T` at the targets' canonical draw columns,
 and `c = b + sum(mu_T . w_T - mu_C . A^T w_T)`. No n x d plan matrix is
 built; exact marginalization is `X @ u + c`. Any other `Predictor` is
 evaluated on the materialized plan matrix.
+
+Moment form: a linear predictor's squared-error risk is a quadratic form
+in the moments of the data and the draws, so those terms (in
+`original_f` and exact-marginalized mode) never form an n-length
+prediction. With `X_c`, `y_c` the evaluation data and target minus their
+means `x_bar`, `y_bar` (columns in canonical order, u permuted to match)
+and `k = c + x_bar . u - y_bar`, the exact-marginalized risk is
+`u' S_xx u - 2 u' s_xy + s_yy + k^2` with `S_xx = X_c' X_c / n`,
+`s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`, computed once per
+evaluator. An `original_f` term adds
+`v' S_zz v + 2 v' S_zx u + 2 k v' z_bar - 2 v' s_zy` for the
+repetition's draws z, reduced to `S_zz = z' z / n`, `S_zx = z' X_c / n`,
+`z_bar` and `s_zy = z' y_c / n` the first time the evaluator needs that
+(seed, rep) and kept (about d(2d + 2) floats each), while the n x d
+draw itself is dropped. Centring matters: on data offset by 1e3,
+risks from uncentred moments were off by up to 1.5e-9 relative (4.7e-8
+at 1e4), centred ones by 8e-14 (7.8e-13). The draws are the ones the
+row path takes, so the two agree to rounding; cross-entropy and
+Monte-Carlo marginalization keep the row path.
+
+Cross-entropy under Monte-Carlo marginalization is biased: the loss of
+the mean of n_integration draws is not the mean loss, and unlike the
+squared-error Var/m correction in `_term_risk` nothing removes the
+difference, so such a risk keeps a Jensen bias of order
+1 / n_integration. Exact marginalization (linear predictors only) has no
+integration noise.
 """
 
 from __future__ import annotations
@@ -147,12 +180,14 @@ class ImportanceEvaluator:
         self.seed = seed
         self.n_integration = n_integration
         self.exact_marginalization = exact_marginalization
-        # canonical column order: by name, so estimates are invariant to
-        # relabeling/permuting columns under the same seed
-        order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
-        self._canon_rank = {col: rank for rank, col in enumerate(order)}
+        # canonical column order: by name, so estimates do not depend on
+        # how the columns are ordered (see the module docstring)
+        self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
+        self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
         self._cond_cache: dict[tuple, tuple] = {}
         self._risks: dict[tuple, float] = {}
+        self._data_moments: tuple | None = None
+        self._draw_moments: dict[tuple[int, int], tuple] = {}
         self.evaluations = 0
         self.terms_computed = 0
         self.terms_reused = 0
@@ -264,6 +299,49 @@ class ImportanceEvaluator:
             return lambda z: base if z is None else base + z @ v
         return lambda z: self.predictor.predict(self._build_matrix(plan, z))
 
+    # -- moment form (linear predictor, squared error) ----------------------
+
+    def _centred(self) -> tuple:
+        """(x_bar, y_bar, X_c, y_c): the means of the evaluation data (in
+        canonical column order) and of the target, and both minus their
+        means. Built afresh on each call, so no n x d copy is kept."""
+        x = self.data.values[:, self._canon_order]
+        x_bar, y_bar = x.mean(axis=0), float(self.target.values.mean())
+        x -= x_bar
+        return x_bar, y_bar, x, self.target.values - y_bar
+
+    def _moments(self) -> tuple:
+        """(x_bar, y_bar, S_xx, s_xy, s_yy) of the evaluation data."""
+        if self._data_moments is None:
+            x_bar, y_bar, x_c, y_c = self._centred()
+            n = len(y_c)
+            self._data_moments = (x_bar, y_bar, x_c.T @ x_c / n, x_c.T @ y_c / n, float(y_c @ y_c) / n)
+        return self._data_moments
+
+    def _draws(self, seed: int, rep: int) -> tuple:
+        """(S_zz, S_zx, z_bar, s_zy) of the repetition's standard normals,
+        which are drawn once per evaluator and then dropped."""
+        hit = self._draw_moments.get((seed, rep))
+        if hit is None:
+            n, d = self.data.values.shape
+            z = np.random.default_rng(derive_seed(seed, rep)).standard_normal((n, d))
+            x_c, y_c = self._centred()[2:]
+            hit = self._draw_moments[seed, rep] = (z.T @ z / n, z.T @ x_c / n, z.mean(axis=0), z.T @ y_c / n)
+        return hit
+
+    def _moment_risk(self, form, draws) -> float:
+        """Squared-error risk of `X @ u + z @ v + c` (`X @ u + c` when
+        draws is None) as a quadratic form in the moments."""
+        u, v, c = form
+        u = u[self._canon_order]
+        x_bar, y_bar, s_xx, s_xy, s_yy = self._moments()
+        k = c + x_bar @ u - y_bar
+        risk = u @ s_xx @ u - 2.0 * (u @ s_xy) + s_yy + k * k
+        if draws is not None:
+            s_zz, s_zx, z_bar, s_zy = draws
+            risk += v @ s_zz @ v + 2.0 * (v @ s_zx @ u) + 2.0 * k * (v @ z_bar) - 2.0 * (v @ s_zy)
+        return float(risk)
+
     def _marginalized_prediction(self, predict, rng: np.random.Generator):
         """Marginalize the model over a plan's perturbed columns.
 
@@ -290,6 +368,9 @@ class ImportanceEvaluator:
 
     def _term_risk(self, spec: MeasureSpec, y: np.ndarray, pred: np.ndarray,
                    mean_variance: np.ndarray | None) -> float:
+        """Mean loss of the predictions. Under Monte-Carlo
+        marginalization only squared error is corrected for integration
+        noise; a cross-entropy risk keeps its O(1/n_integration) bias."""
         base = spec.loss.elementwise(y, pred)
         # E[(y - mean of m draws)^2] overshoots the marginalized risk by
         # Var/m; subtracting the unbiased variance estimate removes it
@@ -318,6 +399,8 @@ class ImportanceEvaluator:
         n, d = self.data.values.shape
         y = self.target.values
         kind = spec.loss.kind
+        moment_form = (isinstance(self.predictor, LinearPredictor) and kind == "squared_error"
+                       and (exact or spec.mode == "original_f"))
         predictors = {}
         n_reps = 1 if exact else spec.n_mc
         values = np.empty(n_reps)
@@ -339,19 +422,24 @@ class ImportanceEvaluator:
                     self.terms_reused += 1
                     risks.append(risk)
                     continue
+                # per plan: its (u, v, c) on the moment form, else z -> predictions
                 if plan not in predictors:
-                    predictors[plan] = self._plan_predictor(plan)
+                    predictors[plan] = self._linear_form(plan) if moment_form else self._plan_predictor(plan)
                 predict = predictors[plan]
-                if exact:
-                    pred, var = predict(None), None
-                elif spec.mode == "original_f":
-                    if z is None:
-                        z = np.random.default_rng(derive_seed(spec.seed, rep)).standard_normal((n, d))
-                    pred, var = predict(z), None
+                if moment_form:
+                    risk = self._moment_risk(predict, None if exact else self._draws(spec.seed, rep))
                 else:
-                    rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                    pred, var = self._marginalized_prediction(predict, rng)
-                risk = self._risks[key] = self._term_risk(spec, y, pred, var)
+                    if exact:
+                        pred, var = predict(None), None
+                    elif spec.mode == "original_f":
+                        if z is None:
+                            z = np.random.default_rng(derive_seed(spec.seed, rep)).standard_normal((n, d))
+                        pred, var = predict(z), None
+                    else:
+                        rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                        pred, var = self._marginalized_prediction(predict, rng)
+                    risk = self._term_risk(spec, y, pred, var)
+                self._risks[key] = risk
                 self.terms_computed += 1
                 risks.append(risk)
             values[rep] = risks[0] - risks[1]

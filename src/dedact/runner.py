@@ -144,6 +144,15 @@ def _int_key(block: dict, key: str, default, where: str):
         raise ConfigError(f"[{where}] {key!r} must be an integer, got {value!r}") from None
 
 
+def _bool_key(block: dict, key: str, default: bool, where: str) -> bool:
+    """block[key] (or the default), which must be a YAML boolean: a
+    quoted "false" would otherwise read as true."""
+    value = block.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"[{where}] {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _loss_from(name: str) -> LossFunction:
     if name in ("squared_error", None):
         return SQUARED_ERROR
@@ -235,7 +244,7 @@ def _load_data(config: RunConfig) -> tuple[DataMatrix, TargetVector, LinearSCM |
             with open(name) as fh:
                 scm = LinearSCM.from_config(yaml.safe_load(fh))
         n = _int_key(block, "n", 20000, "data")
-        include_observed = bool(block.get("include_observed", False))
+        include_observed = _bool_key(block, "include_observed", False, "data")
         data, target = sample_scm(scm, n, derive_seed(config.seed, 1), include_observed)
         return data, target, scm
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
@@ -260,7 +269,7 @@ def build_evaluator(config: RunConfig):
     evaluator = ImportanceEvaluator(
         eval_x, eval_y, predictor, gaussian, loss=loss,
         n_mc=_int_key(config.raw, "n_mc", 20, "config"), seed=config.seed,
-        exact_marginalization=bool(config.raw.get("exact_marginalization", False)),
+        exact_marginalization=_bool_key(config.raw, "exact_marginalization", False, "config"),
     )
     return evaluator, data, target
 

@@ -163,6 +163,22 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
 
+    @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
+    @pytest.mark.parametrize("block,key", [("config", "exact_marginalization"), ("data", "include_observed")])
+    def test_non_boolean_flag_exit_2(self, tmp_path, capsys, block, key, value):
+        raw = dict(_BASE, data=dict(_BASE["data"]))
+        (raw if block == "config" else raw["data"])[key] = value
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"[{block}]" in err and key in err
+
+    def test_yaml_booleans_accepted(self, tmp_path):
+        text = yaml.safe_dump(_BASE).replace("include_observed: true", "include_observed: yes")
+        assert "include_observed: yes" in text
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(text + "exact_marginalization: no\n")
+        assert main(["importance", "--config", str(cfg)]) == 0
+
     def test_every_error_has_one_exit_code(self):
         groups = (cli._CONFIG_ERRORS, cli._DATA_ERRORS, cli._NUMERICAL_ERRORS)
         for cls in DedactError.__subclasses__():

@@ -375,3 +375,72 @@ class TestPlanEngine:
         assert evaluation_count() == 3
         assert a.counters() == {"evaluations": 2, "terms_computed": 4, "terms_reused": 4}
         assert b.counters() == {"evaluations": 1, "terms_computed": 0, "terms_reused": 0}
+
+
+def _shifted(ev, shift):
+    """An evaluator like ev on every column and the target moved by
+    `shift`, the intercept moved so that residuals stay the same size."""
+    p = ev.predictor
+    intercept = p.intercept + shift * (1.0 - p.weights.sum())
+    return ImportanceEvaluator(
+        DataMatrix(ev.data.values + shift, ev.data.column_names), TargetVector(ev.target.values + shift),
+        type(p)(p.weights, intercept), GaussianModel(mean=ev.gaussian.mean + shift, cov=ev.gaussian.cov),
+        n_mc=ev.n_mc, seed=ev.seed, exact_marginalization=ev.exact_marginalization,
+    )
+
+
+class TestMomentForm:
+    """Linear squared-error terms in `original_f` and exact-marginalized
+    mode come from centred moments in canonical column order."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_permutation_invariance_bitwise_d10(self, exact):
+        d, n = 10, 2000
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        cov, mean = a @ a.T + 0.5 * np.eye(d), rng.standard_normal(d)
+        data = DataMatrix(mean + _gaussian_data(cov, n, 7).values, tuple(f"x{i}" for i in range(d)))
+        w = rng.standard_normal(d)
+        y = TargetVector(data.values @ w + rng.standard_normal(n))
+        perm = rng.permutation(d)  # new position p holds old column perm[p]
+        moved = np.argsort(perm)
+        data_p = DataMatrix(data.values[:, perm], tuple(data.column_names[i] for i in perm))
+        kw = dict(n_mc=3, seed=7, exact_marginalization=exact)
+        ev = ImportanceEvaluator(data, y, LinearPredictor(weights=w, intercept=0.3),
+                                 GaussianModel(mean=mean, cov=cov), **kw)
+        ev_p = ImportanceEvaluator(data_p, y, LinearPredictor(weights=w[perm], intercept=0.3),
+                                   GaussianModel(mean=mean[perm], cov=cov[np.ix_(perm, perm)]), **kw)
+        mode = "marginalized" if exact else "original_f"
+        for spec in _random_specs(d, rng, 20, mode=mode, n_mc=3, seed=7):
+            spec_p = MeasureSpec(
+                spec.measure, *(FeatureIndexSet.of(moved[list(s)]) for s in (spec.interest, spec.baseline, spec.aux)),
+                mode=mode, n_mc=3, seed=7,
+            )
+            est, est_p = ev.evaluate(spec), ev_p.evaluate(spec_p)
+            assert (est.value, est.std_error) == (est_p.value, est_p.std_error), spec
+
+    def test_offset_data_original_f_matches_row_path(self):
+        linear, opaque, rng = _linear_and_opaque(n=2000)
+        linear, opaque = _shifted(linear, 1e3), _shifted(opaque, 1e3)
+        for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
+            a, b = linear.evaluate(spec), opaque.evaluate(spec)
+            assert a.value == pytest.approx(b.value, rel=1e-10), spec
+            assert a.std_error == pytest.approx(b.std_error, rel=1e-10), spec
+
+    def test_offset_data_exact_risks_match_residuals(self):
+        linear, _, rng = _linear_and_opaque(n=2000, exact_marginalization=True)
+        linear = _shifted(linear, 1e3)
+        x, y = linear.data.values, linear.target.values
+        for spec in _random_specs(4, rng, 24, mode="marginalized"):
+            linear.evaluate(spec)
+        assert len(linear._risks) > 10
+        for (plan, _), risk in linear._risks.items():
+            u, _, c = linear._linear_form(plan)
+            assert risk == pytest.approx(np.mean((y - x @ u - c) ** 2), rel=1e-10), plan
+
+    def test_draws_made_once_per_seed_and_rep(self):
+        ev = _evaluator(np.eye(3), [1.0, 1.0, 1.0], n=500, n_mc=4)
+        for j in range(3):
+            ev.pfi(j, seed=1)
+            ev.conditional_fi(j, seed=2)
+        assert sorted(ev._draw_moments) == [(s, r) for s in (1, 2) for r in range(4)]
