@@ -95,10 +95,14 @@ def _cmd_report(args) -> int:
         for source, comp in t["components"].items():
             print(f"  {source:<24}{comp['value']:>14.6f}{comp['se']:>14.6f}")
         print(f"  {'(remainder)':<24}{t['remainder']:>14.6f}")
-    engine = bundle.get("metadata", {}).get("engine")
+    metadata = bundle.get("metadata", {})
+    engine = metadata.get("engine")
     if engine:
         print(f"\nengine: {engine['evaluations']} evaluations, {engine['terms_computed']} plan terms"
               f" computed, {engine['terms_reused']} reused")
+    versions = metadata.get("versions")
+    if versions:
+        print(f"versions: dedact {versions['dedact']}, numpy {versions['numpy']}, Python {versions['python']}")
     return 0
 
 

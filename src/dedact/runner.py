@@ -6,12 +6,14 @@ import csv
 import hashlib
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import __version__
 from .core import (
     SQUARED_ERROR,
     CROSS_ENTROPY,
@@ -115,7 +117,12 @@ class RunConfig:
 
     @property
     def split_fraction(self) -> float:
-        return float(self.raw.get("split_fraction", 0.5))
+        """The share of rows the model and the Gaussian are fitted on: a
+        real strictly between 0 and 1."""
+        value = self.raw.get("split_fraction", 0.5)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value < 1.0:
+            raise ConfigError(f"[config] 'split_fraction' must be a real strictly between 0 and 1, got {value!r}")
+        return float(value)
 
 
 def _resolve_columns(names, data: DataMatrix, block: str) -> list[int]:
@@ -133,15 +140,19 @@ def _required(block: dict, key: str, where: str):
     return block[key]
 
 
-def _int_key(block: dict, key: str, default, where: str):
-    """block[key] (or the default) as an int; None stays None."""
+def _int_key(block: dict, key: str, default, where: str, minimum: int | None = None):
+    """block[key] (or the default) as an int of at least `minimum`; None
+    stays None."""
     value = block.get(key, default)
     if value is None:
         return None
     try:
-        return int(value)
+        number = int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"[{where}] {key!r} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"[{where}] {key!r} must be at least {minimum}, got {value!r}")
+    return number
 
 
 def _bool_key(block: dict, key: str, default: bool, where: str) -> bool:
@@ -253,7 +264,12 @@ def _load_data(config: RunConfig) -> tuple[DataMatrix, TargetVector, LinearSCM |
 def build_evaluator(config: RunConfig):
     """Shared fit pipeline: load, split, fit OLS + Gaussian, wrap evaluator."""
     data, target, scm = _load_data(config)
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, config.split_fraction, config.seed)
+    fraction = config.split_fraction
+    n_fit = int(round(data.n_rows * fraction))
+    if min(n_fit, data.n_rows - n_fit) < 2:
+        raise ConfigError(f"[config] 'split_fraction' {fraction!r} leaves {n_fit} fit and"
+                          f" {data.n_rows - n_fit} evaluation rows of {data.n_rows}; each side needs 2")
+    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, config.seed)
     model_block = config.raw.get("model", {})
     if "support" in model_block:
         support = FeatureIndexSet.of(_resolve_columns(model_block["support"], data, "model"))
@@ -268,7 +284,7 @@ def build_evaluator(config: RunConfig):
     loss = _loss_from(config.raw.get("loss", "squared_error"))
     evaluator = ImportanceEvaluator(
         eval_x, eval_y, predictor, gaussian, loss=loss,
-        n_mc=_int_key(config.raw, "n_mc", 20, "config"), seed=config.seed,
+        n_mc=_int_key(config.raw, "n_mc", 20, "config", minimum=1), seed=config.seed,
         exact_marginalization=_bool_key(config.raw, "exact_marginalization", False, "config"),
     )
     return evaluator, data, target
@@ -281,7 +297,7 @@ def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) 
     baseline = _resolve_columns(block.get("baseline"), data, name)
     aux = _resolve_columns(block.get("aux"), data, name)
     mode = block.get("mode", "original_f")
-    n_mc = _int_key(block, "n_mc", None, name)
+    n_mc = _int_key(block, "n_mc", None, name, minimum=1)
     seed = _int_key(block, "seed", None, name)
     if kind in ("PFI", "conditional_FI", "SAGE_attribution") and not interest:
         raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column")
@@ -302,7 +318,7 @@ def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) 
     if kind == "SAGE_attribution":
         return evaluator.sage_attribution(
             interest[0], block.get("variant", "conditional"),
-            _int_key(block, "n_orders", 60, name), n_mc, seed,
+            _int_key(block, "n_orders", 60, name, minimum=1), n_mc, seed,
         )
     raise ConfigError(f"[{name}] unknown measure {kind!r}")
 
@@ -314,7 +330,7 @@ def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMa
     k = _resolve_columns([_required(block, "target", name)], data, name)[0]
     sources = _resolve_columns(block.get("sources"), data, name) or None
     pathways = _resolve_columns(block.get("pathways"), data, name) or None
-    n_mc = _int_key(block, "n_mc", None, name)
+    n_mc = _int_key(block, "n_mc", None, name, minimum=1)
     seed = _int_key(block, "seed", None, name)
     if kind == "pfi":
         if method == "fast":
@@ -325,20 +341,20 @@ def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMa
         if method == "shapley":
             return shapley_decompose_pfi(
                 evaluator, k, sources, block.get("solver", "auto"),
-                _int_key(block, "n_orders", 50, name), n_mc, seed,
+                _int_key(block, "n_orders", 50, name, minimum=1), n_mc, seed,
             )
     if kind == "ai" and method == "fast":
         return fast_decompose_ai(evaluator, k, pathways, n_mc, seed)
     if kind == "sage":
         if method == "fast":
             return fast_decompose_sage(
-                evaluator, k, pathways, _int_key(block, "n_orders", 25, name), n_mc, seed
+                evaluator, k, pathways, _int_key(block, "n_orders", 25, name, minimum=1), n_mc, seed
             )
         if method == "shapley":
             return shapley_decompose_sage(
                 evaluator, k, pathways, block.get("solver", "auto"),
-                _int_key(block, "n_sage_orders", 60, name), _int_key(block, "n_decomp_orders", 25, name),
-                n_mc, seed,
+                _int_key(block, "n_sage_orders", 60, name, minimum=1),
+                _int_key(block, "n_decomp_orders", 25, name, minimum=1), n_mc, seed,
             )
     raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
 
@@ -369,6 +385,7 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "input_hash": _content_hash(config.raw, data, target),
         "n_rows": data.n_rows,
         "columns": list(data.column_names),
+        "versions": {"dedact": __version__, "numpy": np.__version__, "python": platform.python_version()},
     }
     for block in _blocks(config, "measures"):
         name = block.get("name", block.get("measure", "?"))

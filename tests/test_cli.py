@@ -1,4 +1,5 @@
 import json
+import platform
 import subprocess
 import sys
 
@@ -6,9 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+import dedact
 from dedact import cli
 from dedact.cli import main
 from dedact.errors import DedactError, MissingTarget, ParseError
+from dedact.importance import _DRAW_BLOCK
 from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, train_eval_split
 from dedact.scm import biomarker_scm, sample_scm
 
@@ -156,12 +159,47 @@ class TestRunCommands:
         ("importance", {"n_mc": "abc"}, "config", "n_mc"),
         ("decompose", {"decompositions": [{"name": "t", "method": "shapley", "target": "C",
                                            "n_orders": "x"}]}, "t", "n_orders"),
+        # counts below 1
+        ("importance", {"n_mc": 0}, "config", "n_mc"),
+        ("importance", {"measures": [{"name": "m", "measure": "PFI", "interest": ["C"], "n_mc": 0}]},
+         "m", "n_mc"),
+        ("importance", {"measures": [{"name": "m", "measure": "SAGE_attribution", "interest": ["C"],
+                                      "n_orders": 0}]}, "m", "n_orders"),
+        ("importance", {"measures": [{"name": "m", "measure": "SAGE_attribution", "interest": ["C"],
+                                      "n_orders": -1}]}, "m", "n_orders"),
+        ("decompose", {"decompositions": [{"name": "t", "kind": "sage", "method": "fast", "target": "C",
+                                           "n_orders": 0}]}, "t", "n_orders"),
+        ("decompose", {"decompositions": [{"name": "t", "method": "shapley", "target": "C",
+                                           "n_orders": 0}]}, "t", "n_orders"),
+        ("decompose", {"decompositions": [{"name": "t", "kind": "sage", "method": "shapley", "target": "C",
+                                           "n_sage_orders": 0}]}, "t", "n_sage_orders"),
+        ("decompose", {"decompositions": [{"name": "t", "kind": "sage", "method": "shapley", "target": "C",
+                                           "n_decomp_orders": 0}]}, "t", "n_decomp_orders"),
+        # a split fraction that is no real strictly between 0 and 1
+        *(("importance", {"split_fraction": value}, "config", "split_fraction")
+          for value in ("abc", "0.5", None, True, 0.0, 1.0, -0.5, 1.5, float("nan"))),
+        # 0.999 of 500 rows leaves no evaluation rows
+        ("importance", {"split_fraction": 0.999, "data": dict(_BASE["data"], n=500)}, "config", "split_fraction"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
         cfg = _config(tmp_path, dict(_BASE, **change))
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
+
+    def test_same_seed_runs_are_identical(self):
+        # evaluation rows span three draw blocks and a ragged tail
+        n_eval = 3 * _DRAW_BLOCK + 1000
+        raw = dict(_BASE, n_mc=3, data=dict(_BASE["data"], n=2 * n_eval), measures=[
+            {"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []},
+            {"name": "via_C", "measure": "AI_via", "interest": ["P"], "baseline": [], "aux": ["C"]},
+            {"name": "pfi_C", "measure": "PFI", "interest": ["C"]},
+        ])
+        first, second = run(RunConfig(raw)), run(RunConfig(raw))
+        assert first.metadata["n_rows"] == 2 * n_eval
+        assert all(e["mode"] == "original_f" and e["n_mc"] == 3 for e in first.estimates)
+        assert first.estimates == second.estimates
+        assert first.tables == second.tables
 
     @pytest.mark.parametrize("value", ["false", "no", "true", 0, 1])
     @pytest.mark.parametrize("block,key", [("config", "exact_marginalization"), ("data", "include_observed")])
@@ -284,6 +322,25 @@ class TestDemoAndReport:
         assert main(["report", "--bundle", str(out)]) == 0
         text = capsys.readouterr().out
         assert "PFI_cycling_sources" in text and "engine:" not in text
+
+    def test_report_prints_versions(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(out)])
+        bundle = json.loads((out / "bundle.json").read_text())
+        versions = bundle["metadata"]["versions"]
+        assert versions == {"dedact": dedact.__version__, "numpy": np.__version__,
+                            "python": platform.python_version()}
+        assert json.loads((out / "metadata.json").read_text())["versions"] == versions
+        capsys.readouterr()
+        assert main(["report", "--bundle", str(out)]) == 0
+        assert (f"versions: dedact {dedact.__version__}, numpy {np.__version__},"
+                f" Python {platform.python_version()}") in capsys.readouterr().out
+        # bundles written before the versions were recorded still read
+        del bundle["metadata"]["versions"]
+        (out / "bundle.json").write_text(json.dumps(bundle))
+        assert main(["report", "--bundle", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "PFI_cycling_sources" in text and "versions:" not in text
 
     def test_engine_counters_in_metadata(self):
         bundle = run_biomarker_demo(seed=0, n=2000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from dedact.core import (
     LinearPredictor,
     Predictor,
     TargetVector,
+    derive_seed,
 )
 from dedact.errors import DimensionMismatch, DisjointnessViolation
 from dedact.importance import (
+    _DRAW_BLOCK,
     MEASURES,
     ImportanceEvaluator,
     MeasureSpec,
@@ -444,3 +448,31 @@ class TestMomentForm:
             ev.pfi(j, seed=1)
             ev.conditional_fi(j, seed=2)
         assert sorted(ev._draw_moments) == [(s, r) for s in (1, 2) for r in range(4)]
+
+
+class TestDrawStream:
+    """A repetition's normals are drawn and reduced `_DRAW_BLOCK` rows at
+    a time against the centred data the evaluator keeps."""
+
+    @pytest.mark.parametrize("n", [_DRAW_BLOCK // 2 + 3, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 777])
+    def test_moments_match_one_full_draw(self, n):
+        linear, _, _ = _linear_and_opaque(n=n)
+        s_zz, s_zx, z_bar, s_zy = linear._draws(5, 2)
+        x = linear.data.values[:, linear._canon_order]
+        x_c, y_c = x - x.mean(axis=0), linear.target.values - linear.target.values.mean()
+        z = np.random.default_rng(derive_seed(5, 2)).standard_normal(x.shape)
+        for got, expected in ((s_zz, z.T @ z / n), (s_zx, z.T @ x_c / n),
+                              (z_bar, z.mean(axis=0)), (s_zy, z.T @ y_c / n)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_draw_allocates_a_block_not_an_n_by_d_array(self):
+        n, d = 200_000, 4
+        ev = _evaluator(np.eye(d), np.ones(d), n=n)
+        ev._moments()
+        tracemalloc.start()
+        try:
+            ev._draws(1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
