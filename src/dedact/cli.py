@@ -62,8 +62,9 @@ def _cmd_run(args, which: str) -> int:
         raw.pop("decompositions", None)
     elif which == "decompose":
         raw.pop("measures", None)
-    bundle = run(RunConfig(raw), outdir=args.out)
-    if not args.out and not raw.get("output", {}).get("directory"):
+    config = RunConfig(raw)
+    bundle = run(config, outdir=args.out)
+    if not args.out and not config.output[0]:
         json.dump(bundle.as_dict(), sys.stdout, indent=2, sort_keys=True)
         print()
     return 0

@@ -8,7 +8,6 @@ are sampled).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Optional
@@ -21,6 +20,7 @@ from .importance import ImportanceEvaluator, pool_orders, sage_contexts
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
+SOLVERS = ("auto", "exact", "sampled")
 
 
 class CooperativeGame:
@@ -51,18 +51,26 @@ class ShapleyResult:
 
 
 def shapley_exact(game: CooperativeGame) -> ShapleyResult:
-    """Exact Shapley attributions over all 2^n coalitions."""
+    """Exact Shapley attributions over all 2^n coalitions.
+
+    Each coalition is valued once, through the game's cache, into an
+    array indexed by its bitmask; player i's attribution is then the
+    weighted sum of `v(S | i) - v(S)` over the masks S without i, with
+    weight `1 / (n * C(n - 1, |S|))`.
+    """
     n = game.n_players
     if n > EXACT_SOLVER_MAX_PLAYERS:
         raise TooManyPlayers(f"{n} players exceeds exact-solver limit {EXACT_SOLVER_MAX_PLAYERS}")
-    phi = np.zeros(n)
+    masks = np.arange(1 << n)
+    values = np.array([game.value(p for p in range(n) if mask >> p & 1) for mask in range(1 << n)])
+    sizes = np.zeros(1 << n, dtype=int)
+    for p in range(n):
+        sizes += masks >> p & 1
+    weights = np.array([1.0 / (n * comb(n - 1, size)) for size in range(n)])
+    phi = np.empty(n)
     for i in range(n):
-        others = [p for p in range(n) if p != i]
-        for size in range(n):
-            weight = 1.0 / (n * comb(n - 1, size))
-            for subset in itertools.combinations(others, size):
-                s = frozenset(subset)
-                phi[i] += weight * (game.value(s | {i}) - game.value(s))
+        without = masks[(masks >> i & 1) == 0]
+        phi[i] = weights[sizes[without]] @ (values[without | 1 << i] - values[without])
     return ShapleyResult(phi, np.zeros(n), None, "exact")
 
 

@@ -38,14 +38,27 @@ Under the moment form below a repetition is drawn at most once per
 evaluator, however many terms miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
-plan's prediction is `X @ u + z @ v + c`. Per redrawn group (targets T,
-conditioning C, conditional mean `mu_T + (x_C - mu_C) A^T`, Cholesky
-factor L of the conditional covariance), u is w with every redrawn
-column zeroed plus `A^T w_T` on C (conditioning reads the original
-columns), `v` holds `L^T w_T` at the targets' canonical draw columns,
-and `c = b + sum(mu_T . w_T - mu_C . A^T w_T)`. No n x d plan matrix is
-built; exact marginalization is `X @ u + c`. Any other `Predictor` is
-evaluated on the materialized plan matrix.
+plan's prediction is `X @ u + z @ v + c`. The engine's unit of
+conditional set-up is the conditioning set C, not the redrawn group:
+the first plan that redraws any columns given C runs one
+`conditional_params` solve for every column outside C (canonical
+order), and each group (targets T, conditioning C) slices its map rows
+`A_C[T]`, offsets `mu_T` and covariance block from it. From the same
+solve the evaluator builds two weighted tables once per C:
+`rows_C[t] = w_t . A_C[t, :]` scattered over the d columns and
+`offs_C[t] = w_t . (mu_t - A_C[t] . mu_C)`. A plan's u is then w with
+every redrawn column zeroed plus `rows_C[T].sum(0)` per group
+(conditioning reads the original columns), and
+`c = b + sum(offs_C[T])`: no solve and no matrix product per plan. Only
+draws need the Cholesky factor L of a group's conditional covariance
+block, which puts `L^T w_T` in v at the targets' canonical draw
+columns; it is factorized the first time a term that takes draws needs
+that (C, T) (`original_f`, Monte-Carlo marginalization, or any other
+`Predictor`, which is evaluated on the materialized plan matrix) and
+kept. Exact marginalization is `X @ u + c` and never factorizes, so a
+conditional block that cannot be factorized raises
+`SingularConditioning` only where draws are taken. No n x d plan matrix
+is built on the linear path.
 
 Moment form: a linear predictor's squared-error risk is a quadratic form
 in the moments of the data and the draws, so those terms (in
@@ -100,9 +113,11 @@ from .core import (
     derive_seed,
 )
 from .errors import DimensionMismatch, DisjointnessViolation
-from .sampler import GaussianModel, _stable_cholesky, conditional_params
+from .sampler import AffineMap, GaussianModel, _stable_cholesky, conditional_params
 
 MEASURES = ("DI", "AI", "DI_from", "AI_via")
+MODES = ("original_f", "marginalized")
+SAGE_VARIANTS = ("marginal", "conditional")
 
 _KEEP = -1  # plan entry: column keeps its original value
 
@@ -128,6 +143,41 @@ def _mask(cols) -> int:
     return sum(1 << c for c in cols)
 
 
+class _Conditioning:
+    """The Gaussian conditional of every column outside one conditioning
+    set, from one solve, with the linear form's weighted tables over it
+    and the Cholesky factors of the groups that took draws (see the
+    module docstring)."""
+
+    def __init__(self, gaussian: GaussianModel, cond: tuple[int, ...], rest: tuple[int, ...],
+                 rank: dict[int, int], weights: np.ndarray | None):
+        self.cond = cond
+        self.sort_key = [rank[c] for c in cond]
+        self.mean_map, self.cov = conditional_params(gaussian, cond, rest)
+        self.pos = {col: p for p, col in enumerate(rest)}
+        self._chol: dict[tuple[int, ...], np.ndarray] = {}
+        if weights is not None:
+            d, rest_idx = weights.size, list(rest)
+            w_rest = weights[rest_idx]
+            self.rows = np.zeros((d, d))
+            self.rows[np.ix_(rest_idx, list(cond))] = w_rest[:, None] * self.mean_map.matrix
+            self.offs = np.zeros(d)
+            self.offs[rest_idx] = w_rest * (self.mean_map.offset - self.mean_map.matrix @ self.mean_map.cond_mean)
+
+    def conditional(self, targets: tuple[int, ...]):
+        """Conditional-mean map and covariance block of the targets, in
+        the order given."""
+        p = [self.pos[t] for t in targets]
+        m = self.mean_map
+        return AffineMap(m.offset[p], m.matrix[p], m.cond_mean), self.cov[np.ix_(p, p)]
+
+    def cholesky(self, targets: tuple[int, ...]) -> np.ndarray:
+        hit = self._chol.get(targets)
+        if hit is None:
+            hit = self._chol[targets] = _stable_cholesky(self.conditional(targets)[1])
+        return hit
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Full description of one importance evaluation.
@@ -149,7 +199,7 @@ class MeasureSpec:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise DimensionMismatch(f"unknown measure {self.measure!r}")
-        if self.mode not in ("original_f", "marginalized"):
+        if self.mode not in MODES:
             raise DimensionMismatch(f"unknown mode {self.mode!r}")
         if not self.interest.is_disjoint(self.baseline):
             raise DisjointnessViolation(
@@ -198,7 +248,7 @@ class ImportanceEvaluator:
         # how the columns are ordered (see the module docstring)
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
-        self._cond_cache: dict[tuple, tuple] = {}
+        self._conditionings: dict[int, _Conditioning] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._centred: tuple | None = None
@@ -222,94 +272,93 @@ class ImportanceEvaluator:
         d = self.data.n_cols
         for s in (spec.interest, spec.baseline, spec.aux):
             s.validate_within(d)
+        interest, baseline, aux = _mask(spec.interest), _mask(spec.baseline), _mask(spec.aux)
 
         def plan(kept, cond_mask):
-            return tuple(_KEEP if c in kept else cond_mask for c in range(d))
+            return tuple(_KEEP if kept >> c & 1 else cond_mask for c in range(d))
 
-        interest, baseline, aux = set(spec.interest), set(spec.baseline), set(spec.aux)
         if spec.measure == "DI":
             return plan(baseline, 0), plan(baseline | interest, 0)
         if spec.measure == "DI_from":
-            kept, sources = baseline | (interest & aux), _mask(aux)
-            t2 = tuple(_KEEP if c in kept else (sources if c in interest else 0) for c in range(d))
+            kept = baseline | (interest & aux)
+            t2 = tuple(_KEEP if kept >> c & 1 else (aux if interest >> c & 1 else 0) for c in range(d))
             return plan(baseline, 0), t2
-        t1 = plan(baseline, _mask(baseline))
+        t1 = plan(baseline, baseline)
         with_interest = baseline | interest
         if spec.measure == "AI":
-            return t1, plan(with_interest, _mask(with_interest))
+            return t1, plan(with_interest, with_interest)
         # AI_via: only the pathway columns see the interest columns
         t2 = tuple(
-            (_KEEP if c in with_interest else _mask(with_interest)) if c in aux else t1[c]
+            (_KEEP if with_interest >> c & 1 else with_interest) if aux >> c & 1 else t1[c]
             for c in range(d)
         )
         return t1, t2
 
-    def _groups(self, plan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """(conditioning columns, redrawn columns) of each redrawn group,
-        both in canonical order; groups ordered canonically by their
-        conditioning columns."""
-        by_mask: dict[int, list[int]] = {}
-        for col, mask in enumerate(plan):
-            if mask != _KEEP:
-                by_mask.setdefault(mask, []).append(col)
-        groups = [
-            (self._by_canon(c for c in range(len(plan)) if mask >> c & 1), self._by_canon(cols))
-            for mask, cols in by_mask.items()
-        ]
-        return sorted(groups, key=lambda g: [self._canon_rank[c] for c in g[0]])
-
-    # -- execution ---------------------------------------------------------
-
-    def _conditional_affine(self, cond: tuple[int, ...], targets: tuple[int, ...]):
-        """Conditional-mean map plus Cholesky factor of the conditional
-        covariance, in the given column order (canonical, not numeric)."""
-        key = (cond, targets)
-        hit = self._cond_cache.get(key)
+    def _conditioning(self, cond_mask: int) -> _Conditioning:
+        """The conditional set-up of one conditioning set, made on first
+        need with one `conditional_params` solve."""
+        hit = self._conditionings.get(cond_mask)
         if hit is None:
-            mean_map, cov = conditional_params(self.gaussian, cond, targets)
-            hit = self._cond_cache[key] = (mean_map, _stable_cholesky(cov))
+            cond = tuple(c for c in self._canon_order if cond_mask >> c & 1)
+            rest = tuple(c for c in self._canon_order if not cond_mask >> c & 1)
+            weights = self.predictor.weights if isinstance(self.predictor, LinearPredictor) else None
+            hit = self._conditionings[cond_mask] = _Conditioning(
+                self.gaussian, cond, rest, self._canon_rank, weights)
         return hit
 
-    def _by_canon(self, cols) -> tuple[int, ...]:
-        return tuple(sorted(cols, key=lambda c: self._canon_rank[c]))
+    def _groups(self, plan) -> list[tuple[_Conditioning, tuple[int, ...]]]:
+        """(conditioning, redrawn columns in canonical order) of each
+        redrawn group; groups ordered canonically by their conditioning
+        columns."""
+        by_mask: dict[int, list[int]] = {}
+        for col in self._canon_order:
+            mask = plan[col]
+            if mask != _KEEP:
+                by_mask.setdefault(mask, []).append(col)
+        groups = [(self._conditioning(mask), tuple(cols)) for mask, cols in by_mask.items()]
+        return sorted(groups, key=lambda g: g[0].sort_key)
+
+    # -- execution ---------------------------------------------------------
 
     def _build_matrix(self, plan, z: np.ndarray) -> np.ndarray:
         """The evaluation data with the plan's redrawn columns replaced,
         using the standard normals z (n x d, canonical column order)."""
         m = self.data.values.copy()
-        for cond_cols, targets in self._groups(plan):
-            mean_map, chol = self._conditional_affine(cond_cols, targets)
+        for conditioning, targets in self._groups(plan):
+            mean_map, _ = conditioning.conditional(targets)
+            chol = conditioning.cholesky(targets)
             z_cols = [self._canon_rank[c] for c in targets]
+            cond_cols = list(conditioning.cond)
             # an independent redraw's mean is the constant offset, which
             # broadcasts without the n x |targets| copy `apply` would make
-            mean = mean_map.apply(self.data.values[:, list(cond_cols)]) if cond_cols else mean_map.offset
+            mean = mean_map.apply(self.data.values[:, cond_cols]) if cond_cols else mean_map.offset
             m[:, list(targets)] = mean + z[:, z_cols] @ chol.T
         return m
 
-    def _linear_form(self, plan) -> tuple[np.ndarray, np.ndarray, float]:
+    def _linear_form(self, plan, draws: bool = True) -> tuple[np.ndarray, np.ndarray | None, float]:
         """(u, v, c) with `X @ u + z @ v + c` the linear predictor's
         output on `_build_matrix(plan, z)`; u is in column order, v in
-        canonical (draw) order."""
+        canonical (draw) order, and None unless `draws`."""
         w = self.predictor.weights
         u = w.copy()
         u[[col for col, mask in enumerate(plan) if mask != _KEEP]] = 0.0
-        v = np.zeros_like(w)
+        v = np.zeros_like(w) if draws else None
         c = self.predictor.intercept
-        for cond_cols, targets in self._groups(plan):
-            mean_map, chol = self._conditional_affine(cond_cols, targets)
-            w_t = w[list(targets)]
-            a_w = mean_map.matrix.T @ w_t
-            u[list(cond_cols)] += a_w
-            v[[self._canon_rank[t] for t in targets]] = chol.T @ w_t
-            c = c + (mean_map.offset @ w_t - mean_map.cond_mean @ a_w)
+        for conditioning, targets in self._groups(plan):
+            t = list(targets)
+            u += conditioning.rows[t].sum(axis=0)
+            c = c + conditioning.offs[t].sum()
+            if draws:
+                v[[self._canon_rank[col] for col in t]] = conditioning.cholesky(targets).T @ w[t]
         return u, v, c
 
-    def _plan_predictor(self, plan):
+    def _plan_predictor(self, plan, draws: bool):
         """z -> the model's predictions on the plan's perturbed data, for
         standard normals z (n x d, canonical order), or None for the
-        conditional means (linear predictor only)."""
+        conditional means (linear predictor only, and the only call
+        when not `draws`)."""
         if isinstance(self.predictor, LinearPredictor):
-            u, v, c = self._linear_form(plan)
+            u, v, c = self._linear_form(plan, draws)
             base = self.data.values @ u + c
             return lambda z: base if z is None else base + z @ v
         return lambda z: self.predictor.predict(self._build_matrix(plan, z))
@@ -448,7 +497,8 @@ class ImportanceEvaluator:
                     continue
                 # per plan: its (u, v, c) on the moment form, else z -> predictions
                 if plan not in predictors:
-                    predictors[plan] = self._linear_form(plan) if moment_form else self._plan_predictor(plan)
+                    predictors[plan] = (self._linear_form(plan, not exact) if moment_form
+                                        else self._plan_predictor(plan, not exact))
                 predict = predictors[plan]
                 if moment_form:
                     risk = self._moment_risk(predict, None if exact else self._draws(spec.seed, rep))

@@ -26,6 +26,7 @@ from .core import (
     fit_ols,
 )
 from .decompose import (
+    SOLVERS,
     DecompositionTable,
     fast_decompose_ai,
     fast_decompose_pfi,
@@ -35,11 +36,13 @@ from .decompose import (
     shapley_decompose_sage,
 )
 from .errors import ConfigError, DedactError, MissingTarget, ParseError
-from .importance import ImportanceEvaluator
+from .importance import MODES, SAGE_VARIANTS, ImportanceEvaluator
 from .sampler import fit_gaussian
 from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
 
 BUILTIN_SCMS = {"biomarker": biomarker_scm, "census": census_scm}
+OUTPUT_FORMATS = ("csv", "json")
+LOSSES = {"squared_error": SQUARED_ERROR, "cross_entropy": CROSS_ENTROPY}
 
 
 def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
@@ -124,6 +127,21 @@ class RunConfig:
             raise ConfigError(f"[config] 'split_fraction' must be a real strictly between 0 and 1, got {value!r}")
         return float(value)
 
+    @property
+    def output(self) -> tuple[str | None, tuple[str, ...]]:
+        """The output block's directory (None when not given) and formats."""
+        block = self.raw.get("output", {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"[output] 'output' must be a mapping, got {block!r}")
+        directory = block.get("directory")
+        if "directory" in block and not isinstance(directory, str):
+            raise ConfigError(f"[output] 'directory' must be a string, got {directory!r}")
+        formats = block.get("formats", list(OUTPUT_FORMATS))
+        if not isinstance(formats, list) or not formats or any(f not in OUTPUT_FORMATS for f in formats):
+            raise ConfigError(f"[output] 'formats' must be a non-empty list drawn from"
+                              f" {', '.join(OUTPUT_FORMATS)}, got {formats!r}")
+        return directory, tuple(formats)
+
 
 def _resolve_columns(names, data: DataMatrix, block: str) -> list[int]:
     out = []
@@ -164,12 +182,29 @@ def _bool_key(block: dict, key: str, default: bool, where: str) -> bool:
     return value
 
 
-def _loss_from(name: str) -> LossFunction:
-    if name in ("squared_error", None):
+def _choice(block: dict, key: str, default, choices, where: str):
+    """block[key] (or the default), which must be one of `choices`."""
+    value = block.get(key, default)
+    if value not in choices:
+        raise ConfigError(f"[{where}] {key!r} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _loss(config: RunConfig) -> LossFunction:
+    if config.raw.get("loss") is None:  # a bare `loss:` keeps the default
         return SQUARED_ERROR
-    if name == "cross_entropy":
-        return CROSS_ENTROPY
-    raise ConfigError(f"unknown loss {name!r}")
+    return LOSSES[_choice(config.raw, "loss", None, tuple(LOSSES), "config")]
+
+
+def _check_choices(config: RunConfig) -> None:
+    """Every enumerated key of the config, before anything is computed."""
+    _loss(config)
+    for block in _blocks(config, "measures"):
+        name = block.get("name", block.get("measure", "?"))
+        _choice(block, "mode", "original_f", MODES, name)
+        _choice(block, "variant", "conditional", SAGE_VARIANTS, name)
+    for block in _blocks(config, "decompositions"):
+        _choice(block, "solver", "auto", SOLVERS, block.get("name", block.get("method", "?")))
 
 
 @dataclass
@@ -254,7 +289,8 @@ def _load_data(config: RunConfig) -> tuple[DataMatrix, TargetVector, LinearSCM |
         else:
             with open(name) as fh:
                 scm = LinearSCM.from_config(yaml.safe_load(fh))
-        n = _int_key(block, "n", 20000, "data")
+        # at least 2 rows on each side of the fit / evaluation split
+        n = _int_key(block, "n", 20000, "data", minimum=4)
         include_observed = _bool_key(block, "include_observed", False, "data")
         data, target = sample_scm(scm, n, derive_seed(config.seed, 1), include_observed)
         return data, target, scm
@@ -281,9 +317,8 @@ def build_evaluator(config: RunConfig):
         support = FeatureIndexSet.full(data.n_cols)
     predictor = fit_ols(fit_x, fit_y, support)
     gaussian = fit_gaussian(fit_x)
-    loss = _loss_from(config.raw.get("loss", "squared_error"))
     evaluator = ImportanceEvaluator(
-        eval_x, eval_y, predictor, gaussian, loss=loss,
+        eval_x, eval_y, predictor, gaussian, loss=_loss(config),
         n_mc=_int_key(config.raw, "n_mc", 20, "config", minimum=1), seed=config.seed,
         exact_marginalization=_bool_key(config.raw, "exact_marginalization", False, "config"),
     )
@@ -378,6 +413,8 @@ def _in_block(exc: DedactError, name: str) -> DedactError:
 
 def run(config: RunConfig, outdir=None) -> ResultBundle:
     """Execute fit -> gaussian -> measures -> decompositions, in declared order."""
+    _check_choices(config)
+    directory, formats = config.output
     evaluator, data, target = build_evaluator(config)
     bundle = ResultBundle(config_echo=dict(config.raw))
     bundle.metadata = {
@@ -400,9 +437,8 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         except DedactError as exc:
             raise _in_block(exc, name) from exc
     bundle.metadata["engine"] = evaluator.counters()
-    outdir = outdir or config.raw.get("output", {}).get("directory")
+    outdir = outdir or directory
     if outdir:
-        formats = tuple(config.raw.get("output", {}).get("formats", ("csv", "json")))
         bundle.write(outdir, formats)
     return bundle
 

@@ -180,12 +180,36 @@ class TestRunCommands:
           for value in ("abc", "0.5", None, True, 0.0, 1.0, -0.5, 1.5, float("nan"))),
         # 0.999 of 500 rows leaves no evaluation rows
         ("importance", {"split_fraction": 0.999, "data": dict(_BASE["data"], n=500)}, "config", "split_fraction"),
+        # an output block that is no mapping of a string directory and a list of formats
+        ("importance", {"output": ["x"]}, "output", "output"),
+        ("importance", {"output": None}, "output", "output"),
+        ("importance", {"output": {"formats": "json"}}, "output", "formats"),
+        ("importance", {"output": {"formats": ["xml"]}}, "output", "formats"),
+        ("importance", {"output": {"formats": []}}, "output", "formats"),
+        ("importance", {"output": {"directory": 5}}, "output", "directory"),
+        # too few rows for two rows on each side of the split
+        *(("importance", {"data": dict(_BASE["data"], n=value)}, "data", "'n'")
+          for value in (-5, 0, 3, "abc")),
+        # unknown enumerated values
+        ("importance", {"measures": [{"name": "m", "measure": "DI", "interest": ["C"], "mode": "weird"}]},
+         "m", "mode"),
+        ("importance", {"measures": [{"name": "m", "measure": "SAGE_value", "interest": ["C"],
+                                      "variant": "other"}]}, "m", "variant"),
+        ("decompose", {"decompositions": [{"name": "t", "method": "shapley", "target": "C",
+                                           "solver": "magic"}]}, "t", "solver"),
+        ("importance", {"loss": "foo"}, "config", "loss"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
         cfg = _config(tmp_path, dict(_BASE, **change))
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
+
+    def test_output_block_formats(self, tmp_path):
+        out = tmp_path / "out"
+        raw = dict(_BASE, output={"directory": str(out), "formats": ["json"]})
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["bundle.json", "metadata.json"]
 
     def test_same_seed_runs_are_identical(self):
         # evaluation rows span three draw blocks and a ragged tail

@@ -13,16 +13,18 @@ from dedact.core import (
     TargetVector,
     derive_seed,
 )
-from dedact.errors import DimensionMismatch, DisjointnessViolation
+import dedact.importance as importance
+from dedact.errors import DimensionMismatch, DisjointnessViolation, SingularConditioning
 from dedact.importance import (
     _DRAW_BLOCK,
+    _KEEP,
     MEASURES,
     ImportanceEvaluator,
     MeasureSpec,
     evaluation_count,
     reset_evaluation_count,
 )
-from dedact.sampler import GaussianModel
+from dedact.sampler import GaussianModel, _stable_cholesky, conditional_params
 
 
 def _gaussian_data(cov, n, seed):
@@ -476,3 +478,89 @@ class TestDrawStream:
         finally:
             tracemalloc.stop()
         assert peak < n * d * 8 / 4
+
+
+class TestConditioningCache:
+    """One `conditional_params` solve per conditioning set; groups slice
+    it, and only terms that take draws factorize their block."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_slices_match_a_direct_solve(self, seed):
+        d = 6
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        g = GaussianModel(mean=rng.standard_normal(d), cov=a @ a.T + 0.3 * np.eye(d))
+        data = DataMatrix(rng.standard_normal((50, d)), tuple(f"v{(5 * i) % d}" for i in range(d)))
+        w = rng.standard_normal(d)
+        ev = ImportanceEvaluator(data, TargetVector(rng.standard_normal(50)),
+                                 LinearPredictor(weights=w, intercept=0.0), g)
+        for _ in range(20):
+            cond_mask = int(rng.integers(0, (1 << d) - 1))
+            conditioning = ev._conditioning(cond_mask)
+            cond = conditioning.cond
+            assert sorted(cond) == [c for c in range(d) if cond_mask >> c & 1]
+            rest = [c for c in ev._canon_order if c not in cond]
+            targets = tuple(c for c in rest if rng.random() < 0.6) or (rest[0],)
+            mean_map, cov = conditioning.conditional(targets)
+            ref_map, ref_cov = conditional_params(g, cond, targets)
+            for got, expected in ((mean_map.offset, ref_map.offset), (mean_map.matrix, ref_map.matrix),
+                                  (mean_map.cond_mean, ref_map.cond_mean), (cov, ref_cov),
+                                  (conditioning.cholesky(targets), _stable_cholesky(ref_cov))):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            t = list(targets)
+            rows = np.zeros((len(t), d))
+            rows[:, list(cond)] = w[t, None] * ref_map.matrix
+            offs = w[t] * (ref_map.offset - ref_map.matrix @ ref_map.cond_mean)
+            np.testing.assert_allclose(conditioning.rows[t], rows, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(conditioning.offs[t], offs, rtol=0, atol=1e-12)
+
+    def test_exact_marginalization_never_factorizes(self, monkeypatch):
+        calls = []
+
+        def spy(cov):
+            calls.append(cov.shape)
+            return _stable_cholesky(cov)
+
+        monkeypatch.setattr(importance, "_stable_cholesky", spy)
+        linear, _, rng = _linear_and_opaque(exact_marginalization=True)
+        for loss in (SQUARED_ERROR, CROSS_ENTROPY):
+            for spec in _random_specs(4, rng, 24, mode="marginalized", loss=loss):
+                linear.evaluate(spec)
+        assert linear.terms_computed > 0 and calls == []
+        for spec in _random_specs(4, rng, 4, n_mc=2):
+            linear.evaluate(spec)
+        assert calls  # the spy sees the factorizations of draws
+
+    @pytest.mark.parametrize("mode,exact", [("original_f", False), ("marginalized", False),
+                                            ("marginalized", True)])
+    def test_one_solve_per_conditioning_set(self, monkeypatch, mode, exact):
+        calls = []
+
+        def counted(g, cond, targets):
+            calls.append(tuple(cond))
+            return conditional_params(g, cond, targets)
+
+        monkeypatch.setattr(importance, "conditional_params", counted)
+        linear, opaque, rng = _linear_and_opaque(n_integration=2, exact_marginalization=exact)
+        specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
+        # identical plans return early and set nothing up
+        plans = [linear._plans(spec) for spec in specs]
+        expected = {mask for t1, t2 in plans if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
+        for ev in (linear, opaque) if not exact else (linear,):
+            calls.clear()
+            for spec in specs + specs:
+                ev.evaluate(spec)
+            assert len(calls) == len(set(calls)) == len(expected) == len(ev._conditionings)
+
+    def test_singular_block_raises_only_where_draws_are_taken(self):
+        # column 1's variance is slightly negative: its conditional mean
+        # exists, its covariance block cannot be factorized
+        g = GaussianModel(mean=np.zeros(2), cov=np.diag([1.0, -5e-9]))
+        data = _gaussian_data(np.eye(2), 200, 0)
+        y = TargetVector(data.values.sum(axis=1))
+        ev = ImportanceEvaluator(data, y, LinearPredictor(weights=np.ones(2), intercept=0.0), g,
+                                 exact_marginalization=True)
+        est = ev.direct_importance([1], [0], mode="marginalized")
+        assert np.isfinite(est.value) and est.std_error == 0.0
+        with pytest.raises(SingularConditioning):
+            ev.direct_importance([1], [0], mode="original_f")
