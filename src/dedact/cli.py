@@ -26,13 +26,13 @@ from .errors import (
     TooManyPlayers,
 )
 from .runner import (
-    BUILTIN_SCMS,
     RunConfig,
+    load_scm,
     run,
     run_biomarker_demo,
     run_census_demo,
 )
-from .scm import LinearSCM, sample_scm
+from .scm import sample_scm
 
 _CONFIG_ERRORS = (ConfigError, DisjointnessViolation)
 _DATA_ERRORS = (ParseError, MissingTarget, DimensionMismatch)
@@ -40,11 +40,7 @@ _NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, Too
 
 
 def _cmd_simulate(args) -> int:
-    if args.scm in BUILTIN_SCMS:
-        scm = BUILTIN_SCMS[args.scm]()
-    else:
-        with open(args.scm) as fh:
-            scm = LinearSCM.from_config(yaml.safe_load(fh))
+    scm = load_scm(args.scm)
     data, target = sample_scm(scm, args.n, args.seed, args.include_observed)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -517,9 +517,7 @@ class ImportanceEvaluator:
                 self.terms_computed += 1
                 risks.append(risk)
             values[rep] = risks[0] - risks[1]
-        value = float(values.mean())
-        se = float(values.std(ddof=1) / np.sqrt(n_reps)) if n_reps > 1 else 0.0
-        return ImportanceEstimate(value, se, n_reps, spec.mode, sets, spec.seed)
+        return ImportanceEstimate(*pool_orders(values), n_reps, spec.mode, sets, spec.seed)
 
     # -- the four measures ---------------------------------------------------
 
@@ -599,7 +597,9 @@ def sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:
 
 
 def pool_orders(per_order) -> tuple[float, float]:
-    """Mean of per-order values and its standard error (0 for one order)."""
+    """Mean of per-order (or per-repetition) values and its standard
+    error; a lone value is its own mean, with standard error 0."""
+    if len(per_order) == 1:
+        return float(per_order[0]) + 0.0, 0.0  # + 0.0: the mean of -0.0 is 0.0
     arr = np.asarray(per_order, dtype=float)
-    se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return float(arr.mean()), se
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))

@@ -8,7 +8,9 @@ import json
 import math
 import platform
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -104,19 +106,11 @@ class RunConfig:
             raise ConfigError(f"{path}: config must be a mapping")
         return cls(raw=raw)
 
-    def __post_init__(self):
-        if "seed" not in self.raw:
-            raise ConfigError("config requires an explicit 'seed' (no wall-clock default)")
-        if "data" not in self.raw:
-            raise ConfigError("config requires a 'data' block")
-        try:
-            int(self.raw["seed"])
-        except (TypeError, ValueError):
-            raise ConfigError(f"'seed' must be an integer, got {self.raw['seed']!r}") from None
-
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        if "seed" not in self.raw:
+            raise ConfigError("config requires an explicit 'seed' (no wall-clock default)")
+        return _int_key(self.raw, "seed", None, "config", minimum=0)
 
     @property
     def split_fraction(self) -> float:
@@ -130,12 +124,8 @@ class RunConfig:
     @property
     def output(self) -> tuple[str | None, tuple[str, ...]]:
         """The output block's directory (None when not given) and formats."""
-        block = self.raw.get("output", {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"[output] 'output' must be a mapping, got {block!r}")
-        directory = block.get("directory")
-        if "directory" in block and not isinstance(directory, str):
-            raise ConfigError(f"[output] 'directory' must be a string, got {directory!r}")
+        block = _mapping(self.raw, "output")
+        directory = _str_key(block, "directory", "output") if "directory" in block else None
         formats = block.get("formats", list(OUTPUT_FORMATS))
         if not isinstance(formats, list) or not formats or any(f not in OUTPUT_FORMATS for f in formats):
             raise ConfigError(f"[output] 'formats' must be a non-empty list drawn from"
@@ -143,13 +133,8 @@ class RunConfig:
         return directory, tuple(formats)
 
 
-def _resolve_columns(names, data: DataMatrix, block: str) -> list[int]:
-    out = []
-    for name in names or []:
-        if name not in data.column_names:
-            raise ConfigError(f"[{block}] unknown column {name!r}")
-        out.append(data.index_of(name))
-    return out
+# Every key is read through one of the readers below, at one site, and a
+# value of the wrong type is a ConfigError naming the block and the key.
 
 
 def _required(block: dict, key: str, where: str):
@@ -158,19 +143,33 @@ def _required(block: dict, key: str, where: str):
     return block[key]
 
 
+def _mapping(raw: dict, key: str) -> dict:
+    """raw[key], a mapping (empty when the key is absent)."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"[{key}] {key!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _str_key(block: dict, key: str, where: str) -> str:
+    """block[key], which is required and must be a string."""
+    value = _required(block, key, where)
+    if not isinstance(value, str):
+        raise ConfigError(f"[{where}] {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _int_key(block: dict, key: str, default, where: str, minimum: int | None = None):
-    """block[key] (or the default) as an int of at least `minimum`; None
-    stays None."""
-    value = block.get(key, default)
-    if value is None:
-        return None
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{where}] {key!r} must be an integer, got {value!r}") from None
-    if minimum is not None and number < minimum:
+    """block[key], which must be a YAML integer of at least `minimum`, or
+    the default when the key is absent."""
+    if key not in block:
+        return default
+    value = block[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"[{where}] {key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"[{where}] {key!r} must be at least {minimum}, got {value!r}")
-    return number
+    return value
 
 
 def _bool_key(block: dict, key: str, default: bool, where: str) -> bool:
@@ -190,21 +189,25 @@ def _choice(block: dict, key: str, default, choices, where: str):
     return value
 
 
-def _loss(config: RunConfig) -> LossFunction:
-    if config.raw.get("loss") is None:  # a bare `loss:` keeps the default
+def _index(data: DataMatrix, name: str, where: str) -> int:
+    if name not in data.column_names:
+        raise ConfigError(f"[{where}] unknown column {name!r}")
+    return data.index_of(name)
+
+
+def _columns(block: dict, key: str, data: DataMatrix, where: str, required: bool = False) -> list[int]:
+    """block[key], a YAML list of column names, as column indices; an
+    absent key is the empty list unless it is required."""
+    names = _required(block, key, where) if required else block.get(key, [])
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ConfigError(f"[{where}] {key!r} must be a list of column names, got {names!r}")
+    return [_index(data, name, where) for name in names]
+
+
+def _loss(raw: dict) -> LossFunction:
+    if raw.get("loss") is None:  # a bare `loss:` keeps the default
         return SQUARED_ERROR
-    return LOSSES[_choice(config.raw, "loss", None, tuple(LOSSES), "config")]
-
-
-def _check_choices(config: RunConfig) -> None:
-    """Every enumerated key of the config, before anything is computed."""
-    _loss(config)
-    for block in _blocks(config, "measures"):
-        name = block.get("name", block.get("measure", "?"))
-        _choice(block, "mode", "original_f", MODES, name)
-        _choice(block, "variant", "conditional", SAGE_VARIANTS, name)
-    for block in _blocks(config, "decompositions"):
-        _choice(block, "solver", "auto", SOLVERS, block.get("name", block.get("method", "?")))
+    return LOSSES[_choice(raw, "loss", None, tuple(LOSSES), "config")]
 
 
 @dataclass
@@ -275,127 +278,116 @@ def _content_hash(config: dict, data: DataMatrix, target: TargetVector) -> str:
     return digest.hexdigest()
 
 
-def _load_data(config: RunConfig) -> tuple[DataMatrix, TargetVector, LinearSCM | None]:
-    block = config.raw["data"]
+def load_scm(source: str) -> LinearSCM:
+    """A builtin SCM by name, else one read from a YAML file in the
+    `LinearSCM.to_config()` schema; an error in the file names the file."""
+    if source in BUILTIN_SCMS:
+        return BUILTIN_SCMS[source]()
+    with open(source) as fh:
+        raw = yaml.safe_load(fh)
+    try:
+        return LinearSCM.from_config(raw)
+    except DedactError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
+def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, LinearSCM | None]:
+    """The data block's rows, once every key of the block is checked."""
     if "csv" in block:
-        if "target_column" not in block:
-            raise ConfigError("[data] csv source requires 'target_column'")
-        data, target = ingest_csv(block["csv"], block["target_column"])
-        return data, target, None
+        path, column = _str_key(block, "csv", "data"), _str_key(block, "target_column", "data")
+        return (*ingest_csv(path, column), None)
     if "scm" in block:
-        name = block["scm"]
-        if name in BUILTIN_SCMS:
-            scm = BUILTIN_SCMS[name]()
-        else:
-            with open(name) as fh:
-                scm = LinearSCM.from_config(yaml.safe_load(fh))
+        source = _str_key(block, "scm", "data")
         # at least 2 rows on each side of the fit / evaluation split
         n = _int_key(block, "n", 20000, "data", minimum=4)
         include_observed = _bool_key(block, "include_observed", False, "data")
-        data, target = sample_scm(scm, n, derive_seed(config.seed, 1), include_observed)
-        return data, target, scm
+        scm = load_scm(source)
+        return (*sample_scm(scm, n, derive_seed(seed, 1), include_observed), scm)
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
 
 
-def build_evaluator(config: RunConfig):
-    """Shared fit pipeline: load, split, fit OLS + Gaussian, wrap evaluator."""
-    data, target, scm = _load_data(config)
-    fraction = config.split_fraction
-    n_fit = int(round(data.n_rows * fraction))
-    if min(n_fit, data.n_rows - n_fit) < 2:
-        raise ConfigError(f"[config] 'split_fraction' {fraction!r} leaves {n_fit} fit and"
-                          f" {data.n_rows - n_fit} evaluation rows of {data.n_rows}; each side needs 2")
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, config.seed)
-    model_block = config.raw.get("model", {})
-    if "support" in model_block:
-        support = FeatureIndexSet.of(_resolve_columns(model_block["support"], data, "model"))
-    elif scm is not None:
-        support = FeatureIndexSet.of(
-            i for i, name in enumerate(data.column_names) if scm.roles.get(name) == "feature"
-        )
-    else:
-        support = FeatureIndexSet.full(data.n_cols)
-    predictor = fit_ols(fit_x, fit_y, support)
-    gaussian = fit_gaussian(fit_x)
-    evaluator = ImportanceEvaluator(
-        eval_x, eval_y, predictor, gaussian, loss=_loss(config),
-        n_mc=_int_key(config.raw, "n_mc", 20, "config", minimum=1), seed=config.seed,
-        exact_marginalization=_bool_key(config.raw, "exact_marginalization", False, "config"),
-    )
-    return evaluator, data, target
+def _block_name(block: dict, fallback, section: str) -> str:
+    """The block's name, else its measure or method, else the section: it
+    labels the block's result and its errors."""
+    name = block.get("name", fallback if isinstance(fallback, str) else section)
+    if not isinstance(name, str):
+        raise ConfigError(f"[{section}] 'name' must be a string, got {name!r}")
+    return name
 
 
-def _run_measure(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) -> ImportanceEstimate:
-    name = block.get("name", "?")
+def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
+    """The block's name and its call on an evaluator, every key read and
+    checked."""
     kind = block.get("measure")
-    interest = _resolve_columns(block.get("interest"), data, name)
-    baseline = _resolve_columns(block.get("baseline"), data, name)
-    aux = _resolve_columns(block.get("aux"), data, name)
-    mode = block.get("mode", "original_f")
+    name = _block_name(block, kind, "measures")
+    interest = _columns(block, "interest", data, name)
+    baseline = _columns(block, "baseline", data, name)
+    aux = _columns(block, "aux", data, name)
+    mode = _choice(block, "mode", "original_f", MODES, name)
+    variant = _choice(block, "variant", "conditional", SAGE_VARIANTS, name)
+    n_orders = _int_key(block, "n_orders", 60, name, minimum=1)
     n_mc = _int_key(block, "n_mc", None, name, minimum=1)
-    seed = _int_key(block, "seed", None, name)
+    seed = _int_key(block, "seed", None, name, minimum=0)
     if kind in ("PFI", "conditional_FI", "SAGE_attribution") and not interest:
         raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column")
+    ev = ImportanceEvaluator
     if kind == "DI":
-        return evaluator.direct_importance(interest, baseline, mode, n_mc, seed)
-    if kind == "AI":
-        return evaluator.associative_importance(interest, baseline, mode, n_mc, seed)
-    if kind == "DI_from":
-        return evaluator.di_from(interest, baseline, aux, mode, n_mc, seed)
-    if kind == "AI_via":
-        return evaluator.ai_via(interest, baseline, aux, mode, n_mc, seed)
-    if kind == "PFI":
-        return evaluator.pfi(interest[0], n_mc, seed)
-    if kind == "conditional_FI":
-        return evaluator.conditional_fi(interest[0], n_mc, seed)
-    if kind == "SAGE_value":
-        return evaluator.sage_value(interest, block.get("variant", "conditional"), n_mc, seed)
-    if kind == "SAGE_attribution":
-        return evaluator.sage_attribution(
-            interest[0], block.get("variant", "conditional"),
-            _int_key(block, "n_orders", 60, name, minimum=1), n_mc, seed,
-        )
-    raise ConfigError(f"[{name}] unknown measure {kind!r}")
+        call = partial(ev.direct_importance, interest=interest, baseline=baseline, mode=mode)
+    elif kind == "AI":
+        call = partial(ev.associative_importance, interest=interest, context=baseline, mode=mode)
+    elif kind == "DI_from":
+        call = partial(ev.di_from, interest=interest, baseline=baseline, sources=aux, mode=mode)
+    elif kind == "AI_via":
+        call = partial(ev.ai_via, interest=interest, context=baseline, pathway=aux, mode=mode)
+    elif kind == "PFI":
+        call = partial(ev.pfi, k=interest[0])
+    elif kind == "conditional_FI":
+        call = partial(ev.conditional_fi, j=interest[0])
+    elif kind == "SAGE_value":
+        call = partial(ev.sage_value, subset=interest, variant=variant)
+    elif kind == "SAGE_attribution":
+        call = partial(ev.sage_attribution, j=interest[0], variant=variant, n_orders=n_orders)
+    else:
+        raise ConfigError(f"[{name}] unknown measure {kind!r}")
+    return name, partial(call, n_mc=n_mc, seed=seed)
 
 
-def _run_decomposition(evaluator: ImportanceEvaluator, block: dict, data: DataMatrix) -> DecompositionTable:
-    name = block.get("name", "?")
+def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable]:
+    """The block's name and its call on an evaluator, every key read and
+    checked."""
     method = block.get("method", "fast")
+    name = _block_name(block, method, "decompositions")
     kind = block.get("kind", "pfi")
-    k = _resolve_columns([_required(block, "target", name)], data, name)[0]
-    sources = _resolve_columns(block.get("sources"), data, name) or None
-    pathways = _resolve_columns(block.get("pathways"), data, name) or None
+    k = _index(data, _str_key(block, "target", name), name)
+    sources = _columns(block, "sources", data, name) or None
+    pathways = _columns(block, "pathways", data, name) or None
+    order = _columns(block, "order", data, name, required=method == "fast_ordered")
+    solver = _choice(block, "solver", "auto", SOLVERS, name)
+    n_orders = _int_key(block, "n_orders", 25 if kind == "sage" else 50, name, minimum=1)
+    n_sage_orders = _int_key(block, "n_sage_orders", 60, name, minimum=1)
+    n_decomp_orders = _int_key(block, "n_decomp_orders", 25, name, minimum=1)
     n_mc = _int_key(block, "n_mc", None, name, minimum=1)
-    seed = _int_key(block, "seed", None, name)
-    if kind == "pfi":
-        if method == "fast":
-            return fast_decompose_pfi(evaluator, k, sources, n_mc, seed)
-        if method == "fast_ordered":
-            order = _resolve_columns(_required(block, "order", name), data, name)
-            return fast_decompose_pfi_ordered(evaluator, k, order, n_mc, seed)
-        if method == "shapley":
-            return shapley_decompose_pfi(
-                evaluator, k, sources, block.get("solver", "auto"),
-                _int_key(block, "n_orders", 50, name, minimum=1), n_mc, seed,
-            )
-    if kind == "ai" and method == "fast":
-        return fast_decompose_ai(evaluator, k, pathways, n_mc, seed)
-    if kind == "sage":
-        if method == "fast":
-            return fast_decompose_sage(
-                evaluator, k, pathways, _int_key(block, "n_orders", 25, name, minimum=1), n_mc, seed
-            )
-        if method == "shapley":
-            return shapley_decompose_sage(
-                evaluator, k, pathways, block.get("solver", "auto"),
-                _int_key(block, "n_sage_orders", 60, name, minimum=1),
-                _int_key(block, "n_decomp_orders", 25, name, minimum=1), n_mc, seed,
-            )
-    raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
+    seed = _int_key(block, "seed", None, name, minimum=0)
+    if (kind, method) == ("pfi", "fast"):
+        call = partial(fast_decompose_pfi, k=k, sources=sources)
+    elif (kind, method) == ("pfi", "fast_ordered"):
+        call = partial(fast_decompose_pfi_ordered, k=k, order=order)
+    elif (kind, method) == ("pfi", "shapley"):
+        call = partial(shapley_decompose_pfi, k=k, players=sources, solver=solver, n_orders=n_orders)
+    elif (kind, method) == ("ai", "fast"):
+        call = partial(fast_decompose_ai, j=k, pathways=pathways)
+    elif (kind, method) == ("sage", "fast"):
+        call = partial(fast_decompose_sage, j=k, pathways=pathways, n_orders=n_orders)
+    elif (kind, method) == ("sage", "shapley"):
+        call = partial(shapley_decompose_sage, j=k, pathways=pathways, solver=solver,
+                       n_sage_orders=n_sage_orders, n_decomp_orders=n_decomp_orders)
+    else:
+        raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
+    return name, partial(call, n_mc=n_mc, seed=seed)
 
 
-def _blocks(config: RunConfig, section: str) -> list[dict]:
-    blocks = config.raw.get(section) or []
+def _blocks(raw: dict, section: str) -> list[dict]:
+    blocks = raw.get(section) or []
     if not isinstance(blocks, list):
         raise ConfigError(f"[{section}] must be a list of mappings, got {blocks!r}")
     for i, block in enumerate(blocks):
@@ -412,28 +404,57 @@ def _in_block(exc: DedactError, name: str) -> DedactError:
 
 
 def run(config: RunConfig, outdir=None) -> ResultBundle:
-    """Execute fit -> gaussian -> measures -> decompositions, in declared order."""
-    _check_choices(config)
+    """Run a config in one pass: read and check every key, then fit and
+    execute the measure and decomposition blocks in declared order.
+
+    The top-level keys and the `data`, `model` and `output` blocks are
+    read before any data is loaded; every measure and decomposition block
+    is resolved to a call as soon as the column names are known. So a
+    config error in any block is raised before the model is fitted and
+    before the first evaluation.
+    """
+    raw, seed = config.raw, config.seed
     directory, formats = config.output
-    evaluator, data, target = build_evaluator(config)
-    bundle = ResultBundle(config_echo=dict(config.raw))
+    fraction = config.split_fraction
+    loss = _loss(raw)
+    n_mc = _int_key(raw, "n_mc", 20, "config", minimum=1)
+    exact = _bool_key(raw, "exact_marginalization", False, "config")
+    data_block, model = _mapping(raw, "data"), _mapping(raw, "model")
+    measures, decompositions = _blocks(raw, "measures"), _blocks(raw, "decompositions")
+
+    data, target, scm = _load_data(data_block, seed)
+    n_fit = int(round(data.n_rows * fraction))
+    if min(n_fit, data.n_rows - n_fit) < 2:
+        raise ConfigError(f"[config] 'split_fraction' {fraction!r} leaves {n_fit} fit and"
+                          f" {data.n_rows - n_fit} evaluation rows of {data.n_rows}; each side needs 2")
+    if "support" in model:
+        support = FeatureIndexSet.of(_columns(model, "support", data, "model"))
+    elif scm is not None:
+        support = FeatureIndexSet.of(
+            i for i, name in enumerate(data.column_names) if scm.roles.get(name) == "feature"
+        )
+    else:
+        support = FeatureIndexSet.full(data.n_cols)
+    bundle = ResultBundle(config_echo=dict(raw))
+    calls = ([(bundle.add_estimate, *_resolve_measure(block, data)) for block in measures]
+             + [(bundle.add_table, *_resolve_decomposition(block, data)) for block in decompositions])
+
+    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, seed)
+    evaluator = ImportanceEvaluator(
+        eval_x, eval_y, fit_ols(fit_x, fit_y, support), fit_gaussian(fit_x),
+        loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
+    )
+    del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     bundle.metadata = {
-        "seed": config.seed,
-        "input_hash": _content_hash(config.raw, data, target),
+        "seed": seed,
+        "input_hash": _content_hash(raw, data, target),
         "n_rows": data.n_rows,
         "columns": list(data.column_names),
         "versions": {"dedact": __version__, "numpy": np.__version__, "python": platform.python_version()},
     }
-    for block in _blocks(config, "measures"):
-        name = block.get("name", block.get("measure", "?"))
+    for add, name, call in calls:
         try:
-            bundle.add_estimate(name, _run_measure(evaluator, block, data))
-        except DedactError as exc:
-            raise _in_block(exc, name) from exc
-    for block in _blocks(config, "decompositions"):
-        name = block.get("name", block.get("method", "?"))
-        try:
-            bundle.add_table(name, _run_decomposition(evaluator, block, data))
+            add(name, call(evaluator))
         except DedactError as exc:
             raise _in_block(exc, name) from exc
     bundle.metadata["engine"] = evaluator.counters()
@@ -466,7 +487,7 @@ def run_biomarker_demo(seed: int = 0, n: int = 20000, n_mc: int = 20, outdir=Non
 
 
 def run_census_demo(seed: int = 0, n: int = 20000, n_sage_orders: int = 60,
-                    n_decomp_orders: int = 25, game_n_mc: int = 3, outdir=None) -> ResultBundle:
+                    n_decomp_orders: int = 25, outdir=None) -> ResultBundle:
     """Shapley SAGE pathway tables for the protected roots and Shapley
     PFI source tables for three mediator features.
 
@@ -487,7 +508,7 @@ def run_census_demo(seed: int = 0, n: int = 20000, n_sage_orders: int = 60,
     return run(RunConfig({
         "seed": seed,
         "data": {"scm": "census", "n": n},
-        "n_mc": game_n_mc,
+        "n_mc": 3,
         # linear model: closed-form marginalization is exact and far cheaper
         "exact_marginalization": True,
         "decompositions": sage + pfi,

@@ -10,13 +10,14 @@ simulator.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import DataMatrix, FeatureIndexSet, TargetVector
-from .errors import CyclicGraph, DimensionMismatch
+from .errors import CyclicGraph, DimensionMismatch, ParseError
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -132,13 +133,39 @@ class LinearSCM:
 
     @classmethod
     def from_config(cls, config: dict) -> "LinearSCM":
-        edges = {(e["parent"], e["child"]): float(e["coefficient"]) for e in config["edges"]}
+        """The inverse of `to_config()`. A config that does not follow its
+        schema raises ParseError naming the key."""
+        if not isinstance(config, dict):
+            raise ParseError(f"an SCM config must be a mapping, got {config!r}")
+        nodes = _schema_key(config, "nodes", list)
+        if not all(isinstance(node, str) for node in nodes):
+            raise ParseError(f"'nodes' must be a list of names, got {nodes!r}")
+        edges = {}
+        for edge in _schema_key(config, "edges", list):
+            if not (isinstance(edge, dict) and isinstance(edge.get("parent"), str)
+                    and isinstance(edge.get("child"), str) and _is_real(edge.get("coefficient"))):
+                raise ParseError(f"each of 'edges' needs a 'parent' and a 'child' name and a"
+                                 f" real 'coefficient', got {edge!r}")
+            edges[(edge["parent"], edge["child"])] = float(edge["coefficient"])
+        noise_std = _schema_key(config, "noise_std", dict)
+        if not all(_is_real(v) for v in noise_std.values()):
+            raise ParseError(f"'noise_std' must map nodes to reals, got {noise_std!r}")
         return cls(
-            nodes=tuple(config["nodes"]),
+            nodes=tuple(nodes),
             edges=edges,
-            noise_std={k: float(v) for k, v in config["noise_std"].items()},
-            roles=dict(config["roles"]),
+            noise_std={k: float(v) for k, v in noise_std.items()},
+            roles=dict(_schema_key(config, "roles", dict)),
         )
+
+
+def _schema_key(config: dict, key: str, kind: type):
+    if not isinstance(config.get(key), kind):
+        raise ParseError(f"{key!r} must be a {kind.__name__}, got {config.get(key)!r}")
+    return config[key]
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def sample_scm(

@@ -1,17 +1,22 @@
+import copy
 import json
+import os
 import platform
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import dedact
 from dedact import cli
 from dedact.cli import main
-from dedact.errors import DedactError, MissingTarget, ParseError
-from dedact.importance import _DRAW_BLOCK
+from dedact.errors import ConfigError, DedactError, MissingTarget, ParseError
+from dedact.importance import _DRAW_BLOCK, ImportanceEvaluator
 from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, train_eval_split
 from dedact.scm import biomarker_scm, sample_scm
 
@@ -82,6 +87,30 @@ class TestSimulateCommand:
                      "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0].split(",")
         assert header == ["B", "C", "L"]
+
+    @pytest.mark.parametrize("key,change", [
+        ("edges", lambda c: c.pop("edges")),
+        ("roles", lambda c: c.pop("roles")),
+        ("nodes", lambda c: c.update(nodes="BCPYL")),
+        ("noise_std", lambda c: c.update(noise_std=[1.0])),
+        ("noise_std", lambda c: c["noise_std"].update(B="x")),
+        ("coefficient", lambda c: c["edges"][0].pop("coefficient")),
+        ("coefficient", lambda c: c["edges"][0].update(coefficient="x")),
+        ("parent", lambda c: c["edges"][0].update(parent=["B"])),
+        ("mapping", lambda c: c.clear()),
+    ], ids=["no-edges", "no-roles", "nodes-string", "noise_std-list", "noise_std-string",
+            "no-coefficient", "coefficient-string", "parent-list", "not-a-mapping"])
+    def test_malformed_scm_file_exit_3(self, tmp_path, capsys, key, change):
+        raw = biomarker_scm().to_config()
+        change(raw)
+        scm = tmp_path / "scm.yaml"
+        scm.write_text(yaml.safe_dump(raw or ["B"]))
+        run_config = _config(tmp_path, dict(_BASE, data={"scm": str(scm), "n": 200}))
+        for argv in (["simulate", "--scm", str(scm), "--n", "20", "--seed", "0", "--out", str(tmp_path / "o.csv")],
+                     ["importance", "--config", str(run_config)]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error") and str(scm) in err and key in err
 
     def test_custom_scm_config(self, tmp_path):
         cfg = tmp_path / "scm.yaml"
@@ -198,12 +227,54 @@ class TestRunCommands:
         ("decompose", {"decompositions": [{"name": "t", "method": "shapley", "target": "C",
                                            "solver": "magic"}]}, "t", "solver"),
         ("importance", {"loss": "foo"}, "config", "loss"),
+        # keys of the wrong YAML type: column keys are lists of names,
+        # `target` is one name, blocks are mappings, integers are integers
+        ("importance", {"measures": [{"name": "m", "measure": "PFI", "interest": 5}]}, "m", "interest"),
+        ("importance", {"model": {"support": 5}}, "model", "support"),
+        ("importance", {"model": ["B"]}, "model", "model"),
+        ("decompose", {"decompositions": [{"name": "t", "method": "fast_ordered", "target": "C",
+                                           "order": 3}]}, "t", "order"),
+        ("decompose", {"decompositions": [{"name": "t", "target": "C", "sources": "BC"}]}, "t", "sources"),
+        ("decompose", {"decompositions": [{"name": "t", "target": ["C"]}]}, "t", "target"),
+        ("importance", {"data": 5}, "data", "data"),
+        ("importance", {"data": {"csv": 5, "target_column": "L"}}, "data", "csv"),
+        ("importance", {"data": {"csv": "x.csv", "target_column": ["L"]}}, "data", "target_column"),
+        ("importance", {"measures": [{"name": 5, "measure": "PFI", "interest": ["C"]}]}, "measures", "name"),
+        ("importance", {"seed": -1}, "config", "seed"),
+        ("importance", {"seed": 1.5}, "config", "seed"),
+        ("importance", {"seed": True}, "config", "seed"),
+        ("importance", {"measures": [{"name": "m", "measure": "PFI", "interest": ["C"], "seed": -1}]},
+         "m", "seed"),
+        ("decompose", {"decompositions": [{"name": "t", "target": "C", "seed": -1}]}, "t", "seed"),
+        ("importance", {"n_mc": 2.7}, "config", "n_mc"),
+        ("importance", {"data": dict(_BASE["data"], n=500.0)}, "data", "'n'"),
+        ("importance", {"data": {"scm": 5}}, "data", "scm"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
         cfg = _config(tmp_path, dict(_BASE, **change))
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
+
+    def test_every_block_checked_before_the_first_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = ImportanceEvaluator.evaluate
+
+        def spy(self, spec):
+            calls.append(spec)
+            return evaluate(self, spec)
+
+        monkeypatch.setattr(ImportanceEvaluator, "evaluate", spy)
+        last = {"name": "last", "kind": "pfi", "method": "fast", "target": "nope"}
+        with pytest.raises(ConfigError, match=r"\[last\] unknown column 'nope'"):
+            run(RunConfig(dict(_BASE, decompositions=_BASE["decompositions"] + [last])))
+        assert calls == []
+
+    def test_nameless_block_named_once(self, tmp_path, capsys):
+        cfg = _config(tmp_path, dict(_BASE, measures=[{"measure": "PFI"}]))
+        assert main(["importance", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[PFI] measure PFI needs one 'interest' column" in err and "[?]" not in err
 
     def test_output_block_formats(self, tmp_path):
         out = tmp_path / "out"
@@ -287,6 +358,82 @@ class TestRunCommands:
         bundle = run(cfg)
         assert bundle.as_dict()["config"] == _BASE
         assert bundle.metadata["input_hash"] == run(RunConfig(dict(_BASE))).metadata["input_hash"]
+
+
+# every key of a valid run config, and of the SCM file it can read, gets
+# swapped for each of these values
+_FUZZ_VALUES = (None, True, -1, 0, 1.5, "x", [], ["nope"], {"a": 1})
+_FUZZ_CONFIG = {
+    "seed": 0,
+    "data": {"scm": "biomarker", "n": 200, "include_observed": True},
+    "n_mc": 2,
+    "split_fraction": 0.5,
+    "loss": "squared_error",
+    "exact_marginalization": False,
+    "model": {"support": ["B", "C"]},
+    "output": {"directory": "out", "formats": ["json"]},
+    "measures": [
+        {"name": "di", "measure": "DI", "interest": ["C"], "baseline": ["B"], "mode": "original_f",
+         "n_mc": 2, "seed": 1},
+        {"name": "via", "measure": "AI_via", "interest": ["P"], "baseline": [], "aux": ["C"]},
+        {"name": "sage", "measure": "SAGE_attribution", "interest": ["C"], "variant": "conditional",
+         "n_orders": 2},
+    ],
+    "decompositions": [
+        {"name": "pfi", "kind": "pfi", "method": "shapley", "target": "C", "sources": ["B", "P"],
+         "solver": "exact", "n_orders": 2},
+        {"name": "sage_P", "kind": "sage", "method": "shapley", "target": "P", "pathways": ["B", "C"],
+         "n_sage_orders": 2, "n_decomp_orders": 2},
+        {"name": "ordered", "kind": "pfi", "method": "fast_ordered", "target": "C", "order": ["B", "P"],
+         "seed": 3},
+    ],
+}
+
+
+def _key_paths(node, prefix=()):
+    """The path to every mapping value and list entry below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+def _swapped(raw, path, value):
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+_FUZZ_CASES = ([("run", path) for path in _key_paths(_FUZZ_CONFIG)]
+               + [("scm", path) for path in _key_paths(biomarker_scm().to_config())])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
+def test_fuzzed_config_exits_with_a_documented_code(case, value):
+    which, path = case
+    config, scm = _FUZZ_CONFIG, biomarker_scm().to_config()
+    if which == "run":
+        config = _swapped(config, path, value)
+    else:
+        scm = _swapped(scm, path, value)
+        config = dict(config, data=dict(config["data"], scm="scm.yaml"))
+    argv = [["decompose" if path[0] == "decompositions" else "importance", "--config", "run.yaml"]]
+    if which == "scm":
+        argv.append(["simulate", "--scm", "scm.yaml", "--n", "20", "--seed", "0", "--out", "sim.csv"])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # the config's relative paths land in workdir
+        try:
+            Path("scm.yaml").write_text(yaml.safe_dump(scm))
+            Path("run.yaml").write_text(yaml.safe_dump(config))
+            for args in argv:
+                assert main(args) in (0, 2, 3, 4)
+        finally:
+            os.chdir(cwd)
 
 
 class TestDemoAndReport:
