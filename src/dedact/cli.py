@@ -40,6 +40,10 @@ _NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, Too
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 2:
+        raise ConfigError(f"--n must be at least 2, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     scm = load_scm(args.scm)
     data, target = sample_scm(scm, args.n, args.seed, args.include_observed)
     with open(args.out, "w", newline="") as fh:

@@ -87,12 +87,33 @@ relative (4.7e-8 at 1e4), centred ones by 8e-14 (7.8e-13). The moment
 form and the row path agree to rounding; cross-entropy and Monte-Carlo
 marginalization keep the row path.
 
+Linear Monte-Carlo marginalization: a marginalized term averages the
+prediction over m = n_integration draws. For a linear predictor that
+mean is `X @ u + c + (1/m) sum_k z_k @ v`, and since each `z_k @ v` is
+N(0, |v|^2) per row, independently across rows and draws, the sum is
+exactly N(0, |v|^2 / m) per row. So the engine draws one standard
+normal e per row from the term's integration stream and predicts
+`X @ u + c + (|v| / sqrt(m)) e`: the same distribution of mean
+predictions, hence of every cross-entropy risk, from n normals instead
+of m n d. Under squared error the full-draw path subtracts the sampled
+variance of the mean, S^2 / m, per row; the linear path subtracts the
+known |v|^2 / m (nothing when m = 1, as on the full-draw path). Both
+corrections have expectation |v|^2 / m, and for Gaussian draws S^2 is
+independent of their mean, so E[S^2 | mean] = |v|^2: the linear risk is
+the Rao-Blackwellisation of the full-draw one, with the same
+expectation and no larger variance. The two paths take different
+normals, so a `LinearPredictor` and any other `Predictor` computing the
+same map agree in distribution, not draw for draw. Any other
+`Predictor` keeps n_integration full n x d draws on the materialized
+plan matrix.
+
 Cross-entropy under Monte-Carlo marginalization is biased: the loss of
 the mean of n_integration draws is not the mean loss, and unlike the
 squared-error Var/m correction in `_term_risk` nothing removes the
 difference, so such a risk keeps a Jensen bias of order
-1 / n_integration. Exact marginalization (linear predictors only) has no
-integration noise.
+1 / n_integration. That holds on the linear path too, whose mean
+prediction has the same distribution as the full draws' mean. Exact
+marginalization (linear predictors only) has no integration noise.
 """
 
 from __future__ import annotations
@@ -415,15 +436,30 @@ class ImportanceEvaluator:
             risk += v @ s_zz @ v + 2.0 * (v @ s_zx @ u) + 2.0 * k * (v @ z_bar) - 2.0 * (v @ s_zy)
         return float(risk)
 
+    def _linear_marginalized_prediction(self, form, rng: np.random.Generator):
+        """Monte-Carlo marginalization of a linear predictor, drawn
+        directly (see the module docstring): the mean of n_integration
+        draws of `X @ u + z @ v + c` is `X @ u + c` plus one
+        N(0, |v|^2 / n_integration) normal per row. Returns that mean
+        and the known variance of its noise, the squared-error
+        correction (0 for a single draw, as `_marginalized_prediction`
+        gives)."""
+        u, v, c = form
+        m = self.n_integration
+        noise_var = float(v @ v) / m
+        pred = self.data.values @ u + c + np.sqrt(noise_var) * rng.standard_normal(self.data.n_rows)
+        return pred, noise_var if m > 1 else 0.0
+
     def _marginalized_prediction(self, predict, rng: np.random.Generator):
-        """Marginalize the model over a plan's perturbed columns.
+        """Marginalize a non-linear model over a plan's perturbed columns.
 
         Predictions are averaged over n_integration draws, so the
         result approximates E[f(X_keep, X_perturbed) | conditioning]
         row by row. Returns the per-row mean prediction and the per-row
         variance of that mean (sample variance over draws divided by
         the draw count), which is the integration-noise correction for
-        squared-error risks.
+        squared-error risks. A `LinearPredictor` takes
+        `_linear_marginalized_prediction` instead.
         """
         n, d = self.data.values.shape
         m = self.n_integration
@@ -440,10 +476,11 @@ class ImportanceEvaluator:
         return mean, np.zeros(n)
 
     def _term_risk(self, spec: MeasureSpec, y: np.ndarray, pred: np.ndarray,
-                   mean_variance: np.ndarray | None) -> float:
+                   mean_variance: np.ndarray | float | None) -> float:
         """Mean loss of the predictions. Under Monte-Carlo
         marginalization only squared error is corrected for integration
-        noise; a cross-entropy risk keeps its O(1/n_integration) bias."""
+        noise (per row, or by one known variance on the linear path); a
+        cross-entropy risk keeps its O(1/n_integration) bias."""
         base = spec.loss.elementwise(y, pred)
         # E[(y - mean of m draws)^2] overshoots the marginalized risk by
         # Var/m; subtracting the unbiased variance estimate removes it
@@ -472,8 +509,9 @@ class ImportanceEvaluator:
         n, d = self.data.values.shape
         y = self.target.values
         kind = spec.loss.kind
-        moment_form = (isinstance(self.predictor, LinearPredictor) and kind == "squared_error"
-                       and (exact or spec.mode == "original_f"))
+        linear = isinstance(self.predictor, LinearPredictor)
+        moment_form = linear and kind == "squared_error" and (exact or spec.mode == "original_f")
+        linear_mc = linear and spec.mode == "marginalized" and not exact
         predictors = {}
         n_reps = 1 if exact else spec.n_mc
         values = np.empty(n_reps)
@@ -495,9 +533,10 @@ class ImportanceEvaluator:
                     self.terms_reused += 1
                     risks.append(risk)
                     continue
-                # per plan: its (u, v, c) on the moment form, else z -> predictions
+                # per plan: its (u, v, c) on the moment form or under linear
+                # Monte-Carlo marginalization, else z -> predictions
                 if plan not in predictors:
-                    predictors[plan] = (self._linear_form(plan, not exact) if moment_form
+                    predictors[plan] = (self._linear_form(plan, not exact) if moment_form or linear_mc
                                         else self._plan_predictor(plan, not exact))
                 predict = predictors[plan]
                 if moment_form:
@@ -511,7 +550,8 @@ class ImportanceEvaluator:
                         pred, var = predict(z), None
                     else:
                         rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                        pred, var = self._marginalized_prediction(predict, rng)
+                        pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
+                                     else self._marginalized_prediction(predict, rng))
                     risk = self._term_risk(spec, y, pred, var)
                 self._risks[key] = risk
                 self.terms_computed += 1

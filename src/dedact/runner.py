@@ -38,7 +38,7 @@ from .decompose import (
     shapley_decompose_sage,
 )
 from .errors import ConfigError, DedactError, MissingTarget, ParseError
-from .importance import MODES, SAGE_VARIANTS, ImportanceEvaluator
+from .importance import MEASURES, MODES, SAGE_VARIANTS, ImportanceEvaluator
 from .sampler import fit_gaussian
 from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
 
@@ -48,35 +48,46 @@ LOSSES = {"squared_error": SQUARED_ERROR, "cross_entropy": CROSS_ENTROPY}
 
 
 def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
-    """Read a numeric CSV with a header row; the target column is split off."""
+    """Read a numeric CSV with a header row; the target column is split off.
+
+    Rows are parsed as they are read, into one flat list of floats, so the
+    file's text is never held whole.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0]:
-        raise ParseError(f"{path}: no header")
-    header = rows[0]
-    if target_column not in header:
-        raise MissingTarget(f"{path}: target column {target_column!r} not in header")
-    if len(rows) < 2:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ParseError(f"{path}: no header")
+        # a repeated name would make one of its columns the target and feed
+        # the other to the model, so every name must be non-empty and unique
+        first: dict[str, int] = {}
+        for c, name in enumerate(header, start=1):
+            if not name.strip():
+                raise ParseError(f"{path}: header column {c} has an empty name")
+            if name in first:
+                raise ParseError(f"{path}: header column {c} repeats the name {name!r} of column {first[name]}")
+            first[name] = c
+        if target_column not in header:
+            raise MissingTarget(f"{path}: target column {target_column!r} not in header")
+        flat = []
+        for r, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            for c, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r} as a finite real")
+                flat.append(value)
+    if not flat:
         raise ParseError(f"{path}: no data rows")
+    values = np.array(flat, dtype=float).reshape(-1, len(header))
     t_idx = header.index(target_column)
-    parsed = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        out = []
-        for c, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r} as a finite real")
-            out.append(value)
-        parsed.append(out)
-    values = np.asarray(parsed, dtype=float)
     feature_cols = [c for c in range(len(header)) if c != t_idx]
     data = DataMatrix(values[:, feature_cols], tuple(header[c] for c in feature_cols))
     return data, TargetVector(values[:, t_idx])
@@ -330,6 +341,9 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     seed = _int_key(block, "seed", None, name, minimum=0)
     if kind in ("PFI", "conditional_FI", "SAGE_attribution") and not interest:
         raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column")
+    overlap = [data.column_names[c] for c in interest if c in baseline]
+    if kind in MEASURES and overlap:
+        raise ConfigError(f"[{name}] 'interest' overlaps 'baseline' on {', '.join(overlap)}")
     ev = ImportanceEvaluator
     if kind == "DI":
         call = partial(ev.direct_importance, interest=interest, baseline=baseline, mode=mode)

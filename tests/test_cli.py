@@ -1,10 +1,13 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,37 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match="not found"):
             ingest_csv(tmp_path / "nope.csv", "y")
 
+    def test_rows_parsed_as_read(self, tmp_path):
+        # holding every row's text (about 20 n d doubles here) is what
+        # set the peak memory of a run on a CSV; parsed as read, the peak
+        # is one float object per value and two copies of the values
+        # (about 6 n d doubles)
+        n, d = 10000, 5
+        values = np.random.default_rng(0).standard_normal((n, d))
+        path = self._write(tmp_path, ",".join(f"c{i}" for i in range(d)) + "\n"
+                           + "".join(",".join(map(repr, row.tolist())) + "\n" for row in values))
+        tracemalloc.start()
+        try:
+            data, target = ingest_csv(path, "c0")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data.values, values[:, 1:]) and np.array_equal(target.values, values[:, 0])
+        assert peak < 8 * values.nbytes
+
+    @pytest.mark.parametrize("header,message", [
+        ("a,y,y", "header column 3 repeats the name 'y' of column 2"),
+        ("y,a,y", "header column 3 repeats the name 'y' of column 1"),
+        ("a,a,y", "header column 2 repeats the name 'a' of column 1"),
+        ("a,,y", "header column 2 has an empty name"),
+        ("a, ,y", "header column 2 has an empty name"),
+    ])
+    def test_duplicate_or_empty_header_name(self, tmp_path, header, message):
+        path = self._write(tmp_path, header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path, "y")
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestSimulateCommand:
     def test_round_trip_is_lossless(self, tmp_path):
@@ -111,6 +145,15 @@ class TestSimulateCommand:
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("data error") and str(scm) in err and key in err
+
+    @pytest.mark.parametrize("flag,value", [("--n", "-5"), ("--n", "0"), ("--n", "1"), ("--seed", "-1")])
+    def test_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
+        argv = {"--scm": "biomarker", "--n": "20", "--seed": "0", "--out": str(tmp_path / "sim.csv")}
+        argv[flag] = value
+        assert main(["simulate", *(x for item in argv.items() for x in item)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and flag in err and value in err
+        assert not (tmp_path / "sim.csv").exists()
 
     def test_custom_scm_config(self, tmp_path):
         cfg = tmp_path / "scm.yaml"
@@ -268,6 +311,21 @@ class TestRunCommands:
         last = {"name": "last", "kind": "pfi", "method": "fast", "target": "nope"}
         with pytest.raises(ConfigError, match=r"\[last\] unknown column 'nope'"):
             run(RunConfig(dict(_BASE, decompositions=_BASE["decompositions"] + [last])))
+        assert calls == []
+
+    def test_overlap_found_before_the_first_evaluation(self, monkeypatch):
+        calls = []
+        evaluate = ImportanceEvaluator.evaluate
+
+        def spy(self, spec):
+            calls.append(spec)
+            return evaluate(self, spec)
+
+        monkeypatch.setattr(ImportanceEvaluator, "evaluate", spy)
+        for kind in ("DI", "AI", "DI_from", "AI_via"):
+            bad = {"name": "bad", "measure": kind, "interest": ["C", "P"], "baseline": ["B", "P"], "aux": ["B"]}
+            with pytest.raises(ConfigError, match=r"^\[bad\] 'interest' overlaps 'baseline' on P$"):
+                run(RunConfig(dict(_BASE, measures=_BASE["measures"] + [bad])))
         assert calls == []
 
     def test_nameless_block_named_once(self, tmp_path, capsys):
@@ -434,6 +492,57 @@ def test_fuzzed_config_exits_with_a_documented_code(case, value):
                 assert main(args) in (0, 2, 3, 4)
         finally:
             os.chdir(cwd)
+
+
+# a small valid CSV (columns a, b and the target y) and one mutation of
+# it per name: each takes the header, the rows, a row and a column index
+_CSV_MUTATIONS = {
+    "none": lambda h, rows, i, j: None,
+    "short_row": lambda h, rows, i, j: rows[i].pop(),
+    "long_row": lambda h, rows, i, j: rows[i].append("1.0"),
+    "blank_row": lambda h, rows, i, j: rows.insert(i, []),
+    "empty_cell": lambda h, rows, i, j: rows[i].__setitem__(j, ""),
+    "nan_cell": lambda h, rows, i, j: rows[i].__setitem__(j, "nan"),
+    "inf_cell": lambda h, rows, i, j: rows[i].__setitem__(j, "-inf"),
+    "text_cell": lambda h, rows, i, j: rows[i].__setitem__(j, "x"),
+    "duplicate_name": lambda h, rows, i, j: h.__setitem__(j, h[j - 1]),
+    "empty_name": lambda h, rows, i, j: h.__setitem__(j, ""),
+    "renamed_column": lambda h, rows, i, j: h.__setitem__(j, "z"),
+    "header_only": lambda h, rows, i, j: rows.clear(),
+    "no_header": lambda h, rows, i, j: h.clear(),
+}
+_CSV_RUN = {
+    "seed": 0,
+    "data": {"csv": "data.csv", "target_column": "y"},
+    "n_mc": 2,
+    "measures": [{"name": "pfi_a", "measure": "PFI", "interest": ["a"]}],
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutations=st.lists(st.tuples(st.sampled_from(sorted(_CSV_MUTATIONS)), st.integers(0, 11),
+                                    st.integers(0, 2)), min_size=1, max_size=3))
+def test_fuzzed_csv_exits_with_a_documented_code(mutations):
+    values = np.random.default_rng(0).standard_normal((12, 3))
+    header, rows = ["a", "b", "y"], [[repr(float(v)) for v in row] for row in values]
+    for name, i, j in mutations:
+        try:
+            _CSV_MUTATIONS[name](header, rows, i, j)
+        except IndexError:
+            pass  # an earlier mutation removed the row or cell this one changes
+    text = "".join(",".join(row) + "\n" for row in [header, *rows])
+    cwd, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # the config's relative CSV path lands in workdir
+        try:
+            Path("data.csv").write_text(text)
+            Path("run.yaml").write_text(yaml.safe_dump(_CSV_RUN))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["importance", "--config", "run.yaml"])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 class TestDemoAndReport:
