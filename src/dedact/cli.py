@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     DisjointnessViolation,
     InsufficientRows,
+    InvalidTarget,
     MissingTarget,
     ParseError,
     SingularConditioning,
@@ -35,7 +36,7 @@ from .runner import (
 from .scm import sample_scm
 
 _CONFIG_ERRORS = (ConfigError, DisjointnessViolation)
-_DATA_ERRORS = (ParseError, MissingTarget, DimensionMismatch)
+_DATA_ERRORS = (ParseError, MissingTarget, InvalidTarget, DimensionMismatch)
 _NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, TooManyPlayers, CyclicGraph)
 
 

@@ -41,5 +41,9 @@ class MissingTarget(DedactError):
     """Requested target column is absent."""
 
 
+class InvalidTarget(DedactError):
+    """Target values the configured loss cannot score."""
+
+
 class ConfigError(DedactError):
     """Invalid run configuration."""

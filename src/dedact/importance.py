@@ -12,30 +12,31 @@ a kept column or the bitmask of the columns it is redrawn given (0 for
 an independent redraw). Two measures that assign the same plan to a
 term ask for the same risk.
 
-Common random numbers: both terms of a repetition consume the same
-underlying standard-normal matrix, keyed by the canonical (name-sorted)
-column order. Identical plans therefore produce bit-identical risks and
-an exactly zero estimate, and paired runs under a shared seed reuse
+Common random numbers: both terms of a repetition read the same draws,
+keyed by the canonical (name-sorted) column order: on the row path one
+standard-normal matrix, on the moment form below one sample of that
+matrix's moments. Identical plans therefore produce bit-identical risks
+and an exactly zero estimate, and paired runs under a shared seed reuse
 draws. Estimates do not depend on the order or position of the columns:
 bit for bit for a linear predictor under squared error in `original_f`
-and exact-marginalized mode (the moment form below sums in canonical
+and exact-marginalized mode (the moment form below works in canonical
 order), and to rounding on every other path (cross-entropy, Monte-Carlo
 marginalization, any other predictor), whose row sums follow the
 column order.
 
 Term memo: a term's risk is a pure function of its plan, its loss and
 the draws it consumes. Those draws are fixed by (mode, seed, repetition,
-stream slot): `original_f` terms share the repetition's matrix (slot 0),
+stream slot): `original_f` terms share the repetition's draws (slot 0),
 Monte-Carlo marginalized terms each take their own integration stream
 (slot 1 or 2), and exact-marginalized terms consume no draws at all. So
 each evaluator keeps the risks it has computed in a dict keyed on
 `(plan, loss kind, mode, seed, rep, slot)`, or on `(plan, loss kind)`
-alone for exact marginalization, and `evaluate` draws a repetition's
-normals only when a term it needs is missing. A reused risk is the
+alone for exact marginalization, and `evaluate` draws a repetition
+only when a term it needs is missing. A reused risk is the
 float that recomputation would give, bit for bit; only the evaluator's
 `terms_computed` / `terms_reused` counters can tell the two apart.
-Under the moment form below a repetition is drawn at most once per
-evaluator, however many terms miss.
+Under the moment form below a repetition's moments are sampled at most
+once per evaluator, however many terms miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
@@ -68,24 +69,35 @@ means `x_bar`, `y_bar` (columns in canonical order, u permuted to match)
 and `k = c + x_bar . u - y_bar`, the exact-marginalized risk is
 `u' S_xx u - 2 u' s_xy + s_yy + k^2` with `S_xx = X_c' X_c / n`,
 `s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`, computed once per
-evaluator. An `original_f` term adds
-`v' S_zz v + 2 v' S_zx u + 2 k v' z_bar - 2 v' s_zy` for the
-repetition's draws z, reduced to `S_zz = z' z / n`, `S_zx = z' X_c / n`,
-`z_bar` and `s_zy = z' y_c / n` the first time the evaluator needs that
-(seed, rep) and kept (about d(2d + 2) floats each). The draws are
-streamed: the repetition's generator yields `_DRAW_BLOCK` rows at a
-time, and each block goes straight into `z' z`, `z' X_c`, `z' y_c` and
-`z' 1` (four small products) before the next is drawn. Successive
-`standard_normal((b, d))` calls on one generator return exactly the
-normals of one `(n, d)` call, so these are the same normals the row
-path takes, the n x d draw is never materialized, and the moments
-differ from those of one full draw only by the order of the sums. The
-centred X_c and y_c are built with the data moments and stay on the
-evaluator, so no draw copies the data. Centring matters: on data
-offset by 1e3, risks from uncentred moments were off by up to 1.5e-9
-relative (4.7e-8 at 1e4), centred ones by 8e-14 (7.8e-13). The moment
-form and the row path agree to rounding; cross-entropy and Monte-Carlo
-marginalization keep the row path.
+evaluator. Centring matters: on data offset by 1e3, risks from
+uncentred moments were off by up to 1.5e-9 relative (4.7e-8 at 1e4),
+centred ones by 8e-14 (7.8e-13). An `original_f` term adds
+`v' S_zz v + 2 v' S_zx u + 2 k v' z_bar - 2 v' s_zy`, where z is the
+repetition's n x d standard-normal draw, `S_zz = z' z / n`,
+`S_zx = z' X_c / n`, `z_bar = z' 1 / n` and `s_zy = z' y_c / n`.
+
+Those moments are sampled from their exact joint law, not reduced from
+n x d normals. Let M = [X_c, y_c, 1] (n x (d + 2)) and B any q x (d + 2)
+matrix with `B' B = M' M`, q = min(n, d + 2); the evaluator takes B once
+from an eigendecomposition of `M' M` (built from the data moments, the
+1 column orthogonal to the centred ones), keeping the q largest
+eigenvalues and setting those within rounding of 0 to 0, so B is exact
+when M is rank-deficient (a target exactly linear in the columns). Then
+M = Q B for some n x q Q with orthonormal columns, and for z with
+independent standard-normal entries `G = Q' z` is q x d standard normal
+and `z' z - G' G = z' (I - Q Q') z` is Wishart(n - q, I_d), independent of
+G. Per (seed, rep) the evaluator draws G and the upper-trapezoidal
+Bartlett factor T of that Wishart (min(n - q, d) rows,
+`T_ii = sqrt(chi2(n - q - i))` for i from 0, standard normals above the
+diagonal; Smith & Hocking 1972, "Wishart variate generator") from
+`derive_seed(seed, rep)`, and sets `z' M = G' B` and
+`z' z = G' G + T' T`. The four moments then cost O(d^2 + d q) however
+large n is, and are kept (about d(2d + 2) floats) for every later term
+of that (seed, rep). They have exactly the law of an n x d draw's
+moments, so the moment form and the row path (cross-entropy,
+Monte-Carlo marginalization, any other predictor) agree in law, not
+draw for draw: given the same z, the moment risk equals the row-path
+risk to rounding.
 
 Linear Monte-Carlo marginalization: a marginalized term averages the
 prediction over m = n_integration draws. For a linear predictor that
@@ -141,12 +153,6 @@ MODES = ("original_f", "marginalized")
 SAGE_VARIANTS = ("marginal", "conditional")
 
 _KEEP = -1  # plan entry: column keeps its original value
-
-# rows of normals drawn and reduced at a time on the moment form (see
-# the module docstring): on 2 cores a 150k x 3 repetition took 13.4 ms
-# in blocks of 8192 rows, 13.6-14.3 ms at 2048-32768, 15.7 ms at 1024
-# and 16.0 ms in one block
-_DRAW_BLOCK = 8192
 
 _eval_count = 0
 
@@ -272,7 +278,7 @@ class ImportanceEvaluator:
         self._conditionings: dict[int, _Conditioning] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
-        self._centred: tuple | None = None
+        self._root: np.ndarray | None = None
         self._draw_moments: dict[tuple[int, int], tuple] = {}
         self.evaluations = 0
         self.terms_computed = 0
@@ -387,40 +393,51 @@ class ImportanceEvaluator:
     # -- moment form (linear predictor, squared error) ----------------------
 
     def _moments(self) -> tuple:
-        """(x_bar, y_bar, S_xx, s_xy, s_yy) of the evaluation data. The
-        first call also keeps X_c (columns in canonical order) and y_c
-        for `_draws`."""
+        """(x_bar, y_bar, S_xx, s_xy, s_yy) of the evaluation data,
+        columns in canonical order."""
         if self._data_moments is None:
             x = self.data.values[:, self._canon_order]
             x_bar, y_bar = x.mean(axis=0), float(self.target.values.mean())
             x -= x_bar
             y_c = self.target.values - y_bar
             n = len(y_c)
-            self._centred = (x, y_c)
             self._data_moments = (x_bar, y_bar, x.T @ x / n, x.T @ y_c / n, float(y_c @ y_c) / n)
         return self._data_moments
 
+    def _moment_root(self) -> np.ndarray:
+        """B, q x (d + 2) with q = min(n, d + 2), such that B' B = M' M
+        for M = [X_c, y_c, 1] (see the module docstring)."""
+        if self._root is None:
+            _, _, s_xx, s_xy, s_yy = self._moments()
+            n, d = self.data.n_rows, len(s_xy)
+            gram = np.zeros((d + 2, d + 2))
+            gram[:d, :d] = s_xx
+            gram[:d, d] = gram[d, :d] = s_xy
+            gram[d, d], gram[d + 1, d + 1] = s_yy, 1.0
+            evals, evecs = np.linalg.eigh(n * gram)
+            # an eigenvalue within rounding of 0 (numpy's matrix_rank
+            # tolerance) is 0: its square root would be of order sqrt(eps)
+            evals[evals <= evals[-1] * (d + 2) * np.finfo(float).eps] = 0.0
+            top = slice(max(d + 2 - n, 0), None)  # eigh sorts ascending
+            self._root = np.sqrt(evals[top])[:, None] * evecs[:, top].T
+        return self._root
+
     def _draws(self, seed: int, rep: int) -> tuple:
         """(S_zz, S_zx, z_bar, s_zy) of the repetition's standard normals,
-        drawn once per evaluator in blocks of `_DRAW_BLOCK` rows, each
-        reduced against the kept centred data and then dropped."""
+        sampled once per evaluator from their exact law (see the module
+        docstring)."""
         hit = self._draw_moments.get((seed, rep))
         if hit is None:
-            self._moments()
-            x_c, y_c = self._centred
-            n, d = x_c.shape
+            root = self._moment_root()
+            q, n, d = len(root), self.data.n_rows, self.data.n_cols
             rng = np.random.default_rng(derive_seed(seed, rep))
-            ones = np.ones(min(n, _DRAW_BLOCK))
-            s_zz, s_zx, z_sum, s_zy = np.zeros((d, d)), np.zeros((d, d)), np.zeros(d), np.zeros(d)
-            for start in range(0, n, _DRAW_BLOCK):
-                z = rng.standard_normal((min(_DRAW_BLOCK, n - start), d))
-                rows = slice(start, start + len(z))
-                s_zz += z.T @ z
-                s_zx += z.T @ x_c[rows]
-                s_zy += y_c[rows] @ z
-                # a product, not z.sum(axis=0), which is slow on narrow z
-                z_sum += ones[:len(z)] @ z
-            hit = self._draw_moments[seed, rep] = (s_zz / n, s_zx / n, z_sum / n, s_zy / n)
+            g = rng.standard_normal((q, d))
+            k = n - q  # degrees of freedom of the Wishart remainder
+            r = min(k, d)
+            t = np.triu(rng.standard_normal((r, d)), 1)
+            t[range(r), range(r)] = np.sqrt(rng.chisquare(k - np.arange(r)))
+            zm = g.T @ root / n
+            hit = self._draw_moments[seed, rep] = ((g.T @ g + t.T @ t) / n, zm[:, :d], zm[:, d + 1], zm[:, d])
         return hit
 
     def _moment_risk(self, form, draws) -> float:

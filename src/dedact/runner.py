@@ -37,7 +37,7 @@ from .decompose import (
     shapley_decompose_pfi,
     shapley_decompose_sage,
 )
-from .errors import ConfigError, DedactError, MissingTarget, ParseError
+from .errors import ConfigError, DedactError, InvalidTarget, MissingTarget, ParseError
 from .importance import MEASURES, MODES, SAGE_VARIANTS, ImportanceEvaluator
 from .sampler import fit_gaussian
 from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
@@ -317,6 +317,22 @@ def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, Linear
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
 
 
+def _check_target(target: TargetVector, loss: LossFunction, block: dict, scm: LinearSCM | None) -> None:
+    """Cross-entropy scores a target in [0, 1] only: any other value is a
+    data error naming the target column, the first row holding one and
+    its value."""
+    if loss.kind != "cross_entropy":
+        return
+    outside = np.flatnonzero((target.values < 0.0) | (target.values > 1.0))
+    if outside.size:
+        i = int(outside[0])
+        if scm is None:  # a CSV, whose row 1 is the header
+            where = f"{block['csv']}: row {i + 2}, target column {block['target_column']!r}"
+        else:
+            where = f"[data] scm {block['scm']!r}: sampled row {i + 1}, target column {scm.supervision_node!r}"
+        raise InvalidTarget(f"{where} holds {float(target.values[i])!r}; loss cross_entropy needs a target in [0, 1]")
+
+
 def _block_name(block: dict, fallback, section: str) -> str:
     """The block's name, else its measure or method, else the section: it
     labels the block's result and its errors."""
@@ -422,10 +438,11 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     execute the measure and decomposition blocks in declared order.
 
     The top-level keys and the `data`, `model` and `output` blocks are
-    read before any data is loaded; every measure and decomposition block
-    is resolved to a call as soon as the column names are known. So a
-    config error in any block is raised before the model is fitted and
-    before the first evaluation.
+    read before any data is loaded; the target is checked against the loss
+    as soon as it is loaded, and every measure and decomposition block is
+    resolved to a call as soon as the column names are known. So a config
+    error in any block, or a target the loss cannot score, is raised
+    before the model is fitted and before the first evaluation.
     """
     raw, seed = config.raw, config.seed
     directory, formats = config.output
@@ -437,6 +454,7 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     measures, decompositions = _blocks(raw, "measures"), _blocks(raw, "decompositions")
 
     data, target, scm = _load_data(data_block, seed)
+    _check_target(target, loss, data_block, scm)
     n_fit = int(round(data.n_rows * fraction))
     if min(n_fit, data.n_rows - n_fit) < 2:
         raise ConfigError(f"[config] 'split_fraction' {fraction!r} leaves {n_fit} fit and"

@@ -17,7 +17,6 @@ from dedact.core import (
 import dedact.importance as importance
 from dedact.errors import DimensionMismatch, DisjointnessViolation, SingularConditioning
 from dedact.importance import (
-    _DRAW_BLOCK,
     _KEEP,
     MEASURES,
     ImportanceEvaluator,
@@ -326,16 +325,29 @@ def _linear_and_opaque(d=4, n=400, seed=3, **kw):
     return linear, opaque, rng
 
 
+def _risks_on_one_draw(linear, opaque, plan, rng):
+    """A plan's `original_f` squared-error risk on one explicit standard
+    normal z: from the moment form fed z's own moments, and from the
+    opaque row path on z."""
+    z = rng.standard_normal(linear.data.values.shape)  # canonical column order
+    x = linear.data.values[:, linear._canon_order]
+    x_c, y = x - x.mean(axis=0), linear.target.values
+    y_c, n = y - y.mean(), len(y)
+    moments = (z.T @ z / n, z.T @ x_c / n, z.mean(axis=0), z.T @ y_c / n)
+    moment = linear._moment_risk(linear._linear_form(plan), moments)
+    return moment, float(np.mean((y - opaque._plan_predictor(plan, True)(z)) ** 2))
+
+
 class TestPlanEngine:
-    # Monte-Carlo marginalization draws differently on the two paths (see
-    # TestLinearMonteCarloMarginalization), so only original_f is matched
+    # the two paths take different draws (see TestLinearMonteCarloMarginalization
+    # and TestMomentForm), so each plan's risk is matched on one explicit z
     @pytest.mark.parametrize("mode", ["original_f"])
     def test_generic_path_matches_linear_form(self, mode):
         linear, opaque, rng = _linear_and_opaque(n_integration=4)
         for spec in _random_specs(4, rng, 24, mode=mode, n_mc=3, seed=5):
-            a, b = linear.evaluate(spec), opaque.evaluate(spec)
-            assert a.value == pytest.approx(b.value, rel=0, abs=1e-12), spec
-            assert a.std_error == pytest.approx(b.std_error, rel=0, abs=1e-12), spec
+            for plan in linear._plans(spec):
+                moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
+                assert moment == pytest.approx(row, rel=0, abs=1e-12), spec
 
     def test_linear_form_matches_materialized_plan(self):
         linear, _, rng = _linear_and_opaque()
@@ -503,9 +515,17 @@ class TestMomentForm:
         linear, opaque, rng = _linear_and_opaque(n=2000)
         linear, opaque = _shifted(linear, 1e3), _shifted(opaque, 1e3)
         for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
-            a, b = linear.evaluate(spec), opaque.evaluate(spec)
-            assert a.value == pytest.approx(b.value, rel=1e-10), spec
-            assert a.std_error == pytest.approx(b.std_error, rel=1e-10), spec
+            for plan in linear._plans(spec):
+                moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
+                assert moment == pytest.approx(row, rel=1e-10), spec
+
+    def test_linear_and_opaque_agree_in_law(self):
+        linear, opaque, rng = _linear_and_opaque(n=200)
+        for spec in _random_specs(4, rng, 3):
+            diff = np.array([linear.evaluate(s).value - opaque.evaluate(s).value
+                             for s in (replace(spec, n_mc=1, seed=seed) for seed in range(200))])
+            se = diff.std(ddof=1) / np.sqrt(diff.size)
+            assert abs(diff.mean()) <= 4 * se, spec
 
     def test_offset_data_exact_risks_match_residuals(self):
         linear, _, rng = _linear_and_opaque(n=2000, exact_marginalization=True)
@@ -526,22 +546,44 @@ class TestMomentForm:
         assert sorted(ev._draw_moments) == [(s, r) for s in (1, 2) for r in range(4)]
 
 
-class TestDrawStream:
-    """A repetition's normals are drawn and reduced `_DRAW_BLOCK` rows at
-    a time against the centred data the evaluator keeps."""
+class TestMomentLaw:
+    """A repetition's draw moments are sampled from the exact law of the
+    moments of an n x d standard-normal draw (see the module docstring),
+    at a cost that does not grow with n."""
 
-    @pytest.mark.parametrize("n", [_DRAW_BLOCK // 2 + 3, 2 * _DRAW_BLOCK, 3 * _DRAW_BLOCK + 777])
-    def test_moments_match_one_full_draw(self, n):
-        linear, _, _ = _linear_and_opaque(n=n)
-        s_zz, s_zx, z_bar, s_zy = linear._draws(5, 2)
-        x = linear.data.values[:, linear._canon_order]
-        x_c, y_c = x - x.mean(axis=0), linear.target.values - linear.target.values.mean()
-        z = np.random.default_rng(derive_seed(5, 2)).standard_normal(x.shape)
-        for got, expected in ((s_zz, z.T @ z / n), (s_zx, z.T @ x_c / n),
-                              (z_bar, z.mean(axis=0)), (s_zy, z.T @ y_c / n)):
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+    N_SEEDS = 20_000
 
-    def test_draw_allocates_a_block_not_an_n_by_d_array(self):
+    @pytest.mark.parametrize("n,d,rank_deficient", [(3, 4, False), (40, 3, True), (300, 3, False)],
+                             ids=["n_below_d", "rank_deficient", "full_rank"])
+    def test_sampled_moments_follow_their_exact_law(self, n, d, rank_deficient):
+        rng = np.random.default_rng(n + d)
+        x = 5.0 + rng.standard_normal((n, d)) @ rng.standard_normal((d, d))
+        beta = rng.standard_normal(d)
+        # a target exactly linear in the columns makes M = [X_c, y_c, 1] rank-deficient
+        y = x @ beta + (0.0 if rank_deficient else rng.standard_normal(n))
+        ev = ImportanceEvaluator(DataMatrix(x, tuple(f"x{i}" for i in range(d))), TargetVector(y),
+                                 LinearPredictor(weights=np.ones(d), intercept=0.0),
+                                 GaussianModel(mean=np.zeros(d), cov=np.eye(d)))
+        _, _, s_xx, _, s_yy = ev._moments()
+        s_zz, s_zx, z_bar, s_zy = (np.array(m) for m in zip(*(ev._draws(seed, 0) for seed in range(self.N_SEEDS))))
+        # closed forms for z with i.i.d. N(0, 1) entries and centred X_c, y_c
+        for sample, mean, var in (
+            (s_zz, np.eye(d), (1.0 + np.eye(d)) / n),
+            (s_zx, np.zeros((d, d)), np.tile(np.diag(s_xx), (d, 1)) / n),
+            (z_bar, np.zeros(d), np.full(d, 1.0 / n)),
+            (s_zy, np.zeros(d), np.full(d, s_yy / n)),
+        ):
+            centred = sample - sample.mean(axis=0)
+            got_var = (centred ** 2).mean(axis=0)
+            var_se = np.sqrt(((centred ** 4).mean(axis=0) - got_var ** 2) / self.N_SEEDS)
+            assert np.all(np.abs(sample.mean(axis=0) - mean) <= 4 * np.sqrt(var / self.N_SEEDS))
+            assert np.all(np.abs(got_var - var) <= 4 * var_se)
+        # z' z has the rank of an n x d draw; z' y_c = z' X_c beta when y_c = X_c beta
+        assert all(np.linalg.matrix_rank(m) == min(n, d) for m in s_zz[:50])
+        if rank_deficient:
+            np.testing.assert_allclose(s_zy, s_zx @ beta, rtol=0, atol=1e-12 * np.sqrt(s_yy))
+
+    def test_draw_allocation_does_not_grow_with_n(self):
         n, d = 200_000, 4
         ev = _evaluator(np.eye(d), np.ones(d), n=n)
         ev._moments()
@@ -551,7 +593,7 @@ class TestDrawStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * d * 8 / 4
+        assert peak < 64 * 1024
 
 
 class TestConditioningCache:
