@@ -57,6 +57,10 @@ def shapley_exact(game: CooperativeGame) -> ShapleyResult:
     array indexed by its bitmask; player i's attribution is then the
     weighted sum of `v(S | i) - v(S)` over the masks S without i, with
     weight `1 / (n * C(n - 1, |S|))`.
+
+    The standard errors are 0: the solver adds no sampling noise. They
+    do not cover the Monte-Carlo noise of the coalition values
+    themselves (an `original_f` value is a mean over n_mc repetitions).
     """
     n = game.n_players
     if n > EXACT_SOLVER_MAX_PLAYERS:
@@ -78,7 +82,11 @@ def shapley_sampled(game: CooperativeGame, n_orders: int, seed: int = 0) -> Shap
     """Shapley estimate from uniformly random player orders.
 
     The empirical mean satisfies efficiency exactly because every order
-    telescopes to value(full) - value(empty).
+    telescopes to value(full) - value(empty). The standard errors are
+    the spread of each player's contributions over the orders: they
+    cover order sampling only, not the Monte-Carlo noise of the
+    coalition values themselves (an `original_f` value is a mean over
+    n_mc repetitions), which every order shares through the game's cache.
     """
     n = game.n_players
     rng = np.random.default_rng(seed)

@@ -13,10 +13,17 @@ an independent redraw). Two measures that assign the same plan to a
 term ask for the same risk.
 
 Common random numbers: both terms of a repetition read the same draws,
-keyed by the canonical (name-sorted) column order: on the row path one
-standard-normal matrix, on the moment form below one sample of that
-matrix's moments. Identical plans therefore produce bit-identical risks
-and an exactly zero estimate, and paired runs under a shared seed reuse
+keyed by the canonical (name-sorted) column order. On the row path
+(`original_f` terms the moment form below does not cover: cross-entropy
+loss, or a predictor that is not linear) each canonical column has its
+own stream, `derive_seed(seed, rep, 3, rank)`, and its n standard
+normals are drawn the first time a term of the repetition reads the
+column, then kept for the other term (`_ColumnDraws`). A linear
+predictor reads only the columns its v weights, so a term that redraws
+one weighted column draws n normals and a term whose v is 0 draws none.
+On the moment form below both terms read one sample of the moments of
+an n x d draw. Identical plans therefore produce bit-identical risks and
+an exactly zero estimate, and paired runs under a shared seed reuse
 draws. Estimates do not depend on the order or position of the columns:
 bit for bit for a linear predictor under squared error in `original_f`
 and exact-marginalized mode (the moment form below works in canonical
@@ -26,17 +33,18 @@ column order.
 
 Term memo: a term's risk is a pure function of its plan, its loss and
 the draws it consumes. Those draws are fixed by (mode, seed, repetition,
-stream slot): `original_f` terms share the repetition's draws (slot 0),
-Monte-Carlo marginalized terms each take their own integration stream
-(slot 1 or 2), and exact-marginalized terms consume no draws at all. So
-each evaluator keeps the risks it has computed in a dict keyed on
-`(plan, loss kind, mode, seed, rep, slot)`, or on `(plan, loss kind)`
-alone for exact marginalization, and `evaluate` draws a repetition
-only when a term it needs is missing. A reused risk is the
-float that recomputation would give, bit for bit; only the evaluator's
-`terms_computed` / `terms_reused` counters can tell the two apart.
-Under the moment form below a repetition's moments are sampled at most
-once per evaluator, however many terms miss.
+stream slot): `original_f` terms share the repetition's draws (memo
+slot 0: the column streams on the row path, the sampled moments on the
+moment form), Monte-Carlo marginalized terms each take their own
+integration stream (slot 1 or 2), and exact-marginalized terms consume
+no draws at all. So each evaluator keeps the risks it has computed in a
+dict keyed on `(plan, loss kind, mode, seed, rep, slot)`, or on
+`(plan, loss kind)` alone for exact marginalization, and `evaluate`
+draws a repetition only when a term it needs is missing. A reused risk
+is the float that recomputation would give, bit for bit; only the
+evaluator's `terms_computed` / `terms_reused` counters can tell the two
+apart. Under the moment form below a repetition's moments are sampled at
+most once per evaluator, however many terms miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
@@ -113,11 +121,13 @@ known |v|^2 / m (nothing when m = 1, as on the full-draw path). Both
 corrections have expectation |v|^2 / m, and for Gaussian draws S^2 is
 independent of their mean, so E[S^2 | mean] = |v|^2: the linear risk is
 the Rao-Blackwellisation of the full-draw one, with the same
-expectation and no larger variance. The two paths take different
-normals, so a `LinearPredictor` and any other `Predictor` computing the
-same map agree in distribution, not draw for draw. Any other
-`Predictor` keeps n_integration full n x d draws on the materialized
-plan matrix.
+expectation and no larger variance. Any other `Predictor` keeps
+n_integration full n x d draws from the term's integration stream
+`derive_seed(seed, rep, slot)` on the materialized plan matrix. So here,
+unlike in `original_f` mode, where both read the same column streams
+and agree to rounding, a `LinearPredictor` and any other `Predictor`
+computing the same map take different normals and agree in
+distribution, not draw for draw.
 
 Cross-entropy under Monte-Carlo marginalization is biased: the loss of
 the mean of n_integration draws is not the mean loss, and unlike the
@@ -203,6 +213,40 @@ class _Conditioning:
         if hit is None:
             hit = self._chol[targets] = _stable_cholesky(self.conditional(targets)[1])
         return hit
+
+
+def _column_seed(seed: int, rep: int, rank: int) -> int:
+    """Stream of one canonical column's row-path draws. Slot 3 is used by
+    no other stream. `SeedSequence` drops trailing zero words, so rank 0
+    reads the (unused) key `(seed, rep, 3)`, and a slot of 0 would have
+    aliased the moment form's `(seed, rep)`."""
+    return derive_seed(seed, rep, 3, rank)
+
+
+class _ColumnDraws:
+    """A repetition's standard normals on the row path: n per canonical
+    column, from the column's own stream `_column_seed(seed, rep, rank)`,
+    drawn the first time a term reads the column and kept for the other
+    term. Answers `z[:, cols]` (cols in canonical order) as an ndarray
+    would."""
+
+    def __init__(self, n: int, seed: int, rep: int):
+        self.n, self.seed, self.rep = n, seed, rep
+        self._columns: dict[int, np.ndarray] = {}
+
+    def _column(self, rank: int) -> np.ndarray:
+        hit = self._columns.get(rank)
+        if hit is None:
+            rng = np.random.default_rng(_column_seed(self.seed, self.rep, rank))
+            hit = self._columns[rank] = rng.standard_normal(self.n)
+        return hit
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        block = np.empty((self.n, len(cols)))
+        for j, rank in enumerate(cols):
+            block[:, j] = self._column(int(rank))
+        return block[rows]
 
 
 @dataclass(frozen=True)
@@ -347,9 +391,10 @@ class ImportanceEvaluator:
 
     # -- execution ---------------------------------------------------------
 
-    def _build_matrix(self, plan, z: np.ndarray) -> np.ndarray:
+    def _build_matrix(self, plan, z: np.ndarray | _ColumnDraws) -> np.ndarray:
         """The evaluation data with the plan's redrawn columns replaced,
-        using the standard normals z (n x d, canonical column order)."""
+        using the standard normals z: an n x d array or `_ColumnDraws`,
+        columns in canonical order, read as `z[:, cols]`."""
         m = self.data.values.copy()
         for conditioning, targets in self._groups(plan):
             mean_map, _ = conditioning.conditional(targets)
@@ -381,13 +426,15 @@ class ImportanceEvaluator:
 
     def _plan_predictor(self, plan, draws: bool):
         """z -> the model's predictions on the plan's perturbed data, for
-        standard normals z (n x d, canonical order), or None for the
-        conditional means (linear predictor only, and the only call
-        when not `draws`)."""
+        standard normals z as `_build_matrix` takes them, or None for
+        the conditional means (linear predictor only, and the only call
+        when not `draws`). A linear predictor reads only the columns its
+        v weights, so a plan with v = 0 draws nothing."""
         if isinstance(self.predictor, LinearPredictor):
             u, v, c = self._linear_form(plan, draws)
             base = self.data.values @ u + c
-            return lambda z: base if z is None else base + z @ v
+            nz = np.flatnonzero(v) if draws else []
+            return lambda z: base if z is None or not len(nz) else base + z[:, nz] @ v[nz]
         return lambda z: self.predictor.predict(self._build_matrix(plan, z))
 
     # -- moment form (linear predictor, squared error) ----------------------
@@ -523,7 +570,7 @@ class ImportanceEvaluator:
         exact = spec.mode == "marginalized" and self.exact_marginalization
         if exact and not isinstance(self.predictor, LinearPredictor):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
-        n, d = self.data.values.shape
+        n = self.data.n_rows
         y = self.target.values
         kind = spec.loss.kind
         linear = isinstance(self.predictor, LinearPredictor)
@@ -533,7 +580,7 @@ class ImportanceEvaluator:
         n_reps = 1 if exact else spec.n_mc
         values = np.empty(n_reps)
         for rep in range(n_reps):
-            z = None  # the repetition's shared draws, made on first need
+            z = _ColumnDraws(n, spec.seed, rep)  # shared by both terms, drawn on first read
             risks = []
             # in marginalized mode the two plans assign different
             # conditionals to the perturbed columns, so their integration
@@ -562,8 +609,6 @@ class ImportanceEvaluator:
                     if exact:
                         pred, var = predict(None), None
                     elif spec.mode == "original_f":
-                        if z is None:
-                            z = np.random.default_rng(derive_seed(spec.seed, rep)).standard_normal((n, d))
                         pred, var = predict(z), None
                     else:
                         rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))

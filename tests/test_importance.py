@@ -216,22 +216,26 @@ class TestEngineContracts:
         data_p = DataMatrix(data.values[:, perm], tuple(data.column_names[i] for i in perm))
         cov_p = cov[np.ix_(perm, perm)]
         w = np.array([1.0, -1.0, 0.5])
-        for mode in ("original_f", "marginalized"):
+        for mode, loss in (("original_f", SQUARED_ERROR), ("marginalized", SQUARED_ERROR),
+                           ("original_f", CROSS_ENTROPY)):
             ev = ImportanceEvaluator(
                 data, y, LinearPredictor(weights=w, intercept=0.0),
-                GaussianModel(mean=np.zeros(3), cov=cov), n_mc=3, seed=7, n_integration=4,
+                GaussianModel(mean=np.zeros(3), cov=cov), loss=loss, n_mc=3, seed=7, n_integration=4,
             )
             ev_p = ImportanceEvaluator(
                 data_p, y, LinearPredictor(weights=w[perm], intercept=0.0),
-                GaussianModel(mean=np.zeros(3), cov=cov_p), n_mc=3, seed=7, n_integration=4,
+                GaussianModel(mean=np.zeros(3), cov=cov_p), loss=loss, n_mc=3, seed=7, n_integration=4,
             )
-            est = ev.evaluate(MeasureSpec("AI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]), mode=mode, n_mc=3, seed=7))
-            est_p = ev_p.evaluate(MeasureSpec("AI", FeatureIndexSet.of([perm.index(0)]), FeatureIndexSet.of([perm.index(1)]), mode=mode, n_mc=3, seed=7))
-            if mode == "original_f":
+            est = ev.evaluate(MeasureSpec("AI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]),
+                                          mode=mode, loss=loss, n_mc=3, seed=7))
+            est_p = ev_p.evaluate(MeasureSpec("AI", FeatureIndexSet.of([perm.index(0)]), FeatureIndexSet.of([perm.index(1)]),
+                                              mode=mode, loss=loss, n_mc=3, seed=7))
+            if (mode, loss) == ("original_f", SQUARED_ERROR):
                 assert est.value == est_p.value
             else:
-                # the marginalized path averages columns in a different
-                # summation order, so invariance holds to rounding only
+                # the row path sums X @ u in column order, so invariance
+                # holds to rounding only; its draws are keyed by canonical
+                # rank and so are the same columns under any permutation
                 assert est.value == pytest.approx(est_p.value, rel=1e-12, abs=1e-12)
 
     def test_seed_determinism(self):
@@ -396,6 +400,72 @@ class TestPlanEngine:
         assert evaluation_count() == 3
         assert a.counters() == {"evaluations": 2, "terms_computed": 4, "terms_reused": 4}
         assert b.counters() == {"evaluations": 1, "terms_computed": 0, "terms_reused": 0}
+
+
+class TestColumnDraws:
+    """On the row path a repetition draws n normals per canonical column,
+    each from its own stream and only when a term reads it (see the
+    module docstring)."""
+
+    def test_linear_and_opaque_cross_entropy_agree(self):
+        # both read the same column streams, the linear form only those
+        # its v weights, the materialized plan matrix every redrawn one
+        linear, opaque, rng = _linear_and_opaque(n=400)
+        for spec in _random_specs(4, rng, 24, loss=CROSS_ENTROPY, n_mc=3, seed=5):
+            est, est_o = linear.evaluate(spec), opaque.evaluate(spec)
+            assert est.value == pytest.approx(est_o.value, rel=1e-12, abs=1e-12), spec
+            assert est.std_error == pytest.approx(est_o.std_error, rel=1e-12, abs=1e-12), spec
+
+    @staticmethod
+    def _cross_entropy(n, d, weights):
+        data = _gaussian_data(np.eye(d), n, 0)
+        y = TargetVector((np.random.default_rng(1).random(n) < 0.5).astype(float))
+        return ImportanceEvaluator(data, y, LinearPredictor(weights=np.asarray(weights, dtype=float), intercept=0.5),
+                                   GaussianModel(mean=np.zeros(d), cov=np.eye(d)), loss=CROSS_ENTROPY, n_mc=2, seed=0)
+
+    def test_one_column_pfi_allocates_o_n(self):
+        n, d = 200_000, 16
+        ev = self._cross_entropy(n, d, np.full(d, 0.01))
+        ev.pfi(0, n_mc=1)  # conditional set-up and first-call allocations
+        tracemalloc.start()
+        try:
+            ev.pfi(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few n-vectors (prediction, the redrawn column, the loss's
+        # temporaries); one n x d draw alone would be 16 of them
+        assert peak < 12 * n * 8
+
+    def test_term_with_zero_v_draws_nothing(self, monkeypatch):
+        read = []
+        column = importance._ColumnDraws._column
+
+        def counted(self, rank):
+            read.append((self.seed, self.rep, rank))
+            return column(self, rank)
+
+        monkeypatch.setattr(importance._ColumnDraws, "_column", counted)
+        ev = self._cross_entropy(500, 3, [0.1, 0.0, 0.1])
+        # column 1 has weight 0: redrawing it leaves v = 0 in both terms
+        est = ev.pfi(1, n_mc=4, seed=3)
+        assert (est.value, est.std_error) == (0.0, 0.0)
+        assert read == []
+        # one redrawn weighted column: one column drawn per repetition
+        ev.pfi(0, n_mc=4, seed=3)
+        assert read == [(3, rep, ev._canon_rank[0]) for rep in range(4)]
+
+    def test_column_stream_keys_are_distinct(self):
+        seed, reps, d = 7, 100, 12
+        keys = [importance._column_seed(seed, rep, rank) for rep in range(reps) for rank in range(d)]
+        # the moment form's (seed, rep), the integration streams
+        # (seed, rep, 1|2), the SCM's (seed, 1) and the split's (seed, 90)
+        others = {derive_seed(seed, rep, *slot) for rep in range(reps) for slot in ((), (1,), (2,))}
+        others |= {derive_seed(seed, 1), derive_seed(seed, 90)}
+        assert len(set(keys)) == len(keys)
+        assert not set(keys) & others
+        # why a slot of its own: SeedSequence drops trailing zero words
+        assert derive_seed(seed, 5, 0) == derive_seed(seed, 5)
 
 
 class TestLinearMonteCarloMarginalization:
