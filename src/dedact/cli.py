@@ -83,28 +83,55 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+_NUMBER = (int, float)
+
+
 def _cmd_report(args) -> int:
-    bundle_path = Path(args.bundle) / "bundle.json"
-    with open(bundle_path) as fh:
-        bundle = json.load(fh)
-    if bundle["estimates"]:
-        print(f"{'estimate':<28}{'value':>14}{'std error':>14}")
-        for e in bundle["estimates"]:
-            print(f"{e['name']:<28}{e['value']:>14.6f}{e['std_error']:>14.6f}")
-    for t in bundle["tables"]:
-        print(f"\n[{t['name']}] {t['method']} decomposition of {t['target']}"
-              f" (total {t['total']:.6f} +/- {t['total_se']:.6f})")
-        for source, comp in t["components"].items():
-            print(f"  {source:<24}{comp['value']:>14.6f}{comp['se']:>14.6f}")
-        print(f"  {'(remainder)':<24}{t['remainder']:>14.6f}")
-    metadata = bundle.get("metadata", {})
-    engine = metadata.get("engine")
-    if engine:
-        print(f"\nengine: {engine['evaluations']} evaluations, {engine['terms_computed']} plan terms"
-              f" computed, {engine['terms_reused']} reused")
-    versions = metadata.get("versions")
-    if versions:
-        print(f"versions: dedact {versions['dedact']}, numpy {versions['numpy']}, Python {versions['python']}")
+    path = Path(args.bundle) / "bundle.json"
+    try:
+        bundle = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ParseError(f"{path}: not a JSON bundle ({exc})") from exc
+
+    def fields(node, where, **kinds):
+        """node's values of the given keys; a missing or mistyped key is a ParseError."""
+        if not isinstance(node, dict):
+            raise ParseError(f"{path}: {where} is not a mapping")
+        for key, kind in kinds.items():
+            if key not in node:
+                raise ParseError(f"{path}: {where} has no key {key!r}")
+            if not isinstance(node[key], kind) or isinstance(node[key], bool):
+                raise ParseError(f"{path}: {where} key {key!r} has the wrong type, {type(node[key]).__name__}")
+        return [node[key] for key in kinds]
+
+    lines = []  # printed once every key they read has been checked
+    estimates, tables = fields(bundle, "the bundle", estimates=list, tables=list)
+    if estimates:
+        lines.append(f"{'estimate':<28}{'value':>14}{'std error':>14}")
+    for i, e in enumerate(estimates):
+        name, value, se = fields(e, f"estimates[{i}]", name=str, value=_NUMBER, std_error=_NUMBER)
+        lines.append(f"{name:<28}{value:>14.6f}{se:>14.6f}")
+    for i, t in enumerate(tables):
+        name, method, target, total, total_se, components, remainder = fields(
+            t, f"tables[{i}]", name=str, method=str, target=str, total=_NUMBER, total_se=_NUMBER,
+            components=dict, remainder=_NUMBER)
+        lines.append(f"\n[{name}] {method} decomposition of {target} (total {total:.6f} +/- {total_se:.6f})")
+        for source, comp in components.items():
+            value, se = fields(comp, f"tables[{i}] component {source!r}", value=_NUMBER, se=_NUMBER)
+            lines.append(f"  {source:<24}{value:>14.6f}{se:>14.6f}")
+        lines.append(f"  {'(remainder)':<24}{remainder:>14.6f}")
+    # bundles written before the engine counters or the versions existed still read
+    metadata = fields(bundle, "the bundle", metadata=dict)[0] if "metadata" in bundle else {}
+    if metadata.get("engine"):
+        counts = fields(fields(metadata, "metadata", engine=dict)[0], "metadata engine",
+                        evaluations=int, terms_computed=int, terms_reused=int)
+        lines.append("\nengine: {} evaluations, {} plan terms computed, {} reused".format(*counts))
+    if metadata.get("versions"):
+        names = fields(fields(metadata, "metadata", versions=dict)[0], "metadata versions",
+                       dedact=str, numpy=str, python=str)
+        lines.append("versions: dedact {}, numpy {}, Python {}".format(*names))
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -155,10 +182,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, yaml.YAMLError) as exc:
+    except _DATA_ERRORS + (OSError, yaml.YAMLError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

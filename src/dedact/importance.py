@@ -49,7 +49,9 @@ most once per evaluator, however many terms miss.
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
 conditional set-up is the conditioning set C, not the redrawn group:
-the first plan that redraws any columns given C runs one
+the first plan that redraws any columns given C makes one
+`dedact.sampler._Conditioning`, the conditional-Gaussian draw that
+`perturb` and `MarginalizedPredictor` also take, with one
 `conditional_params` solve for every column outside C (canonical
 order), and each group (targets T, conditioning C) slices its map rows
 `A_C[T]`, offsets `mu_T` and covariance block from it. From the same
@@ -156,7 +158,7 @@ from .core import (
     derive_seed,
 )
 from .errors import DimensionMismatch, DisjointnessViolation
-from .sampler import AffineMap, GaussianModel, _stable_cholesky, conditional_params
+from .sampler import GaussianModel, _Conditioning
 
 MEASURES = ("DI", "AI", "DI_from", "AI_via")
 MODES = ("original_f", "marginalized")
@@ -178,41 +180,6 @@ def evaluation_count() -> int:
 
 def _mask(cols) -> int:
     return sum(1 << c for c in cols)
-
-
-class _Conditioning:
-    """The Gaussian conditional of every column outside one conditioning
-    set, from one solve, with the linear form's weighted tables over it
-    and the Cholesky factors of the groups that took draws (see the
-    module docstring)."""
-
-    def __init__(self, gaussian: GaussianModel, cond: tuple[int, ...], rest: tuple[int, ...],
-                 rank: dict[int, int], weights: np.ndarray | None):
-        self.cond = cond
-        self.sort_key = [rank[c] for c in cond]
-        self.mean_map, self.cov = conditional_params(gaussian, cond, rest)
-        self.pos = {col: p for p, col in enumerate(rest)}
-        self._chol: dict[tuple[int, ...], np.ndarray] = {}
-        if weights is not None:
-            d, rest_idx = weights.size, list(rest)
-            w_rest = weights[rest_idx]
-            self.rows = np.zeros((d, d))
-            self.rows[np.ix_(rest_idx, list(cond))] = w_rest[:, None] * self.mean_map.matrix
-            self.offs = np.zeros(d)
-            self.offs[rest_idx] = w_rest * (self.mean_map.offset - self.mean_map.matrix @ self.mean_map.cond_mean)
-
-    def conditional(self, targets: tuple[int, ...]):
-        """Conditional-mean map and covariance block of the targets, in
-        the order given."""
-        p = [self.pos[t] for t in targets]
-        m = self.mean_map
-        return AffineMap(m.offset[p], m.matrix[p], m.cond_mean), self.cov[np.ix_(p, p)]
-
-    def cholesky(self, targets: tuple[int, ...]) -> np.ndarray:
-        hit = self._chol.get(targets)
-        if hit is None:
-            hit = self._chol[targets] = _stable_cholesky(self.conditional(targets)[1])
-        return hit
 
 
 def _column_seed(seed: int, rep: int, rank: int) -> int:
@@ -320,6 +287,7 @@ class ImportanceEvaluator:
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
         self._conditionings: dict[int, _Conditioning] = {}
+        self._sort_keys: dict[int, list[int]] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -367,14 +335,15 @@ class ImportanceEvaluator:
 
     def _conditioning(self, cond_mask: int) -> _Conditioning:
         """The conditional set-up of one conditioning set, made on first
-        need with one `conditional_params` solve."""
+        need with one `conditional_params` solve, with its sort key: the
+        canonical ranks of its conditioning columns."""
         hit = self._conditionings.get(cond_mask)
         if hit is None:
             cond = tuple(c for c in self._canon_order if cond_mask >> c & 1)
             rest = tuple(c for c in self._canon_order if not cond_mask >> c & 1)
             weights = self.predictor.weights if isinstance(self.predictor, LinearPredictor) else None
-            hit = self._conditionings[cond_mask] = _Conditioning(
-                self.gaussian, cond, rest, self._canon_rank, weights)
+            hit = self._conditionings[cond_mask] = _Conditioning(self.gaussian, cond, rest, weights)
+            self._sort_keys[cond_mask] = [self._canon_rank[c] for c in cond]
         return hit
 
     def _groups(self, plan) -> list[tuple[_Conditioning, tuple[int, ...]]]:
@@ -386,8 +355,8 @@ class ImportanceEvaluator:
             mask = plan[col]
             if mask != _KEEP:
                 by_mask.setdefault(mask, []).append(col)
-        groups = [(self._conditioning(mask), tuple(cols)) for mask, cols in by_mask.items()]
-        return sorted(groups, key=lambda g: g[0].sort_key)
+        conditionings = {mask: self._conditioning(mask) for mask in by_mask}
+        return [(conditionings[mask], tuple(by_mask[mask])) for mask in sorted(by_mask, key=self._sort_keys.get)]
 
     # -- execution ---------------------------------------------------------
 
@@ -397,14 +366,8 @@ class ImportanceEvaluator:
         columns in canonical order, read as `z[:, cols]`."""
         m = self.data.values.copy()
         for conditioning, targets in self._groups(plan):
-            mean_map, _ = conditioning.conditional(targets)
-            chol = conditioning.cholesky(targets)
             z_cols = [self._canon_rank[c] for c in targets]
-            cond_cols = list(conditioning.cond)
-            # an independent redraw's mean is the constant offset, which
-            # broadcasts without the n x |targets| copy `apply` would make
-            mean = mean_map.apply(self.data.values[:, cond_cols]) if cond_cols else mean_map.offset
-            m[:, list(targets)] = mean + z[:, z_cols] @ chol.T
+            m[:, list(targets)] = conditioning.draw(targets, self.data.values, z[:, z_cols])
         return m
 
     def _linear_form(self, plan, draws: bool = True) -> tuple[np.ndarray, np.ndarray | None, float]:

@@ -1,9 +1,13 @@
-"""Gaussian fitting, perturbation sampling, and marginalized predictors.
+"""Gaussian fitting and the one conditional-Gaussian draw.
 
 The distributional family is fixed to a joint Gaussian with closed-form
-conditionals. Independent perturbations are fresh draws from the fitted
-joint (never row permutations), so the two perturbation primitives share
-one sampling path.
+conditionals. `_Conditioning.draw` is the only sampling primitive: the
+conditional mean given a row's conditioning columns plus `z @ L.T`, with
+L the Cholesky factor of the conditional covariance, factorized only when
+draws are taken. The importance engine's plan matrices, `perturb` and
+`MarginalizedPredictor` all draw through it. An independent perturbation
+(empty conditioning set) is a fresh draw from the fitted joint, never a
+row permutation.
 """
 
 from __future__ import annotations
@@ -64,11 +68,7 @@ class AffineMap:
     cond_mean: np.ndarray
 
     def apply(self, x_cond: np.ndarray) -> np.ndarray:
-        x_cond = np.asarray(x_cond, dtype=float)
-        if self.matrix.shape[1] == 0:
-            shape = x_cond.shape[:-1] + (self.offset.size,)
-            return np.broadcast_to(self.offset, shape).copy()
-        return self.offset + (x_cond - self.cond_mean) @ self.matrix.T
+        return self.offset + (np.asarray(x_cond, dtype=float) - self.cond_mean) @ self.matrix.T
 
 
 def _stable_cholesky(cov: np.ndarray) -> np.ndarray:
@@ -97,8 +97,6 @@ def conditional_params(
     mu_t = g.mean[t]
     mu_c = g.mean[c]
     cov_tt = g.cov[np.ix_(t, t)]
-    if not c:
-        return AffineMap(mu_t, np.zeros((len(t), 0)), mu_c), cov_tt
     cov_cc = g.cov[np.ix_(c, c)] + JITTER * np.eye(len(c))
     cov_tc = g.cov[np.ix_(t, c)]
     try:
@@ -108,6 +106,48 @@ def conditional_params(
     cov_c = cov_tt - matrix @ cov_tc.T
     cov_c = (cov_c + cov_c.T) / 2.0
     return AffineMap(mu_t, matrix, mu_c), cov_c
+
+
+class _Conditioning:
+    """The conditional of the `rest` columns given the `cond` columns (one
+    `conditional_params` solve) and the Cholesky factors of the target
+    groups that took draws; given a linear predictor's `weights`, also the
+    engine's linear-form tables `rows` and `offs` (see `dedact.importance`)."""
+
+    def __init__(self, gaussian: GaussianModel, cond: tuple[int, ...], rest: tuple[int, ...],
+                 weights: np.ndarray | None = None):
+        self.cond = cond
+        self.mean_map, self.cov = conditional_params(gaussian, cond, rest)
+        self.pos = {col: p for p, col in enumerate(rest)}
+        self._chol: dict[tuple[int, ...], np.ndarray] = {}
+        if weights is not None:
+            d, rest_idx = weights.size, list(rest)
+            w_rest = weights[rest_idx]
+            self.rows = np.zeros((d, d))
+            self.rows[np.ix_(rest_idx, list(cond))] = w_rest[:, None] * self.mean_map.matrix
+            self.offs = np.zeros(d)
+            self.offs[rest_idx] = w_rest * (self.mean_map.offset - self.mean_map.matrix @ self.mean_map.cond_mean)
+
+    def conditional(self, targets: tuple[int, ...]):
+        """Conditional-mean map and covariance block of the targets, in
+        the order given."""
+        p = [self.pos[t] for t in targets]
+        m = self.mean_map
+        return AffineMap(m.offset[p], m.matrix[p], m.cond_mean), self.cov[np.ix_(p, p)]
+
+    def cholesky(self, targets: tuple[int, ...]) -> np.ndarray:
+        hit = self._chol.get(targets)
+        if hit is None:
+            hit = self._chol[targets] = _stable_cholesky(self.conditional(targets)[1])
+        return hit
+
+    def draw(self, targets: tuple[int, ...], x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """The targets' conditional mean given each row of x's
+        conditioning columns (x holds every column), plus `z @ L.T` for
+        standard normals z (one column per target, in the order given).
+        Without z it is the mean alone, and nothing is factorized."""
+        mean = self.conditional(targets)[0].apply(x[:, list(self.cond)])
+        return mean if z is None else mean + z @ self.cholesky(targets).T
 
 
 @dataclass(frozen=True)
@@ -126,11 +166,11 @@ class PerturbationSampler:
 
 def perturb(sampler: PerturbationSampler, data: DataMatrix, targets: FeatureIndexSet) -> np.ndarray:
     """One conditional (or marginal) draw per row for the target columns."""
-    mean_map, cov_c = conditional_params(sampler.base, sampler.conditioning_set, targets)
-    chol = _stable_cholesky(cov_c)
-    rng = np.random.default_rng(sampler.rng_seed)
-    z = rng.standard_normal((data.n_rows, len(targets)))
-    return mean_map.apply(data.values[:, list(sampler.conditioning_set)]) + z @ chol.T
+    if sampler.base.dim != data.n_cols:
+        raise DimensionMismatch("gaussian dimension disagrees with data")
+    t = tuple(targets)
+    z = np.random.default_rng(sampler.rng_seed).standard_normal((data.n_rows, len(t)))
+    return _Conditioning(sampler.base, tuple(sampler.conditioning_set), t).draw(t, data.values, z)
 
 
 class MarginalizedPredictor(Predictor):
@@ -139,7 +179,7 @@ class MarginalizedPredictor(Predictor):
     Integration draws are fixed at construction, so predictions are
     deterministic per (input, seed) and shared across rows. With
     `exact=True` and a linear inner predictor the expectation is pushed
-    inside and evaluated in closed form.
+    inside and evaluated in closed form, with nothing factorized.
     """
 
     def __init__(
@@ -159,57 +199,29 @@ class MarginalizedPredictor(Predictor):
         if exact and not isinstance(inner, LinearPredictor):
             raise DimensionMismatch("exact marginalization requires a linear inner predictor")
         self.inner = inner
-        self.kept_set = kept_set
-        self.gaussian = gaussian
-        self.integration = integration
-        self.n_integration = n_integration
-        self.rng_seed = rng_seed
-        self.exact = exact
         self.support = kept_set
-        d = gaussian.dim
-        self._dropped = kept_set.complement(d)
-        if len(self._dropped) == 0:
-            self._mean_map = None
-            self._offsets = None
-            return
-        cond = kept_set if integration == "conditional" else FeatureIndexSet.empty()
-        self._mean_map, cov_c = conditional_params(gaussian, cond, self._dropped)
-        if exact:
-            self._offsets = np.zeros((1, len(self._dropped)))
-        else:
-            chol = _stable_cholesky(cov_c)
-            eps = np.random.default_rng(rng_seed).standard_normal((n_integration, len(self._dropped)))
-            self._offsets = eps @ chol.T
-
-    def _integrand_inputs(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        kept = list(self.kept_set)
-        cond_cols = kept if self.integration == "conditional" else []
-        base = self._mean_map.apply(x[:, cond_cols])
-        return x, base
+        self._dropped = tuple(kept_set.complement(gaussian.dim))
+        cond = tuple(kept_set) if integration == "conditional" else ()
+        self._conditioning = _Conditioning(gaussian, cond, self._dropped)
+        # one row of normals per integration draw; else one mean-only sample
+        self._z = ([None] if exact or not self._dropped else
+                   np.random.default_rng(rng_seed).standard_normal((n_integration, 1, len(self._dropped))))
 
     def predict_samples(self, x: np.ndarray) -> np.ndarray:
-        """Per-integration-draw predictions, shape (n_integration, n_rows)."""
-        if self._mean_map is None:
-            x = np.atleast_2d(np.asarray(x, dtype=float))
-            return np.atleast_2d(self.inner.predict(x))
-        x, base = self._integrand_inputs(x)
-        out = np.empty((self._offsets.shape[0], x.shape[0]))
+        """Per-integration-draw predictions, shape (n_integration, n_rows),
+        or (1, n_rows) when nothing is integrated."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        out = np.empty((len(self._z), x.shape[0]))
         filled = x.copy()
-        dropped = list(self._dropped)
-        for i, offset in enumerate(self._offsets):
-            filled[:, dropped] = base + offset
+        for i, z in enumerate(self._z):
+            filled[:, list(self._dropped)] = self._conditioning.draw(self._dropped, x, z)
             out[i] = self.inner.predict(filled)
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x_arr = np.asarray(x, dtype=float)
-        if self._mean_map is None:
-            return self.inner.predict(x_arr)
         result = self.predict_samples(x_arr).mean(axis=0)
-        if x_arr.ndim == 1:
-            return result[0]
-        return result
+        return result[0] if x_arr.ndim == 1 else result
 
 
 def marginalize(

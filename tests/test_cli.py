@@ -571,6 +571,55 @@ def test_fuzzed_csv_exits_with_a_documented_code(mutations):
     assert "Traceback" not in err.getvalue()
 
 
+# a small valid bundle, as `ResultBundle.write` lays it out
+_REPORT_BUNDLE = {
+    "config": {"seed": 0},
+    "estimates": [{"name": "pfi_a", "value": 0.5, "std_error": 0.01, "n_mc": 2, "mode": "original_f",
+                   "sets": {"measure": "DI", "interest": [0], "baseline": [1], "aux": []}, "seed": 0}],
+    "tables": [{"name": "pfi_a_sources", "target": "a", "method": "fast", "total": 0.5, "total_se": 0.01,
+                "components": {"b": {"value": 0.3, "se": 0.02}}, "remainder": 0.2, "order_log": []}],
+    "metadata": {"engine": {"evaluations": 3, "terms_computed": 4, "terms_reused": 2},
+                 "versions": {"dedact": "0.1.0", "numpy": "2.0", "python": "3.11"}},
+}
+
+
+def _without(raw, path):
+    raw = copy.deepcopy(raw)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return raw
+
+
+@pytest.mark.parametrize("text,key", [
+    ("{}", "estimates"),
+    ("[]", "not a mapping"),
+    (json.dumps(_without(_REPORT_BUNDLE, ("estimates", 0, "value"))), "'value'"),
+    ("not json", "not a JSON bundle"),
+])
+def test_malformed_bundle_report_exit_3(tmp_path, capsys, text, key):
+    (tmp_path / "bundle.json").write_text(text)
+    assert main(["report", "--bundle", str(tmp_path)]) == 3
+    message = capsys.readouterr().err
+    assert str(tmp_path / "bundle.json") in message and key in message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(_key_paths(_REPORT_BUNDLE))), drop=st.booleans(),
+       value=st.sampled_from(_FUZZ_VALUES), cut=st.none() | st.integers(0, 600))
+def test_fuzzed_bundle_report_exits_0_or_3(path, drop, value, cut):
+    bundle = _without(_REPORT_BUNDLE, path) if drop else _swapped(_REPORT_BUNDLE, path, value)
+    text = json.dumps(bundle, indent=2)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        Path(workdir, "bundle.json").write_text(text if cut is None else text[:cut])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["report", "--bundle", workdir])
+    assert code in (0, 3)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestDemoAndReport:
     def test_biomarker_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

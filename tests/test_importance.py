@@ -24,7 +24,14 @@ from dedact.importance import (
     evaluation_count,
     reset_evaluation_count,
 )
-from dedact.sampler import GaussianModel, _stable_cholesky, conditional_params
+from dedact.sampler import (
+    GaussianModel,
+    PerturbationSampler,
+    _stable_cholesky,
+    conditional_params,
+    marginalize,
+    perturb,
+)
 
 
 def _gaussian_data(cov, n, seed):
@@ -707,7 +714,7 @@ class TestConditioningCache:
             calls.append(cov.shape)
             return _stable_cholesky(cov)
 
-        monkeypatch.setattr(importance, "_stable_cholesky", spy)
+        monkeypatch.setattr("dedact.sampler._stable_cholesky", spy)
         linear, _, rng = _linear_and_opaque(exact_marginalization=True)
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
             for spec in _random_specs(4, rng, 24, mode="marginalized", loss=loss):
@@ -726,7 +733,7 @@ class TestConditioningCache:
             calls.append(tuple(cond))
             return conditional_params(g, cond, targets)
 
-        monkeypatch.setattr(importance, "conditional_params", counted)
+        monkeypatch.setattr("dedact.sampler.conditional_params", counted)
         linear, opaque, rng = _linear_and_opaque(n_integration=2, exact_marginalization=exact)
         specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
         # identical plans return early and set nothing up
@@ -750,3 +757,54 @@ class TestConditioningCache:
         assert np.isfinite(est.value) and est.std_error == 0.0
         with pytest.raises(SingularConditioning):
             ev.direct_importance([1], [0], mode="original_f")
+
+
+class TestOneConditionalDraw:
+    """`perturb`, `marginalize` and the engine's plan matrix take the one
+    conditional-Gaussian draw of `dedact.sampler._Conditioning`."""
+
+    @staticmethod
+    def _setup(seed, d=5, n=300):
+        # names in column order, so the engine's canonical order is the
+        # index order `FeatureIndexSet` gives `perturb`
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        g = GaussianModel(mean=rng.standard_normal(d), cov=a @ a.T + 0.3 * np.eye(d))
+        data = DataMatrix(rng.standard_normal((n, d)), tuple(f"x{i}" for i in range(d)))
+        pred = LinearPredictor(weights=rng.standard_normal(d), intercept=0.4)
+        ev = ImportanceEvaluator(data, TargetVector(rng.standard_normal(n)), pred, g)
+        return ev, rng
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturb_is_the_plan_matrix_draw(self, seed):
+        ev, rng = self._setup(seed)
+        n, d = ev.data.values.shape
+        for cond in ([], [2], [0, 3], [1, 2, 4], [0, 1, 3, 4]):
+            rest = [c for c in range(d) if c not in cond]
+            # one group: every column outside cond redrawn given cond
+            plan = tuple(_KEEP if c in cond else importance._mask(cond) for c in range(d))
+            sampler = PerturbationSampler(ev.gaussian, FeatureIndexSet.of(cond), rng_seed=seed)
+            drawn = perturb(sampler, ev.data, FeatureIndexSet.of(rest))
+            z = rng.standard_normal((n, d))
+            z[:, rest] = np.random.default_rng(seed).standard_normal((n, len(rest)))
+            assert np.array_equal(drawn, ev._build_matrix(plan, z)[:, rest])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_marginalize_is_the_engine_linear_form(self, seed):
+        ev, rng = self._setup(seed)
+        x, d = ev.data.values, ev.data.n_cols
+        for kept in ([], [2], [0, 3], [1, 2, 4], list(range(d))):
+            for integration, cond_mask in (("conditional", importance._mask(kept)), ("independent", 0)):
+                plan = tuple(_KEEP if c in kept else cond_mask for c in range(d))
+                u, v, c = ev._linear_form(plan, draws=False)
+                assert v is None
+                marg = marginalize(ev.predictor, FeatureIndexSet.of(kept), ev.gaussian, integration, exact=True)
+                np.testing.assert_allclose(marg.predict(x), x @ u + c, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_perturb_rejects_data_of_another_width(self, width):
+        sampler = PerturbationSampler(GaussianModel(mean=np.zeros(2), cov=np.eye(2)),
+                                      FeatureIndexSet.empty(), rng_seed=0)
+        data = DataMatrix(np.zeros((3, width)), tuple(f"x{i}" for i in range(width)))
+        with pytest.raises(DimensionMismatch):
+            perturb(sampler, data, FeatureIndexSet.of([0]))
