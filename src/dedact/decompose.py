@@ -3,7 +3,9 @@
 Two routes: the fast decomposition (one extra measure evaluation per
 component, sensitive but not additive) and the Shapley decomposition
 (additive and axiom-fair, exponentially many coalitions unless orders
-are sampled).
+are sampled). A Shapley decomposition's game hands every coalition a
+solver asks for to the evaluator in one `evaluate` call (see "Games" in
+`dedact.importance`).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ImportanceEstimate, derive_seed
+from .core import FeatureIndexSet, ImportanceEstimate, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator, pool_orders, sage_contexts
+from .importance import ImportanceEvaluator, MeasureBatch, _mask_array, check_orders, pool_orders, sage_contexts
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -24,22 +26,53 @@ SOLVERS = ("auto", "exact", "sampled")
 
 
 class CooperativeGame:
-    """Coalition value function with a consistent evaluation cache."""
+    """Coalition value function with a consistent evaluation cache, keyed
+    by the coalition's bitmask (bit p set when player p is in it)."""
 
     def __init__(self, n_players: int, value_fn: Callable[[frozenset], float]):
         if n_players < 1:
             raise DimensionMismatch("need at least one player")
         self.n_players = n_players
         self._value_fn = value_fn
-        self.cache: dict[frozenset, float] = {}
+        self.cache: dict[int, float] = {}
 
     def value(self, coalition) -> float:
         coalition = frozenset(coalition)
         if any(p < 0 or p >= self.n_players for p in coalition):
             raise DimensionMismatch(f"coalition {sorted(coalition)} out of range")
-        if coalition not in self.cache:
-            self.cache[coalition] = float(self._value_fn(coalition))
-        return self.cache[coalition]
+        return self.values([sum(1 << p for p in coalition)])[0]
+
+    def values(self, masks) -> list[float]:
+        """Values of the coalitions given as bitmasks, in order; those not
+        yet cached are valued together, each once."""
+        missing = [mask for mask in dict.fromkeys(masks) if mask not in self.cache]
+        if any(mask < 0 or mask >> self.n_players for mask in missing):
+            raise DimensionMismatch(f"coalition mask out of range for {self.n_players} players")
+        if missing:
+            self.cache.update(zip(missing, map(float, self._value_masks(missing))))
+        return [self.cache[mask] for mask in masks]
+
+    def _value_masks(self, masks: list[int]) -> list[float]:
+        players = range(self.n_players)
+        return [self._value_fn(frozenset(p for p in players if mask >> p & 1)) for mask in masks]
+
+
+class _MeasureGame(CooperativeGame):
+    """The game of one measure's `aux` set: player p brings column
+    `columns[p]`, and a coalition's value is the estimate with those
+    columns as aux. All coalitions valued together take one `evaluate`
+    call, a `MeasureBatch`."""
+
+    def __init__(self, ev: ImportanceEvaluator, spec, columns: list[int]):
+        FeatureIndexSet.of(columns).validate_within(ev.data.n_cols)
+        super().__init__(len(columns), None)
+        self._ev, self._spec = ev, spec
+        self._column_bits = _mask_array([1 << c for c in columns], ev.data.n_cols)
+
+    def _value_masks(self, masks: list[int]) -> list[float]:
+        players = _mask_array(masks, self.n_players)[:, None] >> np.arange(self.n_players) & 1
+        auxes = tuple(np.bitwise_or.reduce(players * self._column_bits, axis=1).tolist())
+        return [est.value for est in self._ev.evaluate(MeasureBatch(self._spec, auxes))]
 
 
 @dataclass(frozen=True)
@@ -53,10 +86,11 @@ class ShapleyResult:
 def shapley_exact(game: CooperativeGame) -> ShapleyResult:
     """Exact Shapley attributions over all 2^n coalitions.
 
-    Each coalition is valued once, through the game's cache, into an
-    array indexed by its bitmask; player i's attribution is then the
-    weighted sum of `v(S | i) - v(S)` over the masks S without i, with
-    weight `1 / (n * C(n - 1, |S|))`.
+    All 2^n coalitions are valued in one `game.values` call (one
+    `evaluate` call for a measure's game), into an array indexed by
+    bitmask; player i's attribution is then the weighted sum of
+    `v(S | i) - v(S)` over the masks S without i, with weight
+    `1 / (n * C(n - 1, |S|))`.
 
     The standard errors are 0: the solver adds no sampling noise. They
     do not cover the Monte-Carlo noise of the coalition values
@@ -66,7 +100,7 @@ def shapley_exact(game: CooperativeGame) -> ShapleyResult:
     if n > EXACT_SOLVER_MAX_PLAYERS:
         raise TooManyPlayers(f"{n} players exceeds exact-solver limit {EXACT_SOLVER_MAX_PLAYERS}")
     masks = np.arange(1 << n)
-    values = np.array([game.value(p for p in range(n) if mask >> p & 1) for mask in range(1 << n)])
+    values = np.array(game.values(range(1 << n)))
     sizes = np.zeros(1 << n, dtype=int)
     for p in range(n):
         sizes += masks >> p & 1
@@ -81,25 +115,32 @@ def shapley_exact(game: CooperativeGame) -> ShapleyResult:
 def shapley_sampled(game: CooperativeGame, n_orders: int, seed: int = 0) -> ShapleyResult:
     """Shapley estimate from uniformly random player orders.
 
-    The empirical mean satisfies efficiency exactly because every order
-    telescopes to value(full) - value(empty). The standard errors are
-    the spread of each player's contributions over the orders: they
-    cover order sampling only, not the Monte-Carlo noise of the
-    coalition values themselves (an `original_f` value is a mean over
-    n_mc repetitions), which every order shares through the game's cache.
+    All orders are drawn first; every prefix of every order is then
+    valued in one `game.values` call (one `evaluate` call for a
+    measure's game). The empirical mean satisfies efficiency exactly
+    because every order telescopes to value(full) - value(empty). The
+    standard errors are the spread of each player's contributions over
+    the orders: they cover order sampling only, not the Monte-Carlo
+    noise of the coalition values themselves (an `original_f` value is
+    a mean over n_mc repetitions), which every order shares through the
+    game's cache.
     """
+    check_orders(n_orders, "n_orders")
     n = game.n_players
     rng = np.random.default_rng(seed)
-    contribs = np.empty((n_orders, n))
-    for o in range(n_orders):
-        perm = rng.permutation(n)
-        prev = frozenset()
-        v_prev = game.value(prev)
+    perms = [[int(p) for p in rng.permutation(n)] for _ in range(n_orders)]
+    chains = []  # per order: the bitmasks of its prefixes, empty to full
+    for perm in perms:
+        chain = [0]
         for player in perm:
-            cur = prev | {int(player)}
-            v_cur = game.value(cur)
-            contribs[o, int(player)] = v_cur - v_prev
-            prev, v_prev = cur, v_cur
+            chain.append(chain[-1] | 1 << player)
+        chains.append(chain)
+    values = game.values([mask for chain in chains for mask in chain])
+    contribs = np.empty((n_orders, n))
+    for o, perm in enumerate(perms):
+        v = values[o * (n + 1):(o + 1) * (n + 1)]
+        for k, player in enumerate(perm):
+            contribs[o, player] = v[k + 1] - v[k]
     phi = contribs.mean(axis=0)
     if n_orders > 1:
         se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders)
@@ -202,12 +243,7 @@ def shapley_decompose_pfi(
     players = list(range(d)) if players is None else list(players)
     baseline = [c for c in range(d) if c != k]
     game_seed = derive_seed(seed, 41)
-
-    def value_fn(coalition: frozenset) -> float:
-        sources = [players[p] for p in sorted(coalition)]
-        return ev.di_from([k], baseline, sources, n_mc=n_mc, seed=game_seed).value
-
-    game = CooperativeGame(len(players), value_fn)
+    game = _MeasureGame(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=game_seed), players)
     result = solve_game(game, solver, n_orders, derive_seed(seed, 42))
     total = ev.pfi(k, n_mc=n_mc, seed=game_seed)
     components = {
@@ -264,6 +300,7 @@ def fast_decompose_sage(
     Interaction contributions are attributed to every partaking pathway,
     so components may over-add; the remainder is reported, not hidden.
     """
+    check_orders(n_orders, "n_orders")
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
@@ -286,7 +323,9 @@ def shapley_decompose_sage(
     solver: str = "auto", n_sage_orders: int = 60, n_decomp_orders: int = 25,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Pathway games per SAGE context, Shapley-solved and pooled."""
+    """Pathway games per SAGE context, Shapley-solved and pooled: each
+    context's game is one `evaluate` call under either solver."""
+    check_orders(n_sage_orders, "n_sage_orders")
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
@@ -295,13 +334,8 @@ def shapley_decompose_sage(
     phis = np.empty((n_sage_orders, len(pathways)))
     solver_name = solver
     for o, context in enumerate(contexts):
-        seed_o = derive_seed(seed, 813, o)
-
-        def value_fn(coalition: frozenset) -> float:
-            cols = [pathways[p] for p in sorted(coalition)]
-            return ev.ai_via([j], context, cols, mode="marginalized", n_mc=n_mc, seed=seed_o).value
-
-        game = CooperativeGame(len(pathways), value_fn)
+        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
+        game = _MeasureGame(ev, spec, pathways)
         result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
         alphas[o] = game.value(frozenset(range(len(pathways))))
         phis[o] = result.attributions

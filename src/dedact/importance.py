@@ -57,14 +57,15 @@ order), and each group (targets T, conditioning C) slices its map rows
 `A_C[T]`, offsets `mu_T` and covariance block from it. From the same
 solve the evaluator builds two weighted tables once per C:
 `rows_C[t] = w_t . A_C[t, :]` scattered over the d columns and
-`offs_C[t] = w_t . (mu_t - A_C[t] . mu_C)`. A plan's u is then w with
-every redrawn column zeroed plus `rows_C[T].sum(0)` per group
-(conditioning reads the original columns), and
-`c = b + sum(offs_C[T])`: no solve and no matrix product per plan. Only
-draws need the Cholesky factor L of a group's conditional covariance
-block, which puts `L^T w_T` in v at the targets' canonical draw
-columns; it is factorized the first time a term that takes draws needs
-that (C, T) (`original_f`, Monte-Carlo marginalization, or any other
+`offs_C[t] = w_t . (mu_t - A_C[t] . mu_C)`. A plan's u is then the sum,
+over the columns k in canonical order, of `rows_C[k]` for a column
+redrawn given C (conditioning reads the original columns) or `w_k e_k`
+for a kept one, and `c = b + sum(offs_C[k])` likewise: no solve and no
+matrix product per plan, and a stack of plans is assembled by one
+gather per column. Only draws need the Cholesky factor L of a group's
+conditional covariance block, which puts `L^T w_T` in v at the targets'
+canonical draw columns; it is factorized the first time a term that
+takes draws needs that (C, T) (`original_f`, Monte-Carlo marginalization, or any other
 `Predictor`, which is evaluated on the materialized plan matrix) and
 kept. Exact marginalization is `X @ u + c` and never factorizes, so a
 conditional block that cannot be factorized raises
@@ -79,9 +80,10 @@ means `x_bar`, `y_bar` (columns in canonical order, u permuted to match)
 and `k = c + x_bar . u - y_bar`, the exact-marginalized risk is
 `u' S_xx u - 2 u' s_xy + s_yy + k^2` with `S_xx = X_c' X_c / n`,
 `s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`, computed once per
-evaluator. Centring matters: on data offset by 1e3, risks from
-uncentred moments were off by up to 1.5e-9 relative (4.7e-8 at 1e4),
-centred ones by 8e-14 (7.8e-13). An `original_f` term adds
+evaluator; a stack of plans takes its quadratic forms row by row (see
+Games below). Centring matters:
+on data offset by 1e3, risks from uncentred moments were off by up to
+1.5e-9 relative (4.7e-8 at 1e4), centred ones by 8e-14 (7.8e-13). An `original_f` term adds
 `v' S_zz v + 2 v' S_zx u + 2 k v' z_bar - 2 v' s_zy`, where z is the
 repetition's n x d standard-normal draw, `S_zz = z' z / n`,
 `S_zx = z' X_c / n`, `z_bar = z' 1 / n` and `s_zy = z' y_c / n`.
@@ -108,6 +110,29 @@ moments, so the moment form and the row path (cross-entropy,
 Monte-Carlo marginalization, any other predictor) agree in law, not
 draw for draw: given the same z, the moment risk equals the row-path
 risk to rounding.
+
+Games: a Shapley decomposition values many coalitions of one measure
+that differ only in their `aux` set. `evaluate` takes such a game whole,
+as a `MeasureBatch` (a `MeasureSpec` and a tuple of aux column
+bitmasks), and returns one estimate per mask; a `MeasureSpec` alone is a
+batch of one through the same code, and each mask counts as one
+evaluation. The sets are validated once per batch, both plan keys of
+every mask are built with bit operations, every term is looked up in the
+memo, and the missing plans' (u, v, c) are assembled as stacked arrays.
+Their moment-form risks, over all plans and repetitions at once, are
+row-wise products (`_dot`) that add each dot product's terms in index
+order, as the last running sum of `np.add.accumulate`. No BLAS
+product, einsum or numpy reduction runs over the batch: each picks its
+loop order and SIMD path by the arrays' shapes and memory alignment, so
+a row's rounding would depend on the rows around it (seen with einsum
+at d = 5 and with `sum(axis=-1)` on a 606 x 12 x 12 stack). Plans go in
+blocks that keep those products under 1 MB. So a plan's risk is the same
+float whichever batch computes it, and so are the mean and standard
+error over repetitions, pooled the same way. The plan keys follow the
+column order, the sums the canonical order, so the permutation
+invariance above holds for batches too. Terms outside the moment form
+keep their per-plan risk on n-length predictions, evaluation by
+evaluation.
 
 Linear Monte-Carlo marginalization: a marginalized term averages the
 prediction over m = n_integration draws. For a linear predictor that
@@ -182,6 +207,12 @@ def _mask(cols) -> int:
     return sum(1 << c for c in cols)
 
 
+def _mask_array(masks, width: int) -> np.ndarray:
+    """Bitmasks of `width` bits as a numpy array: int64 while they fit,
+    Python ints (object) beyond."""
+    return np.array(masks, dtype=np.int64 if width < 63 else object)
+
+
 def _column_seed(seed: int, rep: int, rank: int) -> int:
     """Stream of one canonical column's row-path draws. Slot 3 is used by
     no other stream. `SeedSequence` drops trailing zero words, so rank 0
@@ -216,6 +247,19 @@ class _ColumnDraws:
         return block[rows]
 
 
+_BLOCK = 1 << 17  # elements of a moment-risk block's largest temporary (1 MB)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, a and b broadcast, added in
+    index order: the last running sum of `np.add.accumulate`, which by
+    definition adds one term at a time. Each entry is then the same
+    sequence of roundings whatever the batch around it, whereas BLAS,
+    einsum and numpy's own reductions pick their summation order and
+    SIMD path by the arrays' shapes and alignment."""
+    return np.add.accumulate(a * b, axis=-1)[..., -1]
+
+
 @dataclass(frozen=True)
 class MeasureSpec:
     """Full description of one importance evaluation.
@@ -245,6 +289,16 @@ class MeasureSpec:
             )
         if self.n_mc < 1:
             raise DimensionMismatch("n_mc must be >= 1")
+
+
+@dataclass(frozen=True)
+class MeasureBatch:
+    """One measure over many `aux` sets: `spec` with its aux replaced by
+    each column bitmask of `auxes` in turn. `evaluate` values the batch
+    in one call and returns one estimate per mask."""
+
+    spec: MeasureSpec
+    auxes: tuple[int, ...]
 
 
 class ImportanceEvaluator:
@@ -287,7 +341,7 @@ class ImportanceEvaluator:
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
         self._conditionings: dict[int, _Conditioning] = {}
-        self._sort_keys: dict[int, list[int]] = {}
+        self._index_sets: dict[int, tuple[int, ...]] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -306,57 +360,69 @@ class ImportanceEvaluator:
 
     # -- plan construction ------------------------------------------------
 
-    def _plans(self, spec: MeasureSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Plan keys of the two terms (see the module docstring)."""
+    def _plan_pairs(self, spec: MeasureSpec, auxes: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Plan keys of the two terms (see the module docstring) for each
+        aux bitmask, built with bit tests over the whole batch; the sets
+        are validated once."""
         d = self.data.n_cols
-        for s in (spec.interest, spec.baseline, spec.aux):
-            s.validate_within(d)
-        interest, baseline, aux = _mask(spec.interest), _mask(spec.baseline), _mask(spec.aux)
+        spec.interest.validate_within(d)
+        spec.baseline.validate_within(d)
+        if any(aux < 0 or aux >> d for aux in auxes):
+            raise DimensionMismatch(f"aux set out of range for d={d}")
+        interest, baseline = _mask(spec.interest), _mask(spec.baseline)
+        cols = range(d)
 
         def plan(kept, cond_mask):
-            return tuple(_KEEP if kept >> c & 1 else cond_mask for c in range(d))
+            return tuple(_KEEP if kept >> c & 1 else cond_mask for c in cols)
 
         if spec.measure == "DI":
-            return plan(baseline, 0), plan(baseline | interest, 0)
-        if spec.measure == "DI_from":
-            kept = baseline | (interest & aux)
-            t2 = tuple(_KEEP if kept >> c & 1 else (aux if interest >> c & 1 else 0) for c in range(d))
-            return plan(baseline, 0), t2
-        t1 = plan(baseline, baseline)
+            return [(plan(baseline, 0), plan(baseline | interest, 0))] * len(auxes)
         with_interest = baseline | interest
         if spec.measure == "AI":
-            return t1, plan(with_interest, with_interest)
-        # AI_via: only the pathway columns see the interest columns
-        t2 = tuple(
-            (_KEEP if with_interest >> c & 1 else with_interest) if aux >> c & 1 else t1[c]
-            for c in range(d)
-        )
-        return t1, t2
+            return [(plan(baseline, baseline), plan(with_interest, with_interest))] * len(auxes)
+        aux = _mask_array(auxes, d)[:, None]
+        bits = np.arange(d)
+        in_aux = (aux >> bits & 1).astype(bool)
+        if spec.measure == "DI_from":
+            t1 = plan(baseline, 0)
+            # interest columns in aux are kept, the others redrawn given aux
+            in_interest = (interest >> bits & 1).astype(bool)
+            t2 = np.where(in_interest, np.where(in_aux, _KEEP, aux), t1)
+        else:  # AI_via: only the pathway columns see the interest columns
+            t1 = plan(baseline, baseline)
+            t2 = np.where(in_aux, plan(with_interest, with_interest), t1)
+        return [(t1, second) for second in map(tuple, t2.tolist())]
+
+    def _plans(self, spec: MeasureSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Plan keys of one spec's two terms: a batch of one."""
+        return self._plan_pairs(spec, (_mask(spec.aux),))[0]
+
+    def _indices(self, mask: int) -> tuple[int, ...]:
+        """The sorted column indices of a bitmask (one of at most 2^d)."""
+        hit = self._index_sets.get(mask)
+        if hit is None:
+            hit = self._index_sets[mask] = tuple(c for c in range(self.data.n_cols) if mask >> c & 1)
+        return hit
 
     def _conditioning(self, cond_mask: int) -> _Conditioning:
         """The conditional set-up of one conditioning set, made on first
-        need with one `conditional_params` solve, with its sort key: the
-        canonical ranks of its conditioning columns."""
+        need with one `conditional_params` solve."""
         hit = self._conditionings.get(cond_mask)
         if hit is None:
             cond = tuple(c for c in self._canon_order if cond_mask >> c & 1)
             rest = tuple(c for c in self._canon_order if not cond_mask >> c & 1)
             weights = self.predictor.weights if isinstance(self.predictor, LinearPredictor) else None
             hit = self._conditionings[cond_mask] = _Conditioning(self.gaussian, cond, rest, weights)
-            self._sort_keys[cond_mask] = [self._canon_rank[c] for c in cond]
         return hit
 
-    def _groups(self, plan) -> list[tuple[_Conditioning, tuple[int, ...]]]:
-        """(conditioning, redrawn columns in canonical order) of each
-        redrawn group; groups ordered canonically by their conditioning
-        columns."""
+    def _groups(self, plan) -> dict[int, tuple[int, ...]]:
+        """Redrawn columns of each conditioning set, in canonical order."""
         by_mask: dict[int, list[int]] = {}
         for col in self._canon_order:
             mask = plan[col]
             if mask != _KEEP:
                 by_mask.setdefault(mask, []).append(col)
-        conditionings = {mask: self._conditioning(mask) for mask in by_mask}
-        return [(conditionings[mask], tuple(by_mask[mask])) for mask in sorted(by_mask, key=self._sort_keys.get)]
+        return {mask: tuple(cols) for mask, cols in by_mask.items()}
 
     # -- execution ---------------------------------------------------------
 
@@ -365,39 +431,64 @@ class ImportanceEvaluator:
         using the standard normals z: an n x d array or `_ColumnDraws`,
         columns in canonical order, read as `z[:, cols]`."""
         m = self.data.values.copy()
-        for conditioning, targets in self._groups(plan):
+        for mask, targets in self._groups(plan).items():
             z_cols = [self._canon_rank[c] for c in targets]
-            m[:, list(targets)] = conditioning.draw(targets, self.data.values, z[:, z_cols])
+            m[:, list(targets)] = self._conditioning(mask).draw(targets, self.data.values, z[:, z_cols])
         return m
+
+    def _linear_forms(self, plans, draws: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Stacked (U, V, C), row p being `_linear_form(plans[p], draws)`:
+        u in column order, v in canonical order (None unless `draws`).
+        Row p of U sums, over the columns in canonical order, each
+        column's row of its conditioning set's `rows` table (a kept
+        column adds w_k at k); C likewise adds the `offs` entries to the
+        intercept. Each row's sums run in the same order whatever else
+        the batch holds, and do not depend on the column order."""
+        masks = set().union(*plans)
+        slot = {mask: i for i, mask in enumerate(masks)}
+        conditionings = [None if mask == _KEEP else self._conditioning(mask) for mask in masks]
+        w = self.predictor.weights
+        rows = np.stack([np.diag(w) if cond is None else cond.rows for cond in conditionings])
+        offs = np.stack([np.zeros_like(w) if cond is None else cond.offs for cond in conditionings])
+        sets = np.array([list(map(slot.__getitem__, plan)) for plan in plans])
+        first, *rest = self._canon_order
+        u, c = rows[sets[:, first], first], offs[sets[:, first], first]
+        for col in rest:
+            u += rows[sets[:, col], col]
+            c += offs[sets[:, col], col]
+        c += self.predictor.intercept
+        if not draws:
+            return u, None, c
+        v = np.zeros((len(plans), len(w)))
+        for p, plan in enumerate(plans):
+            for mask, targets in self._groups(plan).items():
+                v[p, [self._canon_rank[col] for col in targets]] = (
+                    self._conditioning(mask).cholesky(targets).T @ w[list(targets)])
+        return u, v, c
 
     def _linear_form(self, plan, draws: bool = True) -> tuple[np.ndarray, np.ndarray | None, float]:
         """(u, v, c) with `X @ u + z @ v + c` the linear predictor's
         output on `_build_matrix(plan, z)`; u is in column order, v in
-        canonical (draw) order, and None unless `draws`."""
-        w = self.predictor.weights
-        u = w.copy()
-        u[[col for col, mask in enumerate(plan) if mask != _KEEP]] = 0.0
-        v = np.zeros_like(w) if draws else None
-        c = self.predictor.intercept
-        for conditioning, targets in self._groups(plan):
-            t = list(targets)
-            u += conditioning.rows[t].sum(axis=0)
-            c = c + conditioning.offs[t].sum()
-            if draws:
-                v[[self._canon_rank[col] for col in t]] = conditioning.cholesky(targets).T @ w[t]
-        return u, v, c
+        canonical (draw) order, and None unless `draws`. A batch of one of
+        `_linear_forms`."""
+        u, v, c = self._linear_forms([plan], draws)
+        return u[0], None if v is None else v[0], float(c[0])
+
+    def _form_predictor(self, form):
+        """z -> `X @ u + z @ v + c` for the form (u in column order); reads
+        only the columns v weights, so v = 0 draws nothing."""
+        u, v, c = form
+        base = self.data.values @ u + c
+        nz = np.flatnonzero(v) if v is not None else []
+        return lambda z: base if z is None or not len(nz) else base + z[:, nz] @ v[nz]
 
     def _plan_predictor(self, plan, draws: bool):
         """z -> the model's predictions on the plan's perturbed data, for
         standard normals z as `_build_matrix` takes them, or None for
         the conditional means (linear predictor only, and the only call
-        when not `draws`). A linear predictor reads only the columns its
-        v weights, so a plan with v = 0 draws nothing."""
+        when not `draws`)."""
         if isinstance(self.predictor, LinearPredictor):
-            u, v, c = self._linear_form(plan, draws)
-            base = self.data.values @ u + c
-            nz = np.flatnonzero(v) if draws else []
-            return lambda z: base if z is None or not len(nz) else base + z[:, nz] @ v[nz]
+            return self._form_predictor(self._linear_form(plan, draws))
         return lambda z: self.predictor.predict(self._build_matrix(plan, z))
 
     # -- moment form (linear predictor, squared error) ----------------------
@@ -450,18 +541,39 @@ class ImportanceEvaluator:
             hit = self._draw_moments[seed, rep] = ((g.T @ g + t.T @ t) / n, zm[:, :d], zm[:, d + 1], zm[:, d])
         return hit
 
-    def _moment_risk(self, form, draws) -> float:
-        """Squared-error risk of `X @ u + z @ v + c` (`X @ u + c` when
-        draws is None) as a quadratic form in the moments."""
-        u, v, c = form
-        u = u[self._canon_order]
+    def _moment_risks(self, u: np.ndarray, v: np.ndarray | None, c: np.ndarray, draws) -> np.ndarray:
+        """Squared-error risks of `X @ u + c`, one per row of the stacked
+        canonical (U, C) when draws is None; else of `X @ u + z @ v + c`
+        for every repetition's moments (S_zz, S_zx, z_bar, s_zy stacked
+        over R repetitions) and row of (U, V, C), as an R x P array. Every
+        product is a `_dot`, so a risk does not depend on the other rows
+        or repetitions; rows go in blocks that bound the R x P x d x d
+        products."""
+        d, n_reps = u.shape[1], 1 if draws is None else len(draws[0])
+        step = max(1, _BLOCK // (n_reps * d * d))
+        if len(u) > step:
+            return np.concatenate([
+                self._moment_risks(u[i:i + step], None if v is None else v[i:i + step], c[i:i + step], draws)
+                for i in range(0, len(u), step)], axis=-1)
         x_bar, y_bar, s_xx, s_xy, s_yy = self._moments()
-        k = c + x_bar @ u - y_bar
-        risk = u @ s_xx @ u - 2.0 * (u @ s_xy) + s_yy + k * k
-        if draws is not None:
-            s_zz, s_zx, z_bar, s_zy = draws
-            risk += v @ s_zz @ v + 2.0 * (v @ s_zx @ u) + 2.0 * k * (v @ z_bar) - 2.0 * (v @ s_zy)
-        return float(risk)
+        k = c + _dot(u, x_bar) - y_bar
+        risk = _dot(u, _dot(s_xx, u[:, None])) - 2.0 * _dot(u, s_xy) + s_yy + k * k
+        if draws is None:
+            return risk
+        s_zz, s_zx, z_bar, s_zy = (m[:, None] for m in draws)  # repetition, then plan
+        v_zz_v = _dot(v, _dot(s_zz, v[:, None]))
+        v_zx_u = _dot(v, _dot(s_zx, u[:, None]))
+        return risk + (v_zz_v + 2.0 * v_zx_u + 2.0 * k * _dot(v, z_bar) - 2.0 * _dot(v, s_zy))
+
+    def _moment_risk(self, form, draws) -> float:
+        """One form's risk (u in column order) under one repetition's
+        moments, a batch of one of `_moment_risks`."""
+        u, v, c = form
+        u = u[self._canon_order][None]
+        if draws is None:
+            return float(self._moment_risks(u, None, np.array([c]), None)[0])
+        draws = tuple(np.asarray(m)[None] for m in draws)
+        return float(self._moment_risks(u, v[None], np.array([c]), draws)[0, 0])
 
     def _linear_marginalized_prediction(self, form, rng: np.random.Generator):
         """Monte-Carlo marginalization of a linear predictor, drawn
@@ -515,74 +627,127 @@ class ImportanceEvaluator:
             base = base - mean_variance
         return float(np.mean(base))
 
-    def evaluate(self, spec: MeasureSpec) -> ImportanceEstimate:
+    def evaluate(self, spec: MeasureSpec | MeasureBatch) -> ImportanceEstimate | list[ImportanceEstimate]:
+        """One estimate for a `MeasureSpec`; for a `MeasureBatch`, one per
+        aux bitmask, in order, each counted as one evaluation."""
         global _eval_count
-        _eval_count += 1
-        self.evaluations += 1
-        plans = self._plans(spec)
-        sets = {
-            "measure": spec.measure,
-            "interest": spec.interest.indices,
-            "baseline": spec.baseline.indices,
-            "aux": spec.aux.indices,
-        }
-        if plans[0] == plans[1]:
-            return ImportanceEstimate(0.0, 0.0, spec.n_mc, spec.mode, sets, spec.seed)
+        single = not isinstance(spec, MeasureBatch)
+        batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
+        spec = batch.spec
+        pairs = self._plan_pairs(spec, batch.auxes)
+        _eval_count += len(pairs)
+        self.evaluations += len(pairs)
         # with exact marginalization the conditional means integrate
         # the expectation in closed form, so a term needs no draws
         exact = spec.mode == "marginalized" and self.exact_marginalization
-        if exact and not isinstance(self.predictor, LinearPredictor):
+        linear = isinstance(self.predictor, LinearPredictor)
+        if exact and not linear and any(t1 != t2 for t1, t2 in pairs):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
+        kind = spec.loss.kind
+        moment_form = linear and kind == "squared_error" and (exact or spec.mode == "original_f")
+        n_reps = 1 if exact else spec.n_mc
+        # in marginalized mode the two plans assign different
+        # conditionals to the perturbed columns, so their integration
+        # draws come from independent streams (slots 1 and 2) and the
+        # reported SE covers the marginalization noise of both terms
+        streams = (1, 2) if spec.mode == "marginalized" else (0, 0)
+        keys = []  # per pair: (term 1, term 2) memo keys per repetition, or None for identical plans
+        misses: dict[tuple, tuple] = {}  # memo key -> (plan, rep, slot, pair), in the order first needed
+        for i, pair in enumerate(pairs):
+            if pair[0] == pair[1]:
+                keys.append(None)
+                continue
+            per_rep = []
+            for rep in range(n_reps):
+                two = []
+                for slot, plan in enumerate(pair, 1):
+                    key = (plan, kind) if exact else (plan, kind, spec.mode, spec.seed, rep, streams[slot - 1])
+                    if key in self._risks or key in misses:
+                        self.terms_reused += 1
+                    else:
+                        misses[key] = (plan, rep, slot, i)
+                    two.append(key)
+                per_rep.append(two)
+            keys.append(per_rep)
+        if misses:
+            self.terms_computed += len(misses)
+            self._risks.update(self._compute(spec, misses, exact, moment_form))
+        # mean and standard error over the repetitions (pool_orders),
+        # row-wise over the batch
+        risks = self._risks
+        diffs = np.array([[risks[key1] - risks[key2] for key1, key2 in per_rep]
+                          for per_rep in keys if per_rep is not None]).reshape(-1, n_reps)
+        mean = _dot(diffs, 1.0) / n_reps + 0.0  # + 0.0: -0.0 becomes 0.0
+        if n_reps > 1:
+            dev = diffs - mean[:, None]
+            pooled = zip(mean.tolist(), (np.sqrt(_dot(dev, dev) / (n_reps - 1)) / np.sqrt(n_reps)).tolist())
+        else:
+            pooled = zip(mean.tolist(), [0.0] * len(diffs))
+        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices}
+        estimates = []
+        for aux, per_rep in zip(batch.auxes, keys):
+            aux_sets = dict(sets, aux=self._indices(aux))
+            if per_rep is None:
+                estimates.append(ImportanceEstimate(0.0, 0.0, spec.n_mc, spec.mode, aux_sets, spec.seed))
+            else:
+                estimates.append(ImportanceEstimate(*next(pooled), n_reps, spec.mode, aux_sets, spec.seed))
+        return estimates[0] if single else estimates
+
+    def _compute(self, spec: MeasureSpec, misses: dict, exact: bool, moment_form: bool) -> dict:
+        """Risks of the missing terms, keyed like the memo."""
+        plans = list(dict.fromkeys(plan for plan, *_ in misses.values()))
+        linear = isinstance(self.predictor, LinearPredictor)
+        forms = self._linear_forms(plans, not exact) if linear else None
+        if moment_form:
+            u, v, c = forms
+            u = u[:, self._canon_order]
+            if exact:  # one term per plan, in the plans' order
+                return dict(zip(misses, self._moment_risks(u, None, c, None).tolist()))
+            # every repetition that misses a term, for every plan
+            reps = sorted({rep for _, rep, *_ in misses.values()})
+            draws = tuple(map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in reps))))
+            risks = self._moment_risks(u, v, c, draws).tolist()
+            row = {rep: r for r, rep in enumerate(reps)}
+            col = {plan: p for p, plan in enumerate(plans)}
+            return {key: risks[row[rep]][col[plan]] for key, (plan, rep, *_) in misses.items()}
+        if linear:  # per plan: (u in column order, v, c), copied out so BLAS sees them as in a batch of one
+            u, v, c = forms
+            forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
+        return self._row_risks(spec, misses, exact, forms)
+
+    def _row_risks(self, spec: MeasureSpec, misses: dict, exact: bool, forms: dict | None) -> dict:
+        """Risks of missing terms that the moment form does not cover, one
+        plan at a time on n-length predictions, from the linear `forms`
+        or, when None, the materialized plan matrix. Within one
+        evaluation a repetition's column draws are shared by both terms
+        and a plan's predictor by every repetition, so at most two
+        predictions and one repetition's draws are held at a time."""
         n = self.data.n_rows
         y = self.target.values
-        kind = spec.loss.kind
-        linear = isinstance(self.predictor, LinearPredictor)
-        moment_form = linear and kind == "squared_error" and (exact or spec.mode == "original_f")
-        linear_mc = linear and spec.mode == "marginalized" and not exact
-        predictors = {}
-        n_reps = 1 if exact else spec.n_mc
-        values = np.empty(n_reps)
-        for rep in range(n_reps):
-            z = _ColumnDraws(n, spec.seed, rep)  # shared by both terms, drawn on first read
-            risks = []
-            # in marginalized mode the two plans assign different
-            # conditionals to the perturbed columns, so their integration
-            # draws come from independent streams (slots 1 and 2) and the
-            # reported SE covers the marginalization noise of both terms
-            for slot, plan in enumerate(plans, 1):
-                if exact:
-                    key = (plan, kind)
+        linear_mc = forms is not None and spec.mode == "marginalized" and not exact
+        risks = {}
+        at_pair, at_rep, predictors, z = None, None, {}, None
+        for key, (plan, rep, slot, pair) in misses.items():
+            if pair != at_pair:
+                at_pair, at_rep, predictors = pair, None, {}
+            if rep != at_rep:
+                at_rep, z = rep, _ColumnDraws(n, spec.seed, rep)
+            if plan not in predictors:
+                if forms is None:
+                    predictors[plan] = self._plan_predictor(plan, not exact)
                 else:
-                    stream = slot if spec.mode == "marginalized" else 0
-                    key = (plan, kind, spec.mode, spec.seed, rep, stream)
-                risk = self._risks.get(key)
-                if risk is not None:
-                    self.terms_reused += 1
-                    risks.append(risk)
-                    continue
-                # per plan: its (u, v, c) on the moment form or under linear
-                # Monte-Carlo marginalization, else z -> predictions
-                if plan not in predictors:
-                    predictors[plan] = (self._linear_form(plan, not exact) if moment_form or linear_mc
-                                        else self._plan_predictor(plan, not exact))
-                predict = predictors[plan]
-                if moment_form:
-                    risk = self._moment_risk(predict, None if exact else self._draws(spec.seed, rep))
-                else:
-                    if exact:
-                        pred, var = predict(None), None
-                    elif spec.mode == "original_f":
-                        pred, var = predict(z), None
-                    else:
-                        rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                        pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
-                                     else self._marginalized_prediction(predict, rng))
-                    risk = self._term_risk(spec, y, pred, var)
-                self._risks[key] = risk
-                self.terms_computed += 1
-                risks.append(risk)
-            values[rep] = risks[0] - risks[1]
-        return ImportanceEstimate(*pool_orders(values), n_reps, spec.mode, sets, spec.seed)
+                    predictors[plan] = forms[plan] if linear_mc else self._form_predictor(forms[plan])
+            predict = predictors[plan]
+            if exact:
+                pred, var = predict(None), None
+            elif spec.mode == "original_f":
+                pred, var = predict(z), None
+            else:
+                rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
+                             else self._marginalized_prediction(predict, rng))
+            risks[key] = self._term_risk(spec, y, pred, var)
+        return risks
 
     # -- the four measures ---------------------------------------------------
 
@@ -638,6 +803,7 @@ class ImportanceEvaluator:
     def sage_attribution(self, j: int, variant: str = "conditional", n_orders: int = 60,
                          n_mc=None, seed=None) -> ImportanceEstimate:
         """Average surplus of j over uniformly random permutation prefixes."""
+        check_orders(n_orders, "n_orders")
         seed = self.seed if seed is None else seed
         per_order = []
         for o, context in enumerate(sage_contexts(self.data.n_cols, j, n_orders, seed)):
@@ -659,6 +825,12 @@ def sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:
         pos = int(np.where(perm == j)[0][0])
         contexts.append([int(c) for c in perm[:pos]])
     return contexts
+
+
+def check_orders(n_orders: int, name: str) -> None:
+    """An order count must be at least 1: the mean of no orders is NaN."""
+    if n_orders < 1:
+        raise DimensionMismatch(f"{name} must be >= 1, got {n_orders}")
 
 
 def pool_orders(per_order) -> tuple[float, float]:

@@ -200,6 +200,7 @@ class MarginalizedPredictor(Predictor):
             raise DimensionMismatch("exact marginalization requires a linear inner predictor")
         self.inner = inner
         self.support = kept_set
+        self._dim = gaussian.dim
         self._dropped = tuple(kept_set.complement(gaussian.dim))
         cond = tuple(kept_set) if integration == "conditional" else ()
         self._conditioning = _Conditioning(gaussian, cond, self._dropped)
@@ -211,6 +212,8 @@ class MarginalizedPredictor(Predictor):
         """Per-integration-draw predictions, shape (n_integration, n_rows),
         or (1, n_rows) when nothing is integrated."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != self._dim:
+            raise DimensionMismatch(f"x has {x.shape[1]} columns, the gaussian {self._dim}")
         out = np.empty((len(self._z), x.shape[0]))
         filled = x.copy()
         for i, z in enumerate(self._z):

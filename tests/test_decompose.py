@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dedact.core import DataMatrix, LinearPredictor, TargetVector
+from dedact.core import DataMatrix, LinearPredictor, TargetVector, derive_seed
 from dedact.decompose import (
     CooperativeGame,
     DecompositionTable,
@@ -18,6 +18,7 @@ from dedact.decompose import (
 )
 from dedact.errors import DimensionMismatch, TooManyPlayers
 from dedact.importance import ImportanceEvaluator, evaluation_count, reset_evaluation_count
+from dedact.runner import run_census_demo
 from dedact.sampler import GaussianModel
 
 
@@ -67,6 +68,15 @@ class TestCooperativeGame:
     def test_needs_players(self):
         with pytest.raises(DimensionMismatch):
             CooperativeGame(0, lambda s: 0.0)
+
+    def test_values_by_mask_share_the_cache(self):
+        calls = []
+        game = CooperativeGame(3, lambda s: calls.append(s) or float(sum(s)))
+        assert game.values([0b101, 0b010, 0b101]) == [2.0, 1.0, 2.0]
+        assert game.value({0, 2}) == 2.0 and len(calls) == 2
+        for mask in (8, -1):
+            with pytest.raises(DimensionMismatch):
+                game.values([1, mask])
 
 
 class TestShapleyExact:
@@ -122,6 +132,76 @@ class TestShapleySampled:
         assert float(res.attributions.sum()) == pytest.approx(
             table[frozenset(range(5))] - table[frozenset()], abs=1e-10
         )
+
+
+def _per_order_shapley(n, table, n_orders, seed):
+    """`shapley_sampled` as a loop that values each order's prefixes as
+    it walks them: the reference the batched solver must equal bit for
+    bit, order stream included."""
+    rng = np.random.default_rng(seed)
+    contribs = np.empty((n_orders, n))
+    for o in range(n_orders):
+        prev = frozenset()
+        for player in rng.permutation(n):
+            cur = prev | {int(player)}
+            contribs[o, int(player)] = table[cur] - table[prev]
+            prev = cur
+    se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders) if n_orders > 1 else np.zeros(n)
+    return contribs.mean(axis=0), se
+
+
+class TestShapleySampledReference:
+    @pytest.mark.parametrize("n,n_orders,seed", [(1, 1, 0), (3, 1, 5), (4, 7, 1), (6, 25, 2), (9, 40, 3)])
+    def test_equals_per_order_loop(self, n, n_orders, seed):
+        table = _random_game(n, np.random.default_rng(seed))
+        calls = []
+        game = CooperativeGame(n, lambda s: calls.append(s) or table[frozenset(s)])
+        res = shapley_sampled(game, n_orders, seed=seed)
+        phi, se = _per_order_shapley(n, table, n_orders, seed)
+        assert np.array_equal(res.attributions, phi) and np.array_equal(res.std_errors, se)
+        # each coalition valued once, and the cache holds exactly those
+        assert len(calls) == len(set(calls)) == len(game.cache)
+
+
+class TestZeroOrders:
+    """No orders would pool to NaN; each entry point names its argument."""
+
+    @pytest.mark.parametrize("call,argument", [
+        (lambda ev: shapley_sampled(_table_game(2, _random_game(2, np.random.default_rng(0))), 0), "n_orders"),
+        (lambda ev: ev.sage_attribution(0, n_orders=0), "n_orders"),
+        (lambda ev: fast_decompose_sage(ev, 0, n_orders=0), "n_orders"),
+        (lambda ev: shapley_decompose_sage(ev, 0, n_sage_orders=0), "n_sage_orders"),
+        (lambda ev: shapley_decompose_pfi(ev, 0, solver="sampled", n_orders=0), "n_orders"),
+    ], ids=["shapley_sampled", "sage_attribution", "fast_decompose_sage", "shapley_decompose_sage",
+            "shapley_decompose_pfi"])
+    def test_zero_orders_raise(self, call, argument):
+        ev = _linear_evaluator(np.eye(3), [1.0, 1.0, 1.0], n=200, n_mc=2)
+        with pytest.raises(DimensionMismatch, match=rf"^{argument} must be >= 1, got 0$"):
+            call(ev)
+        assert ev.evaluations == 0
+
+
+def test_players_sharing_a_column_value_that_column():
+    # a coalition is worth the DI-from of its set of columns, however
+    # many of its players bring the same column
+    cov = [[1.0, 0.6, 0.3], [0.6, 1.0, 0.2], [0.3, 0.2, 1.0]]
+    ev = _linear_evaluator(cov, [1.0, 1.0, 1.0], n=500, n_mc=2)
+    players = [1, 1, 2]
+    table = {frozenset(s): ev.di_from([0], [1, 2], sorted({players[p] for p in s}), seed=derive_seed(ev.seed, 41)).value
+             for size in range(4) for s in itertools.combinations(range(3), size)}
+    phi = _manual_shapley(3, table)
+    got = shapley_decompose_pfi(ev, 0, players=players, solver="exact").components
+    assert abs(phi[1]) > 0.01 and abs(phi[2]) > 0.01
+    assert got["x1"][0] == pytest.approx(phi[1], rel=1e-12)  # the second copy; the first has the same share
+    assert got["x2"][0] == pytest.approx(phi[2], rel=1e-12)
+
+
+def test_census_demo_engine_counters_unchanged():
+    # recorded before the Shapley games were valued in one call each: the
+    # batch must count the evaluations and plan terms that one call per
+    # coalition counted
+    bundle = run_census_demo(seed=0, n=2000, n_sage_orders=2, n_decomp_orders=2)
+    assert bundle.metadata["engine"] == {"evaluations": 786, "terms_computed": 2087, "terms_reused": 2133}
 
 
 class TestSolveGame:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedact.core import (
     CROSS_ENTROPY,
@@ -20,6 +21,7 @@ from dedact.importance import (
     _KEEP,
     MEASURES,
     ImportanceEvaluator,
+    MeasureBatch,
     MeasureSpec,
     evaluation_count,
     reset_evaluation_count,
@@ -808,3 +810,107 @@ class TestOneConditionalDraw:
         data = DataMatrix(np.zeros((3, width)), tuple(f"x{i}" for i in range(width)))
         with pytest.raises(DimensionMismatch):
             perturb(sampler, data, FeatureIndexSet.of([0]))
+
+
+class TestBatchEqualsSingles:
+    """A `MeasureBatch` is the same evaluations as one `evaluate` call
+    per aux mask: the same floats, counters and evaluation count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_one_call_per_mask(self, data):
+        d = data.draw(st.integers(1, 6), label="d")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        mode, exact = data.draw(st.sampled_from([("original_f", False), ("marginalized", False),
+                                                  ("marginalized", True)]), label="mode")
+        loss = data.draw(st.sampled_from([SQUARED_ERROR, CROSS_ENTROPY]), label="loss")
+        measure = data.draw(st.sampled_from(MEASURES), label="measure")
+        # 0: neither set, 1: interest, 2: baseline
+        roles = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=d, max_size=d), label="roles")
+        masks = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8), label="masks")
+        masks += [masks[0], 0]  # a duplicate, and the empty aux: a structural zero for DI_from and AI_via
+
+        rng = np.random.default_rng(seed)
+        n = 60
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        cov, mean = a @ a.T + 0.3 * np.eye(d), rng.standard_normal(d)
+        values = mean + rng.standard_normal((n, d)) @ np.linalg.cholesky(cov).T
+        data_matrix = DataMatrix(values, tuple(f"c{(3 * i) % 7}" for i in range(d)))
+        if loss is CROSS_ENTROPY:
+            w, b, y = 0.1 * rng.standard_normal(d), 0.5, (rng.random(n) < 0.5).astype(float)
+        else:
+            w, b = rng.standard_normal(d), 0.2
+            y = values @ w + rng.standard_normal(n)
+
+        def evaluator():
+            return ImportanceEvaluator(data_matrix, TargetVector(y), LinearPredictor(weights=w, intercept=b),
+                                       GaussianModel(mean=mean, cov=cov), loss=loss, n_mc=3, seed=seed,
+                                       n_integration=3, exact_marginalization=exact)
+
+        spec = MeasureSpec(measure, FeatureIndexSet.of([c for c in range(d) if roles[c] == 1]),
+                           FeatureIndexSet.of([c for c in range(d) if roles[c] == 2]), mode=mode, loss=loss,
+                           n_mc=3, seed=seed)
+        batched, single = evaluator(), evaluator()
+        reset_evaluation_count()
+        got = batched.evaluate(MeasureBatch(spec, tuple(masks)))
+        assert evaluation_count() == len(masks)
+        expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
+                    for m in masks]
+        assert [(e.value, e.std_error, e.n_mc, e.sets) for e in got] == \
+            [(e.value, e.std_error, e.n_mc, e.sets) for e in expected]
+        assert batched.counters() == single.counters()
+        if measure in ("DI_from", "AI_via"):
+            assert (got[-1].value, got[-1].std_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("measure,mode,exact", [("DI_from", "original_f", False),
+                                                    ("AI_via", "marginalized", True)])
+    def test_whole_game_equals_one_call_per_mask(self, measure, mode, exact):
+        # all 1024 coalitions of a 10-column game: stacks far past the
+        # sizes at which numpy's own reductions change their loop order
+        d, n = 10, 200
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        cov, mean = a @ a.T + 0.3 * np.eye(d), rng.standard_normal(d)
+        values = mean + rng.standard_normal((n, d)) @ np.linalg.cholesky(cov).T
+        w = rng.standard_normal(d)
+        y = TargetVector(values @ w + rng.standard_normal(n))
+
+        def evaluator():
+            return ImportanceEvaluator(DataMatrix(values, tuple(f"v{(7 * i) % 11}" for i in range(d))), y,
+                                       LinearPredictor(weights=w, intercept=0.1), GaussianModel(mean=mean, cov=cov),
+                                       n_mc=3, seed=4, exact_marginalization=exact)
+
+        spec = MeasureSpec(measure, FeatureIndexSet.of([2]), FeatureIndexSet.of([0, 5]), mode=mode, n_mc=3, seed=4)
+        masks = tuple(range(1 << d))
+        batched, single = evaluator(), evaluator()
+        got = batched.evaluate(MeasureBatch(spec, masks))
+        expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
+                    for m in masks]
+        assert [(e.value, e.std_error) for e in got] == [(e.value, e.std_error) for e in expected]
+        assert batched.counters() == single.counters()
+
+    def test_columns_past_the_64_bit_range(self):
+        # plan keys and aux masks are Python ints: 70 columns still work
+        d, n = 70, 80
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((n, d))
+        w = rng.standard_normal(d) / np.sqrt(d)
+        ev = ImportanceEvaluator(DataMatrix(values, tuple(f"x{i:02d}" for i in range(d))),
+                                 TargetVector(values @ w + rng.standard_normal(n)),
+                                 LinearPredictor(weights=w, intercept=0.0),
+                                 GaussianModel(mean=np.zeros(d), cov=np.eye(d)), exact_marginalization=True)
+        spec = MeasureSpec("AI_via", FeatureIndexSet.of([66]), FeatureIndexSet.of([1, 64]), mode="marginalized")
+        masks = (0, 1 << 69, 1 << 66 | 1 << 3, (1 << 70) - 1)
+        got = ev.evaluate(MeasureBatch(spec, masks))
+        for mask, est in zip(masks, got):
+            aux = [c for c in range(d) if mask >> c & 1]
+            assert est.sets["aux"] == tuple(aux)
+            assert est.value == ev.ai_via([66], [1, 64], aux, mode="marginalized").value
+
+    def test_aux_mask_out_of_range(self):
+        ev = _evaluator(np.eye(3), [1.0, 1.0, 1.0], n=100)
+        spec = MeasureSpec("AI_via", FeatureIndexSet.of([0]), FeatureIndexSet.empty())
+        for mask in (8, -1):
+            with pytest.raises(DimensionMismatch):
+                ev.evaluate(MeasureBatch(spec, (1, mask)))
+        assert ev.evaluations == 0

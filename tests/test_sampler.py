@@ -232,6 +232,15 @@ class TestMarginalize:
         with pytest.raises(DimensionMismatch):
             marginalize(Opaque(), FeatureIndexSet.of([0]), _bivariate(0.0), exact=True)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_rejects_x_of_another_width(self, width, exact):
+        inner = LinearPredictor(weights=np.array([1.0, 2.0]), intercept=0.0)
+        marg = marginalize(inner, FeatureIndexSet.of([0]), _bivariate(0.3), n_integration=4, exact=exact)
+        for call in (marg.predict, marg.predict_samples):
+            with pytest.raises(DimensionMismatch, match=f"x has {width} columns"):
+                call(np.zeros((3, width)))
+
     def test_invalid_settings(self):
         inner = LinearPredictor(weights=np.array([1.0, 1.0]), intercept=0.0)
         with pytest.raises(DimensionMismatch):
