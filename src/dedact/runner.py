@@ -45,52 +45,80 @@ from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
 BUILTIN_SCMS = {"biomarker": biomarker_scm, "census": census_scm}
 OUTPUT_FORMATS = ("csv", "json")
 LOSSES = {"squared_error": SQUARED_ERROR, "cross_entropy": CROSS_ENTROPY}
+# parsed CSV values move from a list of floats into a numpy block this often
+_BLOCK_VALUES = 8192
 
 
 def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     """Read a numeric CSV with a header row; the target column is split off.
 
-    Rows are parsed as they are read, into one flat list of floats, so the
-    file's text is never held whole.
+    The file is read as UTF-8, a leading byte-order mark dropped. Rows
+    are parsed as they are read, and every 8192 parsed values become a
+    numpy block, so neither the file's text nor one float object per value
+    is ever held whole. The blocks are joined once at the end, and the
+    features and the target are copied out of that buffer, so it is freed
+    on return.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header:
-            raise ParseError(f"{path}: no header")
-        # a repeated name would make one of its columns the target and feed
-        # the other to the model, so every name must be non-empty and unique
-        first: dict[str, int] = {}
-        for c, name in enumerate(header, start=1):
-            if not name.strip():
-                raise ParseError(f"{path}: header column {c} has an empty name")
-            if name in first:
-                raise ParseError(f"{path}: header column {c} repeats the name {name!r} of column {first[name]}")
-            first[name] = c
-        if target_column not in header:
-            raise MissingTarget(f"{path}: target column {target_column!r} not in header")
-        flat = []
-        for r, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            for c, cell in enumerate(row):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r} as a finite real")
-                flat.append(value)
-    if not flat:
+    blocks, flat = [], []
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header:
+                raise ParseError(f"{path}: no header")
+            # a repeated name would make one of its columns the target and feed
+            # the other to the model, so every name must be non-empty and unique
+            first: dict[str, int] = {}
+            for c, name in enumerate(header, start=1):
+                if not name.strip():
+                    raise ParseError(f"{path}: header column {c} has an empty name")
+                if name in first:
+                    raise ParseError(f"{path}: header column {c} repeats the name {name!r} of column {first[name]}")
+                first[name] = c
+            if target_column not in header:
+                raise MissingTarget(f"{path}: target column {target_column!r} not in header")
+            for r, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+                for c, cell in enumerate(row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise ParseError(f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r} as a finite real")
+                    flat.append(value)
+                if len(flat) >= _BLOCK_VALUES:
+                    blocks.append(np.array(flat, dtype=float))
+                    flat.clear()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: row {_undecodable_row(path)} is not UTF-8 text ({exc.reason})") from exc
+    blocks.append(np.array(flat, dtype=float))
+    del flat
+    values = np.concatenate(blocks)
+    del blocks
+    if not values.size:
         raise ParseError(f"{path}: no data rows")
-    values = np.array(flat, dtype=float).reshape(-1, len(header))
+    values = values.reshape(-1, len(header))
     t_idx = header.index(target_column)
     feature_cols = [c for c in range(len(header)) if c != t_idx]
     data = DataMatrix(values[:, feature_cols], tuple(header[c] for c in feature_cols))
-    return data, TargetVector(values[:, t_idx])
+    return data, TargetVector(values[:, t_idx].copy())
+
+
+def _undecodable_row(path: Path) -> int:
+    """The first line of the file that is not UTF-8: a text reader decodes
+    ahead of the row it returns, so its error does not say which row."""
+    with open(path, "rb") as fh:
+        for r, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return r
 
 
 def train_eval_split(data: DataMatrix, target: TargetVector, fraction: float = 0.5, seed: int = 0):
@@ -111,8 +139,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        raw = _load_yaml(path)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         return cls(raw=raw)
@@ -282,11 +309,23 @@ class ResultBundle:
 
 
 def _content_hash(config: dict, data: DataMatrix, target: TargetVector) -> str:
+    """SHA-256 of the config and the C-ordered bytes of the data and the
+    target, which sha256 reads in place through the buffer protocol."""
     digest = hashlib.sha256()
     digest.update(json.dumps(config, sort_keys=True, default=str).encode())
-    digest.update(np.ascontiguousarray(data.values).tobytes())
-    digest.update(np.ascontiguousarray(target.values).tobytes())
+    digest.update(np.ascontiguousarray(data.values))
+    digest.update(np.ascontiguousarray(target.values))
     return digest.hexdigest()
+
+
+def _load_yaml(path):
+    """The document of a YAML file, which must be UTF-8 text; other bytes
+    are a ParseError naming the file, as a YAML syntax error names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def load_scm(source: str) -> LinearSCM:
@@ -294,8 +333,7 @@ def load_scm(source: str) -> LinearSCM:
     `LinearSCM.to_config()` schema; an error in the file names the file."""
     if source in BUILTIN_SCMS:
         return BUILTIN_SCMS[source]()
-    with open(source) as fh:
-        raw = yaml.safe_load(fh)
+    raw = _load_yaml(source)
     try:
         return LinearSCM.from_config(raw)
     except DedactError as exc:
@@ -443,6 +481,12 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     resolved to a call as soon as the column names are known. So a config
     error in any block, or a target the loss cannot score, is raised
     before the model is fitted and before the first evaluation.
+
+    The loaded data are held once: the metadata (the input hash among
+    them) are taken from them before the split, and they are dropped right
+    after it, so the fits see only the fit and evaluation copies. The peak
+    of set-up is the split itself: the full data, the row permutation and
+    both copies.
     """
     raw, seed = config.raw, config.seed
     directory, formats = config.output
@@ -471,12 +515,6 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     calls = ([(bundle.add_estimate, *_resolve_measure(block, data)) for block in measures]
              + [(bundle.add_table, *_resolve_decomposition(block, data)) for block in decompositions])
 
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, seed)
-    evaluator = ImportanceEvaluator(
-        eval_x, eval_y, fit_ols(fit_x, fit_y, support), fit_gaussian(fit_x),
-        loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
-    )
-    del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     bundle.metadata = {
         "seed": seed,
         "input_hash": _content_hash(raw, data, target),
@@ -484,6 +522,14 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "columns": list(data.column_names),
         "versions": {"dedact": __version__, "numpy": np.__version__, "python": platform.python_version()},
     }
+
+    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, seed)
+    del data, target  # the fits read only the fit rows, the blocks only the evaluation rows
+    evaluator = ImportanceEvaluator(
+        eval_x, eval_y, fit_ols(fit_x, fit_y, support), fit_gaussian(fit_x),
+        loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
+    )
+    del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     for add, name, call in calls:
         try:
             add(name, call(evaluator))

@@ -171,21 +171,35 @@ def _is_real(value) -> bool:
 def sample_scm(
     scm: LinearSCM, n: int, seed: int = 0, include_observed: bool = False
 ) -> tuple[DataMatrix, TargetVector]:
-    """Ancestral sampling in topological order; deterministic per seed."""
+    """Ancestral sampling in topological order; deterministic per seed.
+
+    The output matrix is allocated once and each node is computed in
+    place, then written into its column when it is a data column. Only
+    the nodes some edge reads as a parent, and the supervision node, are
+    kept after they are computed (a data column as a view of its
+    column), so a latent node with no children is dropped at once.
+    """
     rng = np.random.default_rng(seed)
+    columns = scm.data_columns(include_observed)
+    position = {name: i for i, name in enumerate(columns)}
+    out = np.empty((n, len(columns)))
+    # sorted edge order keeps sampling bit-identical across
+    # equivalent SCMs whose edge dicts were built in different orders
+    edges = sorted(scm.edges.items())
+    kept = {parent for (parent, _), _ in edges} | {scm.supervision_node}
     values = {}
     for node in scm.nodes:
-        noise = scm.noise_std[node] * rng.standard_normal(n)
-        total = noise
-        # sorted edge order keeps sampling bit-identical across
-        # equivalent SCMs whose edge dicts were built in different orders
-        for (parent, child), coeff in sorted(scm.edges.items()):
+        total = rng.standard_normal(n)
+        total *= scm.noise_std[node]
+        for (parent, child), coeff in edges:
             if child == node:
-                total = total + coeff * values[parent]
-        values[node] = total
-    columns = scm.data_columns(include_observed)
-    data = DataMatrix(np.column_stack([values[c] for c in columns]), columns)
-    return data, TargetVector(values[scm.supervision_node])
+                total += coeff * values[parent]
+        if node in position:
+            out[:, position[node]] = total
+            total = out[:, position[node]]
+        if node in kept:
+            values[node] = total
+    return DataMatrix(out, columns), TargetVector(values[scm.supervision_node])
 
 
 def d_separated(scm: LinearSCM, j, c, y) -> bool:

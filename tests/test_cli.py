@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import copy
 import io
@@ -19,6 +20,7 @@ import dedact
 import dedact.runner as runner
 from dedact import cli
 from dedact.cli import main
+from dedact.core import DataMatrix, TargetVector
 from dedact.errors import ConfigError, DedactError, MissingTarget, ParseError
 from dedact.importance import ImportanceEvaluator
 from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, train_eval_split
@@ -102,6 +104,47 @@ class TestIngestCsv:
         with pytest.raises(ParseError) as info:
             ingest_csv(path, "y")
         assert str(info.value) == f"{path}: {message}"
+
+    def test_parse_buffer_freed_on_return(self, tmp_path):
+        # every 8192 parsed values become a numpy block, so the peak is the
+        # blocks and their join, then the joined buffer and the features
+        # and target copied out of it (about 2 n d doubles; a list of one
+        # float object per value made it about 6). The target is a copy,
+        # not a view, so the buffer is freed on return.
+        n, d = 10000, 5
+        values = np.random.default_rng(1).standard_normal((n, d))
+        path = self._write(tmp_path, ",".join(f"c{i}" for i in range(d)) + "\n"
+                           + "".join(",".join(map(repr, row.tolist())) + "\n" for row in values))
+        tracemalloc.start()
+        try:
+            data, target = ingest_csv(path, "c2")
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data.values, values[:, [0, 1, 3, 4]]) and np.array_equal(target.values, values[:, 2])
+        assert target.values.flags.c_contiguous and target.values.base is None
+        assert peak < 3 * values.nbytes
+        assert held < 1.2 * values.nbytes
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,y\n1,2\n3,4\n")
+        data, target = ingest_csv(path, "a")
+        assert data.column_names == ("y",)
+        assert target.values.tolist() == [1.0, 3.0]
+
+    @pytest.mark.parametrize("text,row", [
+        (b"caf\xe9,y\n1,2\n3,4\n", 1),
+        (b"a,y\n1,2\n3,4\n\xe9,5\n", 4),
+        # past the first block a text reader decodes ahead of its rows
+        (b"a,y\n" + b"1.25,2.5\n" * 3000 + b"3,4\xff\n5,6\n", 3002),
+    ], ids=["header", "row", "far-row"])
+    def test_undecodable_bytes_name_the_row(self, tmp_path, text, row):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text)
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path, "y")
+        assert str(info.value).startswith(f"{path}: row {row} is not UTF-8 text")
 
 
 class TestSimulateCommand:
@@ -433,11 +476,80 @@ class TestRunCommands:
         bundle = json.loads((out / "bundle.json").read_text())
         assert bundle["estimates"][0]["value"] > 0
 
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-16"])
+    @pytest.mark.parametrize("which", ["config", "scm"])
+    def test_yaml_not_utf8_exit_3(self, tmp_path, capsys, which, encoding):
+        scm = tmp_path / "scm.yaml"
+        scm.write_text(yaml.safe_dump(biomarker_scm().to_config()))
+        raw = dict(_BASE, data=dict(_BASE["data"], scm=str(scm)))
+        bad = tmp_path / f"{which}.yaml" if which == "config" else scm
+        text = yaml.safe_dump(raw) if which == "config" else scm.read_text()
+        bad.write_bytes(("# café\n" + text).encode(encoding))
+        commands = [["importance", "--config", str(bad)]] if which == "config" else [
+            ["importance", "--config", str(_config(tmp_path, raw))],
+            ["simulate", "--scm", str(scm), "--n", "20", "--seed", "0", "--out", str(tmp_path / "sim.csv")]]
+        for argv in commands:
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error") and f"{bad}: not UTF-8 text" in err
+
+    def test_yaml_byte_order_mark_accepted(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(codecs.BOM_UTF8 + yaml.safe_dump(_BASE).encode())
+        assert main(["importance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_csv_encodings(self, tmp_path, capsys):
+        values = np.random.default_rng(2).standard_normal((40, 3))
+        text = "a,b,y\n" + "".join(",".join(map(repr, row.tolist())) + "\n" for row in values)
+        path = tmp_path / "data.csv"
+        raw = {"seed": 0, "data": {"csv": str(path), "target_column": "y"}, "n_mc": 2,
+               "measures": [{"name": "pfi_a", "measure": "PFI", "interest": ["a"]}]}
+        cfg = _config(tmp_path, raw)
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        assert main(["importance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        path.write_bytes(text.replace("a,b", "caf\xe9,b").encode("latin-1"))
+        assert main(["importance", "--config", str(cfg)]) == 3
+        assert f"{path}: row 1 is not UTF-8 text" in capsys.readouterr().err
+
     def test_config_echo_round_trip(self, tmp_path):
         cfg = RunConfig(dict(_BASE))
         bundle = run(cfg)
         assert bundle.as_dict()["config"] == _BASE
         assert bundle.metadata["input_hash"] == run(RunConfig(dict(_BASE))).metadata["input_hash"]
+
+
+# the input hash of a C-ordered matrix, and of a Fortran-ordered matrix with
+# a strided target: sha256 over the C-ordered bytes, pinned so that how the
+# bytes reach the digest cannot change it
+@pytest.mark.parametrize("fortran,digest", [
+    (False, "5992ae7a8222aa14198ca96eea199d5710b64057fcb3367d753c529814fd8c09"),
+    (True, "7ef4f9a4bd05a00125573eef1ed596ed9c8b31cd2976a86a81349ea0e759d710"),
+], ids=["C", "F"])
+def test_content_hash_pinned(fortran, digest):
+    values = np.arange(1, 13, dtype=float).reshape(4, 3) / 7
+    config = {"seed": 1, "data": {"scm": "biomarker", "n": 4}}
+    if fortran:
+        data, target = DataMatrix(np.asfortranarray(values), ("a", "b", "c")), TargetVector(values[:, 1])
+        assert data.values.flags.f_contiguous and not target.values.flags.c_contiguous
+    else:
+        data, target = DataMatrix(values, ("a", "b", "c")), TargetVector(np.linspace(-1, 1, 4))
+    assert runner._content_hash(config, data, target) == digest
+
+
+def test_run_holds_the_data_once():
+    # the full data are dropped right after the split, and the sampler
+    # computes in place, so set-up peaks at the split: the full data, the
+    # permutation and both copies
+    n = 200_000
+    raw = {"seed": 0, "data": {"scm": "biomarker", "n": n, "include_observed": True}, "n_mc": 2,
+           "measures": [{"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []}]}
+    tracemalloc.start()
+    try:
+        run(RunConfig(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * 8
 
 
 # every key of a valid run config, and of the SCM file it can read, gets
@@ -490,10 +602,27 @@ def _swapped(raw, path, value):
 _FUZZ_CASES = ([("run", path) for path in _key_paths(_FUZZ_CONFIG)]
                + [("scm", path) for path in _key_paths(biomarker_scm().to_config())])
 
+# byte-level mutations of a file's UTF-8 text: each takes the bytes and a
+# position, and the fuzz tests below apply one to the CSV, config or SCM
+# file they write
+_BYTE_MUTATIONS = {
+    "none": lambda b, at: b,
+    "bom": lambda b, at: codecs.BOM_UTF8 + b,
+    "invalid_byte": lambda b, at: b[:at] + b"\xe9" + b[at:],  # a latin-1 e-acute
+    "utf16": lambda b, at: b.decode().encode("utf-16"),
+}
+_BYTE_FUZZ = st.tuples(st.sampled_from(sorted(_BYTE_MUTATIONS)), st.integers(0, 400))
+
+
+def _mutated(text: str, mutation) -> bytes:
+    name, at = mutation
+    return _BYTE_MUTATIONS[name](text.encode(), at)
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES))
-def test_fuzzed_config_exits_with_a_documented_code(case, value):
+@given(case=st.sampled_from(_FUZZ_CASES), value=st.sampled_from(_FUZZ_VALUES),
+       damaged=st.sampled_from(["run.yaml", "scm.yaml"]), mutation=_BYTE_FUZZ)
+def test_fuzzed_config_exits_with_a_documented_code(case, value, damaged, mutation):
     which, path = case
     config, scm = _FUZZ_CONFIG, biomarker_scm().to_config()
     if which == "run":
@@ -508,8 +637,9 @@ def test_fuzzed_config_exits_with_a_documented_code(case, value):
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # the config's relative paths land in workdir
         try:
-            Path("scm.yaml").write_text(yaml.safe_dump(scm))
-            Path("run.yaml").write_text(yaml.safe_dump(config))
+            for name, raw in (("scm.yaml", scm), ("run.yaml", config)):
+                text = yaml.safe_dump(raw)
+                Path(name).write_bytes(_mutated(text, mutation) if name == damaged else text.encode())
             for args in argv:
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -547,8 +677,9 @@ _CSV_RUN = {
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mutations=st.lists(st.tuples(st.sampled_from(sorted(_CSV_MUTATIONS)), st.integers(0, 11),
-                                    st.integers(0, 2)), min_size=1, max_size=3))
-def test_fuzzed_csv_exits_with_a_documented_code(mutations):
+                                    st.integers(0, 2)), min_size=1, max_size=3),
+       byte_mutation=_BYTE_FUZZ)
+def test_fuzzed_csv_exits_with_a_documented_code(mutations, byte_mutation):
     values = np.random.default_rng(0).standard_normal((12, 3))
     header, rows = ["a", "b", "y"], [[repr(float(v)) for v in row] for row in values]
     for name, i, j in mutations:
@@ -561,7 +692,7 @@ def test_fuzzed_csv_exits_with_a_documented_code(mutations):
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)  # the config's relative CSV path lands in workdir
         try:
-            Path("data.csv").write_text(text)
+            Path("data.csv").write_bytes(_mutated(text, byte_mutation))
             Path("run.yaml").write_text(yaml.safe_dump(_CSV_RUN))
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["importance", "--config", "run.yaml"])
