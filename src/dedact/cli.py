@@ -47,7 +47,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     scm = load_scm(args.scm)
     data, target = sample_scm(scm, args.n, args.seed, args.include_observed)
-    with open(args.out, "w", newline="") as fh:
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(data.column_names) + [scm.supervision_node])
         for row, y in zip(data.values, target.values):
@@ -89,7 +89,7 @@ _NUMBER = (int, float)
 def _cmd_report(args) -> int:
     path = Path(args.bundle) / "bundle.json"
     try:
-        bundle = json.loads(path.read_text())
+        bundle = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ParseError(f"{path}: not a JSON bundle ({exc})") from exc
 
@@ -167,6 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # column and block names are UTF-8 text: a stdout whose locale cannot
+    # encode one prints it escaped rather than failing
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -3,9 +3,10 @@
 Two routes: the fast decomposition (one extra measure evaluation per
 component, sensitive but not additive) and the Shapley decomposition
 (additive and axiom-fair, exponentially many coalitions unless orders
-are sampled). A Shapley decomposition's game hands every coalition a
-solver asks for to the evaluator in one `evaluate` call (see "Games" in
-`dedact.importance`).
+are sampled). Both hand the evaluator one measure over many `aux` sets
+in one `evaluate` call (see "Games" in `dedact.importance`): a fast
+table all its components (a fast SAGE table those of one context), a
+Shapley decomposition's game every coalition a solver asks for.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import FeatureIndexSet, ImportanceEstimate, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator, MeasureBatch, _mask_array, check_orders, pool_orders, sage_contexts
+from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, pool_orders, sage_contexts
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -73,6 +74,12 @@ class _MeasureGame(CooperativeGame):
         players = _mask_array(masks, self.n_players)[:, None] >> np.arange(self.n_players) & 1
         auxes = tuple(np.bitwise_or.reduce(players * self._column_bits, axis=1).tolist())
         return [est.value for est in self._ev.evaluate(MeasureBatch(self._spec, auxes))]
+
+
+def _by_aux(ev: ImportanceEvaluator, spec, aux_sets) -> list[ImportanceEstimate]:
+    """The estimates of spec with each column set of aux_sets as its aux,
+    in order, from one `evaluate` call."""
+    return ev.evaluate(MeasureBatch(spec, tuple(_mask(FeatureIndexSet.of(cols)) for cols in aux_sets)))
 
 
 @dataclass(frozen=True)
@@ -196,16 +203,14 @@ def fast_decompose_pfi(
     ev: ImportanceEvaluator, k: int, sources: Optional[list[int]] = None,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """One DI-from evaluation per information source."""
+    """One DI-from evaluation per information source, all in one batch."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     sources = list(range(d)) if sources is None else list(sources)
     baseline = [c for c in range(d) if c != k]
     total = ev.pfi(k, n_mc=n_mc, seed=seed)
-    components = {}
-    for j in sources:
-        est = ev.di_from([k], baseline, [j], n_mc=n_mc, seed=seed)
-        components[ev.data.column_names[j]] = (est.value, est.std_error)
+    ests = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), [[j] for j in sources])
+    components = {ev.data.column_names[j]: (est.value, est.std_error) for j, est in zip(sources, ests)}
     return DecompositionTable(ev.data.column_names[k], total, components, "fast")
 
 
@@ -213,15 +218,17 @@ def fast_decompose_pfi_ordered(
     ev: ImportanceEvaluator, k: int, order: list[int],
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Additive, order-dependent variant: telescoping DI-from prefixes."""
+    """Additive, order-dependent variant: telescoping DI-from prefixes, all
+    in one batch."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     baseline = [c for c in range(d) if c != k]
     total = ev.pfi(k, n_mc=n_mc, seed=seed)
+    prefixes = [order[: i + 1] for i in range(len(order))]
+    ests = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), prefixes)
     components = {}
     prev_value, prev_se = 0.0, 0.0
-    for i, j in enumerate(order):
-        est = ev.di_from([k], baseline, order[: i + 1], n_mc=n_mc, seed=seed)
+    for j, est in zip(order, ests):
         components[ev.data.column_names[j]] = (
             est.value - prev_value,
             float(np.hypot(est.std_error, prev_se)),
@@ -262,14 +269,13 @@ def fast_decompose_ai(
     ev: ImportanceEvaluator, j: int, pathways: Optional[list[int]] = None,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Total AI(j | {}) and one AI-via evaluation per feature pathway."""
+    """Total AI(j | {}) and one AI-via evaluation per feature pathway, all
+    in one batch."""
     seed = ev.seed if seed is None else seed
     pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
     total = ev.associative_importance([j], [], n_mc=n_mc, seed=seed)
-    components = {}
-    for k in pathways:
-        est = ev.ai_via([j], [], [k], n_mc=n_mc, seed=seed)
-        components[ev.data.column_names[k]] = (est.value, est.std_error)
+    ests = _by_aux(ev, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), [[k] for k in pathways])
+    components = {ev.data.column_names[k]: (est.value, est.std_error) for k, est in zip(pathways, ests)}
     return DecompositionTable(ev.data.column_names[j], total, components, "fast")
 
 
@@ -299,6 +305,7 @@ def fast_decompose_sage(
 
     Interaction contributions are attributed to every partaking pathway,
     so components may over-add; the remainder is reported, not hidden.
+    A context's blocked-pathway evaluations are one batch.
     """
     check_orders(n_orders, "n_orders")
     seed = ev.seed if seed is None else seed
@@ -307,14 +314,13 @@ def fast_decompose_sage(
     contexts = sage_contexts(d, j, n_orders, seed)
     alphas = np.empty(n_orders)
     comp = np.empty((n_orders, len(pathways)))
+    blocked = [[c for c in range(d) if c != k] for k in pathways]
     for o, context in enumerate(contexts):
         seed_o = derive_seed(seed, 811, o)
         alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
         alphas[o] = alpha.value
-        for p, k in enumerate(pathways):
-            blocked = [c for c in range(d) if c != k]
-            via = ev.ai_via([j], context, blocked, mode="marginalized", n_mc=n_mc, seed=seed_o)
-            comp[o, p] = alpha.value - via.value
+        vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
+        comp[o] = [alpha.value - via.value for via in vias]
     return _sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
 
 

@@ -37,14 +37,17 @@ stream slot): `original_f` terms share the repetition's draws (memo
 slot 0: the column streams on the row path, the sampled moments on the
 moment form), Monte-Carlo marginalized terms each take their own
 integration stream (slot 1 or 2), and exact-marginalized terms consume
-no draws at all. So each evaluator keeps the risks it has computed in a
-dict keyed on `(plan, loss kind, mode, seed, rep, slot)`, or on
-`(plan, loss kind)` alone for exact marginalization, and `evaluate`
-draws a repetition only when a term it needs is missing. A reused risk
-is the float that recomputation would give, bit for bit; only the
-evaluator's `terms_computed` / `terms_reused` counters can tell the two
-apart. Under the moment form below a repetition's moments are sampled at
-most once per evaluator, however many terms miss.
+no draws at all. So each evaluator keeps one memo entry per term, keyed
+on `(plan, loss kind, mode, seed, slot)`, or on `(plan, loss kind)`
+alone for exact marginalization, holding the risks of repetitions
+0..r-1 in order. Every evaluation asks for repetitions 0..n_mc-1, so an
+entry is always such a prefix: a larger n_mc computes only the missing
+repetitions and extends it. A reused risk is the float that
+recomputation would give, bit for bit; only the evaluator's
+`terms_computed` / `terms_reused` counters (one per term and repetition)
+can tell the two apart. Under the moment form below a repetition's
+moments are sampled at most once per evaluator, however many terms
+miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
@@ -115,10 +118,11 @@ Games: a Shapley decomposition values many coalitions of one measure
 that differ only in their `aux` set. `evaluate` takes such a game whole,
 as a `MeasureBatch` (a `MeasureSpec` and a tuple of aux column
 bitmasks), and returns one estimate per mask; a `MeasureSpec` alone is a
-batch of one through the same code, and each mask counts as one
+batch of one (there is no per-plan path), and each mask counts as one
 evaluation. The sets are validated once per batch, both plan keys of
-every mask are built with bit operations, every term is looked up in the
-memo, and the missing plans' (u, v, c) are assembled as stacked arrays.
+every mask are built with bit operations, each term is looked up in the
+memo once, and the missing plans' (u, v, c) are assembled as stacked
+arrays.
 Their moment-form risks, over all plans and repetitions at once, are
 row-wise products (`_dot`) that add each dot product's terms in index
 order, as the last running sum of `np.add.accumulate`. No BLAS
@@ -131,8 +135,9 @@ float whichever batch computes it, and so are the mean and standard
 error over repetitions, pooled the same way. The plan keys follow the
 column order, the sums the canonical order, so the permutation
 invariance above holds for batches too. Terms outside the moment form
-keep their per-plan risk on n-length predictions, evaluation by
-evaluation.
+take their risks from n-length predictions, pair by pair and, within a
+pair, repetition by repetition, so the two terms of a repetition read
+one set of column draws.
 
 Linear Monte-Carlo marginalization: a marginalized term averages the
 prediction over m = n_integration draws. For a linear predictor that
@@ -168,6 +173,7 @@ marginalization (linear predictors only) has no integration noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -393,10 +399,6 @@ class ImportanceEvaluator:
             t2 = np.where(in_aux, plan(with_interest, with_interest), t1)
         return [(t1, second) for second in map(tuple, t2.tolist())]
 
-    def _plans(self, spec: MeasureSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Plan keys of one spec's two terms: a batch of one."""
-        return self._plan_pairs(spec, (_mask(spec.aux),))[0]
-
     def _indices(self, mask: int) -> tuple[int, ...]:
         """The sorted column indices of a bitmask (one of at most 2^d)."""
         hit = self._index_sets.get(mask)
@@ -437,9 +439,10 @@ class ImportanceEvaluator:
         return m
 
     def _linear_forms(self, plans, draws: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Stacked (U, V, C), row p being `_linear_form(plans[p], draws)`:
-        u in column order, v in canonical order (None unless `draws`).
-        Row p of U sums, over the columns in canonical order, each
+        """Stacked (U, V, C) with `X @ u + z @ v + c` the linear
+        predictor's output on `_build_matrix(plans[p], z)` for row p: u in
+        column order, v in canonical (draw) order, and V None unless
+        `draws`. Row p of U sums, over the columns in canonical order, each
         column's row of its conditioning set's `rows` table (a kept
         column adds w_k at k); C likewise adds the `offs` entries to the
         intercept. Each row's sums run in the same order whatever else
@@ -466,14 +469,6 @@ class ImportanceEvaluator:
                     self._conditioning(mask).cholesky(targets).T @ w[list(targets)])
         return u, v, c
 
-    def _linear_form(self, plan, draws: bool = True) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """(u, v, c) with `X @ u + z @ v + c` the linear predictor's
-        output on `_build_matrix(plan, z)`; u is in column order, v in
-        canonical (draw) order, and None unless `draws`. A batch of one of
-        `_linear_forms`."""
-        u, v, c = self._linear_forms([plan], draws)
-        return u[0], None if v is None else v[0], float(c[0])
-
     def _form_predictor(self, form):
         """z -> `X @ u + z @ v + c` for the form (u in column order); reads
         only the columns v weights, so v = 0 draws nothing."""
@@ -481,15 +476,6 @@ class ImportanceEvaluator:
         base = self.data.values @ u + c
         nz = np.flatnonzero(v) if v is not None else []
         return lambda z: base if z is None or not len(nz) else base + z[:, nz] @ v[nz]
-
-    def _plan_predictor(self, plan, draws: bool):
-        """z -> the model's predictions on the plan's perturbed data, for
-        standard normals z as `_build_matrix` takes them, or None for
-        the conditional means (linear predictor only, and the only call
-        when not `draws`)."""
-        if isinstance(self.predictor, LinearPredictor):
-            return self._form_predictor(self._linear_form(plan, draws))
-        return lambda z: self.predictor.predict(self._build_matrix(plan, z))
 
     # -- moment form (linear predictor, squared error) ----------------------
 
@@ -542,10 +528,11 @@ class ImportanceEvaluator:
         return hit
 
     def _moment_risks(self, u: np.ndarray, v: np.ndarray | None, c: np.ndarray, draws) -> np.ndarray:
-        """Squared-error risks of `X @ u + c`, one per row of the stacked
-        canonical (U, C) when draws is None; else of `X @ u + z @ v + c`
-        for every repetition's moments (S_zz, S_zx, z_bar, s_zy stacked
-        over R repetitions) and row of (U, V, C), as an R x P array. Every
+        """Squared-error risks of `X @ u + c`, a 1 x P array over the rows
+        of the stacked canonical (U, C) when draws is None; else of
+        `X @ u + z @ v + c` for every repetition's moments (S_zz, S_zx,
+        z_bar, s_zy stacked over R repetitions) and row of (U, V, C), as
+        an R x P array. Every
         product is a `_dot`, so a risk does not depend on the other rows
         or repetitions; rows go in blocks that bound the R x P x d x d
         products."""
@@ -559,21 +546,11 @@ class ImportanceEvaluator:
         k = c + _dot(u, x_bar) - y_bar
         risk = _dot(u, _dot(s_xx, u[:, None])) - 2.0 * _dot(u, s_xy) + s_yy + k * k
         if draws is None:
-            return risk
+            return risk[None]
         s_zz, s_zx, z_bar, s_zy = (m[:, None] for m in draws)  # repetition, then plan
         v_zz_v = _dot(v, _dot(s_zz, v[:, None]))
         v_zx_u = _dot(v, _dot(s_zx, u[:, None]))
         return risk + (v_zz_v + 2.0 * v_zx_u + 2.0 * k * _dot(v, z_bar) - 2.0 * _dot(v, s_zy))
-
-    def _moment_risk(self, form, draws) -> float:
-        """One form's risk (u in column order) under one repetition's
-        moments, a batch of one of `_moment_risks`."""
-        u, v, c = form
-        u = u[self._canon_order][None]
-        if draws is None:
-            return float(self._moment_risks(u, None, np.array([c]), None)[0])
-        draws = tuple(np.asarray(m)[None] for m in draws)
-        return float(self._moment_risks(u, v[None], np.array([c]), draws)[0, 0])
 
     def _linear_marginalized_prediction(self, form, rng: np.random.Generator):
         """Monte-Carlo marginalization of a linear predictor, drawn
@@ -651,32 +628,31 @@ class ImportanceEvaluator:
         # draws come from independent streams (slots 1 and 2) and the
         # reported SE covers the marginalization noise of both terms
         streams = (1, 2) if spec.mode == "marginalized" else (0, 0)
-        keys = []  # per pair: (term 1, term 2) memo keys per repetition, or None for identical plans
-        misses: dict[tuple, tuple] = {}  # memo key -> (plan, rep, slot, pair), in the order first needed
-        for i, pair in enumerate(pairs):
-            if pair[0] == pair[1]:
+        tails = [(kind,)] * 2 if exact else [(kind, spec.mode, spec.seed, stream) for stream in streams]
+        keys = []  # per pair: the two terms' memo keys, or None for identical plans
+        misses: dict[tuple, tuple] = {}  # memo key -> (plan, slot, pair, repetitions held), in the order first needed
+        for i, (t1, t2) in enumerate(pairs):
+            if t1 == t2:
                 keys.append(None)
                 continue
-            per_rep = []
-            for rep in range(n_reps):
-                two = []
-                for slot, plan in enumerate(pair, 1):
-                    key = (plan, kind) if exact else (plan, kind, spec.mode, spec.seed, rep, streams[slot - 1])
-                    if key in self._risks or key in misses:
-                        self.terms_reused += 1
-                    else:
-                        misses[key] = (plan, rep, slot, i)
-                    two.append(key)
-                per_rep.append(two)
-            keys.append(per_rep)
-        if misses:
-            self.terms_computed += len(misses)
-            self._risks.update(self._compute(spec, misses, exact, moment_form))
+            two = (t1, *tails[0]), (t2, *tails[1])
+            for slot, key in enumerate(two, 1):
+                if key not in misses:
+                    held = len(self._risks.get(key, ()))
+                    if held < n_reps:
+                        misses[key] = (key[0], slot, i, held)
+            keys.append(two)
+        live = [two for two in keys if two is not None]
+        computed = sum(n_reps - held for *_, held in misses.values())
+        self.terms_computed += computed
+        self.terms_reused += 2 * n_reps * len(live) - computed
+        for key, computed_risks in self._compute(spec, misses, n_reps, exact, moment_form).items():
+            self._risks.setdefault(key, []).extend(computed_risks)
         # mean and standard error over the repetitions (pool_orders),
         # row-wise over the batch
         risks = self._risks
-        diffs = np.array([[risks[key1] - risks[key2] for key1, key2 in per_rep]
-                          for per_rep in keys if per_rep is not None]).reshape(-1, n_reps)
+        diffs = (np.array([risks[key1][:n_reps] for key1, _ in live])
+                 - np.array([risks[key2][:n_reps] for _, key2 in live])).reshape(-1, n_reps)
         mean = _dot(diffs, 1.0) / n_reps + 0.0  # + 0.0: -0.0 becomes 0.0
         if n_reps > 1:
             dev = diffs - mean[:, None]
@@ -685,68 +661,70 @@ class ImportanceEvaluator:
             pooled = zip(mean.tolist(), [0.0] * len(diffs))
         sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices}
         estimates = []
-        for aux, per_rep in zip(batch.auxes, keys):
+        for aux, two in zip(batch.auxes, keys):
             aux_sets = dict(sets, aux=self._indices(aux))
-            if per_rep is None:
+            if two is None:
                 estimates.append(ImportanceEstimate(0.0, 0.0, spec.n_mc, spec.mode, aux_sets, spec.seed))
             else:
                 estimates.append(ImportanceEstimate(*next(pooled), n_reps, spec.mode, aux_sets, spec.seed))
         return estimates[0] if single else estimates
 
-    def _compute(self, spec: MeasureSpec, misses: dict, exact: bool, moment_form: bool) -> dict:
-        """Risks of the missing terms, keyed like the memo."""
+    def _compute(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, moment_form: bool) -> dict:
+        """Risks of the missing terms, keyed like the memo: for each, the
+        repetitions from the number it holds up to n_reps, in order."""
+        if not misses:
+            return {}
         plans = list(dict.fromkeys(plan for plan, *_ in misses.values()))
         linear = isinstance(self.predictor, LinearPredictor)
         forms = self._linear_forms(plans, not exact) if linear else None
-        if moment_form:
+        if moment_form:  # one key per plan, in the plans' order
             u, v, c = forms
-            u = u[:, self._canon_order]
-            if exact:  # one term per plan, in the plans' order
-                return dict(zip(misses, self._moment_risks(u, None, c, None).tolist()))
-            # every repetition that misses a term, for every plan
-            reps = sorted({rep for _, rep, *_ in misses.values()})
-            draws = tuple(map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in reps))))
-            risks = self._moment_risks(u, v, c, draws).tolist()
-            row = {rep: r for r, rep in enumerate(reps)}
-            col = {plan: p for p, plan in enumerate(plans)}
-            return {key: risks[row[rep]][col[plan]] for key, (plan, rep, *_) in misses.items()}
+            # every repetition that some term misses, for every plan
+            first = min(held for *_, held in misses.values())
+            draws = None if exact else tuple(
+                map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in range(first, n_reps)))))
+            risks = self._moment_risks(u[:, self._canon_order], v, c, draws)
+            return {key: risks[held - first:, p].tolist() for p, (key, (*_, held)) in enumerate(misses.items())}
         if linear:  # per plan: (u in column order, v, c), copied out so BLAS sees them as in a batch of one
             u, v, c = forms
             forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
-        return self._row_risks(spec, misses, exact, forms)
+        return self._row_risks(spec, misses, n_reps, exact, forms)
 
-    def _row_risks(self, spec: MeasureSpec, misses: dict, exact: bool, forms: dict | None) -> dict:
-        """Risks of missing terms that the moment form does not cover, one
-        plan at a time on n-length predictions, from the linear `forms`
-        or, when None, the materialized plan matrix. Within one
-        evaluation a repetition's column draws are shared by both terms
-        and a plan's predictor by every repetition, so at most two
-        predictions and one repetition's draws are held at a time."""
+    def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, forms: dict | None) -> dict:
+        """Risks of missing terms that the moment form does not cover, on
+        n-length predictions, from the linear `forms` or, when None, the
+        materialized plan matrix. The terms go pair by pair (a term goes
+        with the first pair that misses it) and, within a pair, repetition
+        by repetition, so both terms of a repetition read one set of
+        column draws, and at most two predictors and one repetition's
+        draws are held at a time."""
         n = self.data.n_rows
         y = self.target.values
         linear_mc = forms is not None and spec.mode == "marginalized" and not exact
-        risks = {}
-        at_pair, at_rep, predictors, z = None, None, {}, None
-        for key, (plan, rep, slot, pair) in misses.items():
-            if pair != at_pair:
-                at_pair, at_rep, predictors = pair, None, {}
-            if rep != at_rep:
-                at_rep, z = rep, _ColumnDraws(n, spec.seed, rep)
-            if plan not in predictors:
-                if forms is None:
-                    predictors[plan] = self._plan_predictor(plan, not exact)
+        risks = {key: [] for key in misses}
+        # misses are in the order first needed, so a pair's terms are adjacent
+        for _, group in groupby(misses.items(), key=lambda item: item[1][2]):
+            terms = []  # per term: its predictor for all of the pair's repetitions
+            for key, (plan, slot, _, held) in group:
+                if forms is None:  # the model on the materialized plan matrix
+                    predict = lambda z, plan=plan: self.predictor.predict(self._build_matrix(plan, z))
                 else:
-                    predictors[plan] = forms[plan] if linear_mc else self._form_predictor(forms[plan])
-            predict = predictors[plan]
-            if exact:
-                pred, var = predict(None), None
-            elif spec.mode == "original_f":
-                pred, var = predict(z), None
-            else:
-                rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
-                             else self._marginalized_prediction(predict, rng))
-            risks[key] = self._term_risk(spec, y, pred, var)
+                    predict = forms[plan] if linear_mc else self._form_predictor(forms[plan])
+                terms.append((predict, slot, held, risks[key]))
+            for rep in range(min(held for _, _, held, _ in terms), n_reps):
+                z = _ColumnDraws(n, spec.seed, rep)
+                for predict, slot, held, out in terms:
+                    if rep < held:
+                        continue
+                    if exact:
+                        pred, var = predict(None), None
+                    elif spec.mode == "original_f":
+                        pred, var = predict(z), None
+                    else:
+                        rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                        pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
+                                     else self._marginalized_prediction(predict, rng))
+                    out.append(self._term_risk(spec, y, pred, var))
         return risks
 
     # -- the four measures ---------------------------------------------------

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 from dataclasses import dataclass, field
 from functools import partial
@@ -281,20 +282,25 @@ class ResultBundle:
         }
 
     def write(self, outdir, formats=("csv", "json")) -> None:
+        """Write the bundle's files into outdir, as UTF-8 text."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         if "json" in formats:
-            with open(outdir / "bundle.json", "w") as fh:
+            with open(outdir / "bundle.json", "w", encoding="utf-8") as fh:
                 json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
         if "csv" in formats:
-            with open(outdir / "estimates.csv", "w", newline="") as fh:
+            with open(outdir / "estimates.csv", "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["name", "value", "std_error", "n_mc", "mode", "seed"])
                 for e in self.estimates:
                     writer.writerow([e["name"], repr(e["value"]), repr(e["std_error"]),
                                      e["n_mc"], e["mode"], e["seed"]])
             for t in self.tables:
-                with open(outdir / f"table_{t['name']}.csv", "w", newline="") as fh:
+                # the file name's bytes are UTF-8 whatever the locale: through
+                # surrogate escapes, a name an ASCII locale cannot encode
+                # still round-trips to them
+                name = os.fsdecode(f"table_{t['name']}.csv".encode("utf-8"))
+                with open(outdir / name, "w", newline="", encoding="utf-8") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["target", "method", "source", "value", "std_error"])
                     writer.writerow([t["target"], t["method"], "__total__",
@@ -304,7 +310,7 @@ class ResultBundle:
                                          repr(comp["value"]), repr(comp["se"])])
                     writer.writerow([t["target"], t["method"], "__remainder__",
                                      repr(t["remainder"]), ""])
-        with open(outdir / "metadata.json", "w") as fh:
+        with open(outdir / "metadata.json", "w", encoding="utf-8") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True)
 
 
@@ -393,8 +399,8 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     n_orders = _int_key(block, "n_orders", 60, name, minimum=1)
     n_mc = _int_key(block, "n_mc", None, name, minimum=1)
     seed = _int_key(block, "seed", None, name, minimum=0)
-    if kind in ("PFI", "conditional_FI", "SAGE_attribution") and not interest:
-        raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column")
+    if kind in ("PFI", "conditional_FI", "SAGE_attribution") and len(interest) != 1:
+        raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column, got {len(interest)}")
     overlap = [data.column_names[c] for c in interest if c in baseline]
     if kind in MEASURES and overlap:
         raise ConfigError(f"[{name}] 'interest' overlaps 'baseline' on {', '.join(overlap)}")

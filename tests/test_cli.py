@@ -373,10 +373,13 @@ class TestRunCommands:
         assert calls == []
 
     def test_nameless_block_named_once(self, tmp_path, capsys):
-        cfg = _config(tmp_path, dict(_BASE, measures=[{"measure": "PFI"}]))
-        assert main(["importance", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "[PFI] measure PFI needs one 'interest' column" in err and "[?]" not in err
+        # a single-column measure takes exactly one interest column
+        for block, count in (({"measure": "PFI"}, 0), ({"measure": "SAGE_attribution", "interest": ["B", "C"]}, 2)):
+            cfg = _config(tmp_path, dict(_BASE, measures=[block]))
+            assert main(["importance", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            kind = block["measure"]
+            assert f"[{kind}] measure {kind} needs one 'interest' column, got {count}" in err and "[?]" not in err
 
     def test_output_block_formats(self, tmp_path):
         out = tmp_path / "out"
@@ -510,6 +513,42 @@ class TestRunCommands:
         path.write_bytes(text.replace("a,b", "caf\xe9,b").encode("latin-1"))
         assert main(["importance", "--config", str(cfg)]) == 3
         assert f"{path}: row 1 is not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_ascii_names_under_an_ascii_locale(self, tmp_path):
+        # a column named Ç where the locale's encoding is ASCII: simulate
+        # writes UTF-8, the CSV reads back, decompose writes its table
+        # files as UTF-8 and report prints the name escaped; all exit 0
+        scm = {"nodes": ["a", "b", "Ç", "y"],
+               "edges": [{"parent": "a", "child": "Ç", "coefficient": 0.8},
+                         {"parent": "Ç", "child": "y", "coefficient": 1.0},
+                         {"parent": "b", "child": "y", "coefficient": 0.5}],
+               "noise_std": {"a": 1.0, "b": 1.0, "Ç": 0.5, "y": 0.3},
+               "roles": {"a": "feature", "b": "feature", "Ç": "feature", "y": "target"}}
+        raw = {"seed": 0, "data": {"csv": "data.csv", "target_column": "y"}, "n_mc": 2,
+               "decompositions": [{"name": "pfi_Ç", "kind": "pfi", "method": "fast", "target": "Ç"}]}
+        for name, doc in (("scm.yaml", scm), ("run.yaml", raw)):
+            (tmp_path / name).write_text(yaml.safe_dump(doc, allow_unicode=True), encoding="utf-8")
+        package_root = str(Path(dedact.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+        def dedact_cli(*args):
+            proc = subprocess.run([sys.executable, "-m", "dedact.cli", *args], cwd=tmp_path, env=env,
+                                  capture_output=True)
+            assert (proc.returncode, b"Traceback" in proc.stderr) == (0, False), proc.stderr.decode()
+            return proc.stdout
+
+        dedact_cli("simulate", "--scm", "scm.yaml", "--n", "300", "--seed", "1", "--out", "data.csv")
+        assert ingest_csv(tmp_path / "data.csv", "y")[0].column_names == ("a", "b", "Ç")
+        dedact_cli("decompose", "--config", "run.yaml", "--out", "out")
+        table = (tmp_path / "out" / "table_pfi_Ç.csv").read_text(encoding="utf-8")
+        assert "fast,Ç," in table
+        assert b"[pfi_\\xc7] fast decomposition of \\xc7" in dedact_cli("report", "--bundle", "out")
+        # report reads a bundle as UTF-8, also one whose names are not escaped
+        bundle = tmp_path / "out" / "bundle.json"
+        unescaped = json.dumps(json.loads(bundle.read_text(encoding="utf-8")), ensure_ascii=False)
+        bundle.write_text(unescaped, encoding="utf-8")
+        assert b"[pfi_\\xc7] fast decomposition of \\xc7" in dedact_cli("report", "--bundle", "out")
 
     def test_config_echo_round_trip(self, tmp_path):
         cfg = RunConfig(dict(_BASE))

@@ -7,6 +7,7 @@ from dedact.core import DataMatrix, LinearPredictor, TargetVector, derive_seed
 from dedact.decompose import (
     CooperativeGame,
     DecompositionTable,
+    fast_decompose_ai,
     fast_decompose_pfi,
     fast_decompose_pfi_ordered,
     fast_decompose_sage,
@@ -17,7 +18,13 @@ from dedact.decompose import (
     solve_game,
 )
 from dedact.errors import DimensionMismatch, TooManyPlayers
-from dedact.importance import ImportanceEvaluator, evaluation_count, reset_evaluation_count
+from dedact.importance import (
+    ImportanceEvaluator,
+    evaluation_count,
+    pool_orders,
+    reset_evaluation_count,
+    sage_contexts,
+)
 from dedact.runner import run_census_demo
 from dedact.sampler import GaussianModel
 
@@ -460,6 +467,54 @@ class TestDecompositionTable:
         table = DecompositionTable("t", total, {"a": (2.0, 0.4), "b": (1.0, 0.0)}, "fast")
         assert table.remainder == pytest.approx(2.0)
         assert table.combined_std_error == pytest.approx(0.5)
+
+
+class TestFastTablesBatched:
+    """A fast table values its components in one `MeasureBatch` (a fast
+    SAGE table those of each context): the table one evaluation per
+    component gives, from fewer `evaluate` calls."""
+
+    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    def test_same_table_as_one_evaluation_per_component(self, monkeypatch, exact_marginalization):
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        kw = dict(n=500, n_mc=3, n_integration=4, exact_marginalization=exact_marginalization)
+        ev, single = (_linear_evaluator(cov, [1.0, -0.5, 0.8], **kw) for _ in range(2))
+        calls = []
+        evaluate = ImportanceEvaluator.evaluate
+
+        def spy(self, spec):
+            calls.append(spec)
+            return evaluate(self, spec)
+
+        monkeypatch.setattr(ImportanceEvaluator, "evaluate", spy)
+        reset_evaluation_count()
+        pfi, ordered = fast_decompose_pfi(ev, 0), fast_decompose_pfi_ordered(ev, 1, [2, 0, 1])
+        ai, sage = fast_decompose_ai(ev, 2), fast_decompose_sage(ev, 0, n_orders=3)
+        # each table: its total and one batch; a SAGE context: its alpha and one batch
+        assert len(calls) == 2 + 2 + 2 + 3 * 2
+        assert evaluation_count() == 4 + 4 + 4 + 3 * 4
+
+        def pair(est):
+            return est.value, est.std_error
+
+        assert pair(pfi.total) == pair(single.pfi(0))
+        assert pfi.components == {f"x{j}": pair(single.di_from([0], [1, 2], [j])) for j in range(3)}
+        assert pair(ordered.total) == pair(single.pfi(1))
+        prefixes = [pair(single.di_from([1], [0, 2], [2, 0, 1][:i])) for i in (1, 2, 3)]
+        assert list(ordered.components.values()) == [
+            (value - prev, float(np.hypot(se, prev_se)))
+            for (value, se), (prev, prev_se) in zip(prefixes, [(0.0, 0.0)] + prefixes)]
+        assert pair(ai.total) == pair(single.associative_importance([2], []))
+        assert ai.components == {f"x{k}": pair(single.ai_via([2], [], [k])) for k in range(3)}
+        alphas, comp = [], []
+        for o, context in enumerate(sage_contexts(3, 0, 3, ev.seed)):
+            seed_o = derive_seed(ev.seed, 811, o)
+            alphas.append(single.associative_importance([0], context, mode="marginalized", seed=seed_o).value)
+            comp.append([alphas[-1] - single.ai_via([0], context, [c for c in range(3) if c != k],
+                                                    mode="marginalized", seed=seed_o).value for k in range(3)])
+        assert pair(sage.total) == pool_orders(alphas)
+        assert sage.components == {f"x{k}": pool_orders(np.array(comp)[:, k]) for k in range(3)}
+        assert ev.counters() == single.counters()
 
 
 class _FreshPerEvaluation(ImportanceEvaluator):

@@ -338,6 +338,11 @@ def _linear_and_opaque(d=4, n=400, seed=3, **kw):
     return linear, opaque, rng
 
 
+def _plans(ev, spec):
+    """The plan keys of one spec's two terms."""
+    return ev._plan_pairs(spec, (importance._mask(spec.aux),))[0]
+
+
 def _risks_on_one_draw(linear, opaque, plan, rng):
     """A plan's `original_f` squared-error risk on one explicit standard
     normal z: from the moment form fed z's own moments, and from the
@@ -347,8 +352,9 @@ def _risks_on_one_draw(linear, opaque, plan, rng):
     x_c, y = x - x.mean(axis=0), linear.target.values
     y_c, n = y - y.mean(), len(y)
     moments = (z.T @ z / n, z.T @ x_c / n, z.mean(axis=0), z.T @ y_c / n)
-    moment = linear._moment_risk(linear._linear_form(plan), moments)
-    return moment, float(np.mean((y - opaque._plan_predictor(plan, True)(z)) ** 2))
+    u, v, c = linear._linear_forms([plan], True)
+    moment = linear._moment_risks(u[:, linear._canon_order], v, c, tuple(m[None] for m in moments))[0, 0]
+    return moment, float(np.mean((y - opaque.predictor.predict(opaque._build_matrix(plan, z))) ** 2))
 
 
 class TestPlanEngine:
@@ -358,7 +364,7 @@ class TestPlanEngine:
     def test_generic_path_matches_linear_form(self, mode):
         linear, opaque, rng = _linear_and_opaque(n_integration=4)
         for spec in _random_specs(4, rng, 24, mode=mode, n_mc=3, seed=5):
-            for plan in linear._plans(spec):
+            for plan in _plans(linear, spec):
                 moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
                 assert moment == pytest.approx(row, rel=0, abs=1e-12), spec
 
@@ -366,8 +372,8 @@ class TestPlanEngine:
         linear, _, rng = _linear_and_opaque()
         x, predictor = linear.data.values, linear.predictor
         for spec in _random_specs(4, rng, 24):
-            for plan in linear._plans(spec):
-                u, v, c = linear._linear_form(plan)
+            plans = _plans(linear, spec)
+            for plan, u, v, c in zip(plans, *linear._linear_forms(plans, True)):
                 zero = np.zeros(x.shape)
                 z = rng.standard_normal(x.shape)
                 expected = predictor.predict(linear._build_matrix(plan, zero))
@@ -398,6 +404,42 @@ class TestPlanEngine:
         assert ev.counters() == {"evaluations": 3, "terms_computed": 3 * (1 + 3), "terms_reused": 3 * 2}
         ev.di_from([0], [1, 2, 3], [2], seed=4)
         assert ev.terms_computed == 12 and ev.terms_reused == 6 + 2 * 3
+
+    @pytest.mark.parametrize("which,loss,mode", [
+        ("linear", SQUARED_ERROR, "original_f"),
+        ("linear", CROSS_ENTROPY, "original_f"),
+        ("linear", SQUARED_ERROR, "marginalized"),
+        ("opaque", SQUARED_ERROR, "original_f"),
+    ], ids=["moment_form", "cross_entropy_row_path", "linear_monte_carlo", "opaque_plan_matrix"])
+    def test_more_repetitions_extend_each_held_prefix(self, which, loss, mode):
+        # a term's memo entry holds its repetitions 0..r-1; asking for more
+        # computes only the new ones, and the estimates are a fresh run's
+        def evaluator():
+            linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3)
+            return linear if which == "linear" else opaque
+
+        ev = evaluator()
+        specs = _random_specs(4, np.random.default_rng(11), 12, mode=mode, loss=loss, n_mc=2, seed=6)
+        slots = (1, 2) if mode == "marginalized" else (0, 0)
+        distinct = [pair for pair in (_plans(ev, spec) for spec in specs) if pair[0] != pair[1]]
+        terms = {(plan, slot) for pair in distinct for slot, plan in zip(slots, pair)}
+        assert distinct and len(terms) < 2 * len(distinct)  # some terms are shared
+        for spec in specs:
+            ev.evaluate(spec)
+        before = ev.counters()
+        assert before["terms_computed"] == 2 * len(terms)
+        got = [ev.evaluate(replace(spec, n_mc=5)) for spec in specs]
+        fresh = evaluator()
+        expected = [fresh.evaluate(replace(spec, n_mc=5)) for spec in specs]
+        assert [(e.value, e.std_error, e.n_mc) for e in got] == [(e.value, e.std_error, e.n_mc) for e in expected]
+        assert ev.terms_computed - before["terms_computed"] == 3 * len(terms)
+        assert ev.terms_reused - before["terms_reused"] == 2 * 5 * len(distinct) - 3 * len(terms)
+        assert fresh.terms_computed == 5 * len(terms)
+        # a smaller n_mc reads the held prefix and computes nothing
+        again = [ev.evaluate(spec) for spec in specs]
+        assert ev.terms_computed - before["terms_computed"] == 3 * len(terms)
+        assert [(e.value, e.std_error) for e in again] == \
+            [(e.value, e.std_error) for e in map(evaluator().evaluate, specs)]
 
     def test_counters_belong_to_the_evaluator(self):
         a = _evaluator(np.eye(2), [1.0, 1.0], n=200, n_mc=2)
@@ -488,21 +530,24 @@ class TestLinearMonteCarloMarginalization:
         linear, _, rng = _linear_and_opaque(n_integration=m)
         x, y = linear.data.values, linear.target.values
         specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", loss=loss, n_mc=2, seed=9)
-                 if len(set(linear._plans(s))) == 2]
+                 if len(set(_plans(linear, s))) == 2]
         for spec in specs:
             est = linear.evaluate(spec)
+            plans = _plans(linear, spec)
+            forms = list(zip(*linear._linear_forms(plans, True)))
             diffs = []
             for rep in range(spec.n_mc):
                 risks = []
-                for slot, plan in enumerate(linear._plans(spec), 1):
-                    u, v, c = linear._linear_form(plan)
+                for slot, (plan, (u, v, c)) in enumerate(zip(plans, forms), 1):
                     eps = np.random.default_rng(derive_seed(spec.seed, rep, slot)).standard_normal(len(y))
                     pred = x @ u + c + np.linalg.norm(v) / np.sqrt(m) * eps
                     risk = np.mean(loss.elementwise(y, pred))
                     if loss.kind == "squared_error" and m > 1:
                         risk -= v @ v / m
-                    key = (plan, loss.kind, "marginalized", spec.seed, rep, slot)
-                    assert linear._risks[key] == pytest.approx(risk, rel=1e-12, abs=1e-12), spec
+                    # one memo entry per term, holding its repetitions in order
+                    key = (plan, loss.kind, "marginalized", spec.seed, slot)
+                    assert len(linear._risks[key]) == spec.n_mc
+                    assert linear._risks[key][rep] == pytest.approx(risk, rel=1e-12, abs=1e-12), spec
                     risks.append(risk)
                 diffs.append(risks[0] - risks[1])
             assert est.value == pytest.approx(np.mean(diffs), rel=1e-10, abs=1e-12), spec
@@ -594,7 +639,7 @@ class TestMomentForm:
         linear, opaque, rng = _linear_and_opaque(n=2000)
         linear, opaque = _shifted(linear, 1e3), _shifted(opaque, 1e3)
         for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
-            for plan in linear._plans(spec):
+            for plan in _plans(linear, spec):
                 moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
                 assert moment == pytest.approx(row, rel=1e-10), spec
 
@@ -613,9 +658,9 @@ class TestMomentForm:
         for spec in _random_specs(4, rng, 24, mode="marginalized"):
             linear.evaluate(spec)
         assert len(linear._risks) > 10
-        for (plan, _), risk in linear._risks.items():
-            u, _, c = linear._linear_form(plan)
-            assert risk == pytest.approx(np.mean((y - x @ u - c) ** 2), rel=1e-10), plan
+        for (plan, _), (risk,) in linear._risks.items():
+            u, _, c = linear._linear_forms([plan], False)
+            assert risk == pytest.approx(np.mean((y - x @ u[0] - c[0]) ** 2), rel=1e-10), plan
 
     def test_draws_made_once_per_seed_and_rep(self):
         ev = _evaluator(np.eye(3), [1.0, 1.0, 1.0], n=500, n_mc=4)
@@ -739,7 +784,7 @@ class TestConditioningCache:
         linear, opaque, rng = _linear_and_opaque(n_integration=2, exact_marginalization=exact)
         specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
         # identical plans return early and set nothing up
-        plans = [linear._plans(spec) for spec in specs]
+        plans = [_plans(linear, spec) for spec in specs]
         expected = {mask for t1, t2 in plans if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
         for ev in (linear, opaque) if not exact else (linear,):
             calls.clear()
@@ -798,10 +843,10 @@ class TestOneConditionalDraw:
         for kept in ([], [2], [0, 3], [1, 2, 4], list(range(d))):
             for integration, cond_mask in (("conditional", importance._mask(kept)), ("independent", 0)):
                 plan = tuple(_KEEP if c in kept else cond_mask for c in range(d))
-                u, v, c = ev._linear_form(plan, draws=False)
+                u, v, c = ev._linear_forms([plan], draws=False)
                 assert v is None
                 marg = marginalize(ev.predictor, FeatureIndexSet.of(kept), ev.gaussian, integration, exact=True)
-                np.testing.assert_allclose(marg.predict(x), x @ u + c, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(marg.predict(x), x @ u[0] + c[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_perturb_rejects_data_of_another_width(self, width):
