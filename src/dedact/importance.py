@@ -51,29 +51,33 @@ miss.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
-conditional set-up is the conditioning set C, not the redrawn group:
-the first plan that redraws any columns given C makes one
-`dedact.sampler._Conditioning`, the conditional-Gaussian draw that
-`perturb` and `MarginalizedPredictor` also take, with one
-`conditional_params` solve for every column outside C (canonical
-order), and each group (targets T, conditioning C) slices its map rows
-`A_C[T]`, offsets `mu_T` and covariance block from it. From the same
-solve the evaluator builds two weighted tables once per C:
-`rows_C[t] = w_t . A_C[t, :]` scattered over the d columns and
-`offs_C[t] = w_t . (mu_t - A_C[t] . mu_C)`. A plan's u is then the sum,
-over the columns k in canonical order, of `rows_C[k]` for a column
-redrawn given C (conditioning reads the original columns) or `w_k e_k`
-for a kept one, and `c = b + sum(offs_C[k])` likewise: no solve and no
-matrix product per plan, and a stack of plans is assembled by one
-gather per column. Only draws need the Cholesky factor L of a group's
-conditional covariance block, which puts `L^T w_T` in v at the targets'
-canonical draw columns; it is factorized the first time a term that
-takes draws needs that (C, T) (`original_f`, Monte-Carlo marginalization, or any other
-`Predictor`, which is evaluated on the materialized plan matrix) and
-kept. Exact marginalization is `X @ u + c` and never factorizes, so a
-conditional block that cannot be factorized raises
-`SingularConditioning` only where draws are taken. No n x d plan matrix
-is built on the linear path.
+conditional set-up is the conditioning set C, not the redrawn group.
+Each evaluator keeps one `dedact.sampler._Conditioning`, a table of
+conditioning sets that `perturb` and `MarginalizedPredictor` also draw
+through. `_linear_forms` hands it every set that a batch's plans redraw
+columns given and the table lacks. It builds them with one stacked solve
+per set size |C|, for every column outside C (canonical order), and from
+the same solves a weighted table, filled by one scatter per size: the
+row `forms_C[t]` of a column t outside C holds `w_t . A_C[t, :]`
+scattered over the d columns, then the offset
+`w_t . (mu_t - A_C[t] . mu_C)`. Each group (targets T, conditioning C)
+slices its map rows `A_C[T]`, offsets `mu_T` and covariance block from
+its set's solve. A plan's [u | c - b] is then the sum, over the columns
+k in canonical order, of `forms_C[k]` for a column redrawn given C
+(conditioning reads the original columns) or `[w_k e_k | 0]` for a kept
+one: no solve and no matrix product per plan, and a stack of plans is
+assembled by one gather per column from the table. Only draws need the Cholesky factor L of a
+group's conditional covariance block, which puts `L^T w_T` in v at the
+targets' canonical draw columns. When a batch has terms that take draws
+(`original_f`, Monte-Carlo marginalization, or any other `Predictor`,
+which is evaluated on the materialized plan matrix), the (C, T) pairs
+the table lacks are factorized with one stacked Cholesky per group size
+|T| and kept with their `L^T w_T`. Exact marginalization is `X @ u + c`
+and never factorizes, so a conditional block that cannot be factorized
+raises `SingularConditioning` only where draws are taken. LAPACK solves
+and factorizes each matrix of a stack on its own, so a set's tables and
+factors, and so every plan's (u, v, c), are the same floats whichever
+batch built them. No n x d plan matrix is built on the linear path.
 
 Moment form: a linear predictor's squared-error risk is a quadratic form
 in the moments of the data and the draws, so those terms (in
@@ -346,7 +350,8 @@ class ImportanceEvaluator:
         # how the columns are ordered (see the module docstring)
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
-        self._conditionings: dict[int, _Conditioning] = {}
+        weights = predictor.weights if isinstance(predictor, LinearPredictor) else None
+        self._table = _Conditioning(gaussian, self._canon_order, weights)
         self._index_sets: dict[int, tuple[int, ...]] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
@@ -406,17 +411,6 @@ class ImportanceEvaluator:
             hit = self._index_sets[mask] = tuple(c for c in range(self.data.n_cols) if mask >> c & 1)
         return hit
 
-    def _conditioning(self, cond_mask: int) -> _Conditioning:
-        """The conditional set-up of one conditioning set, made on first
-        need with one `conditional_params` solve."""
-        hit = self._conditionings.get(cond_mask)
-        if hit is None:
-            cond = tuple(c for c in self._canon_order if cond_mask >> c & 1)
-            rest = tuple(c for c in self._canon_order if not cond_mask >> c & 1)
-            weights = self.predictor.weights if isinstance(self.predictor, LinearPredictor) else None
-            hit = self._conditionings[cond_mask] = _Conditioning(self.gaussian, cond, rest, weights)
-        return hit
-
     def _groups(self, plan) -> dict[int, tuple[int, ...]]:
         """Redrawn columns of each conditioning set, in canonical order."""
         by_mask: dict[int, list[int]] = {}
@@ -435,38 +429,49 @@ class ImportanceEvaluator:
         m = self.data.values.copy()
         for mask, targets in self._groups(plan).items():
             z_cols = [self._canon_rank[c] for c in targets]
-            m[:, list(targets)] = self._conditioning(mask).draw(targets, self.data.values, z[:, z_cols])
+            m[:, list(targets)] = self._table.draw(mask, targets, self.data.values, z[:, z_cols])
         return m
+
+    def _set_up(self, plans, draws: bool) -> tuple[dict[int, int], list[dict[int, tuple[int, ...]]] | None]:
+        """Hand the conditioning table every set that the plans redraw
+        columns given, in one batch, and with `draws` every (set, group)
+        pair to factorize. Returns each plan entry's table slot (0 for
+        `_KEEP`) and, with `draws`, each plan's groups."""
+        table = self._table
+        masks = set().union(*plans)
+        masks.discard(_KEEP)
+        table.add(masks)
+        slot = {mask: table.slots[mask] for mask in masks}
+        slot[_KEEP] = 0
+        if not draws:
+            return slot, None
+        groups = [self._groups(plan) for plan in plans]
+        table.factorize(pair for plan_groups in groups for pair in plan_groups.items())
+        return slot, groups
 
     def _linear_forms(self, plans, draws: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
         """Stacked (U, V, C) with `X @ u + z @ v + c` the linear
         predictor's output on `_build_matrix(plans[p], z)` for row p: u in
         column order, v in canonical (draw) order, and V None unless
-        `draws`. Row p of U sums, over the columns in canonical order, each
-        column's row of its conditioning set's `rows` table (a kept
-        column adds w_k at k); C likewise adds the `offs` entries to the
-        intercept. Each row's sums run in the same order whatever else
-        the batch holds, and do not depend on the column order."""
-        masks = set().union(*plans)
-        slot = {mask: i for i, mask in enumerate(masks)}
-        conditionings = [None if mask == _KEEP else self._conditioning(mask) for mask in masks]
-        w = self.predictor.weights
-        rows = np.stack([np.diag(w) if cond is None else cond.rows for cond in conditionings])
-        offs = np.stack([np.zeros_like(w) if cond is None else cond.offs for cond in conditionings])
+        `draws`. Row p of [U | C] sums, over the columns in canonical
+        order, each column's row of its conditioning set's `forms` table
+        (a kept column adds w_k at k and no offset), and C adds the
+        intercept. Each row's sums run in the same order whatever else the
+        batch holds, and do not depend on the column order."""
+        slot, groups = self._set_up(plans, draws)
+        table, w = self._table, self.predictor.weights
         sets = np.array([list(map(slot.__getitem__, plan)) for plan in plans])
         first, *rest = self._canon_order
-        u, c = rows[sets[:, first], first], offs[sets[:, first], first]
+        form = table.forms[sets[:, first], first]
         for col in rest:
-            u += rows[sets[:, col], col]
-            c += offs[sets[:, col], col]
-        c += self.predictor.intercept
+            form += table.forms[sets[:, col], col]
+        u, c = form[:, :-1], form[:, -1] + self.predictor.intercept
         if not draws:
             return u, None, c
         v = np.zeros((len(plans), len(w)))
-        for p, plan in enumerate(plans):
-            for mask, targets in self._groups(plan).items():
-                v[p, [self._canon_rank[col] for col in targets]] = (
-                    self._conditioning(mask).cholesky(targets).T @ w[list(targets)])
+        for p, plan_groups in enumerate(groups):
+            for pair in plan_groups.items():
+                v[p, [self._canon_rank[col] for col in pair[1]]] = table.factors[pair][1]
         return u, v, c
 
     def _form_predictor(self, form):
@@ -688,6 +693,8 @@ class ImportanceEvaluator:
         if linear:  # per plan: (u in column order, v, c), copied out so BLAS sees them as in a batch of one
             u, v, c = forms
             forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
+        else:  # every plan draws through `_build_matrix`
+            self._set_up(plans, draws=True)
         return self._row_risks(spec, misses, n_reps, exact, forms)
 
     def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, forms: dict | None) -> dict:

@@ -460,6 +460,21 @@ def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable
     return name, partial(call, n_mc=n_mc, seed=seed)
 
 
+def _check_table_names(names: list[str]) -> None:
+    """A decomposition's name is part of its table's file name,
+    `table_<name>.csv`: it must hold no path separator or NUL, and no two
+    decompositions may share it."""
+    seen: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if any(ch in name for ch in "/\\\0"):
+            raise ConfigError(f"[decompositions] entry {i}: 'name' {name!r} holds a path separator or NUL,"
+                              " but it names the file table_<name>.csv")
+        if name in seen:
+            raise ConfigError(f"[decompositions] entry {i}: 'name' {name!r} repeats entry {seen[name]}'s,"
+                              " but each table is written to its own file table_<name>.csv")
+        seen[name] = i
+
+
 def _blocks(raw: dict, section: str) -> list[dict]:
     blocks = raw.get(section) or []
     if not isinstance(blocks, list):
@@ -520,6 +535,7 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     bundle = ResultBundle(config_echo=dict(raw))
     calls = ([(bundle.add_estimate, *_resolve_measure(block, data)) for block in measures]
              + [(bundle.add_table, *_resolve_decomposition(block, data)) for block in decompositions])
+    _check_table_names([name for _, name, _ in calls[len(measures):]])
 
     bundle.metadata = {
         "seed": seed,

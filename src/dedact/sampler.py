@@ -1,18 +1,27 @@
-"""Gaussian fitting and the one conditional-Gaussian draw.
+"""Gaussian fitting and the one conditional-Gaussian implementation.
 
 The distributional family is fixed to a joint Gaussian with closed-form
-conditionals. `_Conditioning.draw` is the only sampling primitive: the
-conditional mean given a row's conditioning columns plus `z @ L.T`, with
-L the Cholesky factor of the conditional covariance, factorized only when
-draws are taken. The importance engine's plan matrices, `perturb` and
-`MarginalizedPredictor` all draw through it. An independent perturbation
-(empty conditioning set) is a fresh draw from the fitted joint, never a
-row permutation.
+conditionals. `_conditionals` builds them for a stack of conditioning
+sets of one size with one stacked solve, and `_Conditioning` is the table
+that holds them: sets are added a batch at a time, one `_conditionals`
+call per set size, and the Cholesky factors of the target groups that
+take draws are added with one stacked factorization per group size.
+`conditional_params` is a table-free call of `_conditionals` on one pair.
+`_Conditioning.draw` is the only sampling primitive: the conditional mean
+given a row's conditioning columns plus `z @ L.T`, with L the Cholesky
+factor of the conditional covariance, factorized only when draws are
+taken. The importance engine's plan matrices and linear forms, `perturb`
+and `MarginalizedPredictor` all read a table. LAPACK solves and factorizes
+each matrix of a stack on its own, so a set's floats are those of a stack
+of one, whatever batch built it. An independent perturbation (empty
+conditioning set) is a fresh draw from the fitted joint, never a row
+permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 import numpy as np
@@ -72,10 +81,42 @@ class AffineMap:
 
 
 def _stable_cholesky(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of `cov + JITTER * I`, for one matrix or a stack of
+    them (LAPACK factorizes each matrix of a stack on its own)."""
     try:
-        return np.linalg.cholesky(cov + JITTER * np.eye(cov.shape[0]))
+        return np.linalg.cholesky(cov + JITTER * np.eye(cov.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise SingularConditioning("covariance block not factorizable") from exc
+
+
+def _conditionals(blocks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Gaussian conditionals of a stack of k sets of one size.
+    Each set comes as its covariance block (k, m, m) over its own column
+    order: its `size` conditioning columns C first, then its targets T.
+    Returns the conditional-mean matrices `A = cov_TC cov_CC^-1`
+    (k, m - size, size) and the Schur-complement covariances
+    (k, m - size, m - size). One `np.linalg.solve` on the stacked
+    `cov_CC + JITTER * I`: LAPACK solves each set on its own, so a set's
+    floats do not depend on the others in the stack."""
+    cov_ct = np.ascontiguousarray(blocks[:, size:, :size]).swapaxes(1, 2)
+    try:
+        matrix = np.linalg.solve(blocks[:, :size, :size] + JITTER * np.eye(size), cov_ct).swapaxes(1, 2)
+    except np.linalg.LinAlgError as exc:
+        raise SingularConditioning("conditioning covariance is singular") from exc
+    cov = blocks[:, size:, size:] - matrix @ cov_ct
+    return matrix, (cov + cov.swapaxes(1, 2)) / 2.0
+
+
+def _checked(g: GaussianModel, cond: Iterable[int], targets: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Both index sets as lists, in the order given, after checking that
+    they are disjoint and within the Gaussian's columns."""
+    c = [int(i) for i in cond]
+    t = [int(i) for i in targets]
+    if set(c) & set(t):
+        raise DisjointnessViolation(f"cond {tuple(c)} overlaps targets {tuple(t)}")
+    for cols in (c, t):
+        FeatureIndexSet.of(cols).validate_within(g.dim)
+    return c, t
 
 
 def conditional_params(
@@ -88,66 +129,159 @@ def conditional_params(
     sequence of column indices; the map's inputs and outputs and the
     covariance follow the order given. The two sets must be disjoint.
     """
-    c = [int(i) for i in cond]
-    t = [int(i) for i in targets]
-    if set(c) & set(t):
-        raise DisjointnessViolation(f"cond {tuple(c)} overlaps targets {tuple(t)}")
-    for cols in (c, t):
-        FeatureIndexSet.of(cols).validate_within(g.dim)
-    mu_t = g.mean[t]
-    mu_c = g.mean[c]
-    cov_tt = g.cov[np.ix_(t, t)]
-    cov_cc = g.cov[np.ix_(c, c)] + JITTER * np.eye(len(c))
-    cov_tc = g.cov[np.ix_(t, c)]
-    try:
-        matrix = np.linalg.solve(cov_cc, cov_tc.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularConditioning("conditioning covariance is singular") from exc
-    cov_c = cov_tt - matrix @ cov_tc.T
-    cov_c = (cov_c + cov_c.T) / 2.0
-    return AffineMap(mu_t, matrix, mu_c), cov_c
+    c, t = _checked(g, cond, targets)
+    matrix, cov = _conditionals(g.cov[np.ix_(c + t, c + t)][None], len(c))
+    return AffineMap(g.mean[t], matrix[0], g.mean[c]), cov[0]
+
+
+def _reserve(table: np.ndarray, size: int) -> np.ndarray:
+    """`table` if it has room for `size` entries along its first axis,
+    else a copy of it into twice the room (or `size`, if larger), the new
+    room zero."""
+    if len(table) >= size:
+        return table
+    grown = np.zeros((max(size, 2 * len(table)), *table.shape[1:]))
+    grown[:len(table)] = table
+    return grown
 
 
 class _Conditioning:
-    """The conditional of the `rest` columns given the `cond` columns (one
-    `conditional_params` solve) and the Cholesky factors of the target
-    groups that took draws; given a linear predictor's `weights`, also the
-    engine's linear-form tables `rows` and `offs` (see `dedact.importance`)."""
+    """The Gaussian conditionals of many conditioning sets, built a batch
+    at a time: the one conditional-Gaussian implementation.
 
-    def __init__(self, gaussian: GaussianModel, cond: tuple[int, ...], rest: tuple[int, ...],
-                 weights: np.ndarray | None = None):
-        self.cond = cond
-        self.mean_map, self.cov = conditional_params(gaussian, cond, rest)
-        self.pos = {col: p for p, col in enumerate(rest)}
-        self._chol: dict[tuple[int, ...], np.ndarray] = {}
+    A conditioning set C is a bitmask over `columns`; its conditioning
+    columns and its rest (the columns of `columns` outside C) both follow
+    the order of `columns`. `add` builds the sets a batch is missing,
+    with one `_conditionals` call (one stacked solve) per set size |C|,
+    and gives each a slot (`slots[mask]`; slot 0 stands for a kept
+    column). Per set size the table keeps the stacked conditional-mean
+    matrices and conditional covariances of the rest. Given a linear
+    predictor's weights w, it also keeps the engine's linear-form table
+    (see `dedact.importance`), filled by one scatter per set size:
+    `forms[slot]` is d x (d + 1), and its row for a rest column t holds
+    `w_t A_C[t, :]` at the conditioning columns and, in the last entry,
+    the offset `w_t (mu_t - A_C[t] . mu_C)`; slot 0 holds `w_k e_k` and
+    no offset. `factorize` takes the Cholesky factor L of each
+    (C, targets) block that draws need, with one stacked
+    `_stable_cholesky` per group size, and keeps it per (C, targets),
+    with `L^T w_T` when there are weights. Storage grows by doubling, so a
+    batch copies only its own sets, and the earlier ones only when the
+    room doubles.
+    """
+
+    def __init__(self, gaussian: GaussianModel, columns, weights: np.ndarray | None = None):
+        self.gaussian = gaussian
+        self.columns = tuple(columns)
+        self.weights = weights
+        self.slots: dict[int, int] = {}
+        self._sets: list[tuple | None] = [None]  # per slot: (|C|, index in its size's stacks, cond, rest)
+        self._stacks: dict[int, list] = {}  # per |C|: [count, matrices, covariances]
+        self.factors: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray | None]] = {}
         if weights is not None:
-            d, rest_idx = weights.size, list(rest)
-            w_rest = weights[rest_idx]
-            self.rows = np.zeros((d, d))
-            self.rows[np.ix_(rest_idx, list(cond))] = w_rest[:, None] * self.mean_map.matrix
-            self.offs = np.zeros(d)
-            self.offs[rest_idx] = w_rest * (self.mean_map.offset - self.mean_map.matrix @ self.mean_map.cond_mean)
+            self.forms = np.hstack([np.diag(weights), np.zeros((weights.size, 1))])[None]
 
-    def conditional(self, targets: tuple[int, ...]):
-        """Conditional-mean map and covariance block of the targets, in
-        the order given."""
-        p = [self.pos[t] for t in targets]
-        m = self.mean_map
-        return AffineMap(m.offset[p], m.matrix[p], m.cond_mean), self.cov[np.ix_(p, p)]
+    @classmethod
+    def pair(cls, gaussian: GaussianModel, cond, targets) -> tuple["_Conditioning", int]:
+        """A table for one checked (cond, targets) pair, and the pair's
+        mask: the set's conditioning columns and rest follow the orders
+        given."""
+        c, t = _checked(gaussian, cond, targets)
+        return cls(gaussian, c + t), sum(1 << col for col in set(c))
 
-    def cholesky(self, targets: tuple[int, ...]) -> np.ndarray:
-        hit = self._chol.get(targets)
-        if hit is None:
-            hit = self._chol[targets] = _stable_cholesky(self.conditional(targets)[1])
-        return hit
+    def add(self, masks) -> None:
+        """Build every set of `masks` that the table does not hold: one
+        gather of their covariance blocks, then one `_conditionals` call
+        per set size. A set that cannot be solved raises
+        `SingularConditioning`, and then none of the batch is held."""
+        new: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        for mask in masks:
+            if mask not in self.slots and mask not in new:
+                cond = tuple(col for col in self.columns if mask >> col & 1)
+                new[mask] = cond, tuple(col for col in self.columns if not mask >> col & 1)
+        if not new:
+            return
+        items = sorted(new.items(), key=lambda item: len(item[1][0]))  # one run of slots per set size
+        order = np.array([cond + rest for _, (cond, rest) in items], dtype=np.intp)
+        blocks = self.gaussian.cov[order[:, :, None], order[:, None, :]]
+        runs, a = [], 0
+        for size, run in groupby(items, key=lambda item: len(item[1][0])):
+            b = a + len(list(run))
+            runs.append((a, b, size, *_conditionals(blocks[a:b], size)))
+            a = b
+        first = len(self._sets)
+        for j, (mask, _) in enumerate(items):
+            self.slots[mask] = first + j
+        if self.weights is not None:
+            self.forms = _reserve(self.forms, first + len(items))
+            means = self.gaussian.mean[order]
+        for a, b, size, matrix, cov in runs:
+            stack = self._stacks.get(size)
+            if stack is None:
+                stack = self._stacks[size] = [0, matrix[:0], cov[:0]]
+            start = stack[0]
+            for i, part in enumerate((matrix, cov), 1):
+                stack[i] = _reserve(stack[i], start + b - a)
+                stack[i][start:start + b - a] = part
+            stack[0] += b - a
+            self._sets += [(size, start + j, *pair) for j, (_, pair) in enumerate(items[a:b])]
+            if self.weights is not None:
+                at, cond, rest = np.arange(first + a, first + b)[:, None], order[a:b, :size], order[a:b, size:]
+                w_rest = self.weights[rest]
+                self.forms[at[:, :, None], rest[:, :, None], cond[:, None, :]] = w_rest[:, :, None] * matrix
+                offsets = means[a:b, size:] - (matrix @ means[a:b, :size, None])[:, :, 0]
+                self.forms[at, rest, -1] = w_rest * offsets
 
-    def draw(self, targets: tuple[int, ...], x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        """The targets' conditional mean given each row of x's
-        conditioning columns (x holds every column), plus `z @ L.T` for
-        standard normals z (one column per target, in the order given).
-        Without z it is the mean alone, and nothing is factorized."""
-        mean = self.conditional(targets)[0].apply(x[:, list(self.cond)])
-        return mean if z is None else mean + z @ self.cholesky(targets).T
+    def factorize(self, pairs) -> None:
+        """Factorize every (mask, targets) pair's covariance block that the
+        table does not hold, adding the sets it needs."""
+        new = [pair for pair in dict.fromkeys(pairs) if pair not in self.factors]
+        self.add(mask for mask, _ in new)
+        by_width: dict[int, list] = {}
+        for pair in new:
+            by_width.setdefault(len(pair[1]), []).append(pair)
+        for width, group in by_width.items():
+            blocks = np.empty((len(group), width, width))
+            by_size: dict[int, tuple[list, list, list]] = {}
+            for j, (mask, targets) in enumerate(group):
+                size, index, _, rest = self._sets[self.slots[mask]]
+                at, indices, positions = by_size.setdefault(size, ([], [], []))
+                at.append(j)
+                indices.append(index)
+                positions.append([rest.index(t) for t in targets])
+            for size, (at, indices, positions) in by_size.items():
+                p = np.array(positions, dtype=np.intp).reshape(len(at), width)
+                blocks[at] = self._stacks[size][2][np.array(indices)[:, None, None], p[:, :, None], p[:, None, :]]
+            chol = _stable_cholesky(blocks)
+            v = [None] * len(group)
+            if self.weights is not None:
+                w_t = self.weights[np.array([t for _, t in group], dtype=np.intp).reshape(len(group), width)]
+                v = (chol.swapaxes(1, 2) @ w_t[:, :, None])[:, :, 0]
+            for j, pair in enumerate(group):
+                self.factors[pair] = (chol[j], v[j])
+
+    def conditional(self, mask: int, targets: tuple[int, ...]):
+        """Conditional-mean map and covariance block of the targets given
+        the set `mask`, in the order given."""
+        self.add((mask,))
+        size, index, cond, rest = self._sets[self.slots[mask]]
+        _, matrix, cov = self._stacks[size]
+        p = [rest.index(t) for t in targets]
+        mean = self.gaussian.mean
+        return AffineMap(mean[list(targets)], matrix[index][p], mean[list(cond)]), cov[index][np.ix_(p, p)]
+
+    def cholesky(self, mask: int, targets: tuple[int, ...]) -> np.ndarray:
+        self.factorize(((mask, targets),))
+        return self.factors[mask, targets][0]
+
+    def draw(self, mask: int, targets: tuple[int, ...], x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """The targets' conditional mean given each row of x's columns of
+        the set `mask` (x holds every column), plus `z @ L.T` for standard
+        normals z (one column per target, in the order given). Without z
+        it is the mean alone, and nothing is factorized."""
+        mean_map = self.conditional(mask, targets)[0]
+        cond = self._sets[self.slots[mask]][2]
+        mean = mean_map.apply(x[:, list(cond)])
+        return mean if z is None else mean + z @ self.cholesky(mask, targets).T
 
 
 @dataclass(frozen=True)
@@ -170,7 +304,8 @@ def perturb(sampler: PerturbationSampler, data: DataMatrix, targets: FeatureInde
         raise DimensionMismatch("gaussian dimension disagrees with data")
     t = tuple(targets)
     z = np.random.default_rng(sampler.rng_seed).standard_normal((data.n_rows, len(t)))
-    return _Conditioning(sampler.base, tuple(sampler.conditioning_set), t).draw(t, data.values, z)
+    table, mask = _Conditioning.pair(sampler.base, sampler.conditioning_set, t)
+    return table.draw(mask, t, data.values, z)
 
 
 class MarginalizedPredictor(Predictor):
@@ -203,7 +338,7 @@ class MarginalizedPredictor(Predictor):
         self._dim = gaussian.dim
         self._dropped = tuple(kept_set.complement(gaussian.dim))
         cond = tuple(kept_set) if integration == "conditional" else ()
-        self._conditioning = _Conditioning(gaussian, cond, self._dropped)
+        self._conditioning, self._mask = _Conditioning.pair(gaussian, cond, self._dropped)
         # one row of normals per integration draw; else one mean-only sample
         self._z = ([None] if exact or not self._dropped else
                    np.random.default_rng(rng_seed).standard_normal((n_integration, 1, len(self._dropped))))
@@ -217,7 +352,7 @@ class MarginalizedPredictor(Predictor):
         out = np.empty((len(self._z), x.shape[0]))
         filled = x.copy()
         for i, z in enumerate(self._z):
-            filled[:, list(self._dropped)] = self._conditioning.draw(self._dropped, x, z)
+            filled[:, list(self._dropped)] = self._conditioning.draw(self._mask, self._dropped, x, z)
             out[i] = self.inner.predict(filled)
         return out
 

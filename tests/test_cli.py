@@ -372,6 +372,30 @@ class TestRunCommands:
                 run(RunConfig(dict(_BASE, measures=_BASE["measures"] + [bad])))
         assert calls == []
 
+    @staticmethod
+    def _table_names_exit_2(tmp_path, capsys, monkeypatch, names):
+        """Decompositions with these names exit 2 before the first fit and
+        write nothing; returns the error message."""
+        fits = []
+        monkeypatch.setattr(runner, "fit_gaussian", lambda *args: fits.append(args))
+        blocks = [dict(_BASE["decompositions"][0], name=name) for name in names]
+        out = tmp_path / "out"
+        cfg = _config(tmp_path, dict(_BASE, decompositions=blocks))
+        assert main(["decompose", "--config", str(cfg), "--out", str(out)]) == 2
+        assert fits == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "[decompositions]" in err and "'name'" in err
+        return err
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", "/"])
+    def test_table_name_that_is_no_file_name_exit_2(self, tmp_path, capsys, monkeypatch, name):
+        err = self._table_names_exit_2(tmp_path, capsys, monkeypatch, ["ok", name])
+        assert f"entry 1: 'name' {name!r} holds a path separator or NUL" in err
+
+    def test_repeated_table_name_exit_2(self, tmp_path, capsys, monkeypatch):
+        err = self._table_names_exit_2(tmp_path, capsys, monkeypatch, ["t", "u", "t"])
+        assert "entry 2: 'name' 't' repeats entry 0's" in err
+
     def test_nameless_block_named_once(self, tmp_path, capsys):
         # a single-column measure takes exactly one interest column
         for block, count in (({"measure": "PFI"}, 0), ({"measure": "SAGE_attribution", "interest": ["B", "C"]}, 2)):

@@ -29,6 +29,8 @@ from dedact.importance import (
 from dedact.sampler import (
     GaussianModel,
     PerturbationSampler,
+    _conditionals,
+    _Conditioning,
     _stable_cholesky,
     conditional_params,
     marginalize,
@@ -721,8 +723,9 @@ class TestMomentLaw:
 
 
 class TestConditioningCache:
-    """One `conditional_params` solve per conditioning set; groups slice
-    it, and only terms that take draws factorize their block."""
+    """The evaluator's conditioning table: one solve per conditioning set,
+    groups slice it, and only terms that take draws factorize their
+    block."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_slices_match_a_direct_solve(self, seed):
@@ -734,25 +737,26 @@ class TestConditioningCache:
         w = rng.standard_normal(d)
         ev = ImportanceEvaluator(data, TargetVector(rng.standard_normal(50)),
                                  LinearPredictor(weights=w, intercept=0.0), g)
+        table = ev._table
         for _ in range(20):
             cond_mask = int(rng.integers(0, (1 << d) - 1))
-            conditioning = ev._conditioning(cond_mask)
-            cond = conditioning.cond
-            assert sorted(cond) == [c for c in range(d) if cond_mask >> c & 1]
+            table.add([cond_mask])
+            cond = [c for c in ev._canon_order if cond_mask >> c & 1]
             rest = [c for c in ev._canon_order if c not in cond]
             targets = tuple(c for c in rest if rng.random() < 0.6) or (rest[0],)
-            mean_map, cov = conditioning.conditional(targets)
+            mean_map, cov = table.conditional(cond_mask, targets)
             ref_map, ref_cov = conditional_params(g, cond, targets)
             for got, expected in ((mean_map.offset, ref_map.offset), (mean_map.matrix, ref_map.matrix),
                                   (mean_map.cond_mean, ref_map.cond_mean), (cov, ref_cov),
-                                  (conditioning.cholesky(targets), _stable_cholesky(ref_cov))):
+                                  (table.cholesky(cond_mask, targets), _stable_cholesky(ref_cov))):
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             t = list(targets)
             rows = np.zeros((len(t), d))
-            rows[:, list(cond)] = w[t, None] * ref_map.matrix
+            rows[:, cond] = w[t, None] * ref_map.matrix
             offs = w[t] * (ref_map.offset - ref_map.matrix @ ref_map.cond_mean)
-            np.testing.assert_allclose(conditioning.rows[t], rows, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(conditioning.offs[t], offs, rtol=0, atol=1e-12)
+            form = table.forms[table.slots[cond_mask]]
+            np.testing.assert_allclose(form[t, :d], rows, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(form[t, d], offs, rtol=0, atol=1e-12)
 
     def test_exact_marginalization_never_factorizes(self, monkeypatch):
         calls = []
@@ -766,6 +770,7 @@ class TestConditioningCache:
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
             for spec in _random_specs(4, rng, 24, mode="marginalized", loss=loss):
                 linear.evaluate(spec)
+                linear.evaluate(MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, 5))))
         assert linear.terms_computed > 0 and calls == []
         for spec in _random_specs(4, rng, 4, n_mc=2):
             linear.evaluate(spec)
@@ -774,23 +779,42 @@ class TestConditioningCache:
     @pytest.mark.parametrize("mode,exact", [("original_f", False), ("marginalized", False),
                                             ("marginalized", True)])
     def test_one_solve_per_conditioning_set(self, monkeypatch, mode, exact):
-        calls = []
+        solved = []
 
-        def counted(g, cond, targets):
-            calls.append(tuple(cond))
-            return conditional_params(g, cond, targets)
+        def counted(blocks, size):
+            solved.append(len(blocks))
+            return _conditionals(blocks, size)
 
-        monkeypatch.setattr("dedact.sampler.conditional_params", counted)
+        monkeypatch.setattr("dedact.sampler._conditionals", counted)
         linear, opaque, rng = _linear_and_opaque(n_integration=2, exact_marginalization=exact)
         specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
+        # each spec once alone, then as a game over random aux masks, in
+        # batches that share some sets and not others
+        batches = specs + [MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, int(rng.integers(1, 6)))))
+                           for spec in specs]
         # identical plans return early and set nothing up
-        plans = [_plans(linear, spec) for spec in specs]
-        expected = {mask for t1, t2 in plans if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
+        pairs = [pair for batch in batches for pair in (
+            linear._plan_pairs(batch.spec, batch.auxes) if isinstance(batch, MeasureBatch) else [_plans(linear, batch)])]
+        expected = {mask for t1, t2 in pairs if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
         for ev in (linear, opaque) if not exact else (linear,):
-            calls.clear()
-            for spec in specs + specs:
-                ev.evaluate(spec)
-            assert len(calls) == len(set(calls)) == len(expected) == len(ev._conditionings)
+            solved.clear()
+            for batch in batches + batches:
+                ev.evaluate(batch)
+            # as many sets solved as there are distinct sets, and each held
+            assert sum(solved) == len(expected) and set(ev._table.slots) == expected
+
+    def test_singular_set_in_a_batch_raises_singular_conditioning(self):
+        # column 1's variance plus the jitter is exactly 0, so the stacked
+        # solve of the size-1 sets fails; no set of the batch is kept
+        g = GaussianModel(mean=np.zeros(3), cov=np.diag([1.0, -1e-9, 1.0]))
+        table = _Conditioning(g, range(3), np.ones(3))
+        with pytest.raises(SingularConditioning):
+            table.add([0b101, 0b001, 0b010])
+        assert table.slots == {}
+        table.add([0b001])
+        with pytest.raises(SingularConditioning):  # the stacked factorization
+            table.factorize([(0b001, (1,)), (0b001, (2,)), (0b101, (1,))])
+        assert table.factors == {}
 
     def test_singular_block_raises_only_where_draws_are_taken(self):
         # column 1's variance is slightly negative: its conditional mean
@@ -804,6 +828,79 @@ class TestConditioningCache:
         assert np.isfinite(est.value) and est.std_error == 0.0
         with pytest.raises(SingularConditioning):
             ev.direct_importance([1], [0], mode="original_f")
+
+
+class TestConditioningTable:
+    """However the sets of a conditioning table arrive in batches, each
+    set's floats are those of a one-set `conditional_params` and
+    `_stable_cholesky`, bit for bit, and so is every plan's linear form."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batches_equal_one_set_solves(self, data):
+        d = data.draw(st.integers(1, 70), label="d")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        masks = data.draw(st.lists(st.integers(0, (1 << d) - 1), min_size=1, max_size=8, unique=True), label="masks")
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((d, d)) / np.sqrt(d)
+        g = GaussianModel(mean=rng.standard_normal(d), cov=a @ a.T + 0.3 * np.eye(d))
+        w = rng.standard_normal(d)
+        names = tuple(f"x{i:02d}" for i in rng.permutation(d))
+        x = DataMatrix(rng.standard_normal((4, d)), names)
+
+        def evaluator():
+            return ImportanceEvaluator(x, TargetVector(np.zeros(4)), LinearPredictor(weights=w, intercept=0.3), g)
+
+        def batches(items):
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(items)), max_size=4), label="cuts"))
+            return [items[i:j] for i, j in zip([0, *cuts], [*cuts, len(items)])]
+
+        ev = evaluator()
+        table, order = ev._table, ev._canon_order
+        for batch in batches(masks):
+            table.add(batch)
+        pairs = []
+        for mask in masks:
+            cond = [c for c in order if mask >> c & 1]
+            rest = [c for c in order if not mask >> c & 1]
+            if rest:
+                pairs.append((mask, tuple(c for c in rest if rng.random() < 0.5) or (rest[-1],)))
+        for batch in batches(pairs):
+            table.factorize(batch)
+        assert len(table.slots) == len(masks) and len(table.factors) == len(pairs)
+        for mask in masks:
+            cond = [c for c in order if mask >> c & 1]
+            rest = [c for c in order if not mask >> c & 1]
+            ref_map, ref_cov = conditional_params(g, cond, rest)
+            got_map, got_cov = table.conditional(mask, tuple(rest))
+            assert np.array_equal(got_map.offset, ref_map.offset)
+            assert np.array_equal(got_map.matrix, ref_map.matrix)
+            assert np.array_equal(got_map.cond_mean, ref_map.cond_mean)
+            assert np.array_equal(got_cov, ref_cov)
+            form = np.zeros((d, d + 1))
+            form[np.ix_(rest, cond)] = w[rest, None] * ref_map.matrix
+            form[rest, d] = w[rest] * (ref_map.offset - ref_map.matrix @ ref_map.cond_mean)
+            assert np.array_equal(table.forms[table.slots[mask]], form)
+        for mask, targets in pairs:
+            rest = [c for c in order if not mask >> c & 1]
+            p = [rest.index(t) for t in targets]
+            ref_chol = _stable_cholesky(conditional_params(g, [c for c in order if mask >> c & 1], rest)[1][np.ix_(p, p)])
+            chol, v = table.factors[mask, targets]
+            assert np.array_equal(chol, ref_chol)
+            assert np.array_equal(v, ref_chol.T @ w[list(targets)])
+
+        # plans over the sets: the columns of the chosen sets kept, each
+        # other column redrawn given one of them
+        plans = []
+        for _ in range(6):
+            chosen = [masks[i] for i in rng.choice(len(masks), size=min(2, len(masks)), replace=False)]
+            kept = [c for c in range(d) if any(m >> c & 1 for m in chosen)]
+            plans.append(tuple(_KEEP if c in kept else chosen[int(rng.integers(len(chosen)))] for c in range(d)))
+        forms = [ev._linear_forms(plans, True), evaluator()._linear_forms(plans, True)]
+        singles = [evaluator()._linear_forms([plan], True) for plan in plans]
+        forms.append(tuple(np.concatenate(part) for part in zip(*singles)))
+        for other in forms[1:]:
+            assert all(np.array_equal(got, expected) for got, expected in zip(forms[0], other))
 
 
 class TestOneConditionalDraw:
