@@ -204,11 +204,29 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     design = np.column_stack([np.ones(data.n_rows), data.values[:, cols]])
     gram = design.T @ design
     if np.linalg.cond(gram) >= MAX_CONDITION_NUMBER:
-        raise SingularDesign("Gram matrix is numerically singular")
+        raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(gram, data, cols)}")
     coef = np.linalg.solve(gram, design.T @ target.values)
     weights = np.zeros(data.n_cols)
     weights[cols] = coef[1:]
     return LinearPredictor(weights=weights, intercept=coef[0], support=support)
+
+
+def _collinear(gram: np.ndarray, data: DataMatrix, cols: list[int]) -> str:
+    """Which columns of a singular design are at fault. Scaled to unit-norm
+    columns (an all-zero column stays 0), the Gram matrix's eigenvector of
+    the least eigenvalue, the design's near-null right singular vector, has
+    its large entries on the near-collinear columns. If the scaled matrix is
+    not singular, no columns are collinear: their scales are too far apart."""
+    names = ["the intercept"] + [repr(data.column_names[c]) for c in cols]
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    evals, evecs = np.linalg.eigh(gram / np.outer(norms, norms))
+    if evals[0] * MAX_CONDITION_NUMBER > evals[-1]:
+        low, high = np.argmin(norms), np.argmax(norms)
+        return f"{names[low]} and {names[high]} differ in scale by {norms[high] / norms[low]:.1e} (none are collinear)"
+    null = np.abs(evecs[:, 0])
+    involved = [names[i] for i in np.flatnonzero(null >= 0.1 * null.max())]
+    return f"{involved[0]} is 0 in every row" if len(involved) == 1 else f"{', '.join(involved)} are near-collinear"
 
 
 def empirical_risk(pred: Predictor, data: DataMatrix, target: TargetVector, loss: LossFunction) -> float:

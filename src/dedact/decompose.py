@@ -7,6 +7,9 @@ are sampled). Both hand the evaluator one measure over many `aux` sets
 in one `evaluate` call (see "Games" in `dedact.importance`): a fast
 table all its components (a fast SAGE table those of one context), a
 Shapley decomposition's game every coalition a solver asks for.
+
+A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
+context: j's surplus AI(j | C), then one contribution per pathway.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .core import FeatureIndexSet, ImportanceEstimate, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, pool_orders, sage_contexts
+from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, sage_loop
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -279,18 +282,13 @@ def fast_decompose_ai(
     return DecompositionTable(ev.data.column_names[j], total, components, "fast")
 
 
-def _sage_table(
-    ev: ImportanceEvaluator, j: int, pathways: list[int], contexts: list[list[int]],
-    alphas: np.ndarray, contributions: np.ndarray, method: str, seed: int, per_context=(),
-) -> DecompositionTable:
-    """Pool per-context totals and per-pathway contributions (one row
-    per context) into a table."""
-    n_orders = len(contexts)
-    sets = {"measure": "SAGE", "interest": (j,), "n_orders": n_orders}
-    total = ImportanceEstimate(*pool_orders(alphas), n_orders, "marginalized", sets, seed)
-    components = {
-        ev.data.column_names[k]: pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
-    }
+def _sage_table(ev: ImportanceEvaluator, j: int, pathways: list[int], contexts: list[list[int]],
+                pooled: list, method: str, seed: int, per_context=()) -> DecompositionTable:
+    """The context loop's pooled columns as a table: the total, then one
+    component per pathway."""
+    sets = {"measure": "SAGE", "interest": (j,), "n_orders": len(contexts)}
+    total = ImportanceEstimate(*pooled[0], len(contexts), "marginalized", sets, seed)
+    components = {ev.data.column_names[k]: pooled[p] for p, k in enumerate(pathways, 1)}
     return DecompositionTable(
         ev.data.column_names[j], total, components, method,
         order_log=[list(c) for c in contexts], per_context=list(per_context),
@@ -307,21 +305,19 @@ def fast_decompose_sage(
     so components may over-add; the remainder is reported, not hidden.
     A context's blocked-pathway evaluations are one batch.
     """
-    check_orders(n_orders, "n_orders")
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
-    contexts = sage_contexts(d, j, n_orders, seed)
-    alphas = np.empty(n_orders)
-    comp = np.empty((n_orders, len(pathways)))
     blocked = [[c for c in range(d) if c != k] for k in pathways]
-    for o, context in enumerate(contexts):
+
+    def contributions(o, context):
         seed_o = derive_seed(seed, 811, o)
-        alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
-        alphas[o] = alpha.value
+        alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o).value
         vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
-        comp[o] = [alpha.value - via.value for via in vias]
-    return _sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
+        return [alpha, *(alpha - via.value for via in vias)]
+
+    contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
+    return _sage_table(ev, j, pathways, contexts, pooled, "fast", seed)
 
 
 def shapley_decompose_sage(
@@ -330,23 +326,24 @@ def shapley_decompose_sage(
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """Pathway games per SAGE context, Shapley-solved and pooled: each
-    context's game is one `evaluate` call under either solver."""
-    check_orders(n_sage_orders, "n_sage_orders")
+    context's game is one `evaluate` call under either solver. A context's
+    total is j's surplus AI(j | context): the game's grand coalition when the
+    pathways cover every column, else one more evaluation at the game's
+    seed, so the remainder holds the excluded pathways' share."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
-    contexts = sage_contexts(d, j, n_sage_orders, seed)
-    alphas = np.empty(n_sage_orders)
-    phis = np.empty((n_sage_orders, len(pathways)))
-    solver_name = solver
-    for o, context in enumerate(contexts):
+    every_column = set(pathways) == set(range(d))
+    solved = []
+
+    def attributions(o, context):
         spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
         game = _MeasureGame(ev, spec, pathways)
-        result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
-        alphas[o] = game.value(frozenset(range(len(pathways))))
-        phis[o] = result.attributions
-        solver_name = result.solver
-    per_context = [{"context": contexts[o], "alpha": float(alphas[o]),
-                    "phi": [float(x) for x in phis[o]]} for o in range(n_sage_orders)]
-    return _sage_table(ev, j, pathways, contexts, alphas, phis, f"shapley_{solver_name}", seed,
-                       per_context=per_context)
+        solved.append(solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o)))
+        alpha = (game.value(range(len(pathways))) if every_column
+                 else ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=spec.seed).value)
+        return [alpha, *solved[-1].attributions]
+
+    contexts, rows, pooled = sage_loop(d, j, n_sage_orders, seed, "n_sage_orders", attributions)
+    per_context = [{"context": c, "alpha": float(row[0]), "phi": row[1:].tolist()} for c, row in zip(contexts, rows)]
+    return _sage_table(ev, j, pathways, contexts, pooled, f"shapley_{solved[-1].solver}", seed, per_context)

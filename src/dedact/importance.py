@@ -770,35 +770,43 @@ class ImportanceEvaluator:
         rest = FeatureIndexSet.of([j]).complement(self.data.n_cols)
         return self.associative_importance([j], rest, n_mc=n_mc, seed=seed)
 
-    def sage_value(self, subset, variant: str = "conditional", n_mc=None, seed=None) -> ImportanceEstimate:
-        if variant == "marginal":
-            return self.direct_importance(subset, [], mode="marginalized", n_mc=n_mc, seed=seed)
-        if variant == "conditional":
-            return self.associative_importance(subset, [], mode="marginalized", n_mc=n_mc, seed=seed)
-        raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
+    def _surplus_spec(self, variant, interest, context, n_mc, seed) -> MeasureSpec:
+        """v(context + interest) - v(context), marginalized, as one paired
+        evaluation: DI under the marginal variant, AI under the conditional."""
+        if variant not in SAGE_VARIANTS:
+            raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
+        measure = "DI" if variant == "marginal" else "AI"
+        return self._spec(measure, interest, context, mode="marginalized", n_mc=n_mc, seed=seed)
 
-    def sage_surplus(self, j: int, context, variant: str = "conditional", n_mc=None, seed=None) -> ImportanceEstimate:
-        """v(context + j) - v(context) as one paired evaluation."""
-        if variant == "marginal":
-            return self.direct_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed)
-        if variant == "conditional":
-            return self.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed)
-        raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
+    def sage_value(self, subset, variant: str = "conditional", n_mc=None, seed=None) -> ImportanceEstimate:
+        return self.evaluate(self._surplus_spec(variant, subset, [], n_mc, seed))
 
     def sage_attribution(self, j: int, variant: str = "conditional", n_orders: int = 60,
                          n_mc=None, seed=None) -> ImportanceEstimate:
-        """Average surplus of j over uniformly random permutation prefixes."""
-        check_orders(n_orders, "n_orders")
+        """Average surplus of j over uniformly random permutation prefixes;
+        a single context reports its surplus's own standard error."""
         seed = self.seed if seed is None else seed
-        per_order = []
-        for o, context in enumerate(sage_contexts(self.data.n_cols, j, n_orders, seed)):
-            inner = self.sage_surplus(j, context, variant=variant, n_mc=n_mc, seed=derive_seed(seed, 7002, o))
-            per_order.append(inner.value)
-        value, se = pool_orders(per_order)
-        if n_orders == 1:
-            se = inner.std_error
+        surpluses = []
+
+        def surplus(o, context):
+            surpluses.append(self.evaluate(self._surplus_spec(variant, [j], context, n_mc, derive_seed(seed, 7002, o))))
+            return [surpluses[-1].value]
+
+        _, _, [(value, se)] = sage_loop(self.data.n_cols, j, n_orders, seed, "n_orders", surplus)
+        se = surpluses[0].std_error if n_orders == 1 else se
         sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
         return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
+
+
+def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_context) -> tuple:
+    """The SAGE context loop: check the order count (`name` is its key),
+    draw j's contexts, value context o as the row `value_context(o,
+    context)` of m floats, and pool each column over the contexts. Returns
+    the contexts, the n_orders x m rows and the m (mean, SE) pairs."""
+    check_orders(n_orders, name)
+    contexts = sage_contexts(d, j, n_orders, seed)
+    rows = np.array([value_context(o, context) for o, context in enumerate(contexts)], dtype=float)
+    return contexts, rows, [pool_orders(column) for column in rows.T]
 
 
 def sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:

@@ -164,6 +164,7 @@ class RunConfig:
     def output(self) -> tuple[str | None, tuple[str, ...]]:
         """The output block's directory (None when not given) and formats."""
         block = _mapping(self.raw, "output")
+        _known_keys(block, "output", "output")
         directory = _str_key(block, "directory", "output") if "directory" in block else None
         formats = block.get("formats", list(OUTPUT_FORMATS))
         if not isinstance(formats, list) or not formats or any(f not in OUTPUT_FORMATS for f in formats):
@@ -174,6 +175,24 @@ class RunConfig:
 
 # Every key is read through one of the readers below, at one site, and a
 # value of the wrong type is a ConfigError naming the block and the key.
+# A key outside its block's list below is one too: a misspelt key would
+# otherwise be ignored, and its default silently used.
+_KEYS = {
+    "config": ("seed", "data", "split_fraction", "loss", "n_mc", "exact_marginalization", "model", "output",
+               "measures", "decompositions"),
+    "data": ("csv", "target_column", "scm", "n", "include_observed"),
+    "model": ("support",),
+    "output": ("directory", "formats"),
+    "measures": ("name", "measure", "interest", "baseline", "aux", "mode", "variant", "n_orders", "n_mc", "seed"),
+    "decompositions": ("name", "kind", "method", "target", "sources", "pathways", "order", "solver", "n_orders",
+                       "n_sage_orders", "n_decomp_orders", "n_mc", "seed"),
+}
+
+
+def _known_keys(block: dict, section: str, where: str) -> None:
+    for key in block:
+        if key not in _KEYS[section]:
+            raise ConfigError(f"[{where}] unknown key {key!r}; the keys of {section} are {', '.join(_KEYS[section])}")
 
 
 def _required(block: dict, key: str, where: str):
@@ -240,6 +259,9 @@ def _columns(block: dict, key: str, data: DataMatrix, where: str, required: bool
     names = _required(block, key, where) if required else block.get(key, [])
     if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
         raise ConfigError(f"[{where}] {key!r} must be a list of column names, got {names!r}")
+    for i, name in enumerate(names):
+        if name in names[:i]:  # a repeated column would lose one of its components
+            raise ConfigError(f"[{where}] {key!r} names the column {name!r} twice")
     return [_index(data, name, where) for name in names]
 
 
@@ -391,6 +413,7 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     checked."""
     kind = block.get("measure")
     name = _block_name(block, kind, "measures")
+    _known_keys(block, "measures", name)
     interest = _columns(block, "interest", data, name)
     baseline = _columns(block, "baseline", data, name)
     aux = _columns(block, "aux", data, name)
@@ -431,6 +454,7 @@ def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable
     checked."""
     method = block.get("method", "fast")
     name = _block_name(block, method, "decompositions")
+    _known_keys(block, "decompositions", name)
     kind = block.get("kind", "pfi")
     k = _index(data, _str_key(block, "target", name), name)
     sources = _columns(block, "sources", data, name) or None
@@ -510,12 +534,15 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     both copies.
     """
     raw, seed = config.raw, config.seed
+    _known_keys(raw, "config", "config")
     directory, formats = config.output
     fraction = config.split_fraction
     loss = _loss(raw)
     n_mc = _int_key(raw, "n_mc", 20, "config", minimum=1)
     exact = _bool_key(raw, "exact_marginalization", False, "config")
     data_block, model = _mapping(raw, "data"), _mapping(raw, "model")
+    _known_keys(data_block, "data", "data")
+    _known_keys(model, "model", "model")
     measures, decompositions = _blocks(raw, "measures"), _blocks(raw, "decompositions")
 
     data, target, scm = _load_data(data_block, seed)
@@ -547,9 +574,12 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
 
     fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, seed)
     del data, target  # the fits read only the fit rows, the blocks only the evaluation rows
+    try:
+        predictor = fit_ols(fit_x, fit_y, support)
+    except DedactError as exc:
+        raise _in_block(exc, "model") from exc
     evaluator = ImportanceEvaluator(
-        eval_x, eval_y, fit_ols(fit_x, fit_y, support), fit_gaussian(fit_x),
-        loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
+        eval_x, eval_y, predictor, fit_gaussian(fit_x), loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
     )
     del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     for add, name, call in calls:

@@ -396,6 +396,68 @@ class TestRunCommands:
         err = self._table_names_exit_2(tmp_path, capsys, monkeypatch, ["t", "u", "t"])
         assert "entry 2: 'name' 't' repeats entry 0's" in err
 
+    @staticmethod
+    def _exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change) -> str:
+        """A config of _BASE with the change exits 2 before the model is
+        fitted; returns the error message."""
+        fits = []
+        monkeypatch.setattr(runner, "fit_ols", lambda *args: fits.append(args))
+        command = "decompose" if "decompositions" in change else "importance"
+        assert main([command, "--config", str(_config(tmp_path, dict(_BASE, **change)))]) == 2
+        assert fits == []
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,block,key", [
+        ({"n_mcc": 3}, "config", "n_mcc"),
+        ({"data": dict(_BASE["data"], rows=500)}, "data", "rows"),
+        ({"model": {"suport": ["B"]}}, "model", "suport"),
+        ({"output": {"formats": ["json"], "dir": "out"}}, "output", "dir"),
+        ({"measures": [{"name": "m", "measure": "PFI", "interest": ["C"], "n_mcc": 1}]}, "m", "n_mcc"),
+        ({"measures": [{"measure": "SAGE_attribution", "interest": ["C"], "n_order": 2}]},
+         "SAGE_attribution", "n_order"),
+        ({"decompositions": [{"name": "t", "kind": "sage", "method": "shapley", "target": "C",
+                              "n_sage_order": 2}]}, "t", "n_sage_order"),
+    ])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, monkeypatch, change, block, key):
+        # a misspelt key would leave its default in force without a word
+        err = self._exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change)
+        assert err.startswith(f"config error: [{block}] unknown key {key!r}")
+
+    @pytest.mark.parametrize("change,block,key,column", [
+        ({"measures": [{"name": "m", "measure": "DI", "interest": ["C", "C"]}]}, "m", "interest", "C"),
+        ({"measures": [{"name": "m", "measure": "AI", "interest": ["C"], "baseline": ["B", "P", "B"]}]},
+         "m", "baseline", "B"),
+        ({"measures": [{"name": "m", "measure": "DI_from", "interest": ["C"], "baseline": ["B", "P"],
+                        "aux": ["P", "P"]}]}, "m", "aux", "P"),
+        ({"model": {"support": ["B", "C", "C"]}}, "model", "support", "C"),
+        ({"decompositions": [{"name": "t", "kind": "pfi", "method": "shapley", "target": "C",
+                              "sources": ["B", "B", "P"]}]}, "t", "sources", "B"),
+        ({"decompositions": [{"name": "t", "kind": "sage", "method": "fast", "target": "C",
+                              "pathways": ["P", "B", "P"]}]}, "t", "pathways", "P"),
+        ({"decompositions": [{"name": "t", "kind": "pfi", "method": "fast_ordered", "target": "C",
+                              "order": ["B", "B", "P"]}]}, "t", "order", "B"),
+    ])
+    def test_repeated_column_exit_2(self, tmp_path, capsys, monkeypatch, change, block, key, column):
+        # a column named twice would lose one of its two components
+        err = self._exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change)
+        assert err.startswith(f"config error: [{block}] {key!r} names the column {column!r} twice")
+
+    @pytest.mark.parametrize("defect,names", [
+        (("duplicate", 1, 0, None), ["'a'", "'b'"]),  # b duplicates a
+        (("constant", 2, None, 2.5), ["'k'"]),
+        (("constant", 2, None, 0.0), ["'k'"]),
+    ], ids=["duplicate", "constant", "zero"])
+    def test_singular_design_names_its_columns(self, tmp_path, capsys, defect, names):
+        values = np.random.default_rng(0).standard_normal((40, 4))
+        _singular(values, *defect)
+        lines = ["a,b,k,y"] + [",".join(map(repr, row)) for row in values.tolist()]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        raw = {"seed": 0, "data": {"csv": str(tmp_path / "data.csv"), "target_column": "y"}}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: [model] Gram matrix is numerically singular")
+        assert [name for name in ("'a'", "'b'", "'k'") if name in err] == names
+
     def test_nameless_block_named_once(self, tmp_path, capsys):
         # a single-column measure takes exactly one interest column
         for block, count in (({"measure": "PFI"}, 0), ({"measure": "SAGE_attribution", "interest": ["B", "C"]}, 2)):
@@ -738,12 +800,32 @@ _CSV_RUN = {
 }
 
 
+def _singular(values, kind, col, partner, scale):
+    """Make column col of the values a duplicate of column partner, a
+    constant (scale), or partner's values times scale plus noise of scale
+    1e-10: each a design that OLS cannot fit when both are features."""
+    if kind == "duplicate":
+        values[:, col] = values[:, partner]
+    elif kind == "constant":
+        values[:, col] = scale
+    else:
+        noise = np.random.default_rng(1).standard_normal(len(values))
+        values[:, col] = scale * values[:, partner] + 1e-10 * noise
+
+
+_SINGULAR = st.tuples(st.sampled_from(["duplicate", "constant", "collinear"]), st.integers(0, 3),
+                      st.integers(0, 3), st.sampled_from([-3.0, 0.0, 0.5, 2.0, 1e3]))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(mutations=st.lists(st.tuples(st.sampled_from(sorted(_CSV_MUTATIONS)), st.integers(0, 11),
                                     st.integers(0, 2)), min_size=1, max_size=3),
-       byte_mutation=_BYTE_FUZZ)
-def test_fuzzed_csv_exits_with_a_documented_code(mutations, byte_mutation):
+       byte_mutation=_BYTE_FUZZ, defect=st.none() | _SINGULAR)
+def test_fuzzed_csv_exits_with_a_documented_code(mutations, byte_mutation, defect):
     values = np.random.default_rng(0).standard_normal((12, 3))
+    if defect is not None:  # columns a, b or the target y
+        kind, col, partner, scale = defect
+        _singular(values, kind, col % 3, partner % 3, scale)
     header, rows = ["a", "b", "y"], [[repr(float(v)) for v in row] for row in values]
     for name, i, j in mutations:
         try:
@@ -763,6 +845,32 @@ def test_fuzzed_csv_exits_with_a_documented_code(mutations, byte_mutation):
             os.chdir(cwd)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(defect=_SINGULAR, n_cols=st.integers(2, 4))
+def test_fuzzed_singular_design_exits_4_naming_a_column(defect, n_cols):
+    kind, col, partner, scale = defect
+    col, partner = col % n_cols, partner % n_cols
+    if partner == col and kind != "constant":
+        partner = (col + 1) % n_cols
+    values = np.random.default_rng(0).standard_normal((24, n_cols + 1))
+    _singular(values, kind, col, partner, scale)
+    lines = [",".join([f"f{c}" for c in range(n_cols)] + ["y"])] + [",".join(map(repr, row)) for row in values.tolist()]
+    cwd, err = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            Path("data.csv").write_text("\n".join(lines) + "\n")
+            Path("run.yaml").write_text(yaml.safe_dump({"seed": 0, "data": {"csv": "data.csv", "target_column": "y"}}))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["importance", "--config", "run.yaml"])
+        finally:
+            os.chdir(cwd)
+    message = err.getvalue()
+    assert code == 4 and message.startswith("numerical error: [model] Gram matrix is numerically singular")
+    offending = {col} if kind == "constant" else {col, partner}
+    assert any(f"'f{c}'" in message for c in offending), message
 
 
 # a small valid bundle, as `ResultBundle.write` lays it out

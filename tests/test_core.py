@@ -177,6 +177,19 @@ class TestFitOls:
         with pytest.raises(SingularDesign):
             fit_ols(data, TargetVector(x), FeatureIndexSet.of([0, 1]))
 
+    @pytest.mark.parametrize("third,message", [
+        (lambda a, k: a, r"'x0', 'x2' are near-collinear$"),
+        (lambda a, k: np.full_like(a, 2.5), r"the intercept, 'x2' are near-collinear$"),
+        (lambda a, k: np.zeros_like(a), r"'x2' is 0 in every row$"),
+        # collinear with nothing: only its scale is far from the others'
+        (lambda a, k: 1e-10 * k, r"'x2' and .+ differ in scale by \S+ \(none are collinear\)$"),
+    ], ids=["duplicate", "constant", "zero", "scale"])
+    def test_singular_design_names_its_columns(self, third, message):
+        a, b, k = np.random.default_rng(3).standard_normal((3, 50))
+        data = _matrix(np.column_stack([a, b, third(a, k)]))
+        with pytest.raises(SingularDesign, match=r"^Gram matrix is numerically singular: " + message):
+            fit_ols(data, TargetVector(a + b))
+
     def test_too_few_rows_rejected(self):
         data = _matrix(np.eye(2))
         with pytest.raises(SingularDesign):

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from dedact.core import DataMatrix, LinearPredictor, TargetVector, derive_seed
+from dedact.core import DataMatrix, ImportanceEstimate, LinearPredictor, TargetVector, derive_seed
 from dedact.decompose import (
     CooperativeGame,
     DecompositionTable,
+    _by_aux,
+    _MeasureGame,
     fast_decompose_ai,
     fast_decompose_pfi,
     fast_decompose_pfi_ordered,
@@ -19,7 +21,9 @@ from dedact.decompose import (
 )
 from dedact.errors import DimensionMismatch, TooManyPlayers
 from dedact.importance import (
+    SAGE_VARIANTS,
     ImportanceEvaluator,
+    check_orders,
     evaluation_count,
     pool_orders,
     reset_evaluation_count,
@@ -439,6 +443,21 @@ class TestShapleyDecomposeSage:
             ref = exact.components[name][0]
             assert abs(v - ref) <= max(5 * np.hypot(se, exact.components[name][1]), 1e-6)
 
+    def test_restricted_pathways_keep_the_full_total(self):
+        # the total is j's SAGE value whatever the pathways, as in the fast
+        # table: under exact marginalization the seeds drop out, so the two
+        # totals are the same mean of AI(j | C) over the same contexts
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=2000, n_mc=2, exact_marginalization=True)
+        fast = fast_decompose_sage(ev, 0, pathways=[1, 2], n_orders=5)
+        for solver in ("exact", "sampled"):
+            table = shapley_decompose_sage(ev, 0, pathways=[2, 1], solver=solver, n_sage_orders=5, n_decomp_orders=3)
+            assert (table.total.value, table.total.std_error) == (fast.total.value, fast.total.std_error)
+            for rec in table.per_context:
+                assert rec["alpha"] == ev.associative_importance([0], rec["context"], mode="marginalized").value
+            # x0's own pathway is no player: its share is the remainder
+            assert table.remainder > 0.1 * table.total.value
+
     def test_per_context_records(self):
         ev = _linear_evaluator(np.eye(2), [1.0, 0.0], n=2000, n_mc=2)
         table = shapley_decompose_sage(ev, 0, solver="exact", n_sage_orders=3)
@@ -555,3 +574,113 @@ class TestTermMemoInvisible:
         # the memo saves terms, never evaluations
         assert count == fresh_count == shared.evaluations
         assert shared.terms_reused > 0
+
+
+# -- the SAGE loops before they shared `sage_loop`, frozen as the reference ---
+
+
+def _parent_sage_surplus(ev, j, context, variant="conditional", n_mc=None, seed=None):
+    if variant == "marginal":
+        return ev.direct_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed)
+    if variant == "conditional":
+        return ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed)
+    raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
+
+
+def _parent_sage_attribution(ev, j, variant="conditional", n_orders=60, n_mc=None, seed=None):
+    check_orders(n_orders, "n_orders")
+    seed = ev.seed if seed is None else seed
+    per_order = []
+    for o, context in enumerate(sage_contexts(ev.data.n_cols, j, n_orders, seed)):
+        inner = _parent_sage_surplus(ev, j, context, variant=variant, n_mc=n_mc, seed=derive_seed(seed, 7002, o))
+        per_order.append(inner.value)
+    value, se = pool_orders(per_order)
+    if n_orders == 1:
+        se = inner.std_error
+    sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
+    return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
+
+
+def _parent_sage_table(ev, j, pathways, contexts, alphas, contributions, method, seed, per_context=()):
+    n_orders = len(contexts)
+    sets = {"measure": "SAGE", "interest": (j,), "n_orders": n_orders}
+    total = ImportanceEstimate(*pool_orders(alphas), n_orders, "marginalized", sets, seed)
+    components = {
+        ev.data.column_names[k]: pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
+    }
+    return DecompositionTable(
+        ev.data.column_names[j], total, components, method,
+        order_log=[list(c) for c in contexts], per_context=list(per_context),
+    )
+
+
+def _parent_fast_decompose_sage(ev, j, pathways=None, n_orders=25, n_mc=None, seed=None):
+    check_orders(n_orders, "n_orders")
+    seed = ev.seed if seed is None else seed
+    d = ev.data.n_cols
+    pathways = list(range(d)) if pathways is None else list(pathways)
+    contexts = sage_contexts(d, j, n_orders, seed)
+    alphas = np.empty(n_orders)
+    comp = np.empty((n_orders, len(pathways)))
+    blocked = [[c for c in range(d) if c != k] for k in pathways]
+    for o, context in enumerate(contexts):
+        seed_o = derive_seed(seed, 811, o)
+        alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
+        alphas[o] = alpha.value
+        vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
+        comp[o] = [alpha.value - via.value for via in vias]
+    return _parent_sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
+
+
+def _parent_shapley_decompose_sage(ev, j, pathways=None, solver="auto", n_sage_orders=60, n_decomp_orders=25,
+                                   n_mc=None, seed=None):
+    check_orders(n_sage_orders, "n_sage_orders")
+    seed = ev.seed if seed is None else seed
+    d = ev.data.n_cols
+    pathways = list(range(d)) if pathways is None else list(pathways)
+    contexts = sage_contexts(d, j, n_sage_orders, seed)
+    alphas = np.empty(n_sage_orders)
+    phis = np.empty((n_sage_orders, len(pathways)))
+    solver_name = solver
+    for o, context in enumerate(contexts):
+        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
+        game = _MeasureGame(ev, spec, pathways)
+        result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
+        alphas[o] = game.value(frozenset(range(len(pathways))))
+        phis[o] = result.attributions
+        solver_name = result.solver
+    per_context = [{"context": contexts[o], "alpha": float(alphas[o]),
+                    "phi": [float(x) for x in phis[o]]} for o in range(n_sage_orders)]
+    return _parent_sage_table(ev, j, pathways, contexts, alphas, phis, f"shapley_{solver_name}", seed,
+                              per_context=per_context)
+
+
+class TestSageLoopReference:
+    """`sage_attribution` and both SAGE tables, which now share one context
+    loop, give the frozen loops' outputs bit for bit, from the same
+    evaluations (equal counters on twin evaluators)."""
+
+    @pytest.mark.parametrize("n_orders", [1, 4])
+    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_equals_the_frozen_loops(self, seed, exact_marginalization, n_orders):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((4, 4))
+        cov, weights = a @ a.T + 0.5 * np.eye(4), rng.standard_normal(4)
+        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, exact_marginalization=exact_marginalization)
+        ev, parent = (_linear_evaluator(cov, weights, **kw) for _ in range(2))
+        j = int(rng.integers(4))
+        for variant in SAGE_VARIANTS:
+            assert ev.sage_attribution(j, variant, n_orders) == _parent_sage_attribution(parent, j, variant, n_orders)
+        for pathways in (None, [int(p) for p in rng.permutation(4)]):
+            tables = [(fast_decompose_sage(ev, j, pathways, n_orders),
+                       _parent_fast_decompose_sage(parent, j, pathways, n_orders))]
+            for solver in ("exact", "sampled"):
+                kw = dict(solver=solver, n_sage_orders=n_orders, n_decomp_orders=3)
+                tables.append((shapley_decompose_sage(ev, j, pathways, **kw),
+                               _parent_shapley_decompose_sage(parent, j, pathways, **kw)))
+            for new, old in tables:
+                assert new.as_dict() == old.as_dict()
+                assert new.order_log == old.order_log
+                assert new.per_context == old.per_context
+        assert ev.counters() == parent.counters()
