@@ -73,12 +73,14 @@ def _cmd_run(args, which: str) -> int:
 
 def _cmd_demo(args) -> int:
     if args.which == "biomarker":
+        for flag, value in (("--sage-orders", args.sage_orders), ("--decomp-orders", args.decomp_orders)):
+            if value is not None:  # the biomarker demo solves no Shapley game
+                raise ConfigError(f"{flag} applies to the census demo only")
         run_biomarker_demo(seed=args.seed, n=args.n, outdir=args.out)
-    else:
-        run_census_demo(
-            seed=args.seed, n=args.n, n_sage_orders=args.sage_orders,
-            n_decomp_orders=args.decomp_orders, outdir=args.out,
-        )
+    else:  # a flag left out keeps run_census_demo's default
+        orders = {"n_sage_orders": args.sage_orders, "n_decomp_orders": args.decomp_orders}
+        run_census_demo(seed=args.seed, n=args.n, outdir=args.out,
+                        **{key: value for key, value in orders.items() if value is not None})
     print(f"demo {args.which} written to {args.out}")
     return 0
 
@@ -156,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=("biomarker", "census"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--sage-orders", type=int, default=60)
-    p.add_argument("--decomp-orders", type=int, default=25)
+    p.add_argument("--sage-orders", type=int, help="census only: SAGE contexts per table (default 60)")
+    p.add_argument("--decomp-orders", type=int, help="census only: player orders per context (default 25)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="pretty-print a result bundle")

@@ -8,6 +8,10 @@ in one `evaluate` call (see "Games" in `dedact.importance`): a fast
 table all its components (a fast SAGE table those of one context), a
 Shapley decomposition's game every coalition a solver asks for.
 
+Each Shapley solver builds a contribution plan: mask arrays `plus` and
+`minus`, one contribution `v(plus) - v(minus)` per entry, and the exact
+solver's weights. `_solve_plan` values, differences and pools them all.
+
 A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
 context: j's surplus AI(j | C), then one contribution per pathway.
 """
@@ -89,18 +93,33 @@ def _by_aux(ev: ImportanceEvaluator, spec, aux_sets) -> list[ImportanceEstimate]
 class ShapleyResult:
     attributions: np.ndarray
     std_errors: np.ndarray
-    n_orders_used: Optional[int]
     solver: str
+
+
+def _solve_plan(game: CooperativeGame, solver: str, plus: np.ndarray, minus: np.ndarray,
+                weights: Optional[np.ndarray] = None) -> ShapleyResult:
+    """Value every mask of a contribution plan in one `game.values` call
+    (one `evaluate` call for a measure's game) and pool the contributions
+    `v(plus) - v(minus)`. With weights, row i holds player i's, summed
+    weighted, with SE 0. Without, row o holds order o's, and they pool
+    to the mean over the orders with their spread as the SE."""
+    values = np.array(game.values(np.stack([plus, minus]).ravel().tolist())).reshape(2, *plus.shape)
+    contribs = values[0] - values[1]
+    if weights is not None:  # a 1-D dot per contiguous row: a matrix product sums in another order
+        phi = np.array([w @ c for w, c in zip(weights, contribs)])
+        return ShapleyResult(phi, np.zeros(len(phi)), solver)
+    n_orders = len(contribs)
+    se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders) if n_orders > 1 else np.zeros(plus.shape[1])
+    return ShapleyResult(contribs.mean(axis=0), se, solver)
 
 
 def shapley_exact(game: CooperativeGame) -> ShapleyResult:
     """Exact Shapley attributions over all 2^n coalitions.
 
-    All 2^n coalitions are valued in one `game.values` call (one
-    `evaluate` call for a measure's game), into an array indexed by
-    bitmask; player i's attribution is then the weighted sum of
-    `v(S | i) - v(S)` over the masks S without i, with weight
-    `1 / (n * C(n - 1, |S|))`.
+    The plan's row i pairs each mask S without bit i, in ascending order,
+    with `S | i`: mask k of n - 1 bits with a 0 bit inserted at position
+    i. Player i's attribution is the sum of `v(S | i) - v(S)` weighted
+    by `1 / (n * C(n - 1, |S|))`.
 
     The standard errors are 0: the solver adds no sampling noise. They
     do not cover the Monte-Carlo noise of the coalition values
@@ -109,54 +128,33 @@ def shapley_exact(game: CooperativeGame) -> ShapleyResult:
     n = game.n_players
     if n > EXACT_SOLVER_MAX_PLAYERS:
         raise TooManyPlayers(f"{n} players exceeds exact-solver limit {EXACT_SOLVER_MAX_PLAYERS}")
-    masks = np.arange(1 << n)
-    values = np.array(game.values(range(1 << n)))
-    sizes = np.zeros(1 << n, dtype=int)
-    for p in range(n):
-        sizes += masks >> p & 1
-    weights = np.array([1.0 / (n * comb(n - 1, size)) for size in range(n)])
-    phi = np.empty(n)
-    for i in range(n):
-        without = masks[(masks >> i & 1) == 0]
-        phi[i] = weights[sizes[without]] @ (values[without | 1 << i] - values[without])
-    return ShapleyResult(phi, np.zeros(n), None, "exact")
+    k, i = np.arange(1 << (n - 1)), np.arange(n)[:, None]
+    minus = (k >> i << i + 1) | (k & (1 << i) - 1)
+    sizes = (k[:, None] >> np.arange(n - 1) & 1).sum(axis=1)  # |S|, the same in every row
+    weights = np.array([1.0 / (n * comb(n - 1, size)) for size in range(n)])[sizes]
+    return _solve_plan(game, "exact", minus | 1 << i, minus, np.broadcast_to(weights, minus.shape))
 
 
 def shapley_sampled(game: CooperativeGame, n_orders: int, seed: int = 0) -> ShapleyResult:
     """Shapley estimate from uniformly random player orders.
 
-    All orders are drawn first; every prefix of every order is then
-    valued in one `game.values` call (one `evaluate` call for a
-    measure's game). The empirical mean satisfies efficiency exactly
-    because every order telescopes to value(full) - value(empty). The
-    standard errors are the spread of each player's contributions over
-    the orders: they cover order sampling only, not the Monte-Carlo
-    noise of the coalition values themselves (an `original_f` value is
-    a mean over n_mc repetitions), which every order shares through the
-    game's cache.
+    In the plan's row o, player p's entry pairs the prefix of order o
+    that ends with p with the same prefix without p. The empirical mean
+    satisfies efficiency exactly because every order telescopes to
+    value(full) - value(empty). The standard errors are the spread of
+    each player's contributions over the orders: they cover order
+    sampling only, not the Monte-Carlo noise of the coalition values
+    themselves (an `original_f` value is a mean over n_mc repetitions),
+    which every order shares through the game's cache.
     """
     check_orders(n_orders, "n_orders")
     n = game.n_players
     rng = np.random.default_rng(seed)
-    perms = [[int(p) for p in rng.permutation(n)] for _ in range(n_orders)]
-    chains = []  # per order: the bitmasks of its prefixes, empty to full
-    for perm in perms:
-        chain = [0]
-        for player in perm:
-            chain.append(chain[-1] | 1 << player)
-        chains.append(chain)
-    values = game.values([mask for chain in chains for mask in chain])
-    contribs = np.empty((n_orders, n))
-    for o, perm in enumerate(perms):
-        v = values[o * (n + 1):(o + 1) * (n + 1)]
-        for k, player in enumerate(perm):
-            contribs[o, player] = v[k + 1] - v[k]
-    phi = contribs.mean(axis=0)
-    if n_orders > 1:
-        se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders)
-    else:
-        se = np.zeros(n)
-    return ShapleyResult(phi, se, n_orders, "sampled")
+    perms = np.array([rng.permutation(n) for _ in range(n_orders)])
+    bits = _mask_array([1 << p for p in range(n)], n)
+    plus = np.empty(perms.shape, dtype=bits.dtype)
+    np.put_along_axis(plus, perms, np.bitwise_or.accumulate(bits[perms], axis=1), axis=1)
+    return _solve_plan(game, "sampled", plus, plus ^ bits)
 
 
 def solve_game(game: CooperativeGame, solver: str = "auto", n_orders: int = 50, seed: int = 0) -> ShapleyResult:

@@ -195,6 +195,14 @@ def _known_keys(block: dict, section: str, where: str) -> None:
             raise ConfigError(f"[{where}] unknown key {key!r}; the keys of {section} are {', '.join(_KEYS[section])}")
 
 
+def _reads_only(block: dict, keys: tuple, where: str, what: str) -> None:
+    """A key given to a block whose measure or method does not read it is
+    a ConfigError too: it would otherwise be dropped unread."""
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"[{where}] {what} does not read {key!r}; it reads {', '.join(keys)}")
+
+
 def _required(block: dict, key: str, where: str):
     if key not in block:
         raise ConfigError(f"[{where}] missing required key {key!r}")
@@ -428,24 +436,32 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     if kind in MEASURES and overlap:
         raise ConfigError(f"[{name}] 'interest' overlaps 'baseline' on {', '.join(overlap)}")
     ev = ImportanceEvaluator
+    reads = ("name", "measure", "interest", "n_mc", "seed")
     if kind == "DI":
         call = partial(ev.direct_importance, interest=interest, baseline=baseline, mode=mode)
+        reads += ("baseline", "mode")
     elif kind == "AI":
         call = partial(ev.associative_importance, interest=interest, context=baseline, mode=mode)
+        reads += ("baseline", "mode")
     elif kind == "DI_from":
         call = partial(ev.di_from, interest=interest, baseline=baseline, sources=aux, mode=mode)
+        reads += ("baseline", "aux", "mode")
     elif kind == "AI_via":
         call = partial(ev.ai_via, interest=interest, context=baseline, pathway=aux, mode=mode)
+        reads += ("baseline", "aux", "mode")
     elif kind == "PFI":
         call = partial(ev.pfi, k=interest[0])
     elif kind == "conditional_FI":
         call = partial(ev.conditional_fi, j=interest[0])
     elif kind == "SAGE_value":
         call = partial(ev.sage_value, subset=interest, variant=variant)
+        reads += ("variant",)
     elif kind == "SAGE_attribution":
         call = partial(ev.sage_attribution, j=interest[0], variant=variant, n_orders=n_orders)
+        reads += ("variant", "n_orders")
     else:
         raise ConfigError(f"[{name}] unknown measure {kind!r}")
+    _reads_only(block, reads, name, f"measure {kind}")
     return name, partial(call, n_mc=n_mc, seed=seed)
 
 
@@ -457,6 +473,9 @@ def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable
     _known_keys(block, "decompositions", name)
     kind = block.get("kind", "pfi")
     k = _index(data, _str_key(block, "target", name), name)
+    for key in ("sources", "pathways", "order"):
+        if block.get(key) == []:  # left out, sources and pathways are every column
+            raise ConfigError(f"[{name}] {key!r} is an empty list; it must name at least one column")
     sources = _columns(block, "sources", data, name) or None
     pathways = _columns(block, "pathways", data, name) or None
     order = _columns(block, "order", data, name, required=method == "fast_ordered")
@@ -466,21 +485,29 @@ def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable
     n_decomp_orders = _int_key(block, "n_decomp_orders", 25, name, minimum=1)
     n_mc = _int_key(block, "n_mc", None, name, minimum=1)
     seed = _int_key(block, "seed", None, name, minimum=0)
+    reads = ("name", "kind", "method", "target", "n_mc", "seed")
     if (kind, method) == ("pfi", "fast"):
         call = partial(fast_decompose_pfi, k=k, sources=sources)
+        reads += ("sources",)
     elif (kind, method) == ("pfi", "fast_ordered"):
         call = partial(fast_decompose_pfi_ordered, k=k, order=order)
+        reads += ("order",)
     elif (kind, method) == ("pfi", "shapley"):
         call = partial(shapley_decompose_pfi, k=k, players=sources, solver=solver, n_orders=n_orders)
+        reads += ("sources", "solver", "n_orders")
     elif (kind, method) == ("ai", "fast"):
         call = partial(fast_decompose_ai, j=k, pathways=pathways)
+        reads += ("pathways",)
     elif (kind, method) == ("sage", "fast"):
         call = partial(fast_decompose_sage, j=k, pathways=pathways, n_orders=n_orders)
+        reads += ("pathways", "n_orders")
     elif (kind, method) == ("sage", "shapley"):
         call = partial(shapley_decompose_sage, j=k, pathways=pathways, solver=solver,
                        n_sage_orders=n_sage_orders, n_decomp_orders=n_decomp_orders)
+        reads += ("pathways", "solver", "n_sage_orders", "n_decomp_orders")
     else:
         raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
+    _reads_only(block, reads, name, f"kind {kind} with method {method}")
     return name, partial(call, n_mc=n_mc, seed=seed)
 
 

@@ -1,6 +1,7 @@
 import codecs
 import contextlib
 import copy
+import inspect
 import io
 import json
 import os
@@ -441,6 +442,34 @@ class TestRunCommands:
         # a column named twice would lose one of its two components
         err = self._exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change)
         assert err.startswith(f"config error: [{block}] {key!r} names the column {column!r} twice")
+
+    @pytest.mark.parametrize("change,block,reader,key", [
+        ({"decompositions": [{"name": "t", "kind": "pfi", "method": "fast", "target": "C", "pathways": ["B"]}]},
+         "t", "kind pfi with method fast", "pathways"),
+        ({"decompositions": [{"name": "t", "kind": "sage", "method": "shapley", "target": "C", "n_orders": 5}]},
+         "t", "kind sage with method shapley", "n_orders"),
+        ({"decompositions": [{"name": "t", "kind": "ai", "method": "fast", "target": "C", "solver": "exact"}]},
+         "t", "kind ai with method fast", "solver"),
+        ({"measures": [{"name": "m", "measure": "PFI", "interest": ["C"], "mode": "marginalized"}]},
+         "m", "measure PFI", "mode"),
+        ({"measures": [{"name": "m", "measure": "DI", "interest": ["C"], "aux": ["B"]}]}, "m", "measure DI", "aux"),
+        ({"measures": [{"name": "m", "measure": "SAGE_value", "interest": ["C"], "n_orders": 4}]},
+         "m", "measure SAGE_value", "n_orders"),
+    ])
+    def test_unread_key_exit_2(self, tmp_path, capsys, monkeypatch, change, block, reader, key):
+        # a key of another measure or method would be dropped without a word
+        err = self._exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change)
+        assert err.startswith(f"config error: [{block}] {reader} does not read {key!r}")
+
+    @pytest.mark.parametrize("kind,method,key", [
+        ("pfi", "fast", "sources"), ("pfi", "shapley", "sources"), ("ai", "fast", "pathways"),
+        ("sage", "fast", "pathways"), ("pfi", "fast_ordered", "order"),
+    ])
+    def test_empty_column_list_exit_2(self, tmp_path, capsys, monkeypatch, kind, method, key):
+        # an empty sources or pathways list would silently mean every column
+        change = {"decompositions": [{"name": "t", "kind": kind, "method": method, "target": "C", key: []}]}
+        err = self._exit_2_before_the_fit(tmp_path, capsys, monkeypatch, change)
+        assert err.startswith(f"config error: [t] {key!r} is an empty list")
 
     @pytest.mark.parametrize("defect,names", [
         (("duplicate", 1, 0, None), ["'a'", "'b'"]),  # b duplicates a
@@ -928,6 +957,29 @@ class TestDemoAndReport:
         assert main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(a)]) == 0
         assert main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(b)]) == 0
         assert (a / "bundle.json").read_bytes() == (b / "bundle.json").read_bytes()
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--sage-orders", "0", "--decomp-orders", "-3"], "--sage-orders"),
+        (["--decomp-orders", "25"], "--decomp-orders"),
+    ])
+    def test_biomarker_demo_rejects_the_census_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "demo"
+        assert main(["demo", "biomarker", "--n", "2000", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {named} applies to the census demo only")
+        assert not out.exists()
+
+    def test_census_demo_flags_keep_their_defaults(self, tmp_path, monkeypatch):
+        calls = []
+
+        def record(**kwargs):
+            bound = inspect.signature(runner.run_census_demo).bind(**kwargs)
+            bound.apply_defaults()
+            calls.append((bound.arguments["n_sage_orders"], bound.arguments["n_decomp_orders"]))
+
+        monkeypatch.setattr(cli, "run_census_demo", record)
+        assert main(["demo", "census", "--out", str(tmp_path)]) == 0
+        assert main(["demo", "census", "--decomp-orders", "3", "--out", str(tmp_path)]) == 0
+        assert calls == [(60, 25), (60, 3)]
 
     def test_biomarker_demo_numbers_pinned(self):
         # the demo's numbers at seed 0, n = 2000; any change to its draws moves them

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -684,3 +685,95 @@ class TestSageLoopReference:
                 assert new.order_log == old.order_log
                 assert new.per_context == old.per_context
         assert ev.counters() == parent.counters()
+
+
+# -- the Shapley solvers before they became contribution plans, frozen as the reference ---
+
+
+def _parent_shapley_exact(game):
+    n = game.n_players
+    masks = np.arange(1 << n)
+    values = np.array(game.values(range(1 << n)))
+    sizes = np.zeros(1 << n, dtype=int)
+    for p in range(n):
+        sizes += masks >> p & 1
+    weights = np.array([1.0 / (n * comb(n - 1, size)) for size in range(n)])
+    phi = np.empty(n)
+    for i in range(n):
+        without = masks[(masks >> i & 1) == 0]
+        phi[i] = weights[sizes[without]] @ (values[without | 1 << i] - values[without])
+    return phi, np.zeros(n), "exact"
+
+
+def _parent_shapley_sampled(game, n_orders, seed=0):
+    n = game.n_players
+    rng = np.random.default_rng(seed)
+    perms = [[int(p) for p in rng.permutation(n)] for _ in range(n_orders)]
+    chains = []
+    for perm in perms:
+        chain = [0]
+        for player in perm:
+            chain.append(chain[-1] | 1 << player)
+        chains.append(chain)
+    values = game.values([mask for chain in chains for mask in chain])
+    contribs = np.empty((n_orders, n))
+    for o, perm in enumerate(perms):
+        v = values[o * (n + 1):(o + 1) * (n + 1)]
+        for k, player in enumerate(perm):
+            contribs[o, player] = v[k + 1] - v[k]
+    se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders) if n_orders > 1 else np.zeros(n)
+    return contribs.mean(axis=0), se, "sampled"
+
+
+def _parent_solve_game(game, solver="auto", n_orders=50, seed=0):
+    if solver == "auto":
+        solver = "exact" if game.n_players <= 8 else "sampled"
+    return _parent_shapley_exact(game) if solver == "exact" else _parent_shapley_sampled(game, n_orders, seed)
+
+
+class TestSolverPlanReference:
+    """Every solver, now a contribution plan pooled by one function, gives
+    the frozen solvers' attributions, SEs and name bit for bit, and values
+    each coalition once."""
+
+    @staticmethod
+    def _game(n, value_of):
+        """A game valued by value_of(mask), and the list of its value calls."""
+        calls = []
+        return CooperativeGame(n, lambda s: calls.append(s) or value_of(sum(1 << p for p in s))), calls
+
+    def _assert_equal(self, got, want):
+        assert np.array_equal(got.attributions, want[0]) and np.array_equal(got.std_errors, want[1])
+        assert got.solver == want[2]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_games(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(1 << n) * 10.0 ** rng.uniform(-3, 3)
+        for solver, n_orders in (("exact", 1), ("sampled", 1), ("sampled", int(rng.integers(2, 40))), ("auto", 9)):
+            seed = int(rng.integers(1 << 30))
+            (game, calls), (parent, _) = (self._game(n, lambda mask: float(values[mask])) for _ in range(2))
+            self._assert_equal(solve_game(game, solver, n_orders, seed),
+                               _parent_solve_game(parent, solver, n_orders, seed))
+            assert len(calls) == len(set(calls)) == len(game.cache) == len(parent.cache)
+            if solver == "exact":
+                assert len(game.cache) == 1 << n
+
+    def test_seventy_players(self):
+        # masks of 63 players or more are Python ints
+        (game, calls), (parent, _) = (self._game(70, lambda mask: float(np.sin(mask % 1009))) for _ in range(2))
+        self._assert_equal(shapley_sampled(game, 6, seed=5), _parent_shapley_sampled(parent, 6, seed=5))
+        assert len(calls) == len(set(calls)) == len(game.cache)
+        assert game.cache == parent.cache
+
+    @pytest.mark.parametrize("solver", ["exact", "sampled"])
+    def test_measure_games_on_twin_evaluators(self, solver):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((5, 5))
+        cov, weights = a @ a.T + 0.5 * np.eye(5), rng.standard_normal(5)
+        ev, parent_ev = (_linear_evaluator(cov, weights, n=300, seed=4, n_mc=2) for _ in range(2))
+        for pathways in ([0, 1, 2, 3, 4], [3, 1]):
+            game, parent = (_MeasureGame(e, e._spec("AI_via", [0], [2], seed=7), pathways) for e in (ev, parent_ev))
+            self._assert_equal(solve_game(game, solver, 5, 11), _parent_solve_game(parent, solver, 5, 11))
+            assert game.cache == parent.cache
+        assert ev.counters() == parent_ev.counters()
