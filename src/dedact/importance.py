@@ -647,31 +647,25 @@ class ImportanceEvaluator:
                     if held < n_reps:
                         misses[key] = (key[0], slot, i, held)
             keys.append(two)
-        live = [two for two in keys if two is not None]
+        live = [i for i, two in enumerate(keys) if two is not None]
         computed = sum(n_reps - held for *_, held in misses.values())
         self.terms_computed += computed
         self.terms_reused += 2 * n_reps * len(live) - computed
         for key, computed_risks in self._compute(spec, misses, n_reps, exact, moment_form).items():
             self._risks.setdefault(key, []).extend(computed_risks)
         # mean and standard error over the repetitions (pool_orders),
-        # row-wise over the batch
+        # row-wise over the batch; identical plans differ by 0.0
         risks = self._risks
-        diffs = (np.array([risks[key1][:n_reps] for key1, _ in live])
-                 - np.array([risks[key2][:n_reps] for _, key2 in live])).reshape(-1, n_reps)
-        mean = _dot(diffs, 1.0) / n_reps + 0.0  # + 0.0: -0.0 becomes 0.0
+        diffs = (np.array([risks[keys[i][0]][:n_reps] for i in live])
+                 - np.array([risks[keys[i][1]][:n_reps] for i in live])).reshape(-1, n_reps)
+        value, se = np.zeros(len(keys)), np.zeros(len(keys))
+        value[live] = mean = _dot(diffs, 1.0) / n_reps + 0.0  # + 0.0: -0.0 becomes 0.0
         if n_reps > 1:
             dev = diffs - mean[:, None]
-            pooled = zip(mean.tolist(), (np.sqrt(_dot(dev, dev) / (n_reps - 1)) / np.sqrt(n_reps)).tolist())
-        else:
-            pooled = zip(mean.tolist(), [0.0] * len(diffs))
+            se[live] = np.sqrt(_dot(dev, dev) / (n_reps - 1)) / np.sqrt(n_reps)
         sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices}
-        estimates = []
-        for aux, two in zip(batch.auxes, keys):
-            aux_sets = dict(sets, aux=self._indices(aux))
-            if two is None:
-                estimates.append(ImportanceEstimate(0.0, 0.0, spec.n_mc, spec.mode, aux_sets, spec.seed))
-            else:
-                estimates.append(ImportanceEstimate(*next(pooled), n_reps, spec.mode, aux_sets, spec.seed))
+        estimates = [ImportanceEstimate(v, s, n_reps, spec.mode, dict(sets, aux=self._indices(aux)), spec.seed)
+                     for aux, v, s in zip(batch.auxes, value.tolist(), se.tolist())]
         return estimates[0] if single else estimates
 
     def _compute(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, moment_form: bool) -> dict:

@@ -4,14 +4,15 @@ The distributional family is fixed to a joint Gaussian with closed-form
 conditionals. `_conditionals` builds them for a stack of conditioning
 sets of one size with one stacked solve, and `_Conditioning` is the table
 that holds them: sets are added a batch at a time, one `_conditionals`
-call per set size, and the Cholesky factors of the target groups that
-take draws are added with one stacked factorization per group size.
-`conditional_params` is a table-free call of `_conditionals` on one pair.
-`_Conditioning.draw` is the only sampling primitive: the conditional mean
-given a row's conditioning columns plus `z @ L.T`, with L the Cholesky
-factor of the conditional covariance, factorized only when draws are
-taken. The importance engine's plan matrices and linear forms, `perturb`
-and `MarginalizedPredictor` all read a table. LAPACK solves and factorizes
+call per set size, and each set keeps its own rows of that solve. The
+Cholesky factors of the target groups that take draws are added with one
+stacked factorization per group size. `conditional_params` is a
+table-free call of `_conditionals` on one pair. `_Conditioning.draw` is
+the only sampling primitive: the conditional mean given a row's
+conditioning columns plus `z @ L.T`, with L the Cholesky factor of the
+conditional covariance, factorized only when draws are taken. The
+importance engine's plan matrices and linear forms, `perturb` and
+`MarginalizedPredictor` all read a table. LAPACK solves and factorizes
 each matrix of a stack on its own, so a set's floats are those of a stack
 of one, whatever batch built it. An independent perturbation (empty
 conditioning set) is a fresh draw from the fitted joint, never a row
@@ -154,19 +155,21 @@ class _Conditioning:
     the order of `columns`. `add` builds the sets a batch is missing,
     with one `_conditionals` call (one stacked solve) per set size |C|,
     and gives each a slot (`slots[mask]`; slot 0 stands for a kept
-    column). Per set size the table keeps the stacked conditional-mean
-    matrices and conditional covariances of the rest. Given a linear
-    predictor's weights w, it also keeps the engine's linear-form table
-    (see `dedact.importance`), filled by one scatter per set size:
+    column). The slot's record is the set's conditioning columns, its
+    rest, and its own conditional-mean matrix and conditional covariance
+    of the rest: views of its rows of the solve, never copied. Every
+    (set, targets) block is cut out of a record one way, at the targets'
+    positions in the rest. Given a linear predictor's weights w, the
+    table also keeps the engine's linear-form table (see
+    `dedact.importance`), filled by one scatter per set size:
     `forms[slot]` is d x (d + 1), and its row for a rest column t holds
     `w_t A_C[t, :]` at the conditioning columns and, in the last entry,
     the offset `w_t (mu_t - A_C[t] . mu_C)`; slot 0 holds `w_k e_k` and
-    no offset. `factorize` takes the Cholesky factor L of each
-    (C, targets) block that draws need, with one stacked
-    `_stable_cholesky` per group size, and keeps it per (C, targets),
-    with `L^T w_T` when there are weights. Storage grows by doubling, so a
-    batch copies only its own sets, and the earlier ones only when the
-    room doubles.
+    no offset. `forms` grows by doubling, so a batch copies only its own
+    sets, and the earlier ones only when the room doubles. `factorize`
+    takes the Cholesky factor L of each (C, targets) block that draws
+    need, with one stacked `_stable_cholesky` per group size, and keeps
+    it per (C, targets), with `L^T w_T` when there are weights.
     """
 
     def __init__(self, gaussian: GaussianModel, columns, weights: np.ndarray | None = None):
@@ -174,8 +177,7 @@ class _Conditioning:
         self.columns = tuple(columns)
         self.weights = weights
         self.slots: dict[int, int] = {}
-        self._sets: list[tuple | None] = [None]  # per slot: (|C|, index in its size's stacks, cond, rest)
-        self._stacks: dict[int, list] = {}  # per |C|: [count, matrices, covariances]
+        self._sets: list[tuple | None] = [None]  # per slot: (cond, rest, mean matrix, covariance)
         self.factors: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray | None]] = {}
         if weights is not None:
             self.forms = np.hstack([np.diag(weights), np.zeros((weights.size, 1))])[None]
@@ -215,15 +217,7 @@ class _Conditioning:
             self.forms = _reserve(self.forms, first + len(items))
             means = self.gaussian.mean[order]
         for a, b, size, matrix, cov in runs:
-            stack = self._stacks.get(size)
-            if stack is None:
-                stack = self._stacks[size] = [0, matrix[:0], cov[:0]]
-            start = stack[0]
-            for i, part in enumerate((matrix, cov), 1):
-                stack[i] = _reserve(stack[i], start + b - a)
-                stack[i][start:start + b - a] = part
-            stack[0] += b - a
-            self._sets += [(size, start + j, *pair) for j, (_, pair) in enumerate(items[a:b])]
+            self._sets += [(*pair, m, c) for (_, pair), m, c in zip(items[a:b], matrix, cov)]
             if self.weights is not None:
                 at, cond, rest = np.arange(first + a, first + b)[:, None], order[a:b, :size], order[a:b, size:]
                 w_rest = self.weights[rest]
@@ -241,16 +235,10 @@ class _Conditioning:
             by_width.setdefault(len(pair[1]), []).append(pair)
         for width, group in by_width.items():
             blocks = np.empty((len(group), width, width))
-            by_size: dict[int, tuple[list, list, list]] = {}
             for j, (mask, targets) in enumerate(group):
-                size, index, _, rest = self._sets[self.slots[mask]]
-                at, indices, positions = by_size.setdefault(size, ([], [], []))
-                at.append(j)
-                indices.append(index)
-                positions.append([rest.index(t) for t in targets])
-            for size, (at, indices, positions) in by_size.items():
-                p = np.array(positions, dtype=np.intp).reshape(len(at), width)
-                blocks[at] = self._stacks[size][2][np.array(indices)[:, None, None], p[:, :, None], p[:, None, :]]
+                _, rest, _, cov = self._sets[self.slots[mask]]
+                p = [rest.index(t) for t in targets]
+                blocks[j] = cov.take(p, 0).take(p, 1)
             chol = _stable_cholesky(blocks)
             v = [None] * len(group)
             if self.weights is not None:
@@ -261,13 +249,13 @@ class _Conditioning:
 
     def conditional(self, mask: int, targets: tuple[int, ...]):
         """Conditional-mean map and covariance block of the targets given
-        the set `mask`, in the order given."""
+        the set `mask`, in the order given: cut out of the set's record at
+        the targets' positions in its rest, as `factorize` cuts it."""
         self.add((mask,))
-        size, index, cond, rest = self._sets[self.slots[mask]]
-        _, matrix, cov = self._stacks[size]
+        cond, rest, matrix, cov = self._sets[self.slots[mask]]
         p = [rest.index(t) for t in targets]
         mean = self.gaussian.mean
-        return AffineMap(mean[list(targets)], matrix[index][p], mean[list(cond)]), cov[index][np.ix_(p, p)]
+        return AffineMap(mean[list(targets)], matrix.take(p, 0), mean[list(cond)]), cov.take(p, 0).take(p, 1)
 
     def cholesky(self, mask: int, targets: tuple[int, ...]) -> np.ndarray:
         self.factorize(((mask, targets),))
@@ -279,7 +267,7 @@ class _Conditioning:
         normals z (one column per target, in the order given). Without z
         it is the mean alone, and nothing is factorized."""
         mean_map = self.conditional(mask, targets)[0]
-        cond = self._sets[self.slots[mask]][2]
+        cond = self._sets[self.slots[mask]][0]
         mean = mean_map.apply(x[:, list(cond)])
         return mean if z is None else mean + z @ self.cholesky(mask, targets).T
 

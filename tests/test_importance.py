@@ -266,6 +266,22 @@ class TestEngineContracts:
         assert one.std_error == 0.0
         assert np.isfinite(singles[0])
 
+    @pytest.mark.parametrize("exact,n_reps", [(False, 5), (True, 1)])
+    def test_structural_zero_reports_its_batch_n_mc(self, exact, n_reps):
+        # an empty pathway makes both plans identical: a structural zero,
+        # reported with the repetitions of every other estimate
+        cov = [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]
+        ev = _evaluator(cov, [1.0, 1.0, 1.0], n=200, n_mc=5, exact_marginalization=exact)
+        zero = ev.ai_via([0], [], [], mode="marginalized")
+        live = ev.ai_via([0], [], [1], mode="marginalized")
+        assert (zero.value, zero.std_error) == (0.0, 0.0)
+        assert zero.n_mc == live.n_mc == n_reps
+        spec = MeasureSpec("AI_via", FeatureIndexSet.of([0]), FeatureIndexSet.empty(), mode="marginalized",
+                           n_mc=5, seed=ev.seed)
+        batch = ev.evaluate(MeasureBatch(spec, (0, 0b10, 0, 0b110)))
+        assert [e.n_mc for e in batch] == [n_reps] * 4
+        assert [e.value == 0.0 for e in batch] == [True, False, True, False]
+
     def test_evaluation_counter(self):
         ev = _evaluator(np.eye(2), [1.0, 1.0], n=2000, n_mc=2)
         reset_evaluation_count()
