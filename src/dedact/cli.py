@@ -45,7 +45,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    scm = load_scm(args.scm)
+    scm = load_scm(args.scm, args.include_observed)
     data, target = sample_scm(scm, args.n, args.seed, args.include_observed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

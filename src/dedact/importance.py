@@ -33,16 +33,17 @@ column order.
 
 Term memo: a term's risk is a pure function of its plan, its loss and
 the draws it consumes. Those draws are fixed by (mode, seed, repetition,
-stream slot): `original_f` terms share the repetition's draws (memo
-slot 0: the column streams on the row path, the sampled moments on the
-moment form), Monte-Carlo marginalized terms each take their own
-integration stream (slot 1 or 2), and exact-marginalized terms consume
-no draws at all. So each evaluator keeps one memo entry per term, keyed
-on `(plan, loss kind, mode, seed, slot)`, or on `(plan, loss kind)`
-alone for exact marginalization, holding the risks of repetitions
-0..r-1 in order. Every evaluation asks for repetitions 0..n_mc-1, so an
-entry is always such a prefix: a larger n_mc computes only the missing
-repetitions and extends it. A reused risk is the float that
+stream): `original_f` terms share the repetition's draws (stream 0: the
+column streams on the row path, the sampled moments on the moment form),
+Monte-Carlo marginalized terms each take their own integration stream
+(1 or 2), and exact-marginalized terms consume no draws at all. So each
+evaluator keeps one memo entry per term, keyed on `(plan, loss kind,
+mode, seed, stream)`, or on `(plan, loss kind)` alone for exact
+marginalization, holding the risks of repetitions 0..r-1 in order. The
+key is the term's whole description: the engine reads the plan and the
+stream it draws from off the key. Every evaluation asks for repetitions
+0..n_mc-1, so an entry is always such a prefix: a larger n_mc computes
+only the missing repetitions and extends it. A reused risk is the float that
 recomputation would give, bit for bit; only the evaluator's
 `terms_computed` / `terms_reused` counters (one per term and repetition)
 can tell the two apart. Under the moment form below a repetition's
@@ -159,7 +160,7 @@ independent of their mean, so E[S^2 | mean] = |v|^2: the linear risk is
 the Rao-Blackwellisation of the full-draw one, with the same
 expectation and no larger variance. Any other `Predictor` keeps
 n_integration full n x d draws from the term's integration stream
-`derive_seed(seed, rep, slot)` on the materialized plan matrix. So here,
+`derive_seed(seed, rep, stream)` on the materialized plan matrix. So here,
 unlike in `original_f` mode, where both read the same column streams
 and agree to rounding, a `LinearPredictor` and any other `Predictor`
 computing the same map take different normals and agree in
@@ -474,14 +475,6 @@ class ImportanceEvaluator:
                 v[p, [self._canon_rank[col] for col in pair[1]]] = table.factors[pair][1]
         return u, v, c
 
-    def _form_predictor(self, form):
-        """z -> `X @ u + z @ v + c` for the form (u in column order); reads
-        only the columns v weights, so v = 0 draws nothing."""
-        u, v, c = form
-        base = self.data.values @ u + c
-        nz = np.flatnonzero(v) if v is not None else []
-        return lambda z: base if z is None or not len(nz) else base + z[:, nz] @ v[nz]
-
     # -- moment form (linear predictor, squared error) ----------------------
 
     def _moments(self) -> tuple:
@@ -557,20 +550,6 @@ class ImportanceEvaluator:
         v_zx_u = _dot(v, _dot(s_zx, u[:, None]))
         return risk + (v_zz_v + 2.0 * v_zx_u + 2.0 * k * _dot(v, z_bar) - 2.0 * _dot(v, s_zy))
 
-    def _linear_marginalized_prediction(self, form, rng: np.random.Generator):
-        """Monte-Carlo marginalization of a linear predictor, drawn
-        directly (see the module docstring): the mean of n_integration
-        draws of `X @ u + z @ v + c` is `X @ u + c` plus one
-        N(0, |v|^2 / n_integration) normal per row. Returns that mean
-        and the known variance of its noise, the squared-error
-        correction (0 for a single draw, as `_marginalized_prediction`
-        gives)."""
-        u, v, c = form
-        m = self.n_integration
-        noise_var = float(v @ v) / m
-        pred = self.data.values @ u + c + np.sqrt(noise_var) * rng.standard_normal(self.data.n_rows)
-        return pred, noise_var if m > 1 else 0.0
-
     def _marginalized_prediction(self, predict, rng: np.random.Generator):
         """Marginalize a non-linear model over a plan's perturbed columns.
 
@@ -579,8 +558,8 @@ class ImportanceEvaluator:
         row by row. Returns the per-row mean prediction and the per-row
         variance of that mean (sample variance over draws divided by
         the draw count), which is the integration-noise correction for
-        squared-error risks. A `LinearPredictor` takes
-        `_linear_marginalized_prediction` instead.
+        squared-error risks. A `LinearPredictor` draws its mean directly
+        instead (`_term`).
         """
         n, d = self.data.values.shape
         m = self.n_integration
@@ -630,25 +609,26 @@ class ImportanceEvaluator:
         n_reps = 1 if exact else spec.n_mc
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
-        # draws come from independent streams (slots 1 and 2) and the
-        # reported SE covers the marginalization noise of both terms
+        # draws come from independent streams (1 and 2, a key's last
+        # entry) and the reported SE covers the marginalization noise of
+        # both terms
         streams = (1, 2) if spec.mode == "marginalized" else (0, 0)
         tails = [(kind,)] * 2 if exact else [(kind, spec.mode, spec.seed, stream) for stream in streams]
         keys = []  # per pair: the two terms' memo keys, or None for identical plans
-        misses: dict[tuple, tuple] = {}  # memo key -> (plan, slot, pair, repetitions held), in the order first needed
+        misses: dict[tuple, tuple] = {}  # memo key -> (pair, repetitions held), in the order first needed
         for i, (t1, t2) in enumerate(pairs):
             if t1 == t2:
                 keys.append(None)
                 continue
             two = (t1, *tails[0]), (t2, *tails[1])
-            for slot, key in enumerate(two, 1):
+            for key in two:
                 if key not in misses:
                     held = len(self._risks.get(key, ()))
                     if held < n_reps:
-                        misses[key] = (key[0], slot, i, held)
+                        misses[key] = (i, held)
             keys.append(two)
         live = [i for i, two in enumerate(keys) if two is not None]
-        computed = sum(n_reps - held for *_, held in misses.values())
+        computed = sum(n_reps - held for _, held in misses.values())
         self.terms_computed += computed
         self.terms_reused += 2 * n_reps * len(live) - computed
         for key, computed_risks in self._compute(spec, misses, n_reps, exact, moment_form).items():
@@ -673,59 +653,76 @@ class ImportanceEvaluator:
         repetitions from the number it holds up to n_reps, in order."""
         if not misses:
             return {}
-        plans = list(dict.fromkeys(plan for plan, *_ in misses.values()))
+        plans = list(dict.fromkeys(key[0] for key in misses))
         linear = isinstance(self.predictor, LinearPredictor)
         forms = self._linear_forms(plans, not exact) if linear else None
         if moment_form:  # one key per plan, in the plans' order
             u, v, c = forms
             # every repetition that some term misses, for every plan
-            first = min(held for *_, held in misses.values())
+            first = min(held for _, held in misses.values())
             draws = None if exact else tuple(
                 map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in range(first, n_reps)))))
             risks = self._moment_risks(u[:, self._canon_order], v, c, draws)
-            return {key: risks[held - first:, p].tolist() for p, (key, (*_, held)) in enumerate(misses.items())}
+            return {key: risks[held - first:, p].tolist() for p, (key, (_, held)) in enumerate(misses.items())}
         if linear:  # per plan: (u in column order, v, c), copied out so BLAS sees them as in a batch of one
             u, v, c = forms
             forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
         else:  # every plan draws through `_build_matrix`
             self._set_up(plans, draws=True)
-        return self._row_risks(spec, misses, n_reps, exact, forms)
+        return self._row_risks(spec, misses, n_reps, forms)
 
-    def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, forms: dict | None) -> dict:
+    def _term(self, spec: MeasureSpec, key: tuple, forms: dict | None):
+        """The prediction of the term `key` outside the moment form, as a
+        function `(rep, z) -> (prediction, variance to subtract)` of the
+        repetition and its `_ColumnDraws`, chosen once per term. A linear
+        form (u, v, c) predicts `X @ u + c` under exact marginalization
+        (v is None: `evaluate` admits only linear predictors there), adds
+        `z @ v` in `original_f` (reading only the columns v weights), and
+        under Monte-Carlo marginalization adds one N(0, |v|^2 / m) normal
+        per row from the term's integration stream, the key's last entry
+        (see the module docstring). Any other predictor reads the
+        materialized plan matrix."""
+        plan = key[0]
+
+        def integration(rep):
+            return np.random.default_rng(derive_seed(spec.seed, rep, key[-1]))
+
+        if forms is None:
+            def model(z):
+                return self.predictor.predict(self._build_matrix(plan, z))
+
+            if spec.mode == "original_f":
+                return lambda rep, z: (model(z), None)
+            return lambda rep, z: self._marginalized_prediction(model, integration(rep))
+        u, v, c = forms[plan]
+        base = self.data.values @ u + c
+        if v is None:
+            return lambda rep, z: (base, None)
+        if spec.mode == "original_f":
+            nz = np.flatnonzero(v)
+            return lambda rep, z: (base + z[:, nz] @ v[nz] if len(nz) else base, None)
+        m = self.n_integration
+        var = float(v @ v) / m
+        return lambda rep, z: (base + np.sqrt(var) * integration(rep).standard_normal(len(base)),
+                               var if m > 1 else 0.0)
+
+    def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, forms: dict | None) -> dict:
         """Risks of missing terms that the moment form does not cover, on
-        n-length predictions, from the linear `forms` or, when None, the
-        materialized plan matrix. The terms go pair by pair (a term goes
-        with the first pair that misses it) and, within a pair, repetition
-        by repetition, so both terms of a repetition read one set of
-        column draws, and at most two predictors and one repetition's
-        draws are held at a time."""
-        n = self.data.n_rows
+        n-length predictions (`_term`). The terms go pair by pair (a term
+        goes with the first pair that misses it) and, within a pair,
+        repetition by repetition, so both terms of a repetition read one
+        set of column draws, and at most two predictors and one
+        repetition's draws are held at a time."""
         y = self.target.values
-        linear_mc = forms is not None and spec.mode == "marginalized" and not exact
         risks = {key: [] for key in misses}
         # misses are in the order first needed, so a pair's terms are adjacent
-        for _, group in groupby(misses.items(), key=lambda item: item[1][2]):
-            terms = []  # per term: its predictor for all of the pair's repetitions
-            for key, (plan, slot, _, held) in group:
-                if forms is None:  # the model on the materialized plan matrix
-                    predict = lambda z, plan=plan: self.predictor.predict(self._build_matrix(plan, z))
-                else:
-                    predict = forms[plan] if linear_mc else self._form_predictor(forms[plan])
-                terms.append((predict, slot, held, risks[key]))
-            for rep in range(min(held for _, _, held, _ in terms), n_reps):
-                z = _ColumnDraws(n, spec.seed, rep)
-                for predict, slot, held, out in terms:
-                    if rep < held:
-                        continue
-                    if exact:
-                        pred, var = predict(None), None
-                    elif spec.mode == "original_f":
-                        pred, var = predict(z), None
-                    else:
-                        rng = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                        pred, var = (self._linear_marginalized_prediction(predict, rng) if linear_mc
-                                     else self._marginalized_prediction(predict, rng))
-                    out.append(self._term_risk(spec, y, pred, var))
+        for _, group in groupby(misses.items(), key=lambda item: item[1][0]):
+            terms = [(self._term(spec, key, forms), held, risks[key]) for key, (_, held) in group]
+            for rep in range(min(held for _, held, _ in terms), n_reps):
+                z = _ColumnDraws(self.data.n_rows, spec.seed, rep)
+                for predict, held, out in terms:
+                    if rep >= held:
+                        out.append(self._term_risk(spec, y, *predict(rep, z)))
         return risks
 
     # -- the four measures ---------------------------------------------------

@@ -38,7 +38,15 @@ from .decompose import (
     shapley_decompose_pfi,
     shapley_decompose_sage,
 )
-from .errors import ConfigError, DedactError, InvalidTarget, MissingTarget, ParseError
+from .errors import (
+    ConfigError,
+    DedactError,
+    InsufficientRows,
+    InvalidTarget,
+    MissingTarget,
+    ParseError,
+    SingularConditioning,
+)
 from .importance import MEASURES, MODES, SAGE_VARIANTS, ImportanceEvaluator
 from .sampler import fit_gaussian
 from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
@@ -81,6 +89,9 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
                 first[name] = c
             if target_column not in header:
                 raise MissingTarget(f"{path}: target column {target_column!r} not in header")
+            if len(header) == 1:
+                raise ParseError(f"{path}: the header holds only the target column {target_column!r};"
+                                 " at least one feature column is needed")
             for r, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise ParseError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
@@ -104,6 +115,8 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     if not values.size:
         raise ParseError(f"{path}: no data rows")
     values = values.reshape(-1, len(header))
+    if len(values) < 2:
+        raise ParseError(f"{path}: one data row; at least 2 are needed")
     t_idx = header.index(target_column)
     feature_cols = [c for c in range(len(header)) if c != t_idx]
     data = DataMatrix(values[:, feature_cols], tuple(header[c] for c in feature_cols))
@@ -364,16 +377,22 @@ def _load_yaml(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def load_scm(source: str) -> LinearSCM:
+def load_scm(source: str, include_observed: bool = False) -> LinearSCM:
     """A builtin SCM by name, else one read from a YAML file in the
-    `LinearSCM.to_config()` schema; an error in the file names the file."""
+    `LinearSCM.to_config()` schema; an error in the file names the file,
+    as does an SCM that would emit no data column (observed-role nodes
+    count with `include_observed`)."""
     if source in BUILTIN_SCMS:
         return BUILTIN_SCMS[source]()
     raw = _load_yaml(source)
     try:
-        return LinearSCM.from_config(raw)
+        scm = LinearSCM.from_config(raw)
     except DedactError as exc:
         raise type(exc)(f"{source}: {exc}") from exc
+    if not scm.data_columns(include_observed):
+        roles = "feature or observed" if include_observed else "feature"
+        raise ParseError(f"{source}: no node has role {roles}, so the SCM emits no data column")
+    return scm
 
 
 def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, LinearSCM | None]:
@@ -386,7 +405,7 @@ def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, Linear
         # at least 2 rows on each side of the fit / evaluation split
         n = _int_key(block, "n", 20000, "data", minimum=4)
         include_observed = _bool_key(block, "include_observed", False, "data")
-        scm = load_scm(source)
+        scm = load_scm(source, include_observed)
         return (*sample_scm(scm, n, derive_seed(seed, 1), include_observed), scm)
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
 
@@ -605,13 +624,23 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         predictor = fit_ols(fit_x, fit_y, support)
     except DedactError as exc:
         raise _in_block(exc, "model") from exc
+    try:
+        gaussian = fit_gaussian(fit_x)
+    except InsufficientRows as exc:
+        raise InsufficientRows(f"[data] the Gaussian fit reads n_fit={n_fit} of the {bundle.metadata['n_rows']}"
+                               f" rows (split_fraction {fraction!r}) and needs n_fit >= d + 1 = {fit_x.n_cols + 1}"
+                               f" for its d={fit_x.n_cols} columns") from exc
+    except DedactError as exc:
+        raise _in_block(exc, "data") from exc
     evaluator = ImportanceEvaluator(
-        eval_x, eval_y, predictor, fit_gaussian(fit_x), loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
+        eval_x, eval_y, predictor, gaussian, loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
     )
     del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     for add, name, call in calls:
         try:
             add(name, call(evaluator))
+        except SingularConditioning as exc:  # its columns by name
+            raise _in_block(exc.named(eval_x.column_names), name) from exc
         except DedactError as exc:
             raise _in_block(exc, name) from exc
     bundle.metadata["engine"] = evaluator.counters()

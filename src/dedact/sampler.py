@@ -6,7 +6,9 @@ sets of one size with one stacked solve, and `_Conditioning` is the table
 that holds them: sets are added a batch at a time, one `_conditionals`
 call per set size, and each set keeps its own rows of that solve. The
 Cholesky factors of the target groups that take draws are added with one
-stacked factorization per group size. `conditional_params` is a
+stacked factorization per group size. A stack that fails is redone one
+matrix at a time, on that error path only, so that `SingularConditioning`
+names the failing set's columns. `conditional_params` is a
 table-free call of `_conditionals` on one pair. `_Conditioning.draw` is
 the only sampling primitive: the conditional mean given a row's
 conditioning columns plus `z @ L.T`, with L the Cholesky factor of the
@@ -48,9 +50,12 @@ class GaussianModel:
         if np.max(np.abs(cov - cov.T)) >= 1e-10:
             raise DimensionMismatch("covariance is not symmetric")
         cov = (cov + cov.T) / 2.0
-        min_eig = float(np.min(np.linalg.eigvalsh(cov)))
-        if min_eig <= -1e-8:
-            raise DimensionMismatch(f"covariance not PSD (min eigenvalue {min_eig})")
+        min_eig, max_eig = (float(e) for e in np.linalg.eigvalsh(cov)[[0, -1]])
+        # rounding in a covariance scales with its largest eigenvalue: the
+        # sample covariance of two copies of a column of scale 1e5 can
+        # show -1e-8, so the floor of 1e-8 grows with it
+        if min_eig <= -1e-8 * max(1.0, max_eig):
+            raise DimensionMismatch(f"covariance not PSD (min eigenvalue {min_eig}, largest {max_eig})")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -106,6 +111,24 @@ def _conditionals(blocks: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray
         raise SingularConditioning("conditioning covariance is singular") from exc
     cov = blocks[:, size:, size:] - matrix @ cov_ct
     return matrix, (cov + cov.swapaxes(1, 2)) / 2.0
+
+
+def _stacked(solve, blocks: np.ndarray, columns):
+    """`solve(blocks)` on a stack. When it raises `SingularConditioning`,
+    the blocks are redone one at a time, and the error is raised again
+    with `columns(j)`, the (cond, targets) columns of the first block j
+    that fails: LAPACK says that a stack failed, not which of its
+    matrices. Only the error path redoes blocks, so a stack that succeeds
+    keeps the floats of its one call."""
+    try:
+        return solve(blocks)
+    except SingularConditioning as exc:
+        for j in range(len(blocks)):
+            try:
+                solve(blocks[j:j + 1])
+            except SingularConditioning:
+                raise SingularConditioning(exc.reason, *columns(j)) from exc
+        raise
 
 
 def _checked(g: GaussianModel, cond: Iterable[int], targets: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -194,7 +217,8 @@ class _Conditioning:
         """Build every set of `masks` that the table does not hold: one
         gather of their covariance blocks, then one `_conditionals` call
         per set size. A set that cannot be solved raises
-        `SingularConditioning`, and then none of the batch is held."""
+        `SingularConditioning` naming its conditioning columns, and then
+        none of the batch is held."""
         new: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         for mask in masks:
             if mask not in self.slots and mask not in new:
@@ -208,7 +232,8 @@ class _Conditioning:
         runs, a = [], 0
         for size, run in groupby(items, key=lambda item: len(item[1][0])):
             b = a + len(list(run))
-            runs.append((a, b, size, *_conditionals(blocks[a:b], size)))
+            runs.append((a, b, size, *_stacked(lambda stack: _conditionals(stack, size), blocks[a:b],
+                                               lambda j: (items[a + j][1][0],))))
             a = b
         first = len(self._sets)
         for j, (mask, _) in enumerate(items):
@@ -227,7 +252,9 @@ class _Conditioning:
 
     def factorize(self, pairs) -> None:
         """Factorize every (mask, targets) pair's covariance block that the
-        table does not hold, adding the sets it needs."""
+        table does not hold, adding the sets it needs. A block that cannot
+        be factorized raises `SingularConditioning` naming its set's
+        conditioning columns and its targets."""
         new = [pair for pair in dict.fromkeys(pairs) if pair not in self.factors]
         self.add(mask for mask, _ in new)
         by_width: dict[int, list] = {}
@@ -239,7 +266,7 @@ class _Conditioning:
                 _, rest, _, cov = self._sets[self.slots[mask]]
                 p = [rest.index(t) for t in targets]
                 blocks[j] = cov.take(p, 0).take(p, 1)
-            chol = _stable_cholesky(blocks)
+            chol = _stacked(_stable_cholesky, blocks, lambda j: (self._sets[self.slots[group[j][0]]][0], group[j][1]))
             v = [None] * len(group)
             if self.weights is not None:
                 w_t = self.weights[np.array([t for _, t in group], dtype=np.intp).reshape(len(group), width)]

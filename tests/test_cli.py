@@ -215,6 +215,17 @@ def _config(tmp_path, raw, name="run.yaml"):
     return path
 
 
+def _price_copy_csv(path, seed):
+    """400 rows: price of scale 1e4, price_copy an exact copy of it, c,
+    and the target y = c + noise."""
+    rng = np.random.default_rng(seed)
+    price = 1e4 * rng.standard_normal(400)
+    c = rng.standard_normal(400)
+    y = c + rng.standard_normal(400)
+    rows = zip(price.tolist(), price.tolist(), c.tolist(), y.tolist())
+    path.write_text("price,price_copy,c,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 _BASE = {
     "seed": 0,
     "data": {"scm": "biomarker", "n": 2000, "include_observed": True},
@@ -556,6 +567,56 @@ class TestRunCommands:
         cfg = _config(tmp_path, raw)
         assert main(["importance", "--config", str(cfg)]) == 4
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_singular_conditioning_names_its_columns(self, tmp_path, capsys, seed):
+        # c's conditional in the second plan is given price and its exact
+        # copy; at seed 2 the PSD check, absolute before, failed first
+        _price_copy_csv(tmp_path / "data.csv", seed)
+        raw = {"seed": 0, "data": {"csv": str(tmp_path / "data.csv"), "target_column": "y"},
+               "model": {"support": ["price", "c"]},
+               "measures": [{"measure": "PFI", "interest": ["c"]}, {"measure": "PFI", "interest": ["price"]}]}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 0
+        raw["measures"].append({"name": "ai_copy", "measure": "AI", "interest": ["price_copy"], "baseline": ["price"]})
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: [ai_copy] conditioning covariance is singular")
+        assert "'price'" in err and "'price_copy'" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("y\n1\n2\n3\n4\n5\n", "the header holds only the target column 'y'; at least one feature column"),
+        ("a,y\n1,2\n", "one data row; at least 2 are needed"),
+    ], ids=["target-only", "one-row"])
+    def test_csv_too_small_names_the_file(self, tmp_path, capsys, text, message):
+        (tmp_path / "data.csv").write_text(text)
+        raw = {"seed": 0, "data": {"csv": str(tmp_path / "data.csv"), "target_column": "y"}}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'data.csv'}: {message}")
+
+    def test_scm_without_data_columns_names_the_source(self, tmp_path, capsys):
+        raw = {"nodes": ["latent", "y"], "edges": [{"parent": "latent", "child": "y", "coefficient": 1.0}],
+               "noise_std": {"latent": 1.0, "y": 1.0}, "roles": {"latent": "latent", "y": "target"}}
+        scm = tmp_path / "scm.yaml"
+        scm.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "sim.csv"
+        simulate = ["simulate", "--scm", str(scm), "--n", "100", "--seed", "0", "--out", str(out)]
+        config = _config(tmp_path, {"seed": 0, "data": {"scm": str(scm), "n": 10}})
+        for argv in (simulate, ["importance", "--config", str(config)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"data error: {scm}: no node has role feature, so the SCM emits no data column\n"
+        assert not out.exists()
+        # an observed node is a data column once observed columns are emitted
+        scm.write_text(yaml.safe_dump(dict(raw, roles={"latent": "observed", "y": "target"})))
+        assert main(simulate) == 3
+        assert main(simulate + ["--include-observed"]) == 0
+
+    def test_gaussian_fit_with_too_few_rows_names_the_split(self, tmp_path, capsys):
+        # OLS on one column fits 6 rows; the Gaussian over 10 columns needs 11
+        raw = {"seed": 0, "data": {"scm": "census", "n": 12}, "model": {"support": ["age"]}}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical error: [data] the Gaussian fit reads n_fit=6 of the 12 rows (split_fraction 0.5)"
+            " and needs n_fit >= d + 1 = 11")
 
     @pytest.mark.parametrize("source", ["csv", "scm"])
     def test_cross_entropy_target_outside_unit_interval_exit_3(self, tmp_path, capsys, monkeypatch, source):

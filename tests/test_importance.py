@@ -282,6 +282,25 @@ class TestEngineContracts:
         assert [e.n_mc for e in batch] == [n_reps] * 4
         assert [e.value == 0.0 for e in batch] == [True, False, True, False]
 
+    def test_exact_marginalization_needs_a_linear_predictor(self):
+        # only a linear predictor's conditional expectation has a closed
+        # form; any other is refused rather than run by Monte-Carlo draws
+        linear, opaque, rng = _linear_and_opaque(exact_marginalization=True)
+        drawn = ImportanceEvaluator(opaque.data, opaque.target, opaque.predictor, opaque.gaussian)
+        with pytest.raises(DimensionMismatch, match="exact marginalization requires a linear predictor"):
+            opaque.ai_via([0], [1], [2], mode="marginalized")
+        spec = MeasureSpec("DI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]), mode="marginalized")
+        with pytest.raises(DimensionMismatch, match="linear predictor"):
+            opaque.evaluate(MeasureBatch(spec, (0, 0b100)))
+        assert opaque.terms_computed == 0
+        # identical plans take no expectation: a structural zero
+        zero = opaque.ai_via([0], [1], [], mode="marginalized")
+        assert (zero.value, zero.std_error, zero.n_mc) == (0.0, 0.0, 1)
+        # original_f terms take none either, exact or not
+        for spec in _random_specs(4, rng, 8, mode="original_f", n_mc=2):
+            assert opaque.evaluate(spec) == drawn.evaluate(spec)
+        assert linear.ai_via([0], [1], [2], mode="marginalized").std_error == 0.0
+
     def test_evaluation_counter(self):
         ev = _evaluator(np.eye(2), [1.0, 1.0], n=2000, n_mc=2)
         reset_evaluation_count()

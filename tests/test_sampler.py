@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from dedact.core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor
-from dedact.errors import DimensionMismatch, DisjointnessViolation, InsufficientRows
+from dedact.errors import DimensionMismatch, DisjointnessViolation, InsufficientRows, SingularConditioning
 from dedact.sampler import (
     GaussianModel,
     PerturbationSampler,
+    _Conditioning,
     conditional_params,
     fit_gaussian,
     marginalize,
@@ -30,6 +31,19 @@ class TestGaussianModel:
     def test_rejects_indefinite(self):
         with pytest.raises(DimensionMismatch):
             GaussianModel(mean=np.zeros(2), cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_psd_tolerance_scales_with_the_covariance(self):
+        # a sample covariance is PSD by construction; beside a unit-scale
+        # column, an exact duplicate of scale 1e5 gave min eigenvalues
+        # below -1e-8 from rounding alone
+        for scale in (1e5, 1e6):
+            for seed in range(20):
+                rng = np.random.default_rng(seed)
+                col = scale * rng.standard_normal(400)
+                g = fit_gaussian(_data(np.column_stack([col, col, rng.standard_normal(400)])))
+                assert g.cov[0, 0] > 0
+        with pytest.raises(DimensionMismatch, match="not PSD"):
+            GaussianModel(mean=np.zeros(2), cov=1e6 * np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -247,3 +261,32 @@ class TestMarginalize:
             marginalize(inner, FeatureIndexSet.of([0]), _bivariate(0.0), integration="weird")
         with pytest.raises(DimensionMismatch):
             marginalize(inner, FeatureIndexSet.of([0]), _bivariate(0.0), n_integration=0)
+
+
+class TestSingularConditioningNamesItsColumns:
+    """A stacked solve or factorization that fails is redone one set at a
+    time, so the error names the failing set's columns."""
+
+    def test_solve_names_the_conditioning_columns(self):
+        # column 1's variance plus the jitter is exactly 0
+        g = GaussianModel(mean=np.zeros(4), cov=np.diag([1.0, -1e-9, 1.0, 1.0]))
+        table = _Conditioning(g, range(4))
+        with pytest.raises(SingularConditioning) as info:
+            table.add([0b1001, 0b0101, 0b0011, 0b0110])
+        assert (info.value.cond, info.value.targets) == ((0, 1), None)
+        assert str(info.value) == "conditioning covariance is singular: conditioning columns 0, 1"
+        assert str(info.value.named("abcd")).endswith("conditioning columns 'a', 'b'")
+        assert table.slots == {}
+
+    def test_factorization_names_conditioning_and_targets(self):
+        g = GaussianModel(mean=np.zeros(3), cov=np.diag([1.0, -1e-9, 1.0]))
+        table = _Conditioning(g, range(3))
+        with pytest.raises(SingularConditioning) as info:
+            table.factorize([(0b001, (2,)), (0b100, (1,)), (0b001, (1,))])
+        named = info.value.named(("a", "b", "c"))
+        assert str(named) == "covariance block not factorizable: conditioning columns 'c', target columns 'b'"
+
+    def test_independent_redraw_names_no_conditioning_column(self):
+        g = GaussianModel(mean=np.zeros(2), cov=np.diag([1.0, -1e-9]))
+        with pytest.raises(SingularConditioning, match="conditioning columns none, target columns 1$"):
+            perturb(PerturbationSampler(g, FeatureIndexSet.empty(), 0), _data(np.eye(2)), FeatureIndexSet.of([1]))
