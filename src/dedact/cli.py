@@ -21,6 +21,7 @@ from .errors import (
     InsufficientRows,
     InvalidTarget,
     MissingTarget,
+    Overflow,
     ParseError,
     SingularConditioning,
     SingularDesign,
@@ -28,16 +29,16 @@ from .errors import (
 )
 from .runner import (
     RunConfig,
-    load_scm,
     run,
     run_biomarker_demo,
     run_census_demo,
+    simulate,
 )
-from .scm import sample_scm
 
 _CONFIG_ERRORS = (ConfigError, DisjointnessViolation)
 _DATA_ERRORS = (ParseError, MissingTarget, InvalidTarget, DimensionMismatch)
-_NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, TooManyPlayers, CyclicGraph)
+_NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, Overflow, TooManyPlayers,
+                     CyclicGraph)
 
 
 def _cmd_simulate(args) -> int:
@@ -45,8 +46,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"--n must be at least 2, got {args.n}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    scm = load_scm(args.scm, args.include_observed)
-    data, target = sample_scm(scm, args.n, args.seed, args.include_observed)
+    scm, data, target = simulate(args.scm, args.n, args.seed, args.include_observed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(data.column_names) + [scm.supervision_node])

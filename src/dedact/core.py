@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularDesign
+from .errors import DimensionMismatch, Overflow, SingularDesign
 
 CROSS_ENTROPY_EPS = 1e-12
 
@@ -192,7 +192,9 @@ class LinearPredictor(Predictor):
 
 
 def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | None = None) -> LinearPredictor:
-    """Least-squares fit over the support columns; other weights are zero."""
+    """Least-squares fit over the support columns; other weights are zero.
+    Support columns, or a target, whose squares overflow float64 raise
+    `Overflow` naming them."""
     if support is None:
         support = FeatureIndexSet.full(data.n_cols)
     support.validate_within(data.n_cols)
@@ -202,13 +204,30 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
         raise SingularDesign(f"need n > |support|, got n={data.n_rows}, |support|={len(support)}")
     cols = list(support)
     design = np.column_stack([np.ones(data.n_rows), data.values[:, cols]])
-    gram = design.T @ design
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, y_sq = design.T @ design, float(target.values @ target.values)
+    check_squares(gram, ["the intercept"] + [repr(data.column_names[c]) for c in cols])
+    if not np.isfinite(y_sq):  # finite, it and the Gram diagonal bound design.T @ y (Cauchy-Schwarz)
+        raise Overflow("the squares of the target overflow float64")
     if np.linalg.cond(gram) >= MAX_CONDITION_NUMBER:
         raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(gram, data, cols)}")
     coef = np.linalg.solve(gram, design.T @ target.values)
     weights = np.zeros(data.n_cols)
     weights[cols] = coef[1:]
     return LinearPredictor(weights=weights, intercept=coef[0], support=support)
+
+
+def check_squares(second: np.ndarray, names: list[str]) -> None:
+    """A matrix of second moments (a Gram matrix or a covariance) must be
+    finite. If it is not, the squares of some columns overflow float64:
+    those whose diagonal entry is not finite, or, if every diagonal entry
+    is, whose row holds an entry that is not. `names[i]` names column i."""
+    if np.isfinite(second).all():
+        return
+    bad = ~np.isfinite(np.diag(second))
+    if not bad.any():
+        bad = ~np.isfinite(second).all(axis=1)
+    raise Overflow(f"the squares of {', '.join(names[i] for i in np.flatnonzero(bad))} overflow float64")
 
 
 def _collinear(gram: np.ndarray, data: DataMatrix, cols: list[int]) -> str:

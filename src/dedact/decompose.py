@@ -77,16 +77,17 @@ class _MeasureGame(CooperativeGame):
         self._ev, self._spec = ev, spec
         self._column_bits = _mask_array([1 << c for c in columns], ev.data.n_cols)
 
-    def _value_masks(self, masks: list[int]) -> list[float]:
+    def _value_masks(self, masks: list[int]) -> np.ndarray:
         players = _mask_array(masks, self.n_players)[:, None] >> np.arange(self.n_players) & 1
         auxes = tuple(np.bitwise_or.reduce(players * self._column_bits, axis=1).tolist())
-        return [est.value for est in self._ev.evaluate(MeasureBatch(self._spec, auxes))]
+        return self._ev.evaluate(MeasureBatch(self._spec, auxes))[0]
 
 
-def _by_aux(ev: ImportanceEvaluator, spec, aux_sets) -> list[ImportanceEstimate]:
-    """The estimates of spec with each column set of aux_sets as its aux,
-    in order, from one `evaluate` call."""
-    return ev.evaluate(MeasureBatch(spec, tuple(_mask(FeatureIndexSet.of(cols)) for cols in aux_sets)))
+def _by_aux(ev: ImportanceEvaluator, spec, aux_sets) -> list[tuple[float, float]]:
+    """The (value, SE) pairs of spec with each column set of aux_sets as
+    its aux, in order, from one `evaluate` call."""
+    value, se = ev.evaluate(MeasureBatch(spec, tuple(_mask(FeatureIndexSet.of(cols)) for cols in aux_sets)))
+    return list(zip(value.tolist(), se.tolist()))
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,8 @@ def fast_decompose_pfi(
     sources = list(range(d)) if sources is None else list(sources)
     baseline = [c for c in range(d) if c != k]
     total = ev.pfi(k, n_mc=n_mc, seed=seed)
-    ests = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), [[j] for j in sources])
-    components = {ev.data.column_names[j]: (est.value, est.std_error) for j, est in zip(sources, ests)}
+    pairs = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), [[j] for j in sources])
+    components = {ev.data.column_names[j]: pair for j, pair in zip(sources, pairs)}
     return DecompositionTable(ev.data.column_names[k], total, components, "fast")
 
 
@@ -226,15 +227,12 @@ def fast_decompose_pfi_ordered(
     baseline = [c for c in range(d) if c != k]
     total = ev.pfi(k, n_mc=n_mc, seed=seed)
     prefixes = [order[: i + 1] for i in range(len(order))]
-    ests = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), prefixes)
+    pairs = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), prefixes)
     components = {}
     prev_value, prev_se = 0.0, 0.0
-    for j, est in zip(order, ests):
-        components[ev.data.column_names[j]] = (
-            est.value - prev_value,
-            float(np.hypot(est.std_error, prev_se)),
-        )
-        prev_value, prev_se = est.value, est.std_error
+    for j, (value, se) in zip(order, pairs):
+        components[ev.data.column_names[j]] = (value - prev_value, float(np.hypot(se, prev_se)))
+        prev_value, prev_se = value, se
     return DecompositionTable(
         ev.data.column_names[k], total, components, "fast_ordered", order_log=[list(order)]
     )
@@ -275,8 +273,8 @@ def fast_decompose_ai(
     seed = ev.seed if seed is None else seed
     pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
     total = ev.associative_importance([j], [], n_mc=n_mc, seed=seed)
-    ests = _by_aux(ev, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), [[k] for k in pathways])
-    components = {ev.data.column_names[k]: (est.value, est.std_error) for k, est in zip(pathways, ests)}
+    pairs = _by_aux(ev, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), [[k] for k in pathways])
+    components = {ev.data.column_names[k]: pair for k, pair in zip(pathways, pairs)}
     return DecompositionTable(ev.data.column_names[j], total, components, "fast")
 
 
@@ -312,7 +310,7 @@ def fast_decompose_sage(
         seed_o = derive_seed(seed, 811, o)
         alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o).value
         vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
-        return [alpha, *(alpha - via.value for via in vias)]
+        return [alpha, *(alpha - via for via, _ in vias)]
 
     contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
     return _sage_table(ev, j, pathways, contexts, pooled, "fast", seed)

@@ -21,6 +21,10 @@ class InsufficientRows(DedactError):
     """Too few observations for the requested fit."""
 
 
+class Overflow(DedactError):
+    """Values whose squares overflow float64."""
+
+
 class SingularConditioning(DedactError):
     """Conditioning covariance block is numerically singular.
 

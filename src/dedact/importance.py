@@ -122,12 +122,13 @@ risk to rounding.
 Games: a Shapley decomposition values many coalitions of one measure
 that differ only in their `aux` set. `evaluate` takes such a game whole,
 as a `MeasureBatch` (a `MeasureSpec` and a tuple of aux column
-bitmasks), and returns one estimate per mask; a `MeasureSpec` alone is a
-batch of one (there is no per-plan path), and each mask counts as one
-evaluation. The sets are validated once per batch, both plan keys of
-every mask are built with bit operations, each term is looked up in the
-memo once, and the missing plans' (u, v, c) are assembled as stacked
-arrays.
+bitmasks), and returns two float arrays, the masks' values and standard
+errors in order; no estimate is built per mask. A `MeasureSpec` alone is
+a batch of one (there is no per-plan path) that returns one
+`ImportanceEstimate`, and each mask counts as one evaluation. The sets
+are validated once per batch, both plan keys of every mask are built
+with bit operations, each term is looked up in the memo once, and the
+missing plans' (u, v, c) are assembled as stacked arrays.
 Their moment-form risks, over all plans and repetitions at once, are
 row-wise products (`_dot`) that add each dot product's terms in index
 order, as the last running sum of `np.add.accumulate`. No BLAS
@@ -306,7 +307,8 @@ class MeasureSpec:
 class MeasureBatch:
     """One measure over many `aux` sets: `spec` with its aux replaced by
     each column bitmask of `auxes` in turn. `evaluate` values the batch
-    in one call and returns one estimate per mask."""
+    in one call and returns its values and standard errors as two arrays,
+    in mask order."""
 
     spec: MeasureSpec
     auxes: tuple[int, ...]
@@ -353,7 +355,6 @@ class ImportanceEvaluator:
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
         weights = predictor.weights if isinstance(predictor, LinearPredictor) else None
         self._table = _Conditioning(gaussian, self._canon_order, weights)
-        self._index_sets: dict[int, tuple[int, ...]] = {}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -404,13 +405,6 @@ class ImportanceEvaluator:
             t1 = plan(baseline, baseline)
             t2 = np.where(in_aux, plan(with_interest, with_interest), t1)
         return [(t1, second) for second in map(tuple, t2.tolist())]
-
-    def _indices(self, mask: int) -> tuple[int, ...]:
-        """The sorted column indices of a bitmask (one of at most 2^d)."""
-        hit = self._index_sets.get(mask)
-        if hit is None:
-            hit = self._index_sets[mask] = tuple(c for c in range(self.data.n_cols) if mask >> c & 1)
-        return hit
 
     def _groups(self, plan) -> dict[int, tuple[int, ...]]:
         """Redrawn columns of each conditioning set, in canonical order."""
@@ -588,9 +582,10 @@ class ImportanceEvaluator:
             base = base - mean_variance
         return float(np.mean(base))
 
-    def evaluate(self, spec: MeasureSpec | MeasureBatch) -> ImportanceEstimate | list[ImportanceEstimate]:
-        """One estimate for a `MeasureSpec`; for a `MeasureBatch`, one per
-        aux bitmask, in order, each counted as one evaluation."""
+    def evaluate(self, spec: MeasureSpec | MeasureBatch) -> ImportanceEstimate | tuple[np.ndarray, np.ndarray]:
+        """One estimate for a `MeasureSpec`; for a `MeasureBatch`, two
+        float arrays, the values and the standard errors of its aux
+        bitmasks in order, each mask counted as one evaluation."""
         global _eval_count
         single = not isinstance(spec, MeasureBatch)
         batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
@@ -643,10 +638,11 @@ class ImportanceEvaluator:
         if n_reps > 1:
             dev = diffs - mean[:, None]
             se[live] = np.sqrt(_dot(dev, dev) / (n_reps - 1)) / np.sqrt(n_reps)
-        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices}
-        estimates = [ImportanceEstimate(v, s, n_reps, spec.mode, dict(sets, aux=self._indices(aux)), spec.seed)
-                     for aux, v, s in zip(batch.auxes, value.tolist(), se.tolist())]
-        return estimates[0] if single else estimates
+        if not single:
+            return value, se
+        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
+                "aux": spec.aux.indices}
+        return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
 
     def _compute(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, moment_form: bool) -> dict:
         """Risks of the missing terms, keyed like the memo: for each, the

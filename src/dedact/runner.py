@@ -395,18 +395,31 @@ def load_scm(source: str, include_observed: bool = False) -> LinearSCM:
     return scm
 
 
+def simulate(source: str, n: int, seed: int, include_observed: bool = False):
+    """The SCM of `source` (see `load_scm`) and n rows sampled from it; a
+    node whose sampled values overflow is named after the source."""
+    scm = load_scm(source, include_observed)
+    try:
+        return (scm, *sample_scm(scm, n, seed, include_observed))
+    except DedactError as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
+
+
 def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, LinearSCM | None]:
-    """The data block's rows, once every key of the block is checked."""
+    """The data block's rows, once every key of the block is checked; a
+    key that the block's source does not read is a ConfigError."""
     if "csv" in block:
+        _reads_only(block, ("csv", "target_column"), "data", "a csv source")
         path, column = _str_key(block, "csv", "data"), _str_key(block, "target_column", "data")
         return (*ingest_csv(path, column), None)
     if "scm" in block:
+        _reads_only(block, ("scm", "n", "include_observed"), "data", "an scm source")
         source = _str_key(block, "scm", "data")
         # at least 2 rows on each side of the fit / evaluation split
         n = _int_key(block, "n", 20000, "data", minimum=4)
         include_observed = _bool_key(block, "include_observed", False, "data")
-        scm = load_scm(source, include_observed)
-        return (*sample_scm(scm, n, derive_seed(seed, 1), include_observed), scm)
+        scm, data, target = simulate(source, n, derive_seed(seed, 1), include_observed)
+        return data, target, scm
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
 
 

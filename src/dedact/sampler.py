@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor
+from .core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor, check_squares
 from .errors import DimensionMismatch, DisjointnessViolation, InsufficientRows, SingularConditioning
 
 JITTER = 1e-9
@@ -47,6 +47,8 @@ class GaussianModel:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise DimensionMismatch(f"bad shapes mean={mean.shape}, cov={cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DimensionMismatch("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) >= 1e-10:
             raise DimensionMismatch("covariance is not symmetric")
         cov = (cov + cov.T) / 2.0
@@ -65,12 +67,15 @@ class GaussianModel:
 
 
 def fit_gaussian(data: DataMatrix) -> GaussianModel:
-    """Column means and unbiased sample covariance."""
+    """Column means and unbiased sample covariance; columns whose squares
+    overflow float64 raise `Overflow` naming them."""
     n, d = data.values.shape
     if n < d + 1:
         raise InsufficientRows(f"need n >= d + 1, got n={n}, d={d}")
-    mean = data.values.mean(axis=0)
-    cov = np.cov(data.values, rowvar=False, ddof=1).reshape(d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.values.mean(axis=0)
+        cov = np.cov(data.values, rowvar=False, ddof=1).reshape(d, d)
+    check_squares(cov, [repr(name) for name in data.column_names])
     return GaussianModel(mean=mean, cov=cov)
 
 

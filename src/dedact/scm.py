@@ -177,7 +177,9 @@ def sample_scm(
     place, then written into its column when it is a data column. Only
     the nodes some edge reads as a parent, and the supervision node, are
     kept after they are computed (a data column as a view of its
-    column), so a latent node with no children is dropped at once.
+    column), so a latent node with no children is dropped at once. The
+    first node whose values overflow float64 raises `DimensionMismatch`
+    naming it.
     """
     rng = np.random.default_rng(seed)
     columns = scm.data_columns(include_observed)
@@ -190,10 +192,13 @@ def sample_scm(
     values = {}
     for node in scm.nodes:
         total = rng.standard_normal(n)
-        total *= scm.noise_std[node]
-        for (parent, child), coeff in edges:
-            if child == node:
-                total += coeff * values[parent]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total *= scm.noise_std[node]
+            for (parent, child), coeff in edges:
+                if child == node:
+                    total += coeff * values[parent]
+        if not np.isfinite(total).all():
+            raise DimensionMismatch(f"the sampled values of node {node!r} overflow float64")
         if node in position:
             out[:, position[node]] = total
             total = out[:, position[node]]

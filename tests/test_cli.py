@@ -618,6 +618,50 @@ class TestRunCommands:
             "numerical error: [data] the Gaussian fit reads n_fit=6 of the 12 rows (split_fraction 0.5)"
             " and needs n_fit >= d + 1 = 11")
 
+    @pytest.mark.parametrize("support", [None, ["b"]], ids=["a-in-support", "a-outside-support"])
+    def test_overflowing_squares_name_their_column(self, tmp_path, capsys, support):
+        # a's squares overflow float64: the OLS fit names it when the model
+        # reads a, the Gaussian fit when it does not
+        rng = np.random.default_rng(0)
+        rows = zip((1e155 * rng.standard_normal(50)).tolist(), *rng.standard_normal((2, 50)).tolist())
+        (tmp_path / "big.csv").write_text("a,b,y\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        raw = {"seed": 0, "data": {"csv": str(tmp_path / "big.csv"), "target_column": "y"}, "n_mc": 2,
+               "measures": [{"measure": "PFI", "interest": ["b"]}]}
+        if support is not None:
+            raw["model"] = {"support": support}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 4
+        block = "model" if support is None else "data"
+        assert capsys.readouterr().err == f"numerical error: [{block}] the squares of 'a' overflow float64\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "importance"])
+    def test_overflowing_scm_names_its_source_and_node(self, tmp_path, capsys, command):
+        # b = 1e200 a is finite, c = 1e200 b is not; `1.0e+200` with its
+        # sign, since YAML reads `1.0e200` as a string
+        scm = tmp_path / "big.yaml"
+        scm.write_text("nodes: [a, b, c]\nedges:\n"
+                       "  - {parent: a, child: b, coefficient: 1.0e+200}\n"
+                       "  - {parent: b, child: c, coefficient: 1.0e+200}\n"
+                       "noise_std: {a: 1.0, b: 1.0, c: 1.0}\nroles: {a: feature, b: feature, c: target}\n")
+        if command == "simulate":
+            argv = ["simulate", "--scm", str(scm), "--n", "100", "--seed", "0", "--out", str(tmp_path / "sim.csv")]
+        else:
+            argv = ["importance", "--config", str(_config(tmp_path, {"seed": 0, "data": {"scm": str(scm), "n": 100}}))]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"data error: {scm}: the sampled values of node 'c' overflow float64\n"
+        assert not (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("data,key", [
+        ({"csv": "x.csv", "target_column": "y", "n": 100}, "n"),
+        ({"csv": "x.csv", "target_column": "y", "include_observed": True}, "include_observed"),
+        ({"csv": "x.csv", "target_column": "y", "scm": "census"}, "scm"),
+        ({"scm": "census", "n": 100, "target_column": "income"}, "target_column"),
+    ], ids=["csv-n", "csv-include_observed", "csv-scm", "scm-target_column"])
+    def test_data_key_its_source_does_not_read_exit_2(self, tmp_path, capsys, data, key):
+        # the key would otherwise be dropped unread (with both sources, csv won)
+        assert main(["importance", "--config", str(_config(tmp_path, {"seed": 0, "data": data}))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [data] ") and f"does not read {key!r}" in err
+
     @pytest.mark.parametrize("source", ["csv", "scm"])
     def test_cross_entropy_target_outside_unit_interval_exit_3(self, tmp_path, capsys, monkeypatch, source):
         fits, fit_ols = [], runner.fit_ols

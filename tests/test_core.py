@@ -16,7 +16,7 @@ from dedact.core import (
     empirical_risk,
     fit_ols,
 )
-from dedact.errors import DimensionMismatch, SingularDesign
+from dedact.errors import DimensionMismatch, Overflow, SingularDesign
 
 
 def _matrix(values, names=None):
@@ -170,6 +170,17 @@ class TestFitOls:
         y = TargetVector(data.values @ np.array([1.0, 1.0, 1.0]))
         p = fit_ols(data, y, FeatureIndexSet.of([0, 2]))
         assert p.weights[1] == 0.0
+
+    def test_overflowing_squares_name_their_columns(self):
+        # a's squares overflow float64: named, without a RuntimeWarning,
+        # when a is in the support; outside it, a is never squared
+        a, b, noise = np.random.default_rng(4).standard_normal((3, 50))
+        data = _matrix(np.column_stack([1e155 * a, b]), ("a", "b"))
+        with pytest.raises(Overflow, match=r"^the squares of 'a' overflow float64$"):
+            fit_ols(data, TargetVector(b + noise))
+        assert fit_ols(data, TargetVector(b + noise), FeatureIndexSet.of([1])).weights[0] == 0.0
+        with pytest.raises(Overflow, match=r"^the squares of the target overflow float64$"):
+            fit_ols(data, TargetVector(1e155 * noise), FeatureIndexSet.of([1]))
 
     def test_singular_design_rejected(self):
         x = np.linspace(0, 1, 20)

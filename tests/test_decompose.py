@@ -24,6 +24,7 @@ from dedact.errors import DimensionMismatch, TooManyPlayers
 from dedact.importance import (
     SAGE_VARIANTS,
     ImportanceEvaluator,
+    MeasureBatch,
     check_orders,
     evaluation_count,
     pool_orders,
@@ -536,6 +537,31 @@ class TestFastTablesBatched:
         assert sage.components == {f"x{k}": pool_orders(np.array(comp)[:, k]) for k in range(3)}
         assert ev.counters() == single.counters()
 
+    def test_only_single_specs_build_estimates(self, monkeypatch):
+        # a batch is two arrays: a Shapley game or a fast table builds an
+        # `ImportanceEstimate` for its single-spec total only, none per mask
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, n_mc=3)
+        built, singles = [], []
+        post_init, evaluate = ImportanceEstimate.__post_init__, ImportanceEvaluator.evaluate
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        def spy(self, spec):
+            singles.append(not isinstance(spec, MeasureBatch))
+            return evaluate(self, spec)
+
+        monkeypatch.setattr(ImportanceEstimate, "__post_init__", counting)
+        monkeypatch.setattr(ImportanceEvaluator, "evaluate", spy)
+        reset_evaluation_count()
+        shapley_decompose_pfi(ev, 0, solver="exact")
+        fast_decompose_pfi(ev, 1)
+        assert evaluation_count() == (1 << 3) + 1 + 3 + 1
+        assert singles == [False, True, True, False]
+        assert len(built) == sum(singles) == 2
+
 
 class _FreshPerEvaluation(ImportanceEvaluator):
     """Runs every evaluation on a new evaluator, so no term is reused."""
@@ -629,7 +655,7 @@ def _parent_fast_decompose_sage(ev, j, pathways=None, n_orders=25, n_mc=None, se
         alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
         alphas[o] = alpha.value
         vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
-        comp[o] = [alpha.value - via.value for via in vias]
+        comp[o] = [alpha.value - via for via, _ in vias]
     return _parent_sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
 
 

@@ -278,9 +278,9 @@ class TestEngineContracts:
         assert zero.n_mc == live.n_mc == n_reps
         spec = MeasureSpec("AI_via", FeatureIndexSet.of([0]), FeatureIndexSet.empty(), mode="marginalized",
                            n_mc=5, seed=ev.seed)
-        batch = ev.evaluate(MeasureBatch(spec, (0, 0b10, 0, 0b110)))
-        assert [e.n_mc for e in batch] == [n_reps] * 4
-        assert [e.value == 0.0 for e in batch] == [True, False, True, False]
+        value, se = ev.evaluate(MeasureBatch(spec, (0, 0b10, 0, 0b110)))
+        assert (value == 0.0).tolist() == [True, False, True, False]
+        assert (se[[0, 2]] == 0.0).all()
 
     def test_exact_marginalization_needs_a_linear_predictor(self):
         # only a linear predictor's conditional expectation has a closed
@@ -1029,15 +1029,14 @@ class TestBatchEqualsSingles:
                            n_mc=3, seed=seed)
         batched, single = evaluator(), evaluator()
         reset_evaluation_count()
-        got = batched.evaluate(MeasureBatch(spec, tuple(masks)))
+        value, se = batched.evaluate(MeasureBatch(spec, tuple(masks)))
         assert evaluation_count() == len(masks)
         expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
                     for m in masks]
-        assert [(e.value, e.std_error, e.n_mc, e.sets) for e in got] == \
-            [(e.value, e.std_error, e.n_mc, e.sets) for e in expected]
+        assert [(value[i], se[i]) for i in range(len(masks))] == [(e.value, e.std_error) for e in expected]
         assert batched.counters() == single.counters()
         if measure in ("DI_from", "AI_via"):
-            assert (got[-1].value, got[-1].std_error) == (0.0, 0.0)
+            assert (value[-1], se[-1]) == (0.0, 0.0)
 
     @pytest.mark.parametrize("measure,mode,exact", [("DI_from", "original_f", False),
                                                     ("AI_via", "marginalized", True)])
@@ -1060,10 +1059,10 @@ class TestBatchEqualsSingles:
         spec = MeasureSpec(measure, FeatureIndexSet.of([2]), FeatureIndexSet.of([0, 5]), mode=mode, n_mc=3, seed=4)
         masks = tuple(range(1 << d))
         batched, single = evaluator(), evaluator()
-        got = batched.evaluate(MeasureBatch(spec, masks))
+        value, se = batched.evaluate(MeasureBatch(spec, masks))
         expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
                     for m in masks]
-        assert [(e.value, e.std_error) for e in got] == [(e.value, e.std_error) for e in expected]
+        assert [(value[i], se[i]) for i in range(len(masks))] == [(e.value, e.std_error) for e in expected]
         assert batched.counters() == single.counters()
 
     def test_columns_past_the_64_bit_range(self):
@@ -1078,11 +1077,12 @@ class TestBatchEqualsSingles:
                                  GaussianModel(mean=np.zeros(d), cov=np.eye(d)), exact_marginalization=True)
         spec = MeasureSpec("AI_via", FeatureIndexSet.of([66]), FeatureIndexSet.of([1, 64]), mode="marginalized")
         masks = (0, 1 << 69, 1 << 66 | 1 << 3, (1 << 70) - 1)
-        got = ev.evaluate(MeasureBatch(spec, masks))
-        for mask, est in zip(masks, got):
+        value, se = ev.evaluate(MeasureBatch(spec, masks))
+        for i, mask in enumerate(masks):
             aux = [c for c in range(d) if mask >> c & 1]
-            assert est.sets["aux"] == tuple(aux)
-            assert est.value == ev.ai_via([66], [1, 64], aux, mode="marginalized").value
+            single = ev.ai_via([66], [1, 64], aux, mode="marginalized")
+            assert single.sets["aux"] == tuple(aux)
+            assert (value[i], se[i]) == (single.value, single.std_error)
 
     def test_aux_mask_out_of_range(self):
         ev = _evaluator(np.eye(3), [1.0, 1.0, 1.0], n=100)

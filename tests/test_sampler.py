@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dedact.core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor
-from dedact.errors import DimensionMismatch, DisjointnessViolation, InsufficientRows, SingularConditioning
+from dedact.errors import DimensionMismatch, DisjointnessViolation, InsufficientRows, Overflow, SingularConditioning
 from dedact.sampler import (
     GaussianModel,
     PerturbationSampler,
@@ -49,8 +49,22 @@ class TestGaussianModel:
         with pytest.raises(DimensionMismatch):
             GaussianModel(mean=np.zeros(3), cov=np.eye(2))
 
+    @pytest.mark.parametrize("mean,cov", [([0.0], [[np.nan]]), ([0.0], [[np.inf]]), ([np.nan], [[1.0]]),
+                                          ([0.0, np.inf], np.eye(2))])
+    def test_rejects_non_finite_moments(self, mean, cov):
+        # NaN fails every comparison, so the symmetry and PSD checks alone
+        # would let a NaN covariance through
+        with pytest.raises(DimensionMismatch, match="^mean and covariance must be finite$"):
+            GaussianModel(mean=np.array(mean), cov=np.array(cov))
+
 
 class TestFitGaussian:
+    def test_overflowing_squares_name_their_columns(self):
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((50, 3)) * [1.0, 1e155, 1e160]
+        with pytest.raises(Overflow, match=r"^the squares of 'x1', 'x2' overflow float64$"):
+            fit_gaussian(_data(values))
+
     def test_identical_columns_rank_one(self):
         rng = np.random.default_rng(0)
         col = rng.standard_normal(500)
