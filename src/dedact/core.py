@@ -59,9 +59,6 @@ class DataMatrix:
     def index_of(self, name: str) -> int:
         return self.column_names.index(name)
 
-    def select_rows(self, rows: np.ndarray) -> "DataMatrix":
-        return DataMatrix(self.values[rows], self.column_names)
-
 
 @dataclass(frozen=True)
 class TargetVector:
@@ -79,9 +76,6 @@ class TargetVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def select_rows(self, rows: np.ndarray) -> "TargetVector":
-        return TargetVector(self.values[rows])
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,12 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     if data.n_rows <= len(support):
         raise SingularDesign(f"need n > |support|, got n={data.n_rows}, |support|={len(support)}")
     cols = list(support)
-    design = np.column_stack([np.ones(data.n_rows), data.values[:, cols]])
+    # written column by column, with no copy of the support columns beside
+    # it; Fortran order, as a stacked design has, keeps the weights' bits
+    design = np.empty((data.n_rows, len(cols) + 1), order="F")
+    design[:, 0] = 1.0
+    for i, c in enumerate(cols, start=1):
+        design[:, i] = data.values[:, c]
     with np.errstate(over="ignore", invalid="ignore"):
         gram, y_sq = design.T @ design, float(target.values @ target.values)
     check_squares(gram, ["the intercept"] + [repr(data.column_names[c]) for c in cols])

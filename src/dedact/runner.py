@@ -66,7 +66,9 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     numpy block, so neither the file's text nor one float object per value
     is ever held whole. The blocks are joined once at the end, and the
     features and the target are copied out of that buffer, so it is freed
-    on return.
+    on return. The features come back C-ordered, as a sampled SCM's do:
+    the input hash reads them in place and the split shuffles them in
+    place.
     """
     path = Path(path)
     if not path.exists():
@@ -118,9 +120,8 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     if len(values) < 2:
         raise ParseError(f"{path}: one data row; at least 2 are needed")
     t_idx = header.index(target_column)
-    feature_cols = [c for c in range(len(header)) if c != t_idx]
-    data = DataMatrix(values[:, feature_cols], tuple(header[c] for c in feature_cols))
-    return data, TargetVector(values[:, t_idx].copy())
+    names = tuple(name for c, name in enumerate(header) if c != t_idx)
+    return DataMatrix(np.delete(values, t_idx, axis=1), names), TargetVector(values[:, t_idx].copy())
 
 
 def _undecodable_row(path: Path) -> int:
@@ -136,14 +137,33 @@ def _undecodable_row(path: Path) -> int:
 
 
 def train_eval_split(data: DataMatrix, target: TargetVector, fraction: float = 0.5, seed: int = 0):
-    """Disjoint (fit, eval) split; the evaluator must never see fit rows."""
-    rng = np.random.default_rng(derive_seed(seed, 90))
-    perm = rng.permutation(data.n_rows)
-    n_fit = int(round(data.n_rows * fraction))
-    fit_rows, eval_rows = perm[:n_fit], perm[n_fit:]
+    """Disjoint (fit, eval) split; the evaluator must never see fit rows.
+
+    The rows are those of `data` and `target` at a seeded permutation: the
+    first round(n * fraction) are the fit rows. The split shuffles
+    C-ordered copies of the arrays, so the caller's are left as they are
+    and its four parts share no memory with them.
+    """
+    return _shuffle_split(data.values.copy(), target.values.copy(), data.column_names, fraction, seed)
+
+
+def _shuffle_split(x: np.ndarray, y: np.ndarray, names: tuple[str, ...], fraction: float, seed: int):
+    """Permute the rows of `x` and `y` in place, one column at a time, and
+    split them into (fit x, fit y, eval x, eval y), row slices of the two
+    buffers. The caller's arrays are overwritten, and beside them only the
+    permutation and one column are held. The first round(n * fraction)
+    permuted rows are the fit rows, bit for bit those the fancy index
+    `x[perm[:n_fit]]` gathers. `x` must be C-contiguous, so that its row
+    slices are, and `y` must not share memory with it, or its values would
+    be permuted twice."""
+    perm = np.random.default_rng(derive_seed(seed, 90)).permutation(len(y))
+    for col in x.T:
+        col[:] = col[perm]
+    y[:] = y[perm]
+    n_fit = int(round(len(y) * fraction))
     return (
-        data.select_rows(fit_rows), target.select_rows(fit_rows),
-        data.select_rows(eval_rows), target.select_rows(eval_rows),
+        DataMatrix(x[:n_fit], names), TargetVector(y[:n_fit]),
+        DataMatrix(x[n_fit:], names), TargetVector(y[n_fit:]),
     )
 
 
@@ -586,11 +606,15 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     error in any block, or a target the loss cannot score, is raised
     before the model is fitted and before the first evaluation.
 
-    The loaded data are held once: the metadata (the input hash among
-    them) are taken from them before the split, and they are dropped right
-    after it, so the fits see only the fit and evaluation copies. The peak
-    of set-up is the split itself: the full data, the row permutation and
-    both copies.
+    The loaded data are held once. The metadata (the input hash among
+    them) are taken from the rows in file or sample order; then the split
+    shuffles the rows in place, so the fit and evaluation rows are row
+    slices of the one loaded buffer, and the split holds beside it only
+    the row permutation and one column. Once the model and the Gaussian
+    are fitted, the evaluation rows are copied out and the buffer is
+    dropped, so the blocks hold only the evaluation rows. The peak of
+    set-up is the data plus the permutation and one column, or the data
+    plus the OLS design, whichever is larger.
     """
     raw, seed = config.raw, config.seed
     _known_keys(raw, "config", "config")
@@ -631,8 +655,8 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "versions": {"dedact": __version__, "numpy": np.__version__, "python": platform.python_version()},
     }
 
-    fit_x, fit_y, eval_x, eval_y = train_eval_split(data, target, fraction, seed)
-    del data, target  # the fits read only the fit rows, the blocks only the evaluation rows
+    fit_x, fit_y, eval_x, eval_y = _shuffle_split(data.values, target.values, data.column_names, fraction, seed)
+    del data, target  # the loaded buffer lives on in the four row slices
     try:
         predictor = fit_ols(fit_x, fit_y, support)
     except DedactError as exc:
@@ -645,10 +669,13 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
                                f" for its d={fit_x.n_cols} columns") from exc
     except DedactError as exc:
         raise _in_block(exc, "data") from exc
+    # the blocks read only the evaluation rows: copied out, they let the
+    # shared buffer, and the fit rows in it, go before the first evaluation
+    eval_x, eval_y = DataMatrix(eval_x.values.copy(), eval_x.column_names), TargetVector(eval_y.values.copy())
+    del fit_x, fit_y
     evaluator = ImportanceEvaluator(
         eval_x, eval_y, predictor, gaussian, loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
     )
-    del fit_x, fit_y  # the blocks read only the evaluation rows; free the fit rows first
     for add, name, call in calls:
         try:
             add(name, call(evaluator))

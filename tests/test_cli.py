@@ -21,7 +21,7 @@ import dedact
 import dedact.runner as runner
 from dedact import cli
 from dedact.cli import main
-from dedact.core import DataMatrix, TargetVector
+from dedact.core import DataMatrix, TargetVector, derive_seed
 from dedact.errors import ConfigError, DedactError, MissingTarget, ParseError
 from dedact.importance import ImportanceEvaluator
 from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, run_census_demo, train_eval_split
@@ -796,9 +796,8 @@ def test_content_hash_pinned(fortran, digest):
 
 
 def test_run_holds_the_data_once():
-    # the full data are dropped right after the split, and the sampler
-    # computes in place, so set-up peaks at the split: the full data, the
-    # permutation and both copies
+    # the sampler computes in place and the split shuffles the loaded rows
+    # in place, so no copy of the data is held beside them through set-up
     n = 200_000
     raw = {"seed": 0, "data": {"scm": "biomarker", "n": n, "include_observed": True}, "n_mc": 2,
            "measures": [{"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []}]}
@@ -809,6 +808,116 @@ def test_run_holds_the_data_once():
     finally:
         tracemalloc.stop()
     assert peak < 10 * n * 8
+
+
+@pytest.fixture
+def first_evaluation(monkeypatch):
+    """The evaluator of the first `evaluate` call, and the tracemalloc
+    peak at that call: what set-up left behind, and its peak."""
+    seen = {}
+    evaluate = ImportanceEvaluator.evaluate
+
+    def hooked(self, spec):
+        if not seen:
+            seen["evaluator"] = self
+            seen["peak"] = tracemalloc.get_traced_memory()[1] if tracemalloc.is_tracing() else None
+        return evaluate(self, spec)
+
+    monkeypatch.setattr(ImportanceEvaluator, "evaluate", hooked)
+    return seen
+
+
+def test_setup_peaks_at_the_data_plus_one_column(first_evaluation):
+    # the biomarker's 3 data columns and its target are 4 n doubles; the
+    # in-place split adds the permutation and one column, the fits less.
+    # The split into two gathered copies beside the data peaked at 9.5 n
+    n = 200_000
+    raw = {"seed": 0, "data": {"scm": "biomarker", "n": n, "include_observed": True}, "n_mc": 2,
+           "measures": [{"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []}]}
+    tracemalloc.start()
+    try:
+        run(RunConfig(raw))
+    finally:
+        tracemalloc.stop()
+    assert first_evaluation["peak"] < 7 * n * 8
+
+
+def test_evaluator_rows_own_their_buffer(first_evaluation):
+    # the evaluation rows are copied out of the shuffled buffer, so the fit
+    # rows beside them are freed before the first evaluation
+    run(RunConfig(dict(_BASE)))
+    evaluator = first_evaluation["evaluator"]
+    assert evaluator.data.values.base is None and evaluator.target.values.base is None
+
+
+def _census_csv(tmp_path, n):
+    """`dedact simulate` of the census SCM with the rows a `data: {scm:
+    census, n}` block at seed 1 samples."""
+    path = tmp_path / "census.csv"
+    assert main(["simulate", "--scm", "census", "--n", str(n), "--seed", str(derive_seed(1, 1)),
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_input_hash_reads_csv_features_in_place(tmp_path):
+    # the features are C-ordered, so sha256 reads their bytes where they
+    # lie; Fortran-ordered, they were copied whole first
+    data, target = ingest_csv(_census_csv(tmp_path, 20_000), "income")
+    tracemalloc.start()
+    try:
+        runner._content_hash({"seed": 1}, data, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * data.values.nbytes
+    assert data.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("source", ["scm", "csv"])
+def test_run_splits_rows_as_a_gather_does(tmp_path, monkeypatch, first_evaluation, source):
+    # the rows the fits and the evaluator read are, bit for bit, those a
+    # fancy index of the loaded rows at the split's permutation gathers
+    n, seed, fraction = 1001, 1, 0.4
+    if source == "scm":
+        block = {"scm": "census", "n": n}
+        _, data, target = runner.simulate("census", n, derive_seed(seed, 1))
+    else:
+        block = {"csv": str(_census_csv(tmp_path, n)), "target_column": "income"}
+        data, target = ingest_csv(block["csv"], "income")
+    fits = {}
+    fit_ols = runner.fit_ols
+
+    def hooked(x, y, support):
+        fits["rows"] = x, y
+        return fit_ols(x, y, support)
+
+    monkeypatch.setattr(runner, "fit_ols", hooked)
+    run(RunConfig({"seed": seed, "data": block, "split_fraction": fraction, "n_mc": 2,
+                   "measures": [{"name": "pfi", "measure": "PFI", "interest": ["age"]}]}))
+    perm = np.random.default_rng(derive_seed(seed, 90)).permutation(n)
+    n_fit = int(round(n * fraction))
+    evaluator = first_evaluation["evaluator"]
+    for (x, y), rows in ((fits["rows"], perm[:n_fit]), ((evaluator.data, evaluator.target), perm[n_fit:])):
+        assert x.values.flags.c_contiguous and x.values.shape == (len(rows), data.n_cols)
+        assert x.values.tobytes() == data.values[rows].tobytes()
+        assert y.values.tobytes() == target.values[rows].tobytes()
+
+
+def test_csv_and_scm_sources_agree(tmp_path):
+    # a CSV written by `dedact simulate` at the seed an scm block samples
+    # with holds the same rows, so every estimate and table is equal
+    blocks = {
+        "seed": 1,
+        "n_mc": 3,
+        "measures": [{"name": "PFI_nr_educ", "measure": "PFI", "interest": ["nr_educ"]},
+                     {"name": "AI_race", "measure": "AI", "interest": ["race"], "baseline": []}],
+        "decompositions": [{"name": "sage_race", "kind": "sage", "method": "fast", "target": "race",
+                            "pathways": ["marriage_status", "occupation"], "n_orders": 2}],
+    }
+    path = _census_csv(tmp_path, 4000)
+    from_scm = run(RunConfig({**blocks, "data": {"scm": "census", "n": 4000}}))
+    from_csv = run(RunConfig({**blocks, "data": {"csv": str(path), "target_column": "income"}}))
+    assert from_csv.estimates == from_scm.estimates and from_csv.tables == from_scm.tables
 
 
 # every key of a valid run config, and of the SCM file it can read, gets
@@ -1232,3 +1341,17 @@ class TestTrainEvalSplit:
         assert fx.n_rows + ex.n_rows == 101
         joined = np.vstack([fx.values, ex.values])
         assert np.array_equal(np.sort(joined, axis=0), np.sort(data.values, axis=0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inputs_untouched(self, order):
+        data, target = sample_scm(biomarker_scm(), 101, seed=0)
+        data = DataMatrix(np.asarray(data.values, order=order), data.column_names)
+        values, y = data.values.copy(), target.values.copy()
+        parts = train_eval_split(data, target, 0.5, seed=0)
+        assert np.array_equal(data.values, values) and np.array_equal(target.values, y)
+        for part in parts:
+            assert not np.shares_memory(part.values, data.values)
+            assert not np.shares_memory(part.values, target.values)
+        perm = np.random.default_rng(derive_seed(0, 90)).permutation(101)
+        assert parts[0].values.tobytes() == values[perm[:50]].tobytes()
+        assert parts[3].values.tobytes() == y[perm[50:]].tobytes()

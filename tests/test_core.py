@@ -49,11 +49,6 @@ class TestDataMatrix:
         with pytest.raises(DimensionMismatch):
             _matrix([[1.0, 2.0], [3.0, 4.0]], ("a",))
 
-    def test_select_rows(self):
-        m = _matrix([[1.0], [2.0], [3.0]])
-        sub = m.select_rows(np.array([2, 0]))
-        assert sub.values[:, 0].tolist() == [3.0, 1.0]
-
 
 class TestTargetVector:
     def test_rejects_nonfinite(self):
@@ -163,6 +158,21 @@ class TestFitOls:
         y = TargetVector(rng.standard_normal(n))
         p = fit_ols(data, y)
         assert np.all(np.abs(p.weights) < 3.0 / np.sqrt(n) * 1.5)
+
+    @pytest.mark.parametrize("cols", [[0, 1, 2, 3], [1, 3]], ids=["full", "partial"])
+    def test_weights_equal_the_stacked_design_formula(self, cols):
+        # frozen copy of the former design: the ones column stacked beside a
+        # fancy-index copy of the support columns; the weights and the
+        # intercept must keep their bits
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((5000, 4)) * np.array([1.0, 30.0, 0.01, 2.0]) + np.array([3.0, -1.0, 0.0, 7.0])
+        y = values @ np.array([0.3, -0.02, 5.0, 1.1]) + rng.standard_normal(5000)
+        design = np.column_stack([np.ones(len(values)), values[:, cols]])
+        coef = np.linalg.solve(design.T @ design, design.T @ y)
+        p = fit_ols(_matrix(values), TargetVector(y), FeatureIndexSet.of(cols))
+        assert p.intercept == coef[0]
+        assert p.weights[cols].tobytes() == coef[1:].tobytes()
+        assert not np.delete(p.weights, cols).any()
 
     def test_weights_outside_support_exactly_zero(self):
         rng = np.random.default_rng(2)
