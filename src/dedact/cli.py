@@ -1,6 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical error.
+A package error's code follows its kind (see `errors`).
 """
 
 from __future__ import annotations
@@ -13,20 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import (
-    ConfigError,
-    CyclicGraph,
-    DimensionMismatch,
-    DisjointnessViolation,
-    InsufficientRows,
-    InvalidTarget,
-    MissingTarget,
-    Overflow,
-    ParseError,
-    SingularConditioning,
-    SingularDesign,
-    TooManyPlayers,
-)
+from .errors import ConfigError, DedactError, ParseError
 from .runner import (
     RunConfig,
     run,
@@ -34,11 +22,6 @@ from .runner import (
     run_census_demo,
     simulate,
 )
-
-_CONFIG_ERRORS = (ConfigError, DisjointnessViolation)
-_DATA_ERRORS = (ParseError, MissingTarget, InvalidTarget, DimensionMismatch)
-_NUMERICAL_ERRORS = (SingularDesign, SingularConditioning, InsufficientRows, Overflow, TooManyPlayers,
-                     CyclicGraph)
 
 
 def _cmd_simulate(args) -> int:
@@ -182,13 +165,10 @@ def main(argv=None) -> int:
             return _cmd_demo(args)
         if args.command == "report":
             return _cmd_report(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
-    except _DATA_ERRORS + (OSError, yaml.YAMLError) as exc:
+    except DedactError as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, yaml.YAMLError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -1,31 +1,50 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Every error derives from one of three kinds, config, data or numerical,
+and its kind holds the CLI's exit code (2, 3, 4) and message label.
+"""
 
 
 class DedactError(Exception):
     """Base class for all package errors."""
 
+    exit_code: int  # set by the kind bases below
+    label: str
 
-class DimensionMismatch(DedactError):
+
+class _Config(DedactError):
+    exit_code, label = 2, "config"
+
+
+class _Data(DedactError):
+    exit_code, label = 3, "data"
+
+
+class _Numerical(DedactError):
+    exit_code, label = 4, "numerical"
+
+
+class DimensionMismatch(_Data):
     """Array shapes or lengths disagree."""
 
 
-class DisjointnessViolation(DedactError):
+class DisjointnessViolation(_Config):
     """Index sets that must be disjoint overlap."""
 
 
-class SingularDesign(DedactError):
+class SingularDesign(_Numerical):
     """Design matrix is numerically singular."""
 
 
-class InsufficientRows(DedactError):
+class InsufficientRows(_Numerical):
     """Too few observations for the requested fit."""
 
 
-class Overflow(DedactError):
+class Overflow(_Numerical):
     """Values whose squares overflow float64."""
 
 
-class SingularConditioning(DedactError):
+class SingularConditioning(_Numerical):
     """Conditioning covariance block is numerically singular.
 
     `cond` holds the failing set's conditioning columns and, for a block
@@ -54,25 +73,25 @@ def _listed(cols) -> str:
     return ", ".join(map(repr, cols)) if cols else "none"
 
 
-class TooManyPlayers(DedactError):
+class TooManyPlayers(_Numerical):
     """Exact Shapley solver limit exceeded."""
 
 
-class CyclicGraph(DedactError):
+class CyclicGraph(_Numerical):
     """Edge set of a structural model contains a cycle."""
 
 
-class ParseError(DedactError):
+class ParseError(_Data):
     """Malformed input file."""
 
 
-class MissingTarget(DedactError):
+class MissingTarget(_Data):
     """Requested target column is absent."""
 
 
-class InvalidTarget(DedactError):
+class InvalidTarget(_Data):
     """Target values the configured loss cannot score."""
 
 
-class ConfigError(DedactError):
+class ConfigError(_Config):
     """Invalid run configuration."""

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import platform
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -54,26 +55,24 @@ from .scm import LinearSCM, biomarker_scm, census_scm, sample_scm
 BUILTIN_SCMS = {"biomarker": biomarker_scm, "census": census_scm}
 OUTPUT_FORMATS = ("csv", "json")
 LOSSES = {"squared_error": SQUARED_ERROR, "cross_entropy": CROSS_ENTROPY}
-# parsed CSV values move from a list of floats into a numpy block this often
-_BLOCK_VALUES = 8192
 
 
 def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
     """Read a numeric CSV with a header row; the target column is split off.
 
     The file is read as UTF-8, a leading byte-order mark dropped. Rows
-    are parsed as they are read, and every 8192 parsed values become a
-    numpy block, so neither the file's text nor one float object per value
-    is ever held whole. The blocks are joined once at the end, and the
-    features and the target are copied out of that buffer, so it is freed
-    on return. The features come back C-ordered, as a sampled SCM's do:
-    the input hash reads them in place and the split shuffles them in
-    place.
+    are parsed as they are read into one growing array of doubles, so
+    neither the file's text nor one float object per value is ever held
+    whole. The features and the target are copied out of that buffer, so
+    it is freed on return. The features come back C-ordered, as a sampled
+    SCM's do: the input hash reads them in place and the split shuffles
+    them in place. A row the csv module rejects, such as a cell past its
+    field size limit, is a ParseError naming the row.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: file not found")
-    blocks, flat = [], []
+    values = array("d")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -104,19 +103,14 @@ def ingest_csv(path, target_column: str) -> tuple[DataMatrix, TargetVector]:
                         value = math.nan
                     if not math.isfinite(value):
                         raise ParseError(f"{path}: row {r}, column {header[c]!r}: cannot parse {cell!r} as a finite real")
-                    flat.append(value)
-                if len(flat) >= _BLOCK_VALUES:
-                    blocks.append(np.array(flat, dtype=float))
-                    flat.clear()
+                    values.append(value)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: row {_undecodable_row(path)} is not UTF-8 text ({exc.reason})") from exc
-    blocks.append(np.array(flat, dtype=float))
-    del flat
-    values = np.concatenate(blocks)
-    del blocks
-    if not values.size:
+    except csv.Error as exc:  # line_num counts physical lines, as _undecodable_row does
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from exc
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    values = values.reshape(-1, len(header))
+    values = np.frombuffer(values).reshape(-1, len(header))
     if len(values) < 2:
         raise ParseError(f"{path}: one data row; at least 2 are needed")
     t_idx = header.index(target_column)
@@ -484,6 +478,11 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     seed = _int_key(block, "seed", None, name, minimum=0)
     if kind in ("PFI", "conditional_FI", "SAGE_attribution") and len(interest) != 1:
         raise ConfigError(f"[{name}] measure {kind} needs one 'interest' column, got {len(interest)}")
+    # an empty interest or aux set would silently score 0.0 +/- 0.0
+    if kind in MEASURES + ("SAGE_value",) and not interest:
+        raise ConfigError(f"[{name}] measure {kind} needs at least one 'interest' column")
+    if kind in ("DI_from", "AI_via") and not aux:
+        raise ConfigError(f"[{name}] measure {kind} needs at least one 'aux' column")
     overlap = [data.column_names[c] for c in interest if c in baseline]
     if kind in MEASURES and overlap:
         raise ConfigError(f"[{name}] 'interest' overlaps 'baseline' on {', '.join(overlap)}")

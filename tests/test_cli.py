@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import dedact
 import dedact.runner as runner
-from dedact import cli
+from dedact import cli, errors
 from dedact.cli import main
 from dedact.core import DataMatrix, TargetVector, derive_seed
 from dedact.errors import ConfigError, DedactError, MissingTarget, ParseError
@@ -77,9 +77,8 @@ class TestIngestCsv:
 
     def test_rows_parsed_as_read(self, tmp_path):
         # holding every row's text (about 20 n d doubles here) is what
-        # set the peak memory of a run on a CSV; parsed as read, the peak
-        # is one float object per value and two copies of the values
-        # (about 6 n d doubles)
+        # set the peak memory of a run on a CSV; parsed as read into one
+        # array of doubles, the peak is about two copies of the values
         n, d = 10000, 5
         values = np.random.default_rng(0).standard_normal((n, d))
         path = self._write(tmp_path, ",".join(f"c{i}" for i in range(d)) + "\n"
@@ -107,11 +106,11 @@ class TestIngestCsv:
         assert str(info.value) == f"{path}: {message}"
 
     def test_parse_buffer_freed_on_return(self, tmp_path):
-        # every 8192 parsed values become a numpy block, so the peak is the
-        # blocks and their join, then the joined buffer and the features
-        # and target copied out of it (about 2 n d doubles; a list of one
-        # float object per value made it about 6). The target is a copy,
-        # not a view, so the buffer is freed on return.
+        # parsed values go straight into one array of doubles, so the peak
+        # is that buffer and the features and target copied out of it
+        # (about 2 n d doubles; a list of one float object per value made
+        # it about 6). The target is a copy, not a view, so the buffer is
+        # freed on return.
         n, d = 10000, 5
         values = np.random.default_rng(1).standard_normal((n, d))
         path = self._write(tmp_path, ",".join(f"c{i}" for i in range(d)) + "\n"
@@ -126,6 +125,12 @@ class TestIngestCsv:
         assert target.values.flags.c_contiguous and target.values.base is None
         assert peak < 3 * values.nbytes
         assert held < 1.2 * values.nbytes
+
+    def test_field_past_the_csv_limit_names_the_row(self, tmp_path):
+        path = self._write(tmp_path, "a,y\n1,2\n" + "1" * 200_000 + ",2\n3,4\n")
+        with pytest.raises(ParseError) as info:
+            ingest_csv(path, "y")
+        assert str(info.value) == f"{path}: row 3: field larger than field limit (131072)"
 
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -544,9 +549,52 @@ class TestRunCommands:
         assert main(["importance", "--config", str(cfg)]) == 0
 
     def test_every_error_has_one_exit_code(self):
-        groups = (cli._CONFIG_ERRORS, cli._DATA_ERRORS, cli._NUMERICAL_ERRORS)
-        for cls in DedactError.__subclasses__():
-            assert sum(cls in group for group in groups) == 1, cls
+        # every error derives from exactly one kind, which holds its exit code
+        assert set(DedactError.__subclasses__()) == {errors._Config, errors._Data, errors._Numerical}
+
+    @pytest.mark.parametrize("cls,code,label", [
+        (errors.ConfigError, 2, "config"),
+        (errors.DisjointnessViolation, 2, "config"),
+        (errors.ParseError, 3, "data"),
+        (errors.MissingTarget, 3, "data"),
+        (errors.InvalidTarget, 3, "data"),
+        (errors.DimensionMismatch, 3, "data"),
+        (errors.SingularDesign, 4, "numerical"),
+        (errors.SingularConditioning, 4, "numerical"),
+        (errors.InsufficientRows, 4, "numerical"),
+        (errors.Overflow, 4, "numerical"),
+        (errors.TooManyPlayers, 4, "numerical"),
+        (errors.CyclicGraph, 4, "numerical"),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_error_class_sets_exit_code_and_label(self, monkeypatch, capsys, cls, code, label):
+        def raise_it(args):
+            raise cls("x")
+        monkeypatch.setattr(cli, "_cmd_report", raise_it)
+        assert main(["report", "--bundle", "unread"]) == code
+        assert capsys.readouterr().err == f"{label} error: x\n"
+
+    def test_csv_field_past_the_limit_exit_3(self, tmp_path, capsys):
+        (tmp_path / "big.csv").write_text("a,y\n" + "1" * 200_000 + ",2\n3,4\n")
+        raw = {"seed": 0, "data": {"csv": str(tmp_path / "big.csv"), "target_column": "y"}}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'big.csv'}: row 2: field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("block,key", [
+        ({"measure": "DI", "baseline": ["B"]}, "interest"),
+        ({"measure": "AI", "interest": [], "baseline": ["B"]}, "interest"),
+        ({"measure": "SAGE_value"}, "interest"),
+        ({"measure": "DI_from", "baseline": ["B"], "aux": ["C"]}, "interest"),
+        ({"measure": "AI_via", "baseline": [], "aux": ["C"]}, "interest"),
+        ({"measure": "DI_from", "interest": ["P"], "baseline": ["B"]}, "aux"),
+        ({"measure": "AI_via", "interest": ["P"], "baseline": [], "aux": []}, "aux"),
+    ])
+    def test_measure_without_interest_or_aux_exit_2(self, tmp_path, capsys, block, key):
+        # an empty set would make both plans identical: a silent 0.0 +/- 0.0
+        cfg = _config(tmp_path, dict(_BASE, measures=[block]))
+        assert main(["importance", "--config", str(cfg)]) == 2
+        kind = block["measure"]
+        assert capsys.readouterr().err == f"config error: [{kind}] measure {kind} needs at least one {key!r} column\n"
 
     def test_unknown_column_exit_2(self, tmp_path):
         raw = dict(_BASE, measures=[{"name": "bad", "measure": "PFI", "interest": ["nope"]}])
