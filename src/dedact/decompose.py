@@ -5,8 +5,11 @@ component, sensitive but not additive) and the Shapley decomposition
 (additive and axiom-fair, exponentially many coalitions unless orders
 are sampled). Both hand the evaluator one measure over many `aux` sets
 in one `evaluate` call (see "Games" in `dedact.importance`): a fast
-table all its components (a fast SAGE table those of one context), a
-Shapley decomposition's game every coalition a solver asks for.
+table its total (its measure's mask of every column: DI and AI are
+DI_from and AI_via through every column) and all its components, a fast
+SAGE context its alpha and blocked pathways, a Shapley decomposition's
+game every coalition a solver asks for. Totals and components are
+(value, SE) pairs.
 
 Each Shapley solver builds a contribution plan: mask arrays `plus` and
 `minus`, one contribution `v(plus) - v(minus)` per entry, and the exact
@@ -24,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FeatureIndexSet, ImportanceEstimate, derive_seed
+from .core import FeatureIndexSet, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
 from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, sage_loop
 
@@ -170,10 +173,10 @@ def solve_game(game: CooperativeGame, solver: str = "auto", n_orders: int = 50, 
 
 @dataclass
 class DecompositionTable:
-    """Per-target row: total importance, per-source components, remainder."""
+    """Per-target row: the total and the components, (value, SE) pairs, and the remainder."""
 
     target_label: str
-    total: ImportanceEstimate
+    total: tuple[float, float]
     components: dict[str, tuple[float, float]]
     method: str
     order_log: list = field(default_factory=list)
@@ -181,18 +184,18 @@ class DecompositionTable:
 
     @property
     def remainder(self) -> float:
-        return self.total.value - sum(v for v, _ in self.components.values())
+        return self.total[0] - sum(v for v, _ in self.components.values())
 
     @property
     def combined_std_error(self) -> float:
-        return float(np.sqrt(self.total.std_error ** 2 + sum(se ** 2 for _, se in self.components.values())))
+        return float(np.sqrt(self.total[1] ** 2 + sum(se ** 2 for _, se in self.components.values())))
 
     def as_dict(self) -> dict:
         return {
             "target": self.target_label,
             "method": self.method,
-            "total": self.total.value,
-            "total_se": self.total.std_error,
+            "total": self.total[0],
+            "total_se": self.total[1],
             "components": {k: {"value": v, "se": se} for k, (v, se) in self.components.items()},
             "remainder": self.remainder,
         }
@@ -205,13 +208,13 @@ def fast_decompose_pfi(
     ev: ImportanceEvaluator, k: int, sources: Optional[list[int]] = None,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """One DI-from evaluation per information source, all in one batch."""
+    """PFI (DI-from every column) and one DI-from per information source, in one batch."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     sources = list(range(d)) if sources is None else list(sources)
     baseline = [c for c in range(d) if c != k]
-    total = ev.pfi(k, n_mc=n_mc, seed=seed)
-    pairs = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), [[j] for j in sources])
+    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed)
+    total, *pairs = _by_aux(ev, spec, [range(d), *([j] for j in sources)])
     components = {ev.data.column_names[j]: pair for j, pair in zip(sources, pairs)}
     return DecompositionTable(ev.data.column_names[k], total, components, "fast")
 
@@ -220,22 +223,16 @@ def fast_decompose_pfi_ordered(
     ev: ImportanceEvaluator, k: int, order: list[int],
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Additive, order-dependent variant: telescoping DI-from prefixes, all
-    in one batch."""
+    """Additive, order-dependent variant: PFI and the telescoping DI-from
+    prefixes, all in one batch."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     baseline = [c for c in range(d) if c != k]
-    total = ev.pfi(k, n_mc=n_mc, seed=seed)
-    prefixes = [order[: i + 1] for i in range(len(order))]
-    pairs = _by_aux(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed), prefixes)
-    components = {}
-    prev_value, prev_se = 0.0, 0.0
-    for j, (value, se) in zip(order, pairs):
-        components[ev.data.column_names[j]] = (value - prev_value, float(np.hypot(se, prev_se)))
-        prev_value, prev_se = value, se
-    return DecompositionTable(
-        ev.data.column_names[k], total, components, "fast_ordered", order_log=[list(order)]
-    )
+    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed)
+    total, *pairs = _by_aux(ev, spec, [range(d), *(order[: i + 1] for i in range(len(order)))])
+    components = {ev.data.column_names[j]: (value - prev, float(np.hypot(se, prev_se)))
+                  for j, (value, se), (prev, prev_se) in zip(order, pairs, [(0.0, 0.0), *pairs])}
+    return DecompositionTable(ev.data.column_names[k], total, components, "fast_ordered", order_log=[list(order)])
 
 
 def shapley_decompose_pfi(
@@ -248,17 +245,12 @@ def shapley_decompose_pfi(
     d = ev.data.n_cols
     players = list(range(d)) if players is None else list(players)
     baseline = [c for c in range(d) if c != k]
-    game_seed = derive_seed(seed, 41)
-    game = _MeasureGame(ev, ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=game_seed), players)
-    result = solve_game(game, solver, n_orders, derive_seed(seed, 42))
-    total = ev.pfi(k, n_mc=n_mc, seed=game_seed)
-    components = {
-        ev.data.column_names[players[p]]: (float(result.attributions[p]), float(result.std_errors[p]))
-        for p in range(len(players))
-    }
-    return DecompositionTable(
-        ev.data.column_names[k], total, components, f"shapley_{result.solver}"
-    )
+    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=derive_seed(seed, 41))
+    result = solve_game(_MeasureGame(ev, spec, players), solver, n_orders, derive_seed(seed, 42))
+    [total] = _by_aux(ev, spec, [range(d)])
+    components = {ev.data.column_names[c]: (float(value), float(se))
+                  for c, value, se in zip(players, result.attributions, result.std_errors)}
+    return DecompositionTable(ev.data.column_names[k], total, components, f"shapley_{result.solver}")
 
 
 # -- AI and SAGE decompositions ----------------------------------------------
@@ -268,25 +260,23 @@ def fast_decompose_ai(
     ev: ImportanceEvaluator, j: int, pathways: Optional[list[int]] = None,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Total AI(j | {}) and one AI-via evaluation per feature pathway, all
-    in one batch."""
+    """AI(j | {}) (AI-via every column) and one AI-via per feature pathway, in one batch."""
     seed = ev.seed if seed is None else seed
-    pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
-    total = ev.associative_importance([j], [], n_mc=n_mc, seed=seed)
-    pairs = _by_aux(ev, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), [[k] for k in pathways])
+    d = ev.data.n_cols
+    pathways = list(range(d)) if pathways is None else list(pathways)
+    spec = ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed)
+    total, *pairs = _by_aux(ev, spec, [range(d), *([k] for k in pathways)])
     components = {ev.data.column_names[k]: pair for k, pair in zip(pathways, pairs)}
     return DecompositionTable(ev.data.column_names[j], total, components, "fast")
 
 
 def _sage_table(ev: ImportanceEvaluator, j: int, pathways: list[int], contexts: list[list[int]],
-                pooled: list, method: str, seed: int, per_context=()) -> DecompositionTable:
+                pooled: list, method: str, per_context=()) -> DecompositionTable:
     """The context loop's pooled columns as a table: the total, then one
     component per pathway."""
-    sets = {"measure": "SAGE", "interest": (j,), "n_orders": len(contexts)}
-    total = ImportanceEstimate(*pooled[0], len(contexts), "marginalized", sets, seed)
     components = {ev.data.column_names[k]: pooled[p] for p, k in enumerate(pathways, 1)}
     return DecompositionTable(
-        ev.data.column_names[j], total, components, method,
+        ev.data.column_names[j], pooled[0], components, method,
         order_log=[list(c) for c in contexts], per_context=list(per_context),
     )
 
@@ -299,7 +289,8 @@ def fast_decompose_sage(
 
     Interaction contributions are attributed to every partaking pathway,
     so components may over-add; the remainder is reported, not hidden.
-    A context's blocked-pathway evaluations are one batch.
+    A context's alpha, AI-via every column, and its blocked-pathway
+    evaluations are one batch.
     """
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
@@ -307,13 +298,12 @@ def fast_decompose_sage(
     blocked = [[c for c in range(d) if c != k] for k in pathways]
 
     def contributions(o, context):
-        seed_o = derive_seed(seed, 811, o)
-        alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o).value
-        vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
+        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 811, o))
+        (alpha, _), *vias = _by_aux(ev, spec, [range(d), *blocked])
         return [alpha, *(alpha - via for via, _ in vias)]
 
     contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
-    return _sage_table(ev, j, pathways, contexts, pooled, "fast", seed)
+    return _sage_table(ev, j, pathways, contexts, pooled, "fast")
 
 
 def shapley_decompose_sage(
@@ -323,9 +313,10 @@ def shapley_decompose_sage(
 ) -> DecompositionTable:
     """Pathway games per SAGE context, Shapley-solved and pooled: each
     context's game is one `evaluate` call under either solver. A context's
-    total is j's surplus AI(j | context): the game's grand coalition when the
-    pathways cover every column, else one more evaluation at the game's
-    seed, so the remainder holds the excluded pathways' share."""
+    total is j's surplus AI(j | context), AI-via every column: the game's
+    grand coalition when the pathways cover every column, else that mask
+    in one more evaluation of the game's spec, so the remainder holds the
+    excluded pathways' share."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
@@ -336,10 +327,9 @@ def shapley_decompose_sage(
         spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
         game = _MeasureGame(ev, spec, pathways)
         solved.append(solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o)))
-        alpha = (game.value(range(len(pathways))) if every_column
-                 else ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=spec.seed).value)
+        alpha = game.value(range(len(pathways))) if every_column else _by_aux(ev, spec, [range(d)])[0][0]
         return [alpha, *solved[-1].attributions]
 
     contexts, rows, pooled = sage_loop(d, j, n_sage_orders, seed, "n_sage_orders", attributions)
     per_context = [{"context": c, "alpha": float(row[0]), "phi": row[1:].tolist()} for c, row in zip(contexts, rows)]
-    return _sage_table(ev, j, pathways, contexts, pooled, f"shapley_{solved[-1].solver}", seed, per_context)
+    return _sage_table(ev, j, pathways, contexts, pooled, f"shapley_{solved[-1].solver}", per_context)

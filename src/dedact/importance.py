@@ -125,10 +125,12 @@ as a `MeasureBatch` (a `MeasureSpec` and a tuple of aux column
 bitmasks), and returns two float arrays, the masks' values and standard
 errors in order; no estimate is built per mask. A `MeasureSpec` alone is
 a batch of one (there is no per-plan path) that returns one
-`ImportanceEstimate`, and each mask counts as one evaluation. The sets
-are validated once per batch, both plan keys of every mask are built
-with bit operations, each term is looked up in the memo once, and the
-missing plans' (u, v, c) are assembled as stacked arrays.
+`ImportanceEstimate`, and each mask counts as one evaluation. DI and AI
+are DI_from and AI_via through every column (`_plan_pairs`), so a table's
+total is that mask in its components' batch. The sets are validated
+once per batch, both plan keys of every mask are built with bit
+operations, each term is looked up in the memo once, and the missing
+plans' (u, v, c) are assembled as stacked arrays.
 Their moment-form risks, over all plans and repetitions at once, are
 row-wise products (`_dot`) that add each dot product's terms in index
 order, as the last running sum of `np.add.accumulate`. No BLAS
@@ -278,7 +280,8 @@ class MeasureSpec:
 
     `interest` is K for DI/DI_from and J for AI/AI_via; `baseline` is B
     or C; `aux` is the information source J for DI_from and the feature
-    pathway K for AI_via.
+    pathway K for AI_via. DI is DI_from from every column, and AI is
+    AI_via through every column, so DI and AI ignore `aux`.
     """
 
     measure: str
@@ -376,7 +379,8 @@ class ImportanceEvaluator:
     def _plan_pairs(self, spec: MeasureSpec, auxes: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Plan keys of the two terms (see the module docstring) for each
         aux bitmask, built with bit tests over the whole batch; the sets
-        are validated once."""
+        are validated once. DI and AI are DI_from and AI_via through every
+        column: one pair, repeated over the batch."""
         d = self.data.n_cols
         spec.interest.validate_within(d)
         spec.baseline.validate_within(d)
@@ -388,23 +392,21 @@ class ImportanceEvaluator:
         def plan(kept, cond_mask):
             return tuple(_KEEP if kept >> c & 1 else cond_mask for c in cols)
 
-        if spec.measure == "DI":
-            return [(plan(baseline, 0), plan(baseline | interest, 0))] * len(auxes)
-        with_interest = baseline | interest
-        if spec.measure == "AI":
-            return [(plan(baseline, baseline), plan(with_interest, with_interest))] * len(auxes)
-        aux = _mask_array(auxes, d)[:, None]
+        whole = spec.measure in ("DI", "AI")
+        aux = _mask_array([(1 << d) - 1] if whole else auxes, d)[:, None]
         bits = np.arange(d)
         in_aux = (aux >> bits & 1).astype(bool)
-        if spec.measure == "DI_from":
+        if spec.measure in ("DI", "DI_from"):
             t1 = plan(baseline, 0)
             # interest columns in aux are kept, the others redrawn given aux
             in_interest = (interest >> bits & 1).astype(bool)
             t2 = np.where(in_interest, np.where(in_aux, _KEEP, aux), t1)
-        else:  # AI_via: only the pathway columns see the interest columns
+        else:  # AI, AI_via: only the pathway columns see the interest columns
             t1 = plan(baseline, baseline)
+            with_interest = baseline | interest
             t2 = np.where(in_aux, plan(with_interest, with_interest), t1)
-        return [(t1, second) for second in map(tuple, t2.tolist())]
+        pairs = [(t1, second) for second in map(tuple, t2.tolist())]
+        return pairs * len(auxes) if whole else pairs
 
     def _groups(self, plan) -> dict[int, tuple[int, ...]]:
         """Redrawn columns of each conditioning set, in canonical order."""

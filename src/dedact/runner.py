@@ -169,7 +169,8 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         raw = _load_yaml(path)
         if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: config must be a mapping")
+            got = "an empty file" if raw is None else f"a YAML {type(raw).__name__}"
+            raise ConfigError(f"[config] {path}: a config must be a mapping of keys, got {got}")
         return cls(raw=raw)
 
     @property
@@ -488,18 +489,10 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
         raise ConfigError(f"[{name}] 'interest' overlaps 'baseline' on {', '.join(overlap)}")
     ev = ImportanceEvaluator
     reads = ("name", "measure", "interest", "n_mc", "seed")
-    if kind == "DI":
-        call = partial(ev.direct_importance, interest=interest, baseline=baseline, mode=mode)
-        reads += ("baseline", "mode")
-    elif kind == "AI":
-        call = partial(ev.associative_importance, interest=interest, context=baseline, mode=mode)
-        reads += ("baseline", "mode")
-    elif kind == "DI_from":
-        call = partial(ev.di_from, interest=interest, baseline=baseline, sources=aux, mode=mode)
-        reads += ("baseline", "aux", "mode")
-    elif kind == "AI_via":
-        call = partial(ev.ai_via, interest=interest, context=baseline, pathway=aux, mode=mode)
-        reads += ("baseline", "aux", "mode")
+    if kind in MEASURES:  # DI and AI read no aux: they are DI_from and AI_via through every column
+        def call(evaluator, n_mc, seed):
+            return evaluator.evaluate(evaluator._spec(kind, interest, baseline, aux, mode, n_mc, seed))
+        reads += ("baseline", "mode") + (("aux",) if kind in ("DI_from", "AI_via") else ())
     elif kind == "PFI":
         call = partial(ev.pfi, k=interest[0])
     elif kind == "conditional_FI":

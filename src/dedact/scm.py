@@ -134,9 +134,14 @@ class LinearSCM:
     @classmethod
     def from_config(cls, config: dict) -> "LinearSCM":
         """The inverse of `to_config()`. A config that does not follow its
-        schema raises ParseError naming the key."""
+        schema raises ParseError naming the key, as does an entry that would
+        be dropped unread: an unknown key, an edge listed twice, or a name
+        in `noise_std` or `roles` that is no node."""
         if not isinstance(config, dict):
             raise ParseError(f"an SCM config must be a mapping, got {config!r}")
+        unknown = [key for key in config if key not in ("nodes", "edges", "noise_std", "roles")]
+        if unknown:
+            raise ParseError(f"unknown key {unknown[0]!r}; the keys are 'nodes', 'edges', 'noise_std' and 'roles'")
         nodes = _schema_key(config, "nodes", list)
         if not all(isinstance(node, str) for node in nodes):
             raise ParseError(f"'nodes' must be a list of names, got {nodes!r}")
@@ -146,15 +151,22 @@ class LinearSCM:
                     and isinstance(edge.get("child"), str) and _is_real(edge.get("coefficient"))):
                 raise ParseError(f"each of 'edges' needs a 'parent' and a 'child' name and a"
                                  f" real 'coefficient', got {edge!r}")
+            if (edge["parent"], edge["child"]) in edges:
+                raise ParseError(f"'edges' lists {edge['parent']!r} -> {edge['child']!r} twice")
             edges[(edge["parent"], edge["child"])] = float(edge["coefficient"])
         noise_std = _schema_key(config, "noise_std", dict)
         if not all(_is_real(v) for v in noise_std.values()):
             raise ParseError(f"'noise_std' must map nodes to reals, got {noise_std!r}")
+        roles = _schema_key(config, "roles", dict)
+        for key in ("noise_std", "roles"):
+            stray = [name for name in config[key] if name not in nodes]
+            if stray:
+                raise ParseError(f"{key!r} names {stray[0]!r}, which is not in 'nodes'")
         return cls(
             nodes=tuple(nodes),
             edges=edges,
             noise_std={k: float(v) for k, v in noise_std.items()},
-            roles=dict(_schema_key(config, "roles", dict)),
+            roles=dict(roles),
         )
 
 

@@ -182,8 +182,13 @@ class TestSimulateCommand:
         ("coefficient", lambda c: c["edges"][0].update(coefficient="x")),
         ("parent", lambda c: c["edges"][0].update(parent=["B"])),
         ("mapping", lambda c: c.clear()),
+        ("'B' -> 'L' twice", lambda c: c["edges"].append(dict(c["edges"][0], coefficient=2.0))),
+        ("'edgez'", lambda c: c.update(edgez=[])),
+        ("'noise_std' names 'Q'", lambda c: c["noise_std"].update(Q=1.0)),
+        ("'roles' names 'Q'", lambda c: c["roles"].update(Q="feature")),
     ], ids=["no-edges", "no-roles", "nodes-string", "noise_std-list", "noise_std-string",
-            "no-coefficient", "coefficient-string", "parent-list", "not-a-mapping"])
+            "no-coefficient", "coefficient-string", "parent-list", "not-a-mapping",
+            "edge-twice", "unknown-key", "noise_std-stray-name", "roles-stray-name"])
     def test_malformed_scm_file_exit_3(self, tmp_path, capsys, key, change):
         raw = biomarker_scm().to_config()
         change(raw)
@@ -353,9 +358,17 @@ class TestRunCommands:
         ("importance", {"n_mc": 2.7}, "config", "n_mc"),
         ("importance", {"data": dict(_BASE["data"], n=500.0)}, "data", "'n'"),
         ("importance", {"data": {"scm": 5}}, "data", "scm"),
+        ("importance", {"data": {}}, "data", "either 'csv' or 'scm'"),
+        # a change given as text is the whole file: no mapping of keys
+        ("importance", "", "config", "an empty file"),
+        ("importance", "[seed, data]", "config", "a YAML list"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
-        cfg = _config(tmp_path, dict(_BASE, **change))
+        if isinstance(change, str):
+            cfg = tmp_path / "run.yaml"
+            cfg.write_text(change)
+        else:
+            cfg = _config(tmp_path, dict(_BASE, **change))
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
@@ -896,6 +909,39 @@ def test_evaluator_rows_own_their_buffer(first_evaluation):
     run(RunConfig(dict(_BASE)))
     evaluator = first_evaluation["evaluator"]
     assert evaluator.data.values.base is None and evaluator.target.values.base is None
+
+
+def test_every_measure_block_writes_its_library_estimate(first_evaluation):
+    # a block of each measure kind writes what its library call returns on
+    # a fresh evaluator of the run's rows: value, SE, n_mc, mode, sets, seed
+    blocks = [
+        {"name": "di", "measure": "DI", "interest": ["C"], "baseline": ["B"], "mode": "marginalized"},
+        {"name": "ai", "measure": "AI", "interest": ["P"], "baseline": ["B"], "n_mc": 3, "seed": 5},
+        {"name": "di_from", "measure": "DI_from", "interest": ["C"], "baseline": ["B"], "aux": ["P", "B"]},
+        {"name": "ai_via", "measure": "AI_via", "interest": ["P"], "baseline": [], "aux": ["C"],
+         "mode": "marginalized"},
+        {"name": "pfi", "measure": "PFI", "interest": ["C"]},
+        {"name": "cfi", "measure": "conditional_FI", "interest": ["B"]},
+        {"name": "sage", "measure": "SAGE_value", "interest": ["B", "C"], "variant": "marginal"},
+    ]
+    bundle = run(RunConfig(dict(_BASE, measures=blocks, decompositions=[])))
+    ev = first_evaluation["evaluator"]
+    fresh = ImportanceEvaluator(ev.data, ev.target, ev.predictor, ev.gaussian, ev.loss, ev.n_mc, ev.seed,
+                                ev.n_integration, ev.exact_marginalization)
+    b, c, p = (ev.data.column_names.index(name) for name in "BCP")
+    expected = runner.ResultBundle({})
+    for name, est in zip([block["name"] for block in blocks], [
+        fresh.direct_importance([c], [b], mode="marginalized"),
+        fresh.associative_importance([p], [b], n_mc=3, seed=5),
+        fresh.di_from([c], [b], [p, b]),
+        fresh.ai_via([p], [], [c], mode="marginalized"),
+        fresh.pfi(c),
+        fresh.conditional_fi(b),
+        fresh.sage_value([b, c], variant="marginal"),
+    ]):
+        expected.add_estimate(name, est)
+    assert bundle.estimates == expected.estimates
+    assert all(e["value"] != 0.0 for e in bundle.estimates)
 
 
 def _census_csv(tmp_path, n):

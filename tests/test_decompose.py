@@ -316,7 +316,7 @@ class TestFastDecomposePfi:
         table = fast_decompose_pfi(ev, 0)
         own_value, own_se = table.components["x0"]
         # reconstructing x0 from itself recovers the full PFI bit-exactly
-        assert own_value == table.total.value
+        assert own_value == table.total[0]
         for name in ("x1", "x2"):
             v, se = table.components[name]
             assert abs(v) <= max(4 * se, 1e-12)
@@ -347,7 +347,7 @@ class TestFastDecomposePfiOrdered:
         total_components = sum(v for v, _ in table.components.values())
         assert total_components == pytest.approx(full.value, abs=1e-12)
         # the order containing k itself telescopes all the way to the PFI
-        assert total_components == pytest.approx(table.total.value, abs=1e-12)
+        assert total_components == pytest.approx(table.total[0], abs=1e-12)
         assert table.remainder == pytest.approx(0.0, abs=1e-12)
 
     def test_first_component_matches_unordered(self):
@@ -363,15 +363,15 @@ class TestFastDecomposePfiOrdered:
         v_dup, _ = table.components["x1"]
         v_self, _ = table.components["x0"]
         # x1 reconstructs x0 (almost) perfectly, so x0 itself adds ~nothing
-        assert v_dup > 0.5 * table.total.value
-        assert abs(v_self) < 0.05 * table.total.value
+        assert v_dup > 0.5 * table.total[0]
+        assert abs(v_self) < 0.05 * table.total[0]
 
 
 class TestShapleyDecomposePfi:
     def test_unrelated_players_are_dummies(self):
         ev = _linear_evaluator(np.eye(3), [1.0, 1.0, 0.0], n_mc=5)
         table = shapley_decompose_pfi(ev, 0, solver="exact")
-        assert table.components["x0"][0] == pytest.approx(table.total.value, abs=1e-6)
+        assert table.components["x0"][0] == pytest.approx(table.total[0], abs=1e-6)
         for name in ("x1", "x2"):
             assert abs(table.components[name][0]) < 1e-6
         # efficiency: remainder vanishes because di_from over all d is the PFI
@@ -380,10 +380,10 @@ class TestShapleyDecomposePfi:
     def test_duplicate_splits_evenly(self):
         ev = _duplicate_evaluator(n_mc=5)
         table = shapley_decompose_pfi(ev, 0, solver="exact")
-        half = table.total.value / 2.0
+        half = table.total[0] / 2.0
         assert table.components["x0"][0] == pytest.approx(half, rel=0.02)
         assert table.components["x1"][0] == pytest.approx(half, rel=0.02)
-        assert abs(table.components["x2"][0]) < 0.02 * table.total.value
+        assert abs(table.components["x2"][0]) < 0.02 * table.total[0]
 
     def test_sampled_matches_exact(self):
         cov = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]])
@@ -398,7 +398,7 @@ class TestShapleyDecomposePfi:
         table = shapley_decompose_pfi(ev, 0, players=[1, 2], solver="exact")
         assert set(table.components) == {"x1", "x2"}
         # without k as a player nothing reconstructs it: remainder is the PFI
-        assert table.remainder == pytest.approx(table.total.value, abs=1e-6)
+        assert table.remainder == pytest.approx(table.total[0], abs=1e-6)
 
 
 class TestFastDecomposeSage:
@@ -406,9 +406,9 @@ class TestFastDecomposeSage:
         ev = _linear_evaluator(np.eye(1), [1.0], n=5000, n_mc=5)
         table = fast_decompose_sage(ev, 0, n_orders=4)
         solo = ev.sage_value([0])
-        assert table.total.value == pytest.approx(solo.value, abs=5 * (table.total.std_error + solo.std_error) + 1e-9)
+        assert table.total[0] == pytest.approx(solo.value, abs=5 * (table.total[1] + solo.std_error) + 1e-9)
         v, se = table.components["x0"]
-        assert v == pytest.approx(table.total.value, abs=5 * np.hypot(se, table.total.std_error) + 1e-9)
+        assert v == pytest.approx(table.total[0], abs=5 * np.hypot(se, table.total[1]) + 1e-9)
 
     def test_ignored_pathway_component_is_zero(self):
         # x2 is independent noise: blocking it changes nothing
@@ -423,7 +423,7 @@ class TestFastDecomposeSage:
         table = fast_decompose_sage(ev, 1, pathways=[0, 2], n_orders=6)
         v0, se0 = table.components["x0"]
         v2, se2 = table.components["x2"]
-        assert v0 > 0.5 * table.total.value
+        assert v0 > 0.5 * table.total[0]
         assert abs(v2) <= max(4 * se2, 1e-6)
 
 
@@ -432,8 +432,8 @@ class TestShapleyDecomposeSage:
         ev = _duplicate_evaluator(n=10000, n_mc=3)
         table = shapley_decompose_sage(ev, 1, pathways=[0, 2], solver="exact", n_sage_orders=6)
         v0, se0 = table.components["x0"]
-        tol = 5 * np.hypot(se0, table.total.std_error) + 1e-9
-        assert v0 == pytest.approx(table.total.value, abs=tol)
+        tol = 5 * np.hypot(se0, table.total[1]) + 1e-9
+        assert v0 == pytest.approx(table.total[0], abs=tol)
         assert abs(table.components["x2"][0]) <= max(4 * table.components["x2"][1], 1e-6)
 
     def test_exact_vs_sampled_orders(self):
@@ -454,11 +454,11 @@ class TestShapleyDecomposeSage:
         fast = fast_decompose_sage(ev, 0, pathways=[1, 2], n_orders=5)
         for solver in ("exact", "sampled"):
             table = shapley_decompose_sage(ev, 0, pathways=[2, 1], solver=solver, n_sage_orders=5, n_decomp_orders=3)
-            assert (table.total.value, table.total.std_error) == (fast.total.value, fast.total.std_error)
+            assert table.total == fast.total
             for rec in table.per_context:
                 assert rec["alpha"] == ev.associative_importance([0], rec["context"], mode="marginalized").value
             # x0's own pathway is no player: its share is the remainder
-            assert table.remainder > 0.1 * table.total.value
+            assert table.remainder > 0.1 * table.total[0]
 
     def test_per_context_records(self):
         ev = _linear_evaluator(np.eye(2), [1.0, 0.0], n=2000, n_mc=2)
@@ -482,18 +482,16 @@ class TestFastVsShapleyConsistency:
 
 class TestDecompositionTable:
     def test_remainder_and_combined_se(self):
-        from dedact.core import ImportanceEstimate
-
-        total = ImportanceEstimate(5.0, 0.3, 3, "original_f", {}, 0)
-        table = DecompositionTable("t", total, {"a": (2.0, 0.4), "b": (1.0, 0.0)}, "fast")
+        table = DecompositionTable("t", (5.0, 0.3), {"a": (2.0, 0.4), "b": (1.0, 0.0)}, "fast")
         assert table.remainder == pytest.approx(2.0)
         assert table.combined_std_error == pytest.approx(0.5)
 
 
 class TestFastTablesBatched:
-    """A fast table values its components in one `MeasureBatch` (a fast
-    SAGE table those of each context): the table one evaluation per
-    component gives, from fewer `evaluate` calls."""
+    """A fast table values its total and its components in one
+    `MeasureBatch` (a fast SAGE context its alpha and its blocked
+    pathways): the table one evaluation per entry gives, from one
+    `evaluate` call."""
 
     @pytest.mark.parametrize("exact_marginalization", [False, True])
     def test_same_table_as_one_evaluation_per_component(self, monkeypatch, exact_marginalization):
@@ -511,21 +509,21 @@ class TestFastTablesBatched:
         reset_evaluation_count()
         pfi, ordered = fast_decompose_pfi(ev, 0), fast_decompose_pfi_ordered(ev, 1, [2, 0, 1])
         ai, sage = fast_decompose_ai(ev, 2), fast_decompose_sage(ev, 0, n_orders=3)
-        # each table: its total and one batch; a SAGE context: its alpha and one batch
-        assert len(calls) == 2 + 2 + 2 + 3 * 2
+        # one batch per table, and one per SAGE context
+        assert len(calls) == 1 + 1 + 1 + 3
         assert evaluation_count() == 4 + 4 + 4 + 3 * 4
 
         def pair(est):
             return est.value, est.std_error
 
-        assert pair(pfi.total) == pair(single.pfi(0))
+        assert pfi.total == pair(single.pfi(0))
         assert pfi.components == {f"x{j}": pair(single.di_from([0], [1, 2], [j])) for j in range(3)}
-        assert pair(ordered.total) == pair(single.pfi(1))
+        assert ordered.total == pair(single.pfi(1))
         prefixes = [pair(single.di_from([1], [0, 2], [2, 0, 1][:i])) for i in (1, 2, 3)]
         assert list(ordered.components.values()) == [
             (value - prev, float(np.hypot(se, prev_se)))
             for (value, se), (prev, prev_se) in zip(prefixes, [(0.0, 0.0)] + prefixes)]
-        assert pair(ai.total) == pair(single.associative_importance([2], []))
+        assert ai.total == pair(single.associative_importance([2], []))
         assert ai.components == {f"x{k}": pair(single.ai_via([2], [], [k])) for k in range(3)}
         alphas, comp = [], []
         for o, context in enumerate(sage_contexts(3, 0, 3, ev.seed)):
@@ -533,13 +531,14 @@ class TestFastTablesBatched:
             alphas.append(single.associative_importance([0], context, mode="marginalized", seed=seed_o).value)
             comp.append([alphas[-1] - single.ai_via([0], context, [c for c in range(3) if c != k],
                                                     mode="marginalized", seed=seed_o).value for k in range(3)])
-        assert pair(sage.total) == pool_orders(alphas)
+        assert sage.total == pool_orders(alphas)
         assert sage.components == {f"x{k}": pool_orders(np.array(comp)[:, k]) for k in range(3)}
         assert ev.counters() == single.counters()
 
     def test_only_single_specs_build_estimates(self, monkeypatch):
-        # a batch is two arrays: a Shapley game or a fast table builds an
-        # `ImportanceEstimate` for its single-spec total only, none per mask
+        # a batch is two arrays, and a table's total is a mask of its
+        # measure's batch: no table builds an `ImportanceEstimate` or passes
+        # `evaluate` a single spec
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
         ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, n_mc=3)
         built, singles = [], []
@@ -558,9 +557,14 @@ class TestFastTablesBatched:
         reset_evaluation_count()
         shapley_decompose_pfi(ev, 0, solver="exact")
         fast_decompose_pfi(ev, 1)
-        assert evaluation_count() == (1 << 3) + 1 + 3 + 1
-        assert singles == [False, True, True, False]
-        assert len(built) == sum(singles) == 2
+        assert evaluation_count() == (1 << 3) + 1 + 1 + 3
+        assert singles == [False, False, False]
+        fast_decompose_pfi_ordered(ev, 2, [0, 1])
+        fast_decompose_ai(ev, 0)
+        fast_decompose_sage(ev, 1, n_orders=2)
+        shapley_decompose_sage(ev, 2, pathways=[0, 2], solver="exact", n_sage_orders=2)
+        assert len(singles) > 3 and not any(singles)
+        assert built == []
 
 
 class _FreshPerEvaluation(ImportanceEvaluator):
@@ -629,9 +633,7 @@ def _parent_sage_attribution(ev, j, variant="conditional", n_orders=60, n_mc=Non
 
 
 def _parent_sage_table(ev, j, pathways, contexts, alphas, contributions, method, seed, per_context=()):
-    n_orders = len(contexts)
-    sets = {"measure": "SAGE", "interest": (j,), "n_orders": n_orders}
-    total = ImportanceEstimate(*pool_orders(alphas), n_orders, "marginalized", sets, seed)
+    total = pool_orders(alphas)
     components = {
         ev.data.column_names[k]: pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
     }

@@ -132,6 +132,12 @@ class TestDiFrom:
         di = ev.direct_importance([0], [1], seed=5)
         df = ev.di_from([0], [1], [0], seed=5)
         assert df.value == di.value and df.std_error == di.std_error
+        # on every engine path: DI is DI_from its own columns, and from every column
+        for ev, mode in _engine_paths():
+            di = ev.direct_importance([1, 2], [0], mode=mode, seed=5)
+            for sources in ([2, 1], [0, 1, 2, 3]):
+                df = ev.di_from([1, 2], [0], sources, mode=mode, seed=5)
+                assert (df.value, df.std_error) == (di.value, di.std_error), (type(ev.predictor), mode, ev.loss)
 
     def test_empty_source_is_exactly_zero(self):
         ev = _evaluator(np.eye(2), [1.0, 1.0], n=1000)
@@ -157,6 +163,12 @@ class TestAiVia:
         ai = ev.associative_importance([0], [], seed=3)
         via = ev.ai_via([0], [], [0, 1], seed=3)
         assert via.value == ai.value and via.std_error == ai.std_error
+        # on every engine path: AI is AI_via through every column
+        for ev, mode in _engine_paths():
+            for context in ([], [3]):
+                ai = ev.associative_importance([0, 2], context, mode=mode, seed=3)
+                via = ev.ai_via([0, 2], context, [3, 1, 2, 0], mode=mode, seed=3)
+                assert (via.value, via.std_error) == (ai.value, ai.std_error), (type(ev.predictor), mode, ev.loss)
 
     def test_pathway_through_unused_feature_is_blocked(self):
         # x1 carries x0's signal but the model ignores x1
@@ -380,6 +392,20 @@ def _plans(ev, spec):
     return ev._plan_pairs(spec, (importance._mask(spec.aux),))[0]
 
 
+def _engine_paths():
+    """(evaluator, mode) over every engine path that an identity between
+    measures must hold on: `original_f`, Monte-Carlo and exact
+    marginalization, both losses, and a linear predictor as well as one
+    the engine reads only through `predict` (which exact marginalization
+    does not admit)."""
+    for mode, exact in (("original_f", False), ("marginalized", False), ("marginalized", True)):
+        for loss in (SQUARED_ERROR, CROSS_ENTROPY):
+            linear, opaque, _ = _linear_and_opaque(n=300, n_integration=3, n_mc=3, loss=loss,
+                                                   exact_marginalization=exact)
+            for ev in (linear,) if exact else (linear, opaque):
+                yield ev, mode
+
+
 def _risks_on_one_draw(linear, opaque, plan, rng):
     """A plan's `original_f` squared-error risk on one explicit standard
     normal z: from the moment form fed z's own moments, and from the
@@ -564,30 +590,40 @@ class TestLinearMonteCarloMarginalization:
     @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
     @pytest.mark.parametrize("m", [1, 4])
     def test_term_risk_matches_hand_computation(self, loss, m):
-        linear, _, rng = _linear_and_opaque(n_integration=m)
+        # the linear path draws one normal per row; any other predictor
+        # averages m full n x d draws on the plan matrix, whose mean
+        # prediction is X @ u + c + mean_k(z_k @ v) for the same map
+        linear, opaque, rng = _linear_and_opaque(n_integration=m)
         x, y = linear.data.values, linear.target.values
         specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", loss=loss, n_mc=2, seed=9)
                  if len(set(_plans(linear, s))) == 2]
-        for spec in specs:
-            est = linear.evaluate(spec)
-            plans = _plans(linear, spec)
-            forms = list(zip(*linear._linear_forms(plans, True)))
-            diffs = []
-            for rep in range(spec.n_mc):
-                risks = []
-                for slot, (plan, (u, v, c)) in enumerate(zip(plans, forms), 1):
-                    eps = np.random.default_rng(derive_seed(spec.seed, rep, slot)).standard_normal(len(y))
-                    pred = x @ u + c + np.linalg.norm(v) / np.sqrt(m) * eps
-                    risk = np.mean(loss.elementwise(y, pred))
-                    if loss.kind == "squared_error" and m > 1:
-                        risk -= v @ v / m
-                    # one memo entry per term, holding its repetitions in order
-                    key = (plan, loss.kind, "marginalized", spec.seed, slot)
-                    assert len(linear._risks[key]) == spec.n_mc
-                    assert linear._risks[key][rep] == pytest.approx(risk, rel=1e-12, abs=1e-12), spec
-                    risks.append(risk)
-                diffs.append(risks[0] - risks[1])
-            assert est.value == pytest.approx(np.mean(diffs), rel=1e-10, abs=1e-12), spec
+        for ev, tol in ((linear, 1e-12), (opaque, 1e-10)):
+            for spec in specs:
+                est = ev.evaluate(spec)
+                plans = _plans(ev, spec)
+                forms = list(zip(*linear._linear_forms(plans, True)))
+                diffs = []
+                for rep in range(spec.n_mc):
+                    risks = []
+                    for slot, (plan, (u, v, c)) in enumerate(zip(plans, forms), 1):
+                        draws = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                        if ev is linear:
+                            pred = x @ u + c + np.linalg.norm(v) / np.sqrt(m) * draws.standard_normal(len(y))
+                            correction = v @ v / m
+                        else:
+                            preds = np.array([x @ u + c + draws.standard_normal(x.shape) @ v for _ in range(m)])
+                            pred = preds.mean(axis=0)
+                            correction = preds.var(axis=0, ddof=1) / m if m > 1 else 0.0
+                        risk = np.mean(loss.elementwise(y, pred))
+                        if loss.kind == "squared_error" and m > 1:
+                            risk -= np.mean(correction)
+                        # one memo entry per term, holding its repetitions in order
+                        key = (plan, loss.kind, "marginalized", spec.seed, slot)
+                        assert len(ev._risks[key]) == spec.n_mc
+                        assert ev._risks[key][rep] == pytest.approx(risk, rel=tol, abs=tol), spec
+                        risks.append(risk)
+                    diffs.append(risks[0] - risks[1])
+                assert est.value == pytest.approx(np.mean(diffs), rel=1e-10, abs=tol), spec
 
     @staticmethod
     def _seeded(specs, seeds):
