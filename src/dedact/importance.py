@@ -31,19 +31,19 @@ order), and to rounding on every other path (cross-entropy, Monte-Carlo
 marginalization, any other predictor), whose row sums follow the
 column order.
 
-Term memo: a term's risk is a pure function of its plan, its loss and
-the draws it consumes. Those draws are fixed by (mode, seed, repetition,
-stream): `original_f` terms share the repetition's draws (stream 0: the
-column streams on the row path, the sampled moments on the moment form),
-Monte-Carlo marginalized terms each take their own integration stream
-(1 or 2), and exact-marginalized terms consume no draws at all. So each
-evaluator keeps one memo entry per term, keyed on `(plan, loss kind,
-mode, seed, stream)`, or on `(plan, loss kind)` alone for exact
-marginalization, holding the risks of repetitions 0..r-1 in order. The
-key is the term's whole description: the engine reads the plan and the
-stream it draws from off the key. Every evaluation asks for repetitions
-0..n_mc-1, so an entry is always such a prefix: a larger n_mc computes
-only the missing repetitions and extends it. A reused risk is the float that
+Term memo: a term's risk is a pure function of its plan and the draws
+it consumes, under the evaluator's one loss. Those draws are fixed by
+(mode, seed, repetition, stream): `original_f` terms share the
+repetition's draws (stream 0: the column streams on the row path, the
+sampled moments on the moment form), Monte-Carlo marginalized terms
+each take their own integration stream (1 or 2), and exact-marginalized
+terms consume no draws at all. So each evaluator keeps one memo entry
+per term, keyed on `(plan, mode, seed, stream)`, or on `(plan,)` alone
+for exact marginalization, holding the risks of repetitions 0..r-1 in
+order. The key is the term's whole description: the engine reads the
+plan and the stream it draws from off the key. Every evaluation asks
+for repetitions 0..n_mc-1, so an entry is always such a prefix: a larger
+n_mc computes only the missing repetitions and extends it. A reused risk is the float that
 recomputation would give, bit for bit; only the evaluator's
 `terms_computed` / `terms_reused` counters (one per term and repetition)
 can tell the two apart. Under the moment form below a repetition's
@@ -276,7 +276,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """Full description of one importance evaluation.
+    """What varies between the importance evaluations of one evaluator,
+    whose data, predictor, Gaussian and loss are fixed.
 
     `interest` is K for DI/DI_from and J for AI/AI_via; `baseline` is B
     or C; `aux` is the information source J for DI_from and the feature
@@ -289,7 +290,6 @@ class MeasureSpec:
     baseline: FeatureIndexSet
     aux: FeatureIndexSet = field(default_factory=FeatureIndexSet.empty)
     mode: str = "original_f"
-    loss: LossFunction = SQUARED_ERROR
     n_mc: int = 20
     seed: int = 0
 
@@ -571,16 +571,15 @@ class ImportanceEvaluator:
             return mean, variance / m
         return mean, np.zeros(n)
 
-    def _term_risk(self, spec: MeasureSpec, y: np.ndarray, pred: np.ndarray,
-                   mean_variance: np.ndarray | float | None) -> float:
+    def _term_risk(self, y: np.ndarray, pred: np.ndarray, mean_variance: np.ndarray | float | None) -> float:
         """Mean loss of the predictions. Under Monte-Carlo
         marginalization only squared error is corrected for integration
         noise (per row, or by one known variance on the linear path); a
         cross-entropy risk keeps its O(1/n_integration) bias."""
-        base = spec.loss.elementwise(y, pred)
+        base = self.loss.elementwise(y, pred)
         # E[(y - mean of m draws)^2] overshoots the marginalized risk by
         # Var/m; subtracting the unbiased variance estimate removes it
-        if mean_variance is not None and spec.loss.kind == "squared_error":
+        if mean_variance is not None and self.loss.kind == "squared_error":
             base = base - mean_variance
         return float(np.mean(base))
 
@@ -601,8 +600,7 @@ class ImportanceEvaluator:
         linear = isinstance(self.predictor, LinearPredictor)
         if exact and not linear and any(t1 != t2 for t1, t2 in pairs):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
-        kind = spec.loss.kind
-        moment_form = linear and kind == "squared_error" and (exact or spec.mode == "original_f")
+        moment_form = linear and self.loss.kind == "squared_error" and (exact or spec.mode == "original_f")
         n_reps = 1 if exact else spec.n_mc
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
@@ -610,7 +608,7 @@ class ImportanceEvaluator:
         # entry) and the reported SE covers the marginalization noise of
         # both terms
         streams = (1, 2) if spec.mode == "marginalized" else (0, 0)
-        tails = [(kind,)] * 2 if exact else [(kind, spec.mode, spec.seed, stream) for stream in streams]
+        tails = [()] * 2 if exact else [(spec.mode, spec.seed, stream) for stream in streams]
         keys = []  # per pair: the two terms' memo keys, or None for identical plans
         misses: dict[tuple, tuple] = {}  # memo key -> (pair, repetitions held), in the order first needed
         for i, (t1, t2) in enumerate(pairs):
@@ -720,7 +718,7 @@ class ImportanceEvaluator:
                 z = _ColumnDraws(self.data.n_rows, spec.seed, rep)
                 for predict, held, out in terms:
                     if rep >= held:
-                        out.append(self._term_risk(spec, y, *predict(rep, z)))
+                        out.append(self._term_risk(y, *predict(rep, z)))
         return risks
 
     # -- the four measures ---------------------------------------------------
@@ -732,7 +730,6 @@ class ImportanceEvaluator:
             baseline=FeatureIndexSet.of(baseline),
             aux=FeatureIndexSet.of(aux) if aux is not None else FeatureIndexSet.empty(),
             mode=mode,
-            loss=self.loss,
             n_mc=self.n_mc if n_mc is None else n_mc,
             seed=self.seed if seed is None else seed,
         )

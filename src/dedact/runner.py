@@ -30,6 +30,7 @@ from .core import (
     fit_ols,
 )
 from .decompose import (
+    EXACT_SOLVER_MAX_PLAYERS,
     SOLVERS,
     DecompositionTable,
     fast_decompose_ai,
@@ -552,6 +553,10 @@ def _resolve_decomposition(block: dict, data: DataMatrix) -> tuple[str, Callable
     else:
         raise ConfigError(f"[{name}] unknown decomposition method {method!r} for kind {kind!r}")
     _reads_only(block, reads, name, f"kind {kind} with method {method}")
+    n_players = len((sources if kind == "pfi" else pathways) or range(data.n_cols))
+    if method == "shapley" and solver == "exact" and n_players > EXACT_SOLVER_MAX_PLAYERS:
+        raise ConfigError(f"[{name}] 'solver' exact takes at most {EXACT_SOLVER_MAX_PLAYERS} players,"
+                          f" got {n_players}; use 'sampled' or 'auto'")
     return name, partial(call, n_mc=n_mc, seed=seed)
 
 
@@ -587,16 +592,30 @@ def _in_block(exc: DedactError, name: str) -> DedactError:
     return type(exc)(message if message.startswith(prefix) else prefix + message)
 
 
+def _check_output(outdir) -> None:
+    """An output path must be a directory or creatable as one: the first
+    of it and its parents that exists must be a directory."""
+    if not outdir:
+        return
+    path = Path(outdir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        where = "" if existing == path else f"cannot create {str(path)!r}: "
+        raise ConfigError(f"[output] {where}{str(existing)!r} exists and is not a directory")
+
+
 def run(config: RunConfig, outdir=None) -> ResultBundle:
     """Run a config in one pass: read and check every key, then fit and
     execute the measure and decomposition blocks in declared order.
 
     The top-level keys and the `data`, `model` and `output` blocks are
-    read before any data is loaded; the target is checked against the loss
-    as soon as it is loaded, and every measure and decomposition block is
-    resolved to a call as soon as the column names are known. So a config
-    error in any block, or a target the loss cannot score, is raised
-    before the model is fitted and before the first evaluation.
+    read, and the output path (`outdir`, else the `output` directory)
+    checked, before any data is loaded; the target is checked against
+    the loss as soon as it is loaded, and every measure and decomposition
+    block is resolved to a call as soon as the column names are known.
+    So a config error in any block, or a target the loss cannot score,
+    is raised before the model is fitted and before the first
+    evaluation.
 
     The loaded data are held once. The metadata (the input hash among
     them) are taken from the rows in file or sample order; then the split
@@ -611,6 +630,8 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     raw, seed = config.raw, config.seed
     _known_keys(raw, "config", "config")
     directory, formats = config.output
+    outdir = outdir or directory
+    _check_output(outdir)
     fraction = config.split_fraction
     loss = _loss(raw)
     n_mc = _int_key(raw, "n_mc", 20, "config", minimum=1)
@@ -676,7 +697,6 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         except DedactError as exc:
             raise _in_block(exc, name) from exc
     bundle.metadata["engine"] = evaluator.counters()
-    outdir = outdir or directory
     if outdir:
         bundle.write(outdir, formats)
     return bundle

@@ -135,8 +135,9 @@ class LinearSCM:
     def from_config(cls, config: dict) -> "LinearSCM":
         """The inverse of `to_config()`. A config that does not follow its
         schema raises ParseError naming the key, as does an entry that would
-        be dropped unread: an unknown key, an edge listed twice, or a name
-        in `noise_std` or `roles` that is no node."""
+        be dropped unread: an unknown key (of the config or of an edge), an
+        edge listed twice, or a name in `noise_std` or `roles` that is no
+        node."""
         if not isinstance(config, dict):
             raise ParseError(f"an SCM config must be a mapping, got {config!r}")
         unknown = [key for key in config if key not in ("nodes", "edges", "noise_std", "roles")]
@@ -151,6 +152,10 @@ class LinearSCM:
                     and isinstance(edge.get("child"), str) and _is_real(edge.get("coefficient"))):
                 raise ParseError(f"each of 'edges' needs a 'parent' and a 'child' name and a"
                                  f" real 'coefficient', got {edge!r}")
+            stray = [key for key in edge if key not in ("parent", "child", "coefficient")]
+            if stray:
+                raise ParseError(f"unknown key {stray[0]!r} in the edge {edge['parent']!r} -> {edge['child']!r};"
+                                 f" an edge's keys are 'parent', 'child' and 'coefficient'")
             if (edge["parent"], edge["child"]) in edges:
                 raise ParseError(f"'edges' lists {edge['parent']!r} -> {edge['child']!r} twice")
             edges[(edge["parent"], edge["child"])] = float(edge["coefficient"])

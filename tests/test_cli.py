@@ -184,11 +184,12 @@ class TestSimulateCommand:
         ("mapping", lambda c: c.clear()),
         ("'B' -> 'L' twice", lambda c: c["edges"].append(dict(c["edges"][0], coefficient=2.0))),
         ("'edgez'", lambda c: c.update(edgez=[])),
+        ("unknown key 'weight' in the edge 'B' -> 'L'", lambda c: c["edges"][0].update(weight=5.0)),
         ("'noise_std' names 'Q'", lambda c: c["noise_std"].update(Q=1.0)),
         ("'roles' names 'Q'", lambda c: c["roles"].update(Q="feature")),
     ], ids=["no-edges", "no-roles", "nodes-string", "noise_std-list", "noise_std-string",
             "no-coefficient", "coefficient-string", "parent-list", "not-a-mapping",
-            "edge-twice", "unknown-key", "noise_std-stray-name", "roles-stray-name"])
+            "edge-twice", "unknown-key", "unknown-edge-key", "noise_std-stray-name", "roles-stray-name"])
     def test_malformed_scm_file_exit_3(self, tmp_path, capsys, key, change):
         raw = biomarker_scm().to_config()
         change(raw)
@@ -372,6 +373,43 @@ class TestRunCommands:
         assert main([command, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and f"[{block}]" in err and key in err
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "pfi", "method": "shapley", "solver": "exact", "target": "c0"},
+        {"kind": "sage", "method": "shapley", "solver": "exact", "target": "c0",
+         "pathways": [f"c{i}" for i in range(16)]},
+    ], ids=["pfi-every-column", "sage-pathways"])
+    def test_exact_solver_past_its_limit_exit_2_before_the_fits(self, tmp_path, capsys, monkeypatch, block):
+        names = [f"c{i}" for i in range(16)] + ["y"]
+        rows = np.random.default_rng(0).standard_normal((40, len(names))).tolist()
+        (tmp_path / "wide.csv").write_text(",".join(names) + "\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows))
+        fits = []
+        monkeypatch.setattr("dedact.runner.fit_ols", lambda *args: fits.append(args))
+        cfg = _config(tmp_path, {"seed": 0, "data": {"csv": str(tmp_path / "wide.csv"), "target_column": "y"},
+                                 "decompositions": [dict(block, name="big")]})
+        assert main(["decompose", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "[big] 'solver' exact" in err and "got 16" in err
+        assert fits == []
+
+    def test_output_path_that_is_a_file_exit_2_before_loading(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        # the data file does not exist: exit 2, not 3, shows the path is checked first
+        missing = dict(_BASE, data={"csv": str(tmp_path / "data.csv"), "target_column": "y"})
+        cfg = str(_config(tmp_path, missing))
+        for argv, path in (
+            (["importance", "--config", str(_config(tmp_path, dict(missing, output={"directory": str(afile)}),
+                                                    "out.yaml"))], afile),
+            (["importance", "--config", cfg, "--out", str(afile)], afile),
+            (["decompose", "--config", cfg, "--out", str(afile / "sub")], afile / "sub"),
+            (["demo", "biomarker", "--out", str(afile)], afile),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and "[output]" in err and str(path) in err
+        assert afile.read_text() == "" and sorted(tmp_path.iterdir()) == [afile, tmp_path / "out.yaml",
+                                                                          tmp_path / "run.yaml"]
 
     def test_every_block_checked_before_the_first_evaluation(self, monkeypatch):
         calls = []

@@ -250,9 +250,9 @@ class TestEngineContracts:
                 GaussianModel(mean=np.zeros(3), cov=cov_p), loss=loss, n_mc=3, seed=7, n_integration=4,
             )
             est = ev.evaluate(MeasureSpec("AI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]),
-                                          mode=mode, loss=loss, n_mc=3, seed=7))
+                                          mode=mode, n_mc=3, seed=7))
             est_p = ev_p.evaluate(MeasureSpec("AI", FeatureIndexSet.of([perm.index(0)]), FeatureIndexSet.of([perm.index(1)]),
-                                              mode=mode, loss=loss, n_mc=3, seed=7))
+                                              mode=mode, n_mc=3, seed=7))
             if (mode, loss) == ("original_f", SQUARED_ERROR):
                 assert est.value == est_p.value
             else:
@@ -331,6 +331,18 @@ class TestEngineContracts:
         )
         est = ev.pfi(0)
         assert np.isfinite(est.value) and est.std_error >= 0
+
+    @pytest.mark.parametrize("mode", ["original_f", "marginalized"])
+    def test_spec_takes_the_evaluators_loss(self, mode):
+        # the loss is the evaluator's alone: a spec evaluated directly is
+        # scored with it, as the named methods are
+        def evaluators():  # linear and opaque, each call with an empty memo
+            return _linear_and_opaque(n=300, n_integration=3, n_mc=3, loss=CROSS_ENTROPY)[:2]
+
+        spec = MeasureSpec("DI", FeatureIndexSet.of([0]), FeatureIndexSet.empty(), mode=mode, n_mc=3, seed=0)
+        for ev, twin in zip(evaluators(), evaluators()):
+            direct, named = ev.evaluate(spec), twin.direct_importance([0], [], mode=mode)
+            assert (direct.value, direct.std_error) == (named.value, named.std_error)
 
     def test_shape_validation(self):
         data = _gaussian_data(np.eye(2), 100, 0)
@@ -446,17 +458,18 @@ class TestPlanEngine:
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_reused_terms_are_bit_identical(self, exact):
-        linear, _, rng = _linear_and_opaque(n_integration=4, exact_marginalization=exact)
-        specs = [s for mode in ("original_f", "marginalized") for loss in (SQUARED_ERROR, CROSS_ENTROPY)
-                 for s in _random_specs(4, rng, 8, mode=mode, loss=loss, n_mc=3, seed=2)]
-        warm = [linear.evaluate(s) for s in specs + specs]
-        assert linear.terms_reused > linear.terms_computed
-        for spec, est in zip(specs + specs, warm):
-            fresh = ImportanceEvaluator(
-                linear.data, linear.target, linear.predictor, linear.gaussian,
-                n_integration=4, exact_marginalization=exact,
-            ).evaluate(spec)
-            assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
+        for loss in (SQUARED_ERROR, CROSS_ENTROPY):
+            linear, _, rng = _linear_and_opaque(n_integration=4, exact_marginalization=exact, loss=loss)
+            specs = [s for mode in ("original_f", "marginalized")
+                     for s in _random_specs(4, rng, 8, mode=mode, n_mc=3, seed=2)]
+            warm = [linear.evaluate(s) for s in specs + specs]
+            assert linear.terms_reused > linear.terms_computed
+            for spec, est in zip(specs + specs, warm):
+                fresh = ImportanceEvaluator(
+                    linear.data, linear.target, linear.predictor, linear.gaussian,
+                    loss=loss, n_integration=4, exact_marginalization=exact,
+                ).evaluate(spec)
+                assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
 
     def test_baseline_term_computed_once_per_rep(self):
         # every DI-from of x0 against the rest shares term 1 (x0 redrawn
@@ -478,11 +491,11 @@ class TestPlanEngine:
         # a term's memo entry holds its repetitions 0..r-1; asking for more
         # computes only the new ones, and the estimates are a fresh run's
         def evaluator():
-            linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3)
+            linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3, loss=loss)
             return linear if which == "linear" else opaque
 
         ev = evaluator()
-        specs = _random_specs(4, np.random.default_rng(11), 12, mode=mode, loss=loss, n_mc=2, seed=6)
+        specs = _random_specs(4, np.random.default_rng(11), 12, mode=mode, n_mc=2, seed=6)
         slots = (1, 2) if mode == "marginalized" else (0, 0)
         distinct = [pair for pair in (_plans(ev, spec) for spec in specs) if pair[0] != pair[1]]
         terms = {(plan, slot) for pair in distinct for slot, plan in zip(slots, pair)}
@@ -524,8 +537,8 @@ class TestColumnDraws:
     def test_linear_and_opaque_cross_entropy_agree(self):
         # both read the same column streams, the linear form only those
         # its v weights, the materialized plan matrix every redrawn one
-        linear, opaque, rng = _linear_and_opaque(n=400)
-        for spec in _random_specs(4, rng, 24, loss=CROSS_ENTROPY, n_mc=3, seed=5):
+        linear, opaque, rng = _linear_and_opaque(n=400, loss=CROSS_ENTROPY)
+        for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
             est, est_o = linear.evaluate(spec), opaque.evaluate(spec)
             assert est.value == pytest.approx(est_o.value, rel=1e-12, abs=1e-12), spec
             assert est.std_error == pytest.approx(est_o.std_error, rel=1e-12, abs=1e-12), spec
@@ -593,9 +606,9 @@ class TestLinearMonteCarloMarginalization:
         # the linear path draws one normal per row; any other predictor
         # averages m full n x d draws on the plan matrix, whose mean
         # prediction is X @ u + c + mean_k(z_k @ v) for the same map
-        linear, opaque, rng = _linear_and_opaque(n_integration=m)
+        linear, opaque, rng = _linear_and_opaque(n_integration=m, loss=loss)
         x, y = linear.data.values, linear.target.values
-        specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", loss=loss, n_mc=2, seed=9)
+        specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", n_mc=2, seed=9)
                  if len(set(_plans(linear, s))) == 2]
         for ev, tol in ((linear, 1e-12), (opaque, 1e-10)):
             for spec in specs:
@@ -618,7 +631,7 @@ class TestLinearMonteCarloMarginalization:
                         if loss.kind == "squared_error" and m > 1:
                             risk -= np.mean(correction)
                         # one memo entry per term, holding its repetitions in order
-                        key = (plan, loss.kind, "marginalized", spec.seed, slot)
+                        key = (plan, "marginalized", spec.seed, slot)
                         assert len(ev._risks[key]) == spec.n_mc
                         assert ev._risks[key][rep] == pytest.approx(risk, rel=tol, abs=tol), spec
                         risks.append(risk)
@@ -631,8 +644,8 @@ class TestLinearMonteCarloMarginalization:
 
     @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
     def test_linear_and_opaque_agree_in_distribution(self, loss):
-        linear, opaque, rng = _linear_and_opaque(n=200, n_integration=4)
-        specs = _random_specs(4, rng, 3, mode="marginalized", loss=loss)
+        linear, opaque, rng = _linear_and_opaque(n=200, n_integration=4, loss=loss)
+        specs = _random_specs(4, rng, 3, mode="marginalized")
         for per_seed in self._seeded(specs, range(200)):
             diff = np.array([linear.evaluate(s).value - opaque.evaluate(s).value for s in per_seed])
             se = diff.std(ddof=1) / np.sqrt(diff.size)
@@ -660,8 +673,8 @@ class TestLinearMonteCarloMarginalization:
                               (10.657697526144334, 1.1180916261733578), (16.244643358219154, 0.5821585355567392)],
         }
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
-            _, opaque, rng = _linear_and_opaque(n_integration=4)
-            specs = _random_specs(4, rng, 4, mode="marginalized", loss=loss, n_mc=3, seed=5)
+            _, opaque, rng = _linear_and_opaque(n_integration=4, loss=loss)
+            specs = _random_specs(4, rng, 4, mode="marginalized", n_mc=3, seed=5)
             got = [(e.value, e.std_error) for e in map(opaque.evaluate, specs)]
             assert got == pytest.approx(pinned[loss.kind], rel=1e-12)
 
@@ -731,7 +744,7 @@ class TestMomentForm:
         for spec in _random_specs(4, rng, 24, mode="marginalized"):
             linear.evaluate(spec)
         assert len(linear._risks) > 10
-        for (plan, _), (risk,) in linear._risks.items():
+        for (plan,), (risk,) in linear._risks.items():
             u, _, c = linear._linear_forms([plan], False)
             assert risk == pytest.approx(np.mean((y - x @ u[0] - c[0]) ** 2), rel=1e-10), plan
 
@@ -837,12 +850,12 @@ class TestConditioningCache:
             return _stable_cholesky(cov)
 
         monkeypatch.setattr("dedact.sampler._stable_cholesky", spy)
-        linear, _, rng = _linear_and_opaque(exact_marginalization=True)
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
-            for spec in _random_specs(4, rng, 24, mode="marginalized", loss=loss):
+            linear, _, rng = _linear_and_opaque(exact_marginalization=True, loss=loss)
+            for spec in _random_specs(4, rng, 24, mode="marginalized"):
                 linear.evaluate(spec)
                 linear.evaluate(MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, 5))))
-        assert linear.terms_computed > 0 and calls == []
+            assert linear.terms_computed > 0 and calls == []
         for spec in _random_specs(4, rng, 4, n_mc=2):
             linear.evaluate(spec)
         assert calls  # the spy sees the factorizations of draws
@@ -1061,7 +1074,7 @@ class TestBatchEqualsSingles:
                                        n_integration=3, exact_marginalization=exact)
 
         spec = MeasureSpec(measure, FeatureIndexSet.of([c for c in range(d) if roles[c] == 1]),
-                           FeatureIndexSet.of([c for c in range(d) if roles[c] == 2]), mode=mode, loss=loss,
+                           FeatureIndexSet.of([c for c in range(d) if roles[c] == 2]), mode=mode,
                            n_mc=3, seed=seed)
         batched, single = evaluator(), evaluator()
         reset_evaluation_count()
