@@ -19,6 +19,9 @@ CROSS_ENTROPY_EPS = 1e-12
 # Gram matrices with a condition number beyond this are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
+# Rows per block of `centred_moments`.
+MOMENT_BLOCK_ROWS = 4096
+
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Deterministically derive a child seed from a base seed and tags."""
@@ -185,8 +188,37 @@ class LinearPredictor(Predictor):
         return x @ self.weights + self.intercept
 
 
+def centred_moments(x: np.ndarray, cols, y: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Means m and centred cross-product matrix S = sum_i (z_i - m)(z_i - m)^T
+    of the rows z_i of the columns `cols` of x, with y as a last column
+    when given. Each mean is numpy's sum of its column, read in place.
+    The centred rows are summed a block of MOMENT_BLOCK_ROWS rows at a
+    time, each block centred into one buffer, column by column (a
+    broadcast shift would make numpy buffer the subtraction), so nothing
+    of n rows is made beside x and y. Squares that overflow float64 leave
+    S non-finite, without a warning."""
+    columns = [x[:, c] for c in cols] + ([] if y is None else [y])
+    n = len(x)
+    buf = np.empty((min(n, MOMENT_BLOCK_ROWS), len(columns)))
+    s = np.zeros((len(columns), len(columns)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.array([column.mean() for column in columns])
+        for a in range(0, n, MOMENT_BLOCK_ROWS):
+            block = buf[:min(n - a, MOMENT_BLOCK_ROWS)]
+            for j, column in enumerate(columns):
+                np.subtract(column[a:a + len(block)], mean[j], out=block[:, j])
+            s += block.T @ block
+    return mean, s
+
+
 def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | None = None) -> LinearPredictor:
     """Least-squares fit over the support columns; other weights are zero.
+
+    The fit reads the rows once, through `centred_moments` of the support
+    columns and the target: the weights solve S_xx w = s_xy and the
+    intercept is y_bar - w . x_bar. Whether the design is singular is
+    judged on the unscaled Gram matrix of [1, X], rebuilt from the same
+    summary as [[n, n x_bar^T], [n x_bar, S_xx + n x_bar x_bar^T]].
     Support columns, or a target, whose squares overflow float64 raise
     `Overflow` naming them."""
     if support is None:
@@ -194,26 +226,26 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     support.validate_within(data.n_cols)
     if len(target) != data.n_rows:
         raise DimensionMismatch(f"target length {len(target)} != n rows {data.n_rows}")
-    if data.n_rows <= len(support):
-        raise SingularDesign(f"need n > |support|, got n={data.n_rows}, |support|={len(support)}")
-    cols = list(support)
-    # written column by column, with no copy of the support columns beside
-    # it; Fortran order, as a stacked design has, keeps the weights' bits
-    design = np.empty((data.n_rows, len(cols) + 1), order="F")
-    design[:, 0] = 1.0
-    for i, c in enumerate(cols, start=1):
-        design[:, i] = data.values[:, c]
+    n, cols = data.n_rows, list(support)
+    if n <= len(cols):
+        raise SingularDesign(f"need n > |support|, got n={n}, |support|={len(cols)}")
+    mean, s = centred_moments(data.values, cols, target.values)
+    x_bar, y_bar, s_xx, s_xy = mean[:-1], mean[-1], s[:-1, :-1], s[:-1, -1]
+    gram = np.empty((len(cols) + 1, len(cols) + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, y_sq = design.T @ design, float(target.values @ target.values)
+        gram[0, 0] = n
+        gram[0, 1:] = gram[1:, 0] = n * x_bar
+        gram[1:, 1:] = s_xx + n * np.outer(x_bar, x_bar)
+        y_sq = s[-1, -1] + n * y_bar**2
     check_squares(gram, ["the intercept"] + [repr(data.column_names[c]) for c in cols])
-    if not np.isfinite(y_sq):  # finite, it and the Gram diagonal bound design.T @ y (Cauchy-Schwarz)
+    if not np.isfinite(y_sq):  # finite, it and the Gram diagonal bound s_xy (Cauchy-Schwarz)
         raise Overflow("the squares of the target overflow float64")
     if np.linalg.cond(gram) >= MAX_CONDITION_NUMBER:
         raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(gram, data, cols)}")
-    coef = np.linalg.solve(gram, design.T @ target.values)
+    w = np.linalg.solve(s_xx, s_xy)
     weights = np.zeros(data.n_cols)
-    weights[cols] = coef[1:]
-    return LinearPredictor(weights=weights, intercept=coef[0], support=support)
+    weights[cols] = w
+    return LinearPredictor(weights=weights, intercept=y_bar - w @ x_bar, support=support)
 
 
 def check_squares(second: np.ndarray, names: list[str]) -> None:

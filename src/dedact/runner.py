@@ -48,6 +48,7 @@ from .errors import (
     MissingTarget,
     ParseError,
     SingularConditioning,
+    SingularDesign,
 )
 from .importance import MEASURES, MODES, SAGE_VARIANTS, ImportanceEvaluator
 from .sampler import fit_gaussian
@@ -146,19 +147,24 @@ def _shuffle_split(x: np.ndarray, y: np.ndarray, names: tuple[str, ...], fractio
     """Permute the rows of `x` and `y` in place, one column at a time, and
     split them into (fit x, fit y, eval x, eval y), row slices of the two
     buffers. The caller's arrays are overwritten, and beside them only the
-    permutation and one column are held. The first round(n * fraction)
-    permuted rows are the fit rows, bit for bit those the fancy index
-    `x[perm[:n_fit]]` gathers. `x` must be C-contiguous, so that its row
-    slices are, and `y` must not share memory with it, or its values would
-    be permuted twice."""
+    permutation and one column are held. Of the seeded permutation perm,
+    the first n_fit = round(n * fraction) entries pick the fit rows and the
+    rest the evaluation rows, each part bit for bit what the fancy index
+    `x[perm[:n_fit]]` or `x[perm[n_fit:]]` gathers. The buffers hold the
+    evaluation rows first: they are the leading rows, so a caller done
+    with the fit rows can shrink the buffers to them in place. `x` must be
+    C-contiguous, so that its row slices are, and `y` must not share
+    memory with it, or its values would be permuted twice."""
     perm = np.random.default_rng(derive_seed(seed, 90)).permutation(len(y))
+    n_fit = int(round(len(y) * fraction))
+    n_eval = len(y) - n_fit
+    perm = np.concatenate((perm[n_fit:], perm[:n_fit]))
     for col in x.T:
         col[:] = col[perm]
     y[:] = y[perm]
-    n_fit = int(round(len(y) * fraction))
     return (
-        DataMatrix(x[:n_fit], names), TargetVector(y[:n_fit]),
-        DataMatrix(x[n_fit:], names), TargetVector(y[n_fit:]),
+        DataMatrix(x[n_eval:], names), TargetVector(y[n_eval:]),
+        DataMatrix(x[:n_eval], names), TargetVector(y[:n_eval]),
     )
 
 
@@ -619,13 +625,16 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
 
     The loaded data are held once. The metadata (the input hash among
     them) are taken from the rows in file or sample order; then the split
-    shuffles the rows in place, so the fit and evaluation rows are row
-    slices of the one loaded buffer, and the split holds beside it only
-    the row permutation and one column. Once the model and the Gaussian
-    are fitted, the evaluation rows are copied out and the buffer is
-    dropped, so the blocks hold only the evaluation rows. The peak of
-    set-up is the data plus the permutation and one column, or the data
-    plus the OLS design, whichever is larger.
+    shuffles the rows in place, so the evaluation rows are the leading
+    row slice of the one loaded buffer and the fit rows the trailing one,
+    and the split holds beside it only the row permutation and one
+    column. The model and the Gaussian read the fit rows through
+    `centred_moments`, one block of rows at a time. Then the buffers are
+    shrunk in place to the evaluation rows, so the blocks hold only those
+    and the fit rows are freed before the first evaluation; if something
+    still holds a view of the buffers, such as a hooked fit, numpy refuses
+    and the evaluation rows are copied out instead, the same bytes. The
+    peak of set-up is the data plus the permutation and one column.
     """
     raw, seed = config.raw, config.seed
     _known_keys(raw, "config", "config")
@@ -668,8 +677,12 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         "versions": {"dedact": __version__, "numpy": np.__version__, "python": platform.python_version()},
     }
 
-    fit_x, fit_y, eval_x, eval_y = _shuffle_split(data.values, target.values, data.column_names, fraction, seed)
-    del data, target  # the loaded buffer lives on in the four row slices
+    x, y, names = data.values, target.values, data.column_names
+    del data, target  # x and y are now the one reference to each buffer, so it can shrink in place
+    if n_fit <= len(support):
+        raise SingularDesign(f"[model] the OLS fit reads n_fit={n_fit} of the {bundle.metadata['n_rows']} rows"
+                             f" (split_fraction {fraction!r}) and needs n_fit > |support| = {len(support)}")
+    fit_x, fit_y = _shuffle_split(x, y, names, fraction, seed)[:2]
     try:
         predictor = fit_ols(fit_x, fit_y, support)
     except DedactError as exc:
@@ -678,22 +691,29 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         gaussian = fit_gaussian(fit_x)
     except InsufficientRows as exc:
         raise InsufficientRows(f"[data] the Gaussian fit reads n_fit={n_fit} of the {bundle.metadata['n_rows']}"
-                               f" rows (split_fraction {fraction!r}) and needs n_fit >= d + 1 = {fit_x.n_cols + 1}"
-                               f" for its d={fit_x.n_cols} columns") from exc
+                               f" rows (split_fraction {fraction!r}) and needs n_fit >= d + 1 = {len(names) + 1}"
+                               f" for its d={len(names)} columns") from exc
     except DedactError as exc:
         raise _in_block(exc, "data") from exc
-    # the blocks read only the evaluation rows: copied out, they let the
-    # shared buffer, and the fit rows in it, go before the first evaluation
-    eval_x, eval_y = DataMatrix(eval_x.values.copy(), eval_x.column_names), TargetVector(eval_y.values.copy())
+    # the blocks read only the evaluation rows, the buffers' leading rows:
+    # shrinking the buffers to them frees the fit rows before the first
+    # evaluation. numpy refuses while a view of a buffer lives elsewhere
     del fit_x, fit_y
+    n_eval = len(y) - n_fit
+    try:
+        x.resize((n_eval, len(names)))
+        y.resize(n_eval)
+    except ValueError:
+        x, y = x[:n_eval].copy(), y[:n_eval].copy()
     evaluator = ImportanceEvaluator(
-        eval_x, eval_y, predictor, gaussian, loss=loss, n_mc=n_mc, seed=seed, exact_marginalization=exact,
+        DataMatrix(x, names), TargetVector(y), predictor, gaussian, loss=loss, n_mc=n_mc, seed=seed,
+        exact_marginalization=exact,
     )
     for add, name, call in calls:
         try:
             add(name, call(evaluator))
         except SingularConditioning as exc:  # its columns by name
-            raise _in_block(exc.named(eval_x.column_names), name) from exc
+            raise _in_block(exc.named(names), name) from exc
         except DedactError as exc:
             raise _in_block(exc, name) from exc
     bundle.metadata["engine"] = evaluator.counters()

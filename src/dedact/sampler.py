@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor, check_squares
+from .core import DataMatrix, FeatureIndexSet, LinearPredictor, Predictor, centred_moments, check_squares
 from .errors import DimensionMismatch, DisjointnessViolation, InsufficientRows, SingularConditioning
 
 JITTER = 1e-9
@@ -67,14 +67,15 @@ class GaussianModel:
 
 
 def fit_gaussian(data: DataMatrix) -> GaussianModel:
-    """Column means and unbiased sample covariance; columns whose squares
+    """Column means and unbiased sample covariance S / (n - 1), with S
+    the centred cross-product matrix of `centred_moments`, so the rows
+    are read in blocks and never copied whole; columns whose squares
     overflow float64 raise `Overflow` naming them."""
     n, d = data.values.shape
     if n < d + 1:
         raise InsufficientRows(f"need n >= d + 1, got n={n}, d={d}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = data.values.mean(axis=0)
-        cov = np.cov(data.values, rowvar=False, ddof=1).reshape(d, d)
+    mean, s = centred_moments(data.values, range(d))
+    cov = s / (n - 1)
     check_squares(cov, [repr(name) for name in data.column_names])
     return GaussianModel(mean=mean, cov=cov)
 

@@ -717,6 +717,14 @@ class TestRunCommands:
             "numerical error: [data] the Gaussian fit reads n_fit=6 of the 12 rows (split_fraction 0.5)"
             " and needs n_fit >= d + 1 = 11")
 
+    def test_ols_fit_with_too_few_rows_names_the_split(self, tmp_path, capsys):
+        # 5 rows split into 2 fit rows, and the model reads B and C
+        raw = {"seed": 0, "data": {"scm": "biomarker", "n": 5}}
+        assert main(["importance", "--config", str(_config(tmp_path, raw))]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: [model] the OLS fit reads n_fit=2 of the 5 rows (split_fraction 0.5)"
+            " and needs n_fit > |support| = 2\n")
+
     @pytest.mark.parametrize("support", [None, ["b"]], ids=["a-in-support", "a-outside-support"])
     def test_overflowing_squares_name_their_column(self, tmp_path, capsys, support):
         # a's squares overflow float64: the OLS fit names it when the model
@@ -939,6 +947,59 @@ def test_setup_peaks_at_the_data_plus_one_column(first_evaluation):
     finally:
         tracemalloc.stop()
     assert first_evaluation["peak"] < 7 * n * 8
+
+
+@pytest.fixture
+def after_split(monkeypatch):
+    """The ids of the row buffers that the split shuffles, and the traced
+    memory just after it; when tracing, the hook then resets the peak.
+    It keeps no reference to the buffers."""
+    seen = {}
+    shuffle_split = runner._shuffle_split
+
+    def hooked(x, y, *args):
+        seen["ids"] = id(x), id(y)
+        parts = shuffle_split(x, y, *args)
+        if tracemalloc.is_tracing():
+            seen["traced"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return parts
+
+    monkeypatch.setattr(runner, "_shuffle_split", hooked)
+    return seen
+
+
+def test_fits_hold_no_copy_of_the_rows(first_evaluation, after_split):
+    # the fits read the rows through one block buffer, and the buffers
+    # then shrink in place to the evaluation rows: from the split to the
+    # first evaluation, traced memory rises by less than a tenth of a
+    # column. The OLS design and the np.cov copy rose by more than n
+    n = 200_000
+    raw = {"seed": 0, "data": {"scm": "biomarker", "n": n, "include_observed": True}, "n_mc": 2,
+           "measures": [{"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []}]}
+    tracemalloc.start()
+    try:
+        run(RunConfig(raw))
+    finally:
+        tracemalloc.stop()
+    assert first_evaluation["peak"] - after_split["traced"] < 0.1 * n * 8
+
+
+def test_evaluator_reads_the_shrunk_buffer_or_a_copy(monkeypatch, first_evaluation, after_split):
+    # a plain run hands the evaluator the loaded buffers, shrunk in place
+    run(RunConfig(dict(_BASE)))
+    evaluator = first_evaluation["evaluator"]
+    assert (id(evaluator.data.values), id(evaluator.target.values)) == after_split["ids"]
+    rows = evaluator.data.values.tobytes(), evaluator.target.values.tobytes()
+    # a hooked fit that keeps its views of the fit rows makes numpy refuse
+    # the shrink: the evaluation rows are copied out, the same bytes
+    first_evaluation.clear()
+    held, fit_ols = [], runner.fit_ols
+    monkeypatch.setattr(runner, "fit_ols", lambda *args: held.append(args) or fit_ols(*args))
+    run(RunConfig(dict(_BASE)))
+    evaluator = first_evaluation["evaluator"]
+    assert held and id(evaluator.data.values) != after_split["ids"][0]
+    assert (evaluator.data.values.tobytes(), evaluator.target.values.tobytes()) == rows
 
 
 def test_evaluator_rows_own_their_buffer(first_evaluation):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dedact.core import (
     CROSS_ENTROPY,
+    MOMENT_BLOCK_ROWS,
     SQUARED_ERROR,
     DataMatrix,
     FeatureIndexSet,
@@ -17,6 +18,7 @@ from dedact.core import (
     fit_ols,
 )
 from dedact.errors import DimensionMismatch, Overflow, SingularDesign
+from dedact.sampler import fit_gaussian
 
 
 def _matrix(values, names=None):
@@ -160,19 +162,30 @@ class TestFitOls:
         assert np.all(np.abs(p.weights) < 3.0 / np.sqrt(n) * 1.5)
 
     @pytest.mark.parametrize("cols", [[0, 1, 2, 3], [1, 3]], ids=["full", "partial"])
-    def test_weights_equal_the_stacked_design_formula(self, cols):
-        # frozen copy of the former design: the ones column stacked beside a
-        # fancy-index copy of the support columns; the weights and the
-        # intercept must keep their bits
+    def test_weights_equal_the_centred_summary_formula(self, cols):
+        # frozen copy of the fit: column means, the centred cross-products
+        # summed over 4096-row blocks through one buffer, S_xx w = s_xy and
+        # the intercept y_bar - w . x_bar; the weights and the intercept
+        # must keep their bits, and agree with lstsq on the design [1, X]
         rng = np.random.default_rng(5)
         values = rng.standard_normal((5000, 4)) * np.array([1.0, 30.0, 0.01, 2.0]) + np.array([3.0, -1.0, 0.0, 7.0])
         y = values @ np.array([0.3, -0.02, 5.0, 1.1]) + rng.standard_normal(5000)
-        design = np.column_stack([np.ones(len(values)), values[:, cols]])
-        coef = np.linalg.solve(design.T @ design, design.T @ y)
+        columns = [values[:, c] for c in cols] + [y]
+        mean = np.array([column.mean() for column in columns])
+        buf, s = np.empty((4096, len(columns))), np.zeros((len(columns), len(columns)))
+        for a in range(0, len(y), 4096):
+            block = buf[:min(len(y) - a, 4096)]
+            for j, column in enumerate(columns):
+                block[:, j] = column[a:a + len(block)] - mean[j]
+            s += block.T @ block
+        w = np.linalg.solve(s[:-1, :-1], s[:-1, -1])
         p = fit_ols(_matrix(values), TargetVector(y), FeatureIndexSet.of(cols))
-        assert p.intercept == coef[0]
-        assert p.weights[cols].tobytes() == coef[1:].tobytes()
+        assert p.intercept == mean[-1] - w @ mean[:-1]
+        assert p.weights[cols].tobytes() == w.tobytes()
         assert not np.delete(p.weights, cols).any()
+        coef = np.linalg.lstsq(np.column_stack([np.ones(len(y)), values[:, cols]]), y, rcond=None)[0]
+        np.testing.assert_allclose(p.weights[cols], coef[1:], rtol=1e-12, atol=0)
+        assert p.intercept == pytest.approx(coef[0], rel=1e-12)
 
     def test_weights_outside_support_exactly_zero(self):
         rng = np.random.default_rng(2)
@@ -245,6 +258,28 @@ class TestFitOls:
                 support=p.support,
             )
             assert empirical_risk(other, data, y, SQUARED_ERROR) >= base - 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 3), st.one_of(st.integers(-2, 2), st.integers(3, MOMENT_BLOCK_ROWS - 3)),
+       st.integers(0, 2**32 - 1))
+def test_fits_agree_with_lstsq_and_np_cov(d, blocks, extra, seed):
+    # offset and scaled columns, the row count several blocks long, at a
+    # block boundary or between two: the block sums give lstsq's least
+    # squares and np.cov's covariance to rounding
+    rng = np.random.default_rng(seed)
+    n = max(d + 2, blocks * MOMENT_BLOCK_ROWS + extra)
+    offset, scale = rng.uniform(-100.0, 100.0, d), 10.0 ** rng.uniform(-1.0, 1.0, d)
+    values = offset + scale * rng.standard_normal((n, d))
+    y = (values - offset) / scale @ rng.uniform(0.5, 2.0, d) + 0.1 * rng.standard_normal(n)
+    p = fit_ols(_matrix(values), TargetVector(y))
+    coef = np.linalg.lstsq(np.column_stack([np.ones(n), values]), y, rcond=None)[0]
+    np.testing.assert_allclose(p.weights, coef[1:], rtol=1e-10, atol=0)
+    assert p.intercept == pytest.approx(coef[0], rel=1e-10, abs=1e-10 * np.abs(y).max())
+    g = fit_gaussian(_matrix(values))
+    cov = np.cov(values, rowvar=False).reshape(d, d)
+    assert np.all(np.abs(g.mean - values.mean(axis=0)) <= 1e-10 * (np.abs(offset) + scale))
+    assert np.all(np.abs(g.cov - cov) <= 1e-10 * np.sqrt(np.outer(np.diag(cov), np.diag(cov))))
 
 
 class TestEmpiricalRisk:
