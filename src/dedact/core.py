@@ -16,7 +16,7 @@ from .errors import DimensionMismatch, Overflow, SingularDesign
 
 CROSS_ENTROPY_EPS = 1e-12
 
-# Gram matrices with a condition number beyond this are treated as singular.
+# Gram matrices with a condition number (eigenvalue ratio) of at least this are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
 # Rows per block of `centred_moments`.
@@ -218,7 +218,11 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     columns and the target: the weights solve S_xx w = s_xy and the
     intercept is y_bar - w . x_bar. Whether the design is singular is
     judged on the unscaled Gram matrix of [1, X], rebuilt from the same
-    summary as [[n, n x_bar^T], [n x_bar, S_xx + n x_bar x_bar^T]].
+    summary as [[n, n x_bar^T], [n x_bar, S_xx + n x_bar x_bar^T]]. It
+    is singular when its largest eigenvalue is at least
+    MAX_CONDITION_NUMBER times its least (the ratio is the condition
+    number of a symmetric positive semi-definite matrix), the rule that
+    `_collinear` applies to the scaled matrix.
     Support columns, or a target, whose squares overflow float64 raise
     `Overflow` naming them."""
     if support is None:
@@ -240,7 +244,8 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     check_squares(gram, ["the intercept"] + [repr(data.column_names[c]) for c in cols])
     if not np.isfinite(y_sq):  # finite, it and the Gram diagonal bound s_xy (Cauchy-Schwarz)
         raise Overflow("the squares of the target overflow float64")
-    if np.linalg.cond(gram) >= MAX_CONDITION_NUMBER:
+    evals = np.linalg.eigvalsh(gram)
+    if evals[0] * MAX_CONDITION_NUMBER <= evals[-1]:
         raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(gram, data, cols)}")
     w = np.linalg.solve(s_xx, s_xy)
     weights = np.zeros(data.n_cols)

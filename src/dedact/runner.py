@@ -417,12 +417,16 @@ def load_scm(source: str, include_observed: bool = False) -> LinearSCM:
     return scm
 
 
-def simulate(source: str, n: int, seed: int, include_observed: bool = False):
+def simulate(source: str, n: int, seed: int, include_observed: bool = False, n_key: str = "--n"):
     """The SCM of `source` (see `load_scm`) and n rows sampled from it; a
-    node whose sampled values overflow is named after the source."""
+    node whose sampled values overflow is named after the source, and n
+    rows that cannot be allocated after `n_key`, the setting that asked
+    for them."""
     scm = load_scm(source, include_observed)
     try:
         return (scm, *sample_scm(scm, n, seed, include_observed))
+    except ConfigError as exc:  # the n x d matrix cannot be allocated
+        raise ConfigError(f"{n_key} is too large for {source}: {exc}") from exc
     except DedactError as exc:
         raise type(exc)(f"{source}: {exc}") from exc
 
@@ -440,7 +444,7 @@ def _load_data(block: dict, seed: int) -> tuple[DataMatrix, TargetVector, Linear
         # at least 2 rows on each side of the fit / evaluation split
         n = _int_key(block, "n", 20000, "data", minimum=4)
         include_observed = _bool_key(block, "include_observed", False, "data")
-        scm, data, target = simulate(source, n, derive_seed(seed, 1), include_observed)
+        scm, data, target = simulate(source, n, derive_seed(seed, 1), include_observed, "[data] 'n'")
         return data, target, scm
     raise ConfigError("[data] block needs either 'csv' or 'scm'")
 

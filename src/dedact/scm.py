@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import DataMatrix, FeatureIndexSet, TargetVector
-from .errors import CyclicGraph, DimensionMismatch, ParseError
+from .errors import ConfigError, CyclicGraph, DimensionMismatch, ParseError
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -196,12 +196,16 @@ def sample_scm(
     kept after they are computed (a data column as a view of its
     column), so a latent node with no children is dropped at once. The
     first node whose values overflow float64 raises `DimensionMismatch`
-    naming it.
+    naming it, and an n x d matrix that cannot be allocated raises
+    `ConfigError` naming its shape.
     """
     rng = np.random.default_rng(seed)
     columns = scm.data_columns(include_observed)
     position = {name: i for i, name in enumerate(columns)}
-    out = np.empty((n, len(columns)))
+    try:
+        out = np.empty((n, len(columns)))
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
+        raise ConfigError(f"the {n} x {len(columns)} float64 matrix cannot be allocated") from exc
     # sorted edge order keeps sampling bit-identical across
     # equivalent SCMs whose edge dicts were built in different orders
     edges = sorted(scm.edges.items())

@@ -202,7 +202,10 @@ class TestSimulateCommand:
             err = capsys.readouterr().err
             assert err.startswith("data error") and str(scm) in err and key in err
 
-    @pytest.mark.parametrize("flag,value", [("--n", "-5"), ("--n", "0"), ("--n", "1"), ("--seed", "-1")])
+    # an --n of 10**15 rows is more than any address space holds, so the
+    # sampler's matrix is refused before any memory is taken
+    @pytest.mark.parametrize("flag,value", [("--n", "-5"), ("--n", "0"), ("--n", "1"), ("--n", str(10**15)),
+                                            ("--seed", "-1")])
     def test_bad_flag_exit_2(self, tmp_path, capsys, flag, value):
         argv = {"--scm": "biomarker", "--n": "20", "--seed": "0", "--out": str(tmp_path / "sim.csv")}
         argv[flag] = value
@@ -363,6 +366,9 @@ class TestRunCommands:
         # a change given as text is the whole file: no mapping of keys
         ("importance", "", "config", "an empty file"),
         ("importance", "[seed, data]", "config", "a YAML list"),
+        # more rows than any address space holds (past numpy's largest
+        # dimension at 10**20): the sampler's matrix is never allocated
+        *(("importance", {"data": dict(_BASE["data"], n=value)}, "data", "'n'") for value in (10**15, 10**20)),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, command, change, block, key):
         if isinstance(change, str):
@@ -983,6 +989,35 @@ def test_fits_hold_no_copy_of_the_rows(first_evaluation, after_split):
     finally:
         tracemalloc.stop()
     assert first_evaluation["peak"] - after_split["traced"] < 0.1 * n * 8
+
+
+def test_first_moment_form_evaluation_copies_no_rows(monkeypatch):
+    # the evaluator's moments are `centred_moments` of its rows, read in
+    # place a block at a time: the first moment-form evaluation raises
+    # traced memory by less than a quarter of a column. A gathered,
+    # centred copy of the rows and target rose by 4 n
+    n_eval = 100_000
+    rises = []
+    evaluate = ImportanceEvaluator.evaluate
+
+    def hooked(self, spec):
+        if rises:
+            return evaluate(self, spec)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = evaluate(self, spec)
+        rises.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(ImportanceEvaluator, "evaluate", hooked)
+    raw = {"seed": 0, "data": {"scm": "biomarker", "n": 2 * n_eval, "include_observed": True}, "n_mc": 2,
+           "measures": [{"name": "pfi_C", "measure": "PFI", "interest": ["C"]}]}
+    tracemalloc.start()
+    try:
+        run(RunConfig(raw))
+    finally:
+        tracemalloc.stop()
+    assert rises[0] < 0.25 * n_eval * 8
 
 
 def test_evaluator_reads_the_shrunk_buffer_or_a_copy(monkeypatch, first_evaluation, after_split):

@@ -18,6 +18,7 @@ from dedact.core import (
     fit_ols,
 )
 from dedact.errors import DimensionMismatch, Overflow, SingularDesign
+from dedact.importance import ImportanceEvaluator
 from dedact.sampler import fit_gaussian
 
 
@@ -280,6 +281,19 @@ def test_fits_agree_with_lstsq_and_np_cov(d, blocks, extra, seed):
     cov = np.cov(values, rowvar=False).reshape(d, d)
     assert np.all(np.abs(g.mean - values.mean(axis=0)) <= 1e-10 * (np.abs(offset) + scale))
     assert np.all(np.abs(g.cov - cov) <= 1e-10 * np.sqrt(np.outer(np.diag(cov), np.diag(cov))))
+    # the evaluator's moments, columns in canonical (name) order, are the
+    # gathered two-pass formula's to rounding
+    names = tuple(f"x{d - i}" for i in range(d))
+    ev = ImportanceEvaluator(_matrix(values, names), TargetVector(y), p, g)
+    x = values[:, ev._canon_order]
+    x_c, y_c = x - x.mean(axis=0), y - y.mean()
+    x_bar, y_bar, s_xx, s_xy, s_yy = ev._moments()
+    assert np.all(np.abs(x_bar - x.mean(axis=0)) <= 1e-10 * (np.abs(offset) + scale)[ev._canon_order])
+    assert y_bar == pytest.approx(y.mean(), rel=1e-10, abs=1e-10 * np.abs(y).max())
+    sd = np.sqrt(np.append(np.diag(x_c.T @ x_c), y_c @ y_c) / n)
+    assert np.all(np.abs(s_xx - x_c.T @ x_c / n) <= 1e-10 * np.outer(sd[:-1], sd[:-1]))
+    assert np.all(np.abs(s_xy - x_c.T @ y_c / n) <= 1e-10 * sd[:-1] * sd[-1])
+    assert s_yy == pytest.approx(y_c @ y_c / n, rel=1e-10)
 
 
 class TestEmpiricalRisk:
