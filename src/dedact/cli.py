@@ -24,11 +24,15 @@ from .runner import (
 )
 
 
+def _at_least(flag: str, value, least: int) -> None:
+    """A flag given a value below `least` is a config error naming the flag."""
+    if value is not None and value < least:
+        raise ConfigError(f"{flag} must be at least {least}, got {value}")
+
+
 def _cmd_simulate(args) -> int:
-    if args.n < 2:
-        raise ConfigError(f"--n must be at least 2, got {args.n}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    _at_least("--n", args.n, 2)
+    _at_least("--seed", args.seed, 0)
     scm, data, target = simulate(args.scm, args.n, args.seed, args.include_observed)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -55,15 +59,20 @@ def _cmd_run(args, which: str) -> int:
 
 
 def _cmd_demo(args) -> int:
+    # the flags are checked here, so an error names the flag, not the config key it fills
+    orders = {"n_sage_orders": ("--sage-orders", args.sage_orders),
+              "n_decomp_orders": ("--decomp-orders", args.decomp_orders)}
+    for flag, value in orders.values():
+        if value is not None and args.which == "biomarker":  # the biomarker demo solves no Shapley game
+            raise ConfigError(f"{flag} applies to the census demo only")
+        _at_least(flag, value, 1)
+    _at_least("--n", args.n, 4)  # at least 2 rows on each side of the fit / evaluation split
+    _at_least("--seed", args.seed, 0)
     if args.which == "biomarker":
-        for flag, value in (("--sage-orders", args.sage_orders), ("--decomp-orders", args.decomp_orders)):
-            if value is not None:  # the biomarker demo solves no Shapley game
-                raise ConfigError(f"{flag} applies to the census demo only")
         run_biomarker_demo(seed=args.seed, n=args.n, outdir=args.out)
     else:  # a flag left out keeps run_census_demo's default
-        orders = {"n_sage_orders": args.sage_orders, "n_decomp_orders": args.decomp_orders}
         run_census_demo(seed=args.seed, n=args.n, outdir=args.out,
-                        **{key: value for key, value in orders.items() if value is not None})
+                        **{key: value for key, (_, value) in orders.items() if value is not None})
     print(f"demo {args.which} written to {args.out}")
     return 0
 

@@ -13,10 +13,13 @@ game every coalition a solver asks for. Totals and components are
 
 Each Shapley solver builds a contribution plan: mask arrays `plus` and
 `minus`, one contribution `v(plus) - v(minus)` per entry, and the exact
-solver's weights. `_solve_plan` values, differences and pools them all.
+solver's weights. `_solve_plan` values and differences them all, then
+sums each player's weighted (exact) or pools the orders (sampled).
 
 A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
 context: j's surplus AI(j | C), then one contribution per pathway.
+Orders and contexts pool through `dedact.importance.pool`, as a
+measure's repetitions do, each column summed in index order.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .core import FeatureIndexSet, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, sage_loop
+from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, pool, sage_loop
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -103,18 +106,16 @@ class ShapleyResult:
 def _solve_plan(game: CooperativeGame, solver: str, plus: np.ndarray, minus: np.ndarray,
                 weights: Optional[np.ndarray] = None) -> ShapleyResult:
     """Value every mask of a contribution plan in one `game.values` call
-    (one `evaluate` call for a measure's game) and pool the contributions
-    `v(plus) - v(minus)`. With weights, row i holds player i's, summed
-    weighted, with SE 0. Without, row o holds order o's, and they pool
-    to the mean over the orders with their spread as the SE."""
+    (one `evaluate` call for a measure's game) and combine the
+    contributions `v(plus) - v(minus)`. With weights, row i holds player
+    i's, summed weighted, with SE 0. Without, row o holds order o's, and
+    `pool` gives each player's mean over the orders and its SE."""
     values = np.array(game.values(np.stack([plus, minus]).ravel().tolist())).reshape(2, *plus.shape)
     contribs = values[0] - values[1]
     if weights is not None:  # a 1-D dot per contiguous row: a matrix product sums in another order
         phi = np.array([w @ c for w, c in zip(weights, contribs)])
         return ShapleyResult(phi, np.zeros(len(phi)), solver)
-    n_orders = len(contribs)
-    se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders) if n_orders > 1 else np.zeros(plus.shape[1])
-    return ShapleyResult(contribs.mean(axis=0), se, solver)
+    return ShapleyResult(*pool(contribs), solver)
 
 
 def shapley_exact(game: CooperativeGame) -> ShapleyResult:

@@ -143,13 +143,15 @@ loop order and SIMD path by the arrays' shapes and memory alignment, so
 a row's rounding would depend on the rows around it (seen with einsum
 at d = 5 and with `sum(axis=-1)` on a 606 x 12 x 12 stack). Plans go in
 blocks that keep those products under 1 MB. So a plan's risk is the same
-float whichever batch computes it, and so are the mean and standard
-error over repetitions, pooled the same way. The plan keys follow the
-column order, the sums the canonical order, so the permutation
-invariance above holds for batches too. Terms outside the moment form
-take their risks from n-length predictions, pair by pair and, within a
-pair, repetition by repetition, so the two terms of a repetition read
-one set of column draws.
+float whichever batch computes it. So are a mask's mean and standard
+error over the repetitions: they come from `pool`, the one pooling rule
+(it also pools a sampled Shapley table's orders and a SAGE table's
+contexts), which sums each column in index order too. The plan keys
+follow the column order, the sums the canonical order, so the
+permutation invariance above holds for batches too. Terms outside the
+moment form take their risks from n-length predictions, pair by pair
+and, within a pair, repetition by repetition, so the two terms of a
+repetition read one set of column draws.
 
 Linear Monte-Carlo marginalization: a marginalized term averages the
 prediction over m = n_integration draws. For a linear predictor that
@@ -635,16 +637,13 @@ class ImportanceEvaluator:
         self.terms_reused += 2 * n_reps * len(live) - computed
         for key, computed_risks in self._compute(spec, misses, n_reps, exact, moment_form).items():
             self._risks.setdefault(key, []).extend(computed_risks)
-        # mean and standard error over the repetitions (pool_orders),
-        # row-wise over the batch; identical plans differ by 0.0
+        # each live mask's mean and standard error over the repetitions,
+        # one column of `pool`; identical plans differ by 0.0
         risks = self._risks
         diffs = (np.array([risks[keys[i][0]][:n_reps] for i in live])
                  - np.array([risks[keys[i][1]][:n_reps] for i in live])).reshape(-1, n_reps)
         value, se = np.zeros(len(keys)), np.zeros(len(keys))
-        value[live] = mean = _dot(diffs, 1.0) / n_reps + 0.0  # + 0.0: -0.0 becomes 0.0
-        if n_reps > 1:
-            dev = diffs - mean[:, None]
-            se[live] = np.sqrt(_dot(dev, dev) / (n_reps - 1)) / np.sqrt(n_reps)
+        value[live], se[live] = pool(diffs.T)
         if not single:
             return value, se
         sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
@@ -794,12 +793,13 @@ class ImportanceEvaluator:
 def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_context) -> tuple:
     """The SAGE context loop: check the order count (`name` is its key),
     draw j's contexts, value context o as the row `value_context(o,
-    context)` of m floats, and pool each column over the contexts. Returns
-    the contexts, the n_orders x m rows and the m (mean, SE) pairs."""
+    context)` of m floats, and `pool` the rows. Returns the contexts, the
+    n_orders x m rows and the m (mean, SE) pairs."""
     check_orders(n_orders, name)
     contexts = sage_contexts(d, j, n_orders, seed)
     rows = np.array([value_context(o, context) for o, context in enumerate(contexts)], dtype=float)
-    return contexts, rows, [pool_orders(column) for column in rows.T]
+    mean, se = pool(rows)
+    return contexts, rows, list(zip(mean.tolist(), se.tolist()))
 
 
 def sage_contexts(d: int, j: int, n_orders: int, seed: int) -> list[list[int]]:
@@ -819,10 +819,17 @@ def check_orders(n_orders: int, name: str) -> None:
         raise DimensionMismatch(f"{name} must be >= 1, got {n_orders}")
 
 
-def pool_orders(per_order) -> tuple[float, float]:
-    """Mean of per-order (or per-repetition) values and its standard
-    error; a lone value is its own mean, with standard error 0."""
-    if len(per_order) == 1:
-        return float(per_order[0]) + 0.0, 0.0  # + 0.0: the mean of -0.0 is 0.0
-    arr = np.asarray(per_order, dtype=float)
-    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
+def pool(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The means and standard errors of the M columns of an R x M array
+    over its R rows: repetitions, orders or contexts. Each column is
+    summed in index order, as the last running sum of `np.add.accumulate`
+    down the rows, so a column pools to the same floats whatever columns
+    stand beside it (numpy's own reductions sum a lone column pairwise).
+    `+ 0.0` turns a mean of -0.0 into 0.0; one row has SE 0."""
+    rows = np.asarray(rows, dtype=float)
+    n = len(rows)
+    mean = np.add.accumulate(rows, axis=0)[-1] / n + 0.0
+    if n == 1:
+        return mean, np.zeros_like(mean)
+    dev = rows - mean
+    return mean, np.sqrt(np.add.accumulate(dev * dev, axis=0)[-1] / (n - 1)) / np.sqrt(n)

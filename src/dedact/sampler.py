@@ -8,8 +8,8 @@ call per set size, and each set keeps its own rows of that solve. The
 Cholesky factors of the target groups that take draws are added with one
 stacked factorization per group size. A stack that fails is redone one
 matrix at a time, on that error path only, so that `SingularConditioning`
-names the failing set's columns. `conditional_params` is a
-table-free call of `_conditionals` on one pair. `_Conditioning.draw` is
+names the failing set's columns. `conditional_params` reads the record
+of a one-pair table. `_Conditioning.draw` is
 the only sampling primitive: the conditional mean given a row's
 conditioning columns plus `z @ L.T`, with L the Cholesky factor of the
 conditional covariance, factorized only when draws are taken. The
@@ -155,13 +155,15 @@ def conditional_params(
     """Closed-form Gaussian conditional of `targets` given `cond`.
 
     Returns the conditional-mean affine map and the Schur-complement
-    covariance. Either index set may be a `FeatureIndexSet` or a
-    sequence of column indices; the map's inputs and outputs and the
-    covariance follow the order given. The two sets must be disjoint.
+    covariance, views of a one-pair table's record. Either index set may
+    be a `FeatureIndexSet` or a sequence of column indices; the map's
+    inputs and outputs and the covariance follow the order given. The
+    two sets must be disjoint.
     """
-    c, t = _checked(g, cond, targets)
-    matrix, cov = _conditionals(g.cov[np.ix_(c + t, c + t)][None], len(c))
-    return AffineMap(g.mean[t], matrix[0], g.mean[c]), cov[0]
+    table, mask = _Conditioning.pair(g, cond, targets)
+    table.add((mask,))
+    c, t, matrix, cov = table._sets[table.slots[mask]]
+    return AffineMap(g.mean[list(t)], matrix, g.mean[list(c)]), cov
 
 
 def _reserve(table: np.ndarray, size: int) -> np.ndarray:

@@ -1410,6 +1410,18 @@ class TestDemoAndReport:
         assert capsys.readouterr().err.startswith(f"config error: {named} applies to the census demo only")
         assert not out.exists()
 
+    @pytest.mark.parametrize("which,flags,message", [
+        ("biomarker", ["--n", "3"], "--n must be at least 4, got 3"),
+        ("biomarker", ["--seed", "-1"], "--seed must be at least 0, got -1"),
+        ("census", ["--sage-orders", "0"], "--sage-orders must be at least 1, got 0"),
+        ("census", ["--decomp-orders", "-1"], "--decomp-orders must be at least 1, got -1"),
+    ])
+    def test_demo_flag_errors_name_the_flag(self, tmp_path, capsys, which, flags, message):
+        out = tmp_path / "demo"
+        assert main(["demo", which, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_census_demo_flags_keep_their_defaults(self, tmp_path, monkeypatch):
         calls = []
 

@@ -1,8 +1,9 @@
 import itertools
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedact.core import DataMatrix, ImportanceEstimate, LinearPredictor, TargetVector, derive_seed
 from dedact.decompose import (
@@ -27,7 +28,7 @@ from dedact.importance import (
     MeasureBatch,
     check_orders,
     evaluation_count,
-    pool_orders,
+    pool,
     reset_evaluation_count,
     sage_contexts,
 )
@@ -45,6 +46,52 @@ def _random_game(n, rng):
              for s in itertools.combinations(range(n), size)}
     table[frozenset()] = 0.0
     return table
+
+
+def _index_order_pool(values):
+    """Mean and SE of a sequence, added one value at a time in index
+    order: the rounding `dedact.importance.pool` gives each column."""
+    values = [float(x) for x in values]
+    n = len(values)
+    total = 0.0
+    for x in values:
+        total += x
+    mean = total / n + 0.0
+    if n == 1:
+        return mean, 0.0
+    squares = 0.0
+    for x in values:
+        squares += (x - mean) * (x - mean)
+    return mean, sqrt(squares / (n - 1)) / sqrt(n)
+
+
+class TestPool:
+    """`pool` sums each column of R x M rows in index order, so a column
+    pools to the same floats alone as beside any other columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_each_column_pools_as_alone_and_as_a_loop(self, data):
+        r = data.draw(st.integers(1, 70), label="R")
+        m = data.draw(st.integers(1, 12), label="M")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        rng = np.random.default_rng(seed)
+        # an offset well above the spread, so the summation order shows in the rounding
+        rows = rng.uniform(-1e3, 1e3, m) + rng.standard_normal((r, m)) * 10.0 ** rng.uniform(-3, 3, m)
+        mean, se = pool(rows)
+        assert mean.shape == se.shape == (m,)
+        for k in range(m):
+            alone_mean, alone_se = pool(rows[:, [k]])
+            assert (mean[k], se[k]) == (alone_mean[0], alone_se[0]) == _index_order_pool(rows[:, k])
+
+    def test_one_row_has_se_zero(self):
+        mean, se = pool([[-0.0, 2.5, -1.0]])
+        assert mean.tolist() == [0.0, 2.5, -1.0] and se.tolist() == [0.0, 0.0, 0.0]
+        assert np.signbit(mean).tolist() == [False, False, True]
+
+    def test_negative_zero_mean_becomes_zero(self):
+        mean, se = pool(np.full((3, 2), -0.0))
+        assert not np.signbit(mean).any() and se.tolist() == [0.0, 0.0]
 
 
 def _manual_shapley(n, table):
@@ -460,6 +507,17 @@ class TestShapleyDecomposeSage:
             # x0's own pathway is no player: its share is the remainder
             assert table.remainder > 0.1 * table.total[0]
 
+    def test_contexts_pool_in_index_order(self):
+        # numpy sums a lone column of 8 or more values pairwise; the table
+        # pools twelve contexts one value at a time, every column alike
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((4, 4))
+        ev = _linear_evaluator(a @ a.T + 0.5 * np.eye(4), rng.standard_normal(4), n=500, n_mc=2)
+        table = shapley_decompose_sage(ev, 1, solver="exact", n_sage_orders=12)
+        assert table.total == _index_order_pool([rec["alpha"] for rec in table.per_context])
+        for p, pair in enumerate(table.components.values()):
+            assert pair == _index_order_pool([rec["phi"][p] for rec in table.per_context])
+
     def test_per_context_records(self):
         ev = _linear_evaluator(np.eye(2), [1.0, 0.0], n=2000, n_mc=2)
         table = shapley_decompose_sage(ev, 0, solver="exact", n_sage_orders=3)
@@ -531,8 +589,8 @@ class TestFastTablesBatched:
             alphas.append(single.associative_importance([0], context, mode="marginalized", seed=seed_o).value)
             comp.append([alphas[-1] - single.ai_via([0], context, [c for c in range(3) if c != k],
                                                     mode="marginalized", seed=seed_o).value for k in range(3)])
-        assert sage.total == pool_orders(alphas)
-        assert sage.components == {f"x{k}": pool_orders(np.array(comp)[:, k]) for k in range(3)}
+        assert sage.total == _index_order_pool(alphas)
+        assert sage.components == {f"x{k}": _index_order_pool(np.array(comp)[:, k]) for k in range(3)}
         assert ev.counters() == single.counters()
 
     def test_only_single_specs_build_estimates(self, monkeypatch):
@@ -610,6 +668,13 @@ class TestTermMemoInvisible:
 # -- the SAGE loops before they shared `sage_loop`, frozen as the reference ---
 
 
+def _parent_pool_orders(per_order):
+    if len(per_order) == 1:
+        return float(per_order[0]) + 0.0, 0.0
+    arr = np.asarray(per_order, dtype=float)
+    return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
+
+
 def _parent_sage_surplus(ev, j, context, variant="conditional", n_mc=None, seed=None):
     if variant == "marginal":
         return ev.direct_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed)
@@ -625,7 +690,7 @@ def _parent_sage_attribution(ev, j, variant="conditional", n_orders=60, n_mc=Non
     for o, context in enumerate(sage_contexts(ev.data.n_cols, j, n_orders, seed)):
         inner = _parent_sage_surplus(ev, j, context, variant=variant, n_mc=n_mc, seed=derive_seed(seed, 7002, o))
         per_order.append(inner.value)
-    value, se = pool_orders(per_order)
+    value, se = _parent_pool_orders(per_order)
     if n_orders == 1:
         se = inner.std_error
     sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
@@ -633,9 +698,9 @@ def _parent_sage_attribution(ev, j, variant="conditional", n_orders=60, n_mc=Non
 
 
 def _parent_sage_table(ev, j, pathways, contexts, alphas, contributions, method, seed, per_context=()):
-    total = pool_orders(alphas)
+    total = _parent_pool_orders(alphas)
     components = {
-        ev.data.column_names[k]: pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
+        ev.data.column_names[k]: _parent_pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
     }
     return DecompositionTable(
         ev.data.column_names[j], total, components, method,
@@ -749,8 +814,8 @@ def _parent_shapley_sampled(game, n_orders, seed=0):
         v = values[o * (n + 1):(o + 1) * (n + 1)]
         for k, player in enumerate(perm):
             contribs[o, player] = v[k + 1] - v[k]
-    se = contribs.std(axis=0, ddof=1) / np.sqrt(n_orders) if n_orders > 1 else np.zeros(n)
-    return contribs.mean(axis=0), se, "sampled"
+    mean, se = zip(*(_index_order_pool(contribs[:, p]) for p in range(n)))
+    return np.array(mean), np.array(se), "sampled"
 
 
 def _parent_solve_game(game, solver="auto", n_orders=50, seed=0):

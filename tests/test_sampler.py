@@ -292,6 +292,12 @@ class TestSingularConditioningNamesItsColumns:
         assert str(info.value.named("abcd")).endswith("conditioning columns 'a', 'b'")
         assert table.slots == {}
 
+    def test_conditional_params_names_the_conditioning_columns(self):
+        g = GaussianModel(mean=np.zeros(3), cov=np.diag([1.0, -1e-9, 1.0]))
+        with pytest.raises(SingularConditioning) as info:
+            conditional_params(g, [1], [0, 2])
+        assert str(info.value) == "conditioning covariance is singular: conditioning columns 1"
+
     def test_factorization_names_conditioning_and_targets(self):
         g = GaussianModel(mean=np.zeros(3), cov=np.diag([1.0, -1e-9, 1.0]))
         table = _Conditioning(g, range(3))
