@@ -19,13 +19,21 @@ CROSS_ENTROPY_EPS = 1e-12
 # Gram matrices with a condition number (eigenvalue ratio) of at least this are treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
-# Rows per block of `centred_moments`.
+# Rows per block of every pass over rows: `centred_moments`, the finiteness
+# checks, `sample_scm`'s draws and the split's gathers.
 MOMENT_BLOCK_ROWS = 4096
 
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Deterministically derive a child seed from a base seed and tags."""
     return int(np.random.SeedSequence([int(seed), *[int(t) for t in tags]]).generate_state(1, np.uint64)[0])
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite, read MOMENT_BLOCK_ROWS rows at a
+    time, so the test holds one block's bools, not an array as large as
+    `values`."""
+    return all(np.isfinite(values[a:a + MOMENT_BLOCK_ROWS]).all() for a in range(0, len(values), MOMENT_BLOCK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -48,7 +56,7 @@ class DataMatrix:
             raise DimensionMismatch(f"{len(self.column_names)} names for {d} columns")
         if len(set(self.column_names)) != d:
             raise DimensionMismatch("column names must be unique")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise DimensionMismatch("data matrix contains non-finite entries")
 
     @property
@@ -74,7 +82,7 @@ class TargetVector:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise DimensionMismatch(f"expected 1-d target, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not _all_finite(values):
             raise DimensionMismatch("target contains non-finite entries")
 
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ import yaml
 
 from . import __version__
 from .core import (
+    MOMENT_BLOCK_ROWS,
     SQUARED_ERROR,
     CROSS_ENTROPY,
     DataMatrix,
@@ -147,21 +148,32 @@ def _shuffle_split(x: np.ndarray, y: np.ndarray, names: tuple[str, ...], fractio
     """Permute the rows of `x` and `y` in place, one column at a time, and
     split them into (fit x, fit y, eval x, eval y), row slices of the two
     buffers. The caller's arrays are overwritten, and beside them only the
-    permutation and one column are held. Of the seeded permutation perm,
-    the first n_fit = round(n * fraction) entries pick the fit rows and the
-    rest the evaluation rows, each part bit for bit what the fancy index
-    `x[perm[:n_fit]]` or `x[perm[n_fit:]]` gathers. The buffers hold the
+    permutation (32-bit below 2**31 rows) and one scratch column are held.
+    Of the seeded permutation perm, the first n_fit = round(n * fraction)
+    entries pick the fit rows and the rest the evaluation rows, each part
+    bit for bit what the fancy index `x[perm[:n_fit]]` or
+    `x[perm[n_fit:]]` gathers. Each column is gathered into the scratch
+    column from `perm[n_fit:]` and then `perm[:n_fit]`, MOMENT_BLOCK_ROWS
+    indices at a time, and copied back. So the buffers hold the
     evaluation rows first: they are the leading rows, so a caller done
     with the fit rows can shrink the buffers to them in place. `x` must be
     C-contiguous, so that its row slices are, and `y` must not share
     memory with it, or its values would be permuted twice."""
-    perm = np.random.default_rng(derive_seed(seed, 90)).permutation(len(y))
-    n_fit = int(round(len(y) * fraction))
-    n_eval = len(y) - n_fit
-    perm = np.concatenate((perm[n_fit:], perm[:n_fit]))
-    for col in x.T:
-        col[:] = col[perm]
-    y[:] = y[perm]
+    n = len(y)
+    # Generator.permutation(n) is arange(n) shuffled: the same permutation
+    perm = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    np.random.default_rng(derive_seed(seed, 90)).shuffle(perm)
+    n_fit = int(round(n * fraction))
+    n_eval = n - n_fit
+    buf = np.empty(n)
+    blocks = [part[a:a + MOMENT_BLOCK_ROWS] for part in (perm[n_fit:], perm[:n_fit])
+              for a in range(0, len(part), MOMENT_BLOCK_ROWS)]
+    for col in (*x.T, y):
+        at = 0
+        for rows in blocks:
+            buf[at:at + len(rows)] = col[rows]
+            at += len(rows)
+        col[:] = buf
     return (
         DataMatrix(x[n_eval:], names), TargetVector(y[n_eval:]),
         DataMatrix(x[:n_eval], names), TargetVector(y[:n_eval]),
@@ -631,14 +643,15 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     them) are taken from the rows in file or sample order; then the split
     shuffles the rows in place, so the evaluation rows are the leading
     row slice of the one loaded buffer and the fit rows the trailing one,
-    and the split holds beside it only the row permutation and one
-    column. The model and the Gaussian read the fit rows through
+    and the split holds beside it only a 32-bit row permutation and one
+    scratch column. The model and the Gaussian read the fit rows through
     `centred_moments`, one block of rows at a time. Then the buffers are
     shrunk in place to the evaluation rows, so the blocks hold only those
     and the fit rows are freed before the first evaluation; if something
     still holds a view of the buffers, such as a hooked fit, numpy refuses
     and the evaluation rows are copied out instead, the same bytes. The
-    peak of set-up is the data plus the permutation and one column.
+    peak of set-up is the data plus 1.5 n doubles: the 32-bit permutation
+    and the scratch column.
     """
     raw, seed = config.raw, config.seed
     _known_keys(raw, "config", "config")

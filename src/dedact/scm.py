@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DataMatrix, FeatureIndexSet, TargetVector
+from .core import MOMENT_BLOCK_ROWS, DataMatrix, FeatureIndexSet, TargetVector
 from .errors import ConfigError, CyclicGraph, DimensionMismatch, ParseError
 
 if TYPE_CHECKING:
@@ -190,14 +190,17 @@ def sample_scm(
 ) -> tuple[DataMatrix, TargetVector]:
     """Ancestral sampling in topological order; deterministic per seed.
 
-    The output matrix is allocated once and each node is computed in
-    place, then written into its column when it is a data column. Only
-    the nodes some edge reads as a parent, and the supervision node, are
-    kept after they are computed (a data column as a view of its
-    column), so a latent node with no children is dropped at once. The
-    first node whose values overflow float64 raises `DimensionMismatch`
-    naming it, and an n x d matrix that cannot be allocated raises
-    `ConfigError` naming its shape.
+    The output matrix is allocated once. Each node is drawn in blocks of
+    MOMENT_BLOCK_ROWS rows: a block of normals, scaled by the node's
+    noise and summed with its parents' terms in sorted-edge order, is
+    written straight into the node's column when it is a data column.
+    Successive draws from one generator continue one stream, so the
+    values are those of n normals drawn per node at once. Besides the
+    matrix, only the supervision node, and a latent node some edge reads
+    as a parent, get an n-vector; a latent node nothing reads is drawn
+    and dropped block by block. The first node whose values overflow
+    float64 raises `DimensionMismatch` naming it, and an n x d matrix
+    that cannot be allocated raises `ConfigError` naming its shape.
     """
     rng = np.random.default_rng(seed)
     columns = scm.data_columns(include_observed)
@@ -212,19 +215,21 @@ def sample_scm(
     kept = {parent for (parent, _), _ in edges} | {scm.supervision_node}
     values = {}
     for node in scm.nodes:
-        total = rng.standard_normal(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total *= scm.noise_std[node]
-            for (parent, child), coeff in edges:
-                if child == node:
-                    total += coeff * values[parent]
-        if not np.isfinite(total).all():
-            raise DimensionMismatch(f"the sampled values of node {node!r} overflow float64")
         if node in position:
-            out[:, position[node]] = total
-            total = out[:, position[node]]
-        if node in kept:
-            values[node] = total
+            values[node] = out[:, position[node]]
+        elif node in kept:
+            values[node] = np.empty(n)
+        parents = [(coeff, values[parent]) for (parent, child), coeff in edges if child == node]
+        for a in range(0, n, MOMENT_BLOCK_ROWS):
+            block = rng.standard_normal(min(n - a, MOMENT_BLOCK_ROWS))
+            with np.errstate(over="ignore", invalid="ignore"):
+                block *= scm.noise_std[node]
+                for coeff, parent in parents:
+                    block += coeff * parent[a:a + len(block)]
+            if not np.isfinite(block).all():
+                raise DimensionMismatch(f"the sampled values of node {node!r} overflow float64")
+            if node in values:
+                values[node][a:a + len(block)] = block
     return DataMatrix(out, columns), TargetVector(values[scm.supervision_node])
 
 

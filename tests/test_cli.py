@@ -21,11 +21,11 @@ import dedact
 import dedact.runner as runner
 from dedact import cli, errors
 from dedact.cli import main
-from dedact.core import DataMatrix, TargetVector, derive_seed
+from dedact.core import MOMENT_BLOCK_ROWS, DataMatrix, TargetVector, derive_seed
 from dedact.errors import ConfigError, DedactError, MissingTarget, ParseError
 from dedact.importance import ImportanceEvaluator
 from dedact.runner import RunConfig, ingest_csv, run, run_biomarker_demo, run_census_demo, train_eval_split
-from dedact.scm import biomarker_scm, sample_scm
+from dedact.scm import biomarker_scm, census_scm, sample_scm
 
 
 class TestIngestCsv:
@@ -942,17 +942,22 @@ def first_evaluation(monkeypatch):
 
 def test_setup_peaks_at_the_data_plus_one_column(first_evaluation):
     # the biomarker's 3 data columns and its target are 4 n doubles; the
-    # in-place split adds the permutation and one column, the fits less.
-    # The split into two gathered copies beside the data peaked at 9.5 n
+    # in-place split adds its 32-bit permutation (0.5 n) and one scratch
+    # column, the fits less: about 5.55 n. The split into two gathered
+    # copies beside the data peaked at 9.5 n, and an int64 permutation
+    # with a rotated copy of it at 6 n. numpy imports numpy.random on
+    # first use, and its module state (0.43 n here) is no part of set-up,
+    # so it is imported before tracing, whichever test runs first
     n = 200_000
     raw = {"seed": 0, "data": {"scm": "biomarker", "n": n, "include_observed": True}, "n_mc": 2,
            "measures": [{"name": "ai_P", "measure": "AI", "interest": ["P"], "baseline": []}]}
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         run(RunConfig(raw))
     finally:
         tracemalloc.stop()
-    assert first_evaluation["peak"] < 7 * n * 8
+    assert first_evaluation["peak"] < 5.75 * n * 8
 
 
 @pytest.fixture
@@ -1595,3 +1600,27 @@ class TestTrainEvalSplit:
         perm = np.random.default_rng(derive_seed(0, 90)).permutation(101)
         assert parts[0].values.tobytes() == values[perm[:50]].tobytes()
         assert parts[3].values.tobytes() == y[perm[50:]].tobytes()
+
+    # the split gathers MOMENT_BLOCK_ROWS indices at a time: sizes at the
+    # edges of those blocks, and fractions that cut a block
+    @pytest.mark.parametrize("n", [MOMENT_BLOCK_ROWS - 1, MOMENT_BLOCK_ROWS, MOMENT_BLOCK_ROWS + 1,
+                                   3 * MOMENT_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("scm, include_observed", [(biomarker_scm, False), (biomarker_scm, True),
+                                                       (census_scm, False)])
+    @pytest.mark.parametrize("fraction", [0.5, 0.3])
+    def test_block_edges_gather_as_a_fancy_index(self, n, scm, include_observed, fraction):
+        data, target = sample_scm(scm(), n, seed=2, include_observed=include_observed)
+        parts = train_eval_split(data, target, fraction, seed=5)
+        perm = np.random.default_rng(derive_seed(5, 90)).permutation(n)
+        n_fit = int(round(n * fraction))
+        for part, source, rows in zip(parts, (data, target) * 2, (perm[:n_fit],) * 2 + (perm[n_fit:],) * 2):
+            assert part.values.tobytes() == source.values[rows].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, MOMENT_BLOCK_ROWS + 1, 1_000_003])
+    @pytest.mark.parametrize("seed", [0, 90])
+    def test_shuffled_int32_range_is_the_permutation(self, n, seed):
+        # the split shuffles a 32-bit arange where permutation(n) would
+        # shuffle a 64-bit one: the same draws give the same order
+        perm = np.arange(n, dtype=np.int32)
+        np.random.default_rng(seed).shuffle(perm)
+        assert np.array_equal(perm, np.random.default_rng(seed).permutation(n))

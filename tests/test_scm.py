@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dedact.core import MOMENT_BLOCK_ROWS
 from dedact.errors import CyclicGraph, DimensionMismatch
 from dedact.scm import (
     CENSUS_MEDIATORS,
@@ -249,12 +250,43 @@ class TestSamplingBitIdentity:
     def test_random_linear_scms(self, scm, seed, include_observed):
         _assert_same_as_reference(scm, 50, seed, include_observed)
 
+    # one row short of a block, one block, one row past it, and three
+    # blocks and a row: the edges of the sampler's row blocks
+    @pytest.mark.parametrize("n", [MOMENT_BLOCK_ROWS - 1, MOMENT_BLOCK_ROWS, MOMENT_BLOCK_ROWS + 1,
+                                   3 * MOMENT_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("scm", [biomarker_scm, census_scm])
+    @pytest.mark.parametrize("include_observed", [False, True])
+    def test_block_edges(self, n, scm, include_observed):
+        _assert_same_as_reference(scm(), n, 13, include_observed)
+
+    def test_overflow_names_the_reference_node(self):
+        # b = 5e307 a overflows only where |a| > 3.6, first in a later
+        # block; c = 1e308 a + noise overflows in the first block too.
+        # The first node in order whose reference values overflow is named
+        n, seed = 3 * MOMENT_BLOCK_ROWS + 1, 36
+        scm = LinearSCM(
+            nodes=("a", "b", "c", "y"),
+            edges={("a", "b"): 5e307, ("a", "c"): 1e308, ("b", "y"): 1.0},
+            noise_std={"a": 1.0, "b": 0.0, "c": 1.0, "y": 1.0},
+            roles={"a": "feature", "b": "feature", "c": "feature", "y": "target"},
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, columns, _ = _reference_sample(scm, n, seed)
+        finite = np.isfinite(values)
+        assert np.flatnonzero(~finite[:, 1])[0] >= MOMENT_BLOCK_ROWS and not finite[:MOMENT_BLOCK_ROWS, 2].all()
+        first = columns[np.flatnonzero(~finite.all(axis=0))[0]]
+        with pytest.raises(DimensionMismatch, match=rf"^the sampled values of node '{first}' overflow float64$"):
+            sample_scm(scm, n, seed)
+
 
 def test_sampling_holds_each_node_once():
     # one array per node, the temporaries of each operation and a stacked
     # copy of the columns made the peak about 9.8 n doubles here; computed
-    # in place into one output matrix it is about 5.4 (three data columns,
-    # the label, the node being computed and one temporary)
+    # in place into one output matrix, about 5.4 (three data columns, the
+    # label, the node being computed and one temporary). Drawn in row
+    # blocks straight into the columns it is about 4.05: the three data
+    # columns and the label. In a process's first draw, which imports
+    # numpy.random, its module state adds 0.43
     n = 200_000
     tracemalloc.start()
     try:
@@ -262,7 +294,7 @@ def test_sampling_holds_each_node_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.5 * n * 8
+    assert peak < 4.75 * n * 8
 
 
 class TestBiomarkerScm:
