@@ -16,7 +16,8 @@ from .errors import DimensionMismatch, Overflow, SingularDesign
 
 CROSS_ENTROPY_EPS = 1e-12
 
-# Gram matrices with a condition number (eigenvalue ratio) of at least this are treated as singular.
+# An OLS design whose Gram matrix, scaled to unit diagonal, has a condition
+# number (eigenvalue ratio) of at least this is treated as singular.
 MAX_CONDITION_NUMBER = 1e12
 
 # Rows per block of every pass over rows: `centred_moments`, the finiteness
@@ -225,12 +226,13 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
     The fit reads the rows once, through `centred_moments` of the support
     columns and the target: the weights solve S_xx w = s_xy and the
     intercept is y_bar - w . x_bar. Whether the design is singular is
-    judged on the unscaled Gram matrix of [1, X], rebuilt from the same
-    summary as [[n, n x_bar^T], [n x_bar, S_xx + n x_bar x_bar^T]]. It
-    is singular when its largest eigenvalue is at least
-    MAX_CONDITION_NUMBER times its least (the ratio is the condition
-    number of a symmetric positive semi-definite matrix), the rule that
-    `_collinear` applies to the scaled matrix.
+    judged on the Gram matrix of [1, X], rebuilt from the same summary as
+    [[n, n x_bar^T], [n x_bar, S_xx + n x_bar x_bar^T]] and scaled to
+    unit diagonal (an all-zero column's entry stays 0), so a column's
+    units do not matter. It is singular when its largest eigenvalue is
+    at least MAX_CONDITION_NUMBER times its least (the ratio is the
+    condition number of a symmetric positive semi-definite matrix), and
+    `_collinear` names the columns from the same matrix.
     Support columns, or a target, whose squares overflow float64 raise
     `Overflow` naming them."""
     if support is None:
@@ -249,12 +251,16 @@ def fit_ols(data: DataMatrix, target: TargetVector, support: FeatureIndexSet | N
         gram[0, 1:] = gram[1:, 0] = n * x_bar
         gram[1:, 1:] = s_xx + n * np.outer(x_bar, x_bar)
         y_sq = s[-1, -1] + n * y_bar**2
-    check_squares(gram, ["the intercept"] + [repr(data.column_names[c]) for c in cols])
+    names = ["the intercept"] + [repr(data.column_names[c]) for c in cols]
+    check_squares(gram, names)
     if not np.isfinite(y_sq):  # finite, it and the Gram diagonal bound s_xy (Cauchy-Schwarz)
         raise Overflow("the squares of the target overflow float64")
-    evals = np.linalg.eigvalsh(gram)
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    scaled = gram / np.outer(norms, norms)
+    evals = np.linalg.eigvalsh(scaled)
     if evals[0] * MAX_CONDITION_NUMBER <= evals[-1]:
-        raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(gram, data, cols)}")
+        raise SingularDesign(f"Gram matrix is numerically singular: {_collinear(scaled, names)}")
     w = np.linalg.solve(s_xx, s_xy)
     weights = np.zeros(data.n_cols)
     weights[cols] = w
@@ -274,20 +280,12 @@ def check_squares(second: np.ndarray, names: list[str]) -> None:
     raise Overflow(f"the squares of {', '.join(names[i] for i in np.flatnonzero(bad))} overflow float64")
 
 
-def _collinear(gram: np.ndarray, data: DataMatrix, cols: list[int]) -> str:
-    """Which columns of a singular design are at fault. Scaled to unit-norm
-    columns (an all-zero column stays 0), the Gram matrix's eigenvector of
-    the least eigenvalue, the design's near-null right singular vector, has
-    its large entries on the near-collinear columns. If the scaled matrix is
-    not singular, no columns are collinear: their scales are too far apart."""
-    names = ["the intercept"] + [repr(data.column_names[c]) for c in cols]
-    norms = np.sqrt(np.diag(gram))
-    norms[norms == 0.0] = 1.0
-    evals, evecs = np.linalg.eigh(gram / np.outer(norms, norms))
-    if evals[0] * MAX_CONDITION_NUMBER > evals[-1]:
-        low, high = np.argmin(norms), np.argmax(norms)
-        return f"{names[low]} and {names[high]} differ in scale by {norms[high] / norms[low]:.1e} (none are collinear)"
-    null = np.abs(evecs[:, 0])
+def _collinear(scaled: np.ndarray, names: list[str]) -> str:
+    """Which columns of a singular design are at fault, `names[i]` naming
+    column i. The eigenvector of the least eigenvalue of the unit-diagonal
+    Gram matrix `fit_ols` judged, the design's near-null right singular
+    vector, has its large entries on the near-collinear columns."""
+    null = np.abs(np.linalg.eigh(scaled)[1][:, 0])
     involved = [names[i] for i in np.flatnonzero(null >= 0.1 * null.max())]
     return f"{involved[0]} is 0 in every row" if len(involved) == 1 else f"{', '.join(involved)} are near-collinear"
 

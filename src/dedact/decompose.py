@@ -9,7 +9,9 @@ table its total (its measure's mask of every column: DI and AI are
 DI_from and AI_via through every column) and all its components, a fast
 SAGE context its alpha and blocked pathways, a Shapley decomposition's
 game every coalition a solver asks for. Totals and components are
-(value, SE) pairs.
+(value, SE) pairs, and `_table` names them by their columns in every
+table; both fast tables share `_fast_table`, and the three PFI tables
+read the one spec of `_pfi_spec`.
 
 Each Shapley solver builds a contribution plan: mask arrays `plus` and
 `minus`, one contribution `v(plus) - v(minus)` per entry, and the exact
@@ -202,6 +204,28 @@ class DecompositionTable:
         }
 
 
+def _table(ev: ImportanceEvaluator, target: int, total, columns: list[int], pairs, method: str,
+           **logs) -> DecompositionTable:
+    """The table of column `target`: its total and one component per column
+    of `columns`, the (value, SE) pairs of `pairs` in the same order, each
+    named by its column. `logs` are the order and per-context logs."""
+    names = ev.data.column_names
+    return DecompositionTable(names[target], total, {names[c]: pair for c, pair in zip(columns, pairs)}, method, **logs)
+
+
+def _fast_table(ev: ImportanceEvaluator, target: int, spec, columns: list[int]) -> DecompositionTable:
+    """A fast table from one batch: the spec with every column as its aux
+    gives the total, and with each column alone that column's component."""
+    total, *pairs = _by_aux(ev, spec, [range(ev.data.n_cols), *([c] for c in columns)])
+    return _table(ev, target, total, columns, pairs, "fast")
+
+
+def _pfi_spec(ev: ImportanceEvaluator, k: int, n_mc: Optional[int], seed: Optional[int]):
+    """DI_from(k | every other column): with every column as its aux it is
+    PFI, and its aux sets are the information sources."""
+    return ev._spec("DI_from", [k], [c for c in range(ev.data.n_cols) if c != k], n_mc=n_mc, seed=seed)
+
+
 # -- PFI decompositions ----------------------------------------------------
 
 
@@ -210,14 +234,8 @@ def fast_decompose_pfi(
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """PFI (DI-from every column) and one DI-from per information source, in one batch."""
-    seed = ev.seed if seed is None else seed
-    d = ev.data.n_cols
-    sources = list(range(d)) if sources is None else list(sources)
-    baseline = [c for c in range(d) if c != k]
-    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed)
-    total, *pairs = _by_aux(ev, spec, [range(d), *([j] for j in sources)])
-    components = {ev.data.column_names[j]: pair for j, pair in zip(sources, pairs)}
-    return DecompositionTable(ev.data.column_names[k], total, components, "fast")
+    sources = list(range(ev.data.n_cols)) if sources is None else list(sources)
+    return _fast_table(ev, k, _pfi_spec(ev, k, n_mc, seed), sources)
 
 
 def fast_decompose_pfi_ordered(
@@ -226,14 +244,11 @@ def fast_decompose_pfi_ordered(
 ) -> DecompositionTable:
     """Additive, order-dependent variant: PFI and the telescoping DI-from
     prefixes, all in one batch."""
-    seed = ev.seed if seed is None else seed
-    d = ev.data.n_cols
-    baseline = [c for c in range(d) if c != k]
-    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=seed)
-    total, *pairs = _by_aux(ev, spec, [range(d), *(order[: i + 1] for i in range(len(order)))])
-    components = {ev.data.column_names[j]: (value - prev, float(np.hypot(se, prev_se)))
-                  for j, (value, se), (prev, prev_se) in zip(order, pairs, [(0.0, 0.0), *pairs])}
-    return DecompositionTable(ev.data.column_names[k], total, components, "fast_ordered", order_log=[list(order)])
+    prefixes = [order[: i + 1] for i in range(len(order))]
+    total, *pairs = _by_aux(ev, _pfi_spec(ev, k, n_mc, seed), [range(ev.data.n_cols), *prefixes])
+    steps = [(value - prev, float(np.hypot(se, prev_se)))
+             for (value, se), (prev, prev_se) in zip(pairs, [(0.0, 0.0), *pairs])]
+    return _table(ev, k, total, order, steps, "fast_ordered", order_log=[list(order)])
 
 
 def shapley_decompose_pfi(
@@ -243,15 +258,12 @@ def shapley_decompose_pfi(
 ) -> DecompositionTable:
     """Additive attribution of PFI over variable-players via DI-from games."""
     seed = ev.seed if seed is None else seed
-    d = ev.data.n_cols
-    players = list(range(d)) if players is None else list(players)
-    baseline = [c for c in range(d) if c != k]
-    spec = ev._spec("DI_from", [k], baseline, n_mc=n_mc, seed=derive_seed(seed, 41))
+    players = list(range(ev.data.n_cols)) if players is None else list(players)
+    spec = _pfi_spec(ev, k, n_mc, derive_seed(seed, 41))
     result = solve_game(_MeasureGame(ev, spec, players), solver, n_orders, derive_seed(seed, 42))
-    [total] = _by_aux(ev, spec, [range(d)])
-    components = {ev.data.column_names[c]: (float(value), float(se))
-                  for c, value, se in zip(players, result.attributions, result.std_errors)}
-    return DecompositionTable(ev.data.column_names[k], total, components, f"shapley_{result.solver}")
+    [total] = _by_aux(ev, spec, [range(ev.data.n_cols)])
+    pairs = zip(result.attributions.tolist(), result.std_errors.tolist())
+    return _table(ev, k, total, players, pairs, f"shapley_{result.solver}")
 
 
 # -- AI and SAGE decompositions ----------------------------------------------
@@ -262,24 +274,8 @@ def fast_decompose_ai(
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """AI(j | {}) (AI-via every column) and one AI-via per feature pathway, in one batch."""
-    seed = ev.seed if seed is None else seed
-    d = ev.data.n_cols
-    pathways = list(range(d)) if pathways is None else list(pathways)
-    spec = ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed)
-    total, *pairs = _by_aux(ev, spec, [range(d), *([k] for k in pathways)])
-    components = {ev.data.column_names[k]: pair for k, pair in zip(pathways, pairs)}
-    return DecompositionTable(ev.data.column_names[j], total, components, "fast")
-
-
-def _sage_table(ev: ImportanceEvaluator, j: int, pathways: list[int], contexts: list[list[int]],
-                pooled: list, method: str, per_context=()) -> DecompositionTable:
-    """The context loop's pooled columns as a table: the total, then one
-    component per pathway."""
-    components = {ev.data.column_names[k]: pooled[p] for p, k in enumerate(pathways, 1)}
-    return DecompositionTable(
-        ev.data.column_names[j], pooled[0], components, method,
-        order_log=[list(c) for c in contexts], per_context=list(per_context),
-    )
+    pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
+    return _fast_table(ev, j, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), pathways)
 
 
 def fast_decompose_sage(
@@ -304,7 +300,7 @@ def fast_decompose_sage(
         return [alpha, *(alpha - via for via, _ in vias)]
 
     contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
-    return _sage_table(ev, j, pathways, contexts, pooled, "fast")
+    return _table(ev, j, pooled[0], pathways, pooled[1:], "fast", order_log=[list(c) for c in contexts])
 
 
 def shapley_decompose_sage(
@@ -333,4 +329,5 @@ def shapley_decompose_sage(
 
     contexts, rows, pooled = sage_loop(d, j, n_sage_orders, seed, "n_sage_orders", attributions)
     per_context = [{"context": c, "alpha": float(row[0]), "phi": row[1:].tolist()} for c, row in zip(contexts, rows)]
-    return _sage_table(ev, j, pathways, contexts, pooled, f"shapley_{solved[-1].solver}", per_context)
+    return _table(ev, j, pooled[0], pathways, pooled[1:], f"shapley_{solved[-1].solver}",
+                  order_log=[list(c) for c in contexts], per_context=per_context)

@@ -216,14 +216,22 @@ class TestFitOls:
         (lambda a, k: a, r"'x0', 'x2' are near-collinear$"),
         (lambda a, k: np.full_like(a, 2.5), r"the intercept, 'x2' are near-collinear$"),
         (lambda a, k: np.zeros_like(a), r"'x2' is 0 in every row$"),
-        # collinear with nothing: only its scale is far from the others'
-        (lambda a, k: 1e-10 * k, r"'x2' and .+ differ in scale by \S+ \(none are collinear\)$"),
-    ], ids=["duplicate", "constant", "zero", "scale"])
+    ], ids=["duplicate", "constant", "zero"])
     def test_singular_design_names_its_columns(self, third, message):
         a, b, k = np.random.default_rng(3).standard_normal((3, 50))
         data = _matrix(np.column_stack([a, b, third(a, k)]))
         with pytest.raises(SingularDesign, match=r"^Gram matrix is numerically singular: " + message):
             fit_ols(data, TargetVector(a + b))
+
+    def test_column_far_from_the_others_in_scale_fits(self):
+        # collinear with nothing, a column of scale 1e-10 is singular only
+        # through its units: it fits, as the same column at unit scale does
+        a, b, k = np.random.default_rng(3).standard_normal((3, 50))
+        y = TargetVector(a + b + 0.5 * k)
+        unit = fit_ols(_matrix(np.column_stack([a, b, k])), y)
+        tiny = fit_ols(_matrix(np.column_stack([a, b, 1e-10 * k])), y)
+        np.testing.assert_allclose(tiny.weights * [1.0, 1.0, 1e-10], unit.weights, rtol=1e-9, atol=0)
+        assert tiny.intercept == pytest.approx(unit.intercept, rel=1e-9, abs=1e-12)
 
     def test_too_few_rows_rejected(self):
         data = _matrix(np.eye(2))
@@ -259,6 +267,28 @@ class TestFitOls:
                 support=p.support,
             )
             assert empirical_risk(other, data, y, SQUARED_ERROR) >= base - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(-6, 6), st.integers(0, 2**32 - 1))
+def test_units_of_a_column_change_no_fit(d, col, k, seed):
+    # singularity is judged at unit scale: a well-conditioned design fits
+    # with any support column rescaled by 10^k, its weight scaled by
+    # 10^-k, and a duplicated column is rejected, naming it, at every k
+    rng = np.random.default_rng(seed)
+    col %= d
+    offset, scale = rng.uniform(-100.0, 100.0, d), 10.0 ** rng.uniform(-1.0, 1.0, d)
+    values = offset + scale * rng.standard_normal((200, d))
+    y = (values - offset) / scale @ rng.uniform(0.5, 2.0, d) + 0.1 * rng.standard_normal(200)
+    factor = np.ones(d)
+    factor[col] = 10.0**k
+    unit = fit_ols(_matrix(values), TargetVector(y))
+    rescaled = fit_ols(_matrix(values * factor), TargetVector(y))
+    np.testing.assert_allclose(rescaled.weights * factor, unit.weights, rtol=1e-9, atol=0)
+    assert rescaled.intercept == pytest.approx(unit.intercept, rel=1e-9, abs=1e-9 * np.abs(y).max())
+    duplicated = np.column_stack([values, values[:, col]]) * np.append(factor, 1.0)
+    with pytest.raises(SingularDesign, match=rf"^Gram matrix is numerically singular: 'x{col}', 'x{d}' are near-collinear$"):
+        fit_ols(_matrix(duplicated), TargetVector(y))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
