@@ -12,43 +12,48 @@ a kept column or the bitmask of the columns it is redrawn given (0 for
 an independent redraw). Two measures that assign the same plan to a
 term ask for the same risk.
 
+Risk kernels: the evaluator picks, once per mode when it is built, the
+method that turns missing terms into risks (`_kernels`). `_moment` takes
+a linear predictor under squared error in `original_f` and
+exact-marginalized mode (Moment form below); `_linear_rows` a linear
+predictor's other terms (cross-entropy, Monte-Carlo marginalization);
+`_opaque_rows` any other predictor, on the materialized plan matrix. The
+two row kernels score n-length predictions. Only a linear predictor's
+conditional expectation has a closed form, so exact marginalization of
+any other has no kernel, and `evaluate` refuses a batch that needs one.
+
 Common random numbers: both terms of a repetition read the same draws,
-keyed by the canonical (name-sorted) column order. On the row path
-(`original_f` terms the moment form below does not cover: cross-entropy
-loss, or a predictor that is not linear) each canonical column has its
-own stream, `derive_seed(seed, rep, 3, rank)`, and its n standard
-normals are drawn the first time a term of the repetition reads the
-column, then kept for the other term (`_ColumnDraws`). A linear
-predictor reads only the columns its v weights, so a term that redraws
-one weighted column draws n normals and a term whose v is 0 draws none.
-On the moment form below both terms read one sample of the moments of
-an n x d draw. Identical plans therefore produce bit-identical risks and
-an exactly zero estimate, and paired runs under a shared seed reuse
-draws. Estimates do not depend on the order or position of the columns:
-bit for bit for a linear predictor under squared error in `original_f`
-and exact-marginalized mode (the moment form below works in canonical
-order), and to rounding on every other path (cross-entropy, Monte-Carlo
-marginalization, any other predictor), whose row sums follow the
-column order.
+keyed by the canonical (name-sorted) column order. In `original_f` mode
+the row kernels give each canonical column its own stream,
+`derive_seed(seed, rep, 3, rank)`, and its n standard normals are drawn
+the first time a term of the repetition reads the column, then kept for
+the other term (`_ColumnDraws`). A linear predictor reads only the
+columns its v weights, so a term that redraws one weighted column draws
+n normals and a term whose v is 0 draws none. Under `_moment` both terms
+read one sample of the moments of an n x d draw. Identical plans
+therefore produce bit-identical risks and an exactly zero estimate, and
+paired runs under a shared seed reuse draws. Estimates do not depend on
+the order or position of the columns: bit for bit under `_moment`, which
+works in canonical order, and to rounding under the row kernels, whose
+row sums follow the column order.
 
 Term memo: a term's risk is a pure function of its plan and the draws
 it consumes, under the evaluator's one loss. Those draws are fixed by
 (mode, seed, repetition, stream): `original_f` terms share the
-repetition's draws (stream 0: the column streams on the row path, the
-sampled moments on the moment form), Monte-Carlo marginalized terms
-each take their own integration stream (1 or 2), and exact-marginalized
-terms consume no draws at all. So each evaluator keeps one memo entry
-per term, keyed on `(plan, mode, seed, stream)`, or on `(plan,)` alone
-for exact marginalization, holding the risks of repetitions 0..r-1 in
+repetition's draws (stream 0: the row kernels' column streams, the
+moments `_moment` samples), Monte-Carlo marginalized terms each take
+their own integration stream (1 or 2), and exact-marginalized terms
+consume no draws at all. So each evaluator keeps one memo entry per
+term, keyed on `(plan, mode, seed, stream)`, or on `(plan,)` alone for
+exact marginalization, holding the risks of repetitions 0..r-1 in
 order. The key is the term's whole description: the engine reads the
 plan and the stream it draws from off the key. Every evaluation asks
-for repetitions 0..n_mc-1, so an entry is always such a prefix: a larger
-n_mc computes only the missing repetitions and extends it. A reused risk is the float that
-recomputation would give, bit for bit; only the evaluator's
-`terms_computed` / `terms_reused` counters (one per term and repetition)
-can tell the two apart. Under the moment form below a repetition's
-moments are sampled at most once per evaluator, however many terms
-miss.
+for repetitions 0..n_mc-1, so an entry is always such a prefix: a
+larger n_mc computes only the missing repetitions and extends it. A
+reused risk is the float that recomputation would give, bit for bit;
+only the evaluator's `terms_computed` / `terms_reused` counters (one per
+term and repetition) can tell the two apart. `_moment` samples a
+repetition's moments at most once per evaluator, for all its terms.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
@@ -67,34 +72,33 @@ its set's solve. A plan's [u | c - b] is then the sum, over the columns
 k in canonical order, of `forms_C[k]` for a column redrawn given C
 (conditioning reads the original columns) or `[w_k e_k | 0]` for a kept
 one: no solve and no matrix product per plan, and a stack of plans is
-assembled by one gather per column from the table. Only draws need the Cholesky factor L of a
-group's conditional covariance block, which puts `L^T w_T` in v at the
-targets' canonical draw columns. When a batch has terms that take draws
-(`original_f`, Monte-Carlo marginalization, or any other `Predictor`,
-which is evaluated on the materialized plan matrix), the (C, T) pairs
-the table lacks are factorized with one stacked Cholesky per group size
-|T| and kept with their `L^T w_T`. Exact marginalization is `X @ u + c`
-and never factorizes, so a conditional block that cannot be factorized
-raises `SingularConditioning` only where draws are taken. LAPACK solves
-and factorizes each matrix of a stack on its own, so a set's tables and
+assembled by one gather per column from the table. Only draws need the
+Cholesky factor L of a group's conditional covariance block, which puts
+`L^T w_T` in v at the targets' canonical draw columns. When a batch has
+terms that take draws (`original_f`, Monte-Carlo marginalization, or
+`_opaque_rows`), the (C, T) pairs the table lacks are factorized with
+one stacked Cholesky per group size |T| and kept with their `L^T w_T`.
+Exact marginalization is `X @ u + c` and never factorizes, so a
+conditional block that cannot be factorized raises
+`SingularConditioning` only where draws are taken. LAPACK solves and
+factorizes each matrix of a stack on its own, so a set's tables and
 factors, and so every plan's (u, v, c), are the same floats whichever
 batch built them. No n x d plan matrix is built on the linear path.
 
-Moment form: a linear predictor's squared-error risk is a quadratic form
-in the moments of the data and the draws, so those terms (in
-`original_f` and exact-marginalized mode) never form an n-length
-prediction. With `X_c`, `y_c` the evaluation data and target minus their
-means `x_bar`, `y_bar` (columns in canonical order, u permuted to match)
-and `k = c + x_bar . u - y_bar`, the exact-marginalized risk is
-`u' S_xx u - 2 u' s_xy + s_yy + k^2` with `S_xx = X_c' X_c / n`,
-`s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`. The means and the
-unscaled cross-products come once per evaluator from
+Moment form (`_moment`): a linear predictor's squared-error risk is a
+quadratic form in the moments of the data and the draws, so those terms
+never form an n-length prediction. With `X_c`, `y_c` the evaluation data
+and target minus their means `x_bar`, `y_bar` (columns in canonical
+order, u permuted to match) and `k = c + x_bar . u - y_bar`, the
+exact-marginalized risk is `u' S_xx u - 2 u' s_xy + s_yy + k^2` with
+`S_xx = X_c' X_c / n`, `s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`.
+The means and the unscaled cross-products come once per evaluator from
 `core.centred_moments`, the summary the fits read: the rows are read in
 place and summed a block at a time, so no copy of them is made. A stack
 of plans takes its quadratic forms row by row (see Games below).
-Centring matters:
-on data offset by 1e3, risks from uncentred moments were off by up to
-1.5e-9 relative (4.7e-8 at 1e4), centred ones by 8e-14 (7.8e-13). An `original_f` term adds
+Centring matters: on data offset by 1e3, risks from uncentred moments
+were off by up to 1.5e-9 relative (4.7e-8 at 1e4), centred ones by
+8e-14 (7.8e-13). An `original_f` term adds
 `v' S_zz v + 2 v' S_zx u + 2 k v' z_bar - 2 v' s_zy`, where z is the
 repetition's n x d standard-normal draw, `S_zz = z' z / n`,
 `S_zx = z' X_c / n`, `z_bar = z' 1 / n` and `s_zy = z' y_c / n`.
@@ -104,24 +108,22 @@ n x d normals. Let M = [X_c, y_c, 1] (n x (d + 2)) and B any q x (d + 2)
 matrix with `B' B = M' M`, q = min(n, d + 2); the evaluator takes B once
 from an eigendecomposition of `M' M`, which is blockdiag(S, n) for S
 the unscaled centred cross-products of [X_c, y_c] (the 1 column is
-orthogonal to the centred ones), keeping the q largest
-eigenvalues and setting those within rounding of 0 to 0, so B is exact
-when M is rank-deficient (a target exactly linear in the columns). Then
-M = Q B for some n x q Q with orthonormal columns, and for z with
-independent standard-normal entries `G = Q' z` is q x d standard normal
-and `z' z - G' G = z' (I - Q Q') z` is Wishart(n - q, I_d), independent of
-G. Per (seed, rep) the evaluator draws G and the upper-trapezoidal
-Bartlett factor T of that Wishart (min(n - q, d) rows,
+orthogonal to the centred ones), keeping the q largest eigenvalues and
+setting those within rounding of 0 to 0, so B is exact when M is
+rank-deficient (a target exactly linear in the columns). Then M = Q B
+for some n x q Q with orthonormal columns, and for z with independent
+standard-normal entries `G = Q' z` is q x d standard normal and
+`z' z - G' G = z' (I - Q Q') z` is Wishart(n - q, I_d), independent of G.
+Per (seed, rep) the evaluator draws G and the upper-trapezoidal Bartlett
+factor T of that Wishart (min(n - q, d) rows,
 `T_ii = sqrt(chi2(n - q - i))` for i from 0, standard normals above the
 diagonal; Smith & Hocking 1972, "Wishart variate generator") from
-`derive_seed(seed, rep)`, and sets `z' M = G' B` and
-`z' z = G' G + T' T`. The four moments then cost O(d^2 + d q) however
-large n is, and are kept (about d(2d + 2) floats) for every later term
-of that (seed, rep). They have exactly the law of an n x d draw's
-moments, so the moment form and the row path (cross-entropy,
-Monte-Carlo marginalization, any other predictor) agree in law, not
-draw for draw: given the same z, the moment risk equals the row-path
-risk to rounding.
+`derive_seed(seed, rep)`, and sets `z' M = G' B` and `z' z = G' G + T' T`.
+The four moments then cost O(d^2 + d q) however large n is, and are kept
+(about d(2d + 2) floats) for every later term of that (seed, rep). They
+have exactly the law of an n x d draw's moments, so `_moment` and the
+row kernels agree in law, not draw for draw: given the same z, their
+risks agree to rounding.
 
 Games: a Shapley decomposition values many coalitions of one measure
 that differ only in their `aux` set. `evaluate` takes such a game whole,
@@ -134,10 +136,10 @@ are DI_from and AI_via through every column (`_plan_pairs`), so a table's
 total is that mask in its components' batch. The sets are validated
 once per batch, both plan keys of every mask are built with bit
 operations, each term is looked up in the memo once, and the missing
-plans' (u, v, c) are assembled as stacked arrays.
-Their moment-form risks, over all plans and repetitions at once, are
-row-wise products (`_dot`) that add each dot product's terms in index
-order, as the last running sum of `np.add.accumulate`. No BLAS
+plans' (u, v, c) are assembled as stacked arrays. Their moment-form
+risks, over all plans and repetitions at once, are row-wise products
+(`_dot`) that add each dot product's terms in index order, as the last
+running sum of `np.add.accumulate`. No BLAS
 product, einsum or numpy reduction runs over the batch: each picks its
 loop order and SIMD path by the arrays' shapes and memory alignment, so
 a row's rounding would depend on the rows around it (seen with einsum
@@ -148,40 +150,38 @@ error over the repetitions: they come from `pool`, the one pooling rule
 (it also pools a sampled Shapley table's orders and a SAGE table's
 contexts), which sums each column in index order too. The plan keys
 follow the column order, the sums the canonical order, so the
-permutation invariance above holds for batches too. Terms outside the
-moment form take their risks from n-length predictions, pair by pair
-and, within a pair, repetition by repetition, so the two terms of a
-repetition read one set of column draws.
+permutation invariance above holds for batches too. The row kernels go
+pair by pair and, within a pair, repetition by repetition
+(`_row_risks`), so the two terms of a repetition read one set of column
+draws.
 
-Linear Monte-Carlo marginalization: a marginalized term averages the
-prediction over m = n_integration draws. For a linear predictor that
-mean is `X @ u + c + (1/m) sum_k z_k @ v`, and since each `z_k @ v` is
-N(0, |v|^2) per row, independently across rows and draws, the sum is
-exactly N(0, |v|^2 / m) per row. So the engine draws one standard
-normal e per row from the term's integration stream and predicts
-`X @ u + c + (|v| / sqrt(m)) e`: the same distribution of mean
+Linear Monte-Carlo marginalization (`_linear_rows`): a marginalized term
+averages the prediction over m = n_integration draws. For a linear
+predictor that mean is `X @ u + c + (1/m) sum_k z_k @ v`, and since each
+`z_k @ v` is N(0, |v|^2) per row, independently across rows and draws,
+the sum is exactly N(0, |v|^2 / m) per row. So the kernel draws one
+standard normal e per row from the term's integration stream and
+predicts `X @ u + c + (|v| / sqrt(m)) e`: the same distribution of mean
 predictions, hence of every cross-entropy risk, from n normals instead
-of m n d. Under squared error the full-draw path subtracts the sampled
-variance of the mean, S^2 / m, per row; the linear path subtracts the
-known |v|^2 / m (nothing when m = 1, as on the full-draw path). Both
-corrections have expectation |v|^2 / m, and for Gaussian draws S^2 is
-independent of their mean, so E[S^2 | mean] = |v|^2: the linear risk is
-the Rao-Blackwellisation of the full-draw one, with the same
-expectation and no larger variance. Any other `Predictor` keeps
-n_integration full n x d draws from the term's integration stream
-`derive_seed(seed, rep, stream)` on the materialized plan matrix. So here,
-unlike in `original_f` mode, where both read the same column streams
-and agree to rounding, a `LinearPredictor` and any other `Predictor`
-computing the same map take different normals and agree in
+of m n d. Under squared error `_opaque_rows` subtracts the sampled
+variance of the mean, S^2 / m, per row; `_linear_rows` subtracts the
+known |v|^2 / m (both nothing when m = 1). Both corrections have
+expectation |v|^2 / m, and for Gaussian draws S^2 is independent of
+their mean, so E[S^2 | mean] = |v|^2: the linear risk is the
+Rao-Blackwellisation of the full-draw one, with the same expectation and
+no larger variance. `_opaque_rows` keeps n_integration full n x d draws
+from the term's integration stream `derive_seed(seed, rep, stream)`. So
+here, unlike in `original_f` mode, where both read the same column
+streams and agree to rounding, a `LinearPredictor` and any other
+`Predictor` computing the same map take different normals and agree in
 distribution, not draw for draw.
 
 Cross-entropy under Monte-Carlo marginalization is biased: the loss of
 the mean of n_integration draws is not the mean loss, and unlike the
-squared-error Var/m correction in `_term_risk` nothing removes the
-difference, so such a risk keeps a Jensen bias of order
-1 / n_integration. That holds on the linear path too, whose mean
-prediction has the same distribution as the full draws' mean. Exact
-marginalization (linear predictors only) has no integration noise.
+squared-error Var/m correction nothing removes the difference, so such a
+risk keeps a Jensen bias of order 1 / n_integration, on both row kernels
+(their mean predictions have one distribution). Exact marginalization
+has no integration noise.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def _column_seed(seed: int, rep: int, rank: int) -> int:
 
 
 class _ColumnDraws:
-    """A repetition's standard normals on the row path: n per canonical
+    """A repetition's standard normals on the row kernels: n per canonical
     column, from the column's own stream `_column_seed(seed, rep, rank)`,
     drawn the first time a term reads the column and kept for the other
     term. Answers `z[:, cols]` (cols in canonical order) as an ndarray
@@ -363,8 +363,13 @@ class ImportanceEvaluator:
         # how the columns are ordered (see the module docstring)
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
-        weights = predictor.weights if isinstance(predictor, LinearPredictor) else None
-        self._table = _Conditioning(gaussian, self._canon_order, weights)
+        linear = isinstance(predictor, LinearPredictor)
+        self._table = _Conditioning(gaussian, self._canon_order, predictor.weights if linear else None)
+        # each mode's risk kernel (see the module docstring); None: no closed form to marginalize
+        rows = self._linear_rows if linear else self._opaque_rows
+        moment = self._moment if linear and loss.kind == "squared_error" else rows
+        exact = moment if linear else None
+        self._kernels = {"original_f": moment, "marginalized": exact if exact_marginalization else rows}
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -556,16 +561,11 @@ class ImportanceEvaluator:
         return risk + (v_zz_v + 2.0 * v_zx_u + 2.0 * k * _dot(v, z_bar) - 2.0 * _dot(v, s_zy))
 
     def _marginalized_prediction(self, predict, rng: np.random.Generator):
-        """Marginalize a non-linear model over a plan's perturbed columns.
-
-        Predictions are averaged over n_integration draws, so the
-        result approximates E[f(X_keep, X_perturbed) | conditioning]
-        row by row. Returns the per-row mean prediction and the per-row
-        variance of that mean (sample variance over draws divided by
-        the draw count), which is the integration-noise correction for
-        squared-error risks. A `LinearPredictor` draws its mean directly
-        instead (`_term`).
-        """
+        """The per-row mean of n_integration predictions on a plan's
+        perturbed columns, approximating E[f(X_keep, X_perturbed) |
+        conditioning], and the per-row variance of that mean (the sample
+        variance over the draws by their count): the squared-error
+        integration-noise correction of `_opaque_rows`."""
         n, d = self.data.values.shape
         m = self.n_integration
         total = np.zeros(n)
@@ -583,8 +583,8 @@ class ImportanceEvaluator:
     def _term_risk(self, y: np.ndarray, pred: np.ndarray, mean_variance: np.ndarray | float | None) -> float:
         """Mean loss of the predictions. Under Monte-Carlo
         marginalization only squared error is corrected for integration
-        noise (per row, or by one known variance on the linear path); a
-        cross-entropy risk keeps its O(1/n_integration) bias."""
+        noise (per row on `_opaque_rows`, by one known variance on
+        `_linear_rows`); cross-entropy keeps its O(1/n_integration) bias."""
         base = self.loss.elementwise(y, pred)
         # E[(y - mean of m draws)^2] overshoots the marginalized risk by
         # Var/m; subtracting the unbiased variance estimate removes it
@@ -606,10 +606,9 @@ class ImportanceEvaluator:
         # with exact marginalization the conditional means integrate
         # the expectation in closed form, so a term needs no draws
         exact = spec.mode == "marginalized" and self.exact_marginalization
-        linear = isinstance(self.predictor, LinearPredictor)
-        if exact and not linear and any(t1 != t2 for t1, t2 in pairs):
+        kernel = self._kernels[spec.mode]
+        if kernel is None and any(t1 != t2 for t1, t2 in pairs):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
-        moment_form = linear and self.loss.kind == "squared_error" and (exact or spec.mode == "original_f")
         n_reps = 1 if exact else spec.n_mc
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
@@ -635,7 +634,7 @@ class ImportanceEvaluator:
         computed = sum(n_reps - held for _, held in misses.values())
         self.terms_computed += computed
         self.terms_reused += 2 * n_reps * len(live) - computed
-        for key, computed_risks in self._compute(spec, misses, n_reps, exact, moment_form).items():
+        for key, computed_risks in (kernel(spec, misses, n_reps, exact) if misses else {}).items():
             self._risks.setdefault(key, []).extend(computed_risks)
         # each live mask's mean and standard error over the repetitions,
         # one column of `pool`; identical plans differ by 0.0
@@ -650,67 +649,68 @@ class ImportanceEvaluator:
                 "aux": spec.aux.indices}
         return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
 
-    def _compute(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool, moment_form: bool) -> dict:
-        """Risks of the missing terms, keyed like the memo: for each, the
-        repetitions from the number it holds up to n_reps, in order."""
-        if not misses:
-            return {}
+    # -- risk kernels: {memo key: risks of repetitions held..n_reps-1} --------
+
+    def _moment(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
+        """A linear predictor under squared error, in `original_f` or
+        exact-marginalized mode: the moment form, one key per plan, every
+        plan's risks of every repetition that some term misses at once."""
+        u, v, c = self._linear_forms([key[0] for key in misses], not exact)
+        first = min(held for _, held in misses.values())
+        draws = None if exact else tuple(
+            map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in range(first, n_reps)))))
+        risks = self._moment_risks(u[:, self._canon_order], v, c, draws)
+        return {key: risks[held - first:, p].tolist() for p, (key, (_, held)) in enumerate(misses.items())}
+
+    def _linear_rows(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
+        """A linear predictor's other terms, from its form (u, v, c):
+        `X @ u + c`, plus `z @ v` in `original_f` (the columns v weights
+        only) or, under Monte-Carlo marginalization, one N(0, |v|^2 / m)
+        normal per row from the term's integration stream."""
         plans = list(dict.fromkeys(key[0] for key in misses))
-        linear = isinstance(self.predictor, LinearPredictor)
-        forms = self._linear_forms(plans, not exact) if linear else None
-        if moment_form:  # one key per plan, in the plans' order
-            u, v, c = forms
-            # every repetition that some term misses, for every plan
-            first = min(held for _, held in misses.values())
-            draws = None if exact else tuple(
-                map(np.stack, zip(*(self._draws(spec.seed, rep) for rep in range(first, n_reps)))))
-            risks = self._moment_risks(u[:, self._canon_order], v, c, draws)
-            return {key: risks[held - first:, p].tolist() for p, (key, (_, held)) in enumerate(misses.items())}
-        if linear:  # per plan: (u in column order, v, c), copied out so BLAS sees them as in a batch of one
-            u, v, c = forms
-            forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
-        else:  # every plan draws through `_build_matrix`
-            self._set_up(plans, draws=True)
-        return self._row_risks(spec, misses, n_reps, forms)
+        u, v, c = self._linear_forms(plans, not exact)
+        # per plan, copied out so BLAS sees them as in a batch of one
+        forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
+        m = self.n_integration
 
-    def _term(self, spec: MeasureSpec, key: tuple, forms: dict | None):
-        """The prediction of the term `key` outside the moment form, as a
-        function `(rep, z) -> (prediction, variance to subtract)` of the
-        repetition and its `_ColumnDraws`, chosen once per term. A linear
-        form (u, v, c) predicts `X @ u + c` under exact marginalization
-        (v is None: `evaluate` admits only linear predictors there), adds
-        `z @ v` in `original_f` (reading only the columns v weights), and
-        under Monte-Carlo marginalization adds one N(0, |v|^2 / m) normal
-        per row from the term's integration stream, the key's last entry
-        (see the module docstring). Any other predictor reads the
-        materialized plan matrix."""
-        plan = key[0]
+        def term(key):
+            u, v, c = forms[key[0]]
+            base = self.data.values @ u + c
+            if v is None:
+                return lambda rep, z: (base, None)
+            if spec.mode == "original_f":
+                nz = np.flatnonzero(v)
+                return lambda rep, z: (base + z[:, nz] @ v[nz] if len(nz) else base, None)
+            var = float(v @ v) / m
+            return lambda rep, z: (base + np.sqrt(var) * self._integration(spec, key, rep).standard_normal(len(base)),
+                                   var if m > 1 else 0.0)
 
-        def integration(rep):
-            return np.random.default_rng(derive_seed(spec.seed, rep, key[-1]))
+        return self._row_risks(spec, misses, n_reps, term)
 
-        if forms is None:
+    def _opaque_rows(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
+        """Any other predictor, on the materialized plan matrix: one
+        prediction, or the mean of n_integration when marginalized."""
+        self._set_up(list(dict.fromkeys(key[0] for key in misses)), draws=True)
+
+        def term(key):
             def model(z):
-                return self.predictor.predict(self._build_matrix(plan, z))
+                return self.predictor.predict(self._build_matrix(key[0], z))
 
             if spec.mode == "original_f":
                 return lambda rep, z: (model(z), None)
-            return lambda rep, z: self._marginalized_prediction(model, integration(rep))
-        u, v, c = forms[plan]
-        base = self.data.values @ u + c
-        if v is None:
-            return lambda rep, z: (base, None)
-        if spec.mode == "original_f":
-            nz = np.flatnonzero(v)
-            return lambda rep, z: (base + z[:, nz] @ v[nz] if len(nz) else base, None)
-        m = self.n_integration
-        var = float(v @ v) / m
-        return lambda rep, z: (base + np.sqrt(var) * integration(rep).standard_normal(len(base)),
-                               var if m > 1 else 0.0)
+            return lambda rep, z: self._marginalized_prediction(model, self._integration(spec, key, rep))
 
-    def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, forms: dict | None) -> dict:
-        """Risks of missing terms that the moment form does not cover, on
-        n-length predictions (`_term`). The terms go pair by pair (a term
+        return self._row_risks(spec, misses, n_reps, term)
+
+    @staticmethod
+    def _integration(spec: MeasureSpec, key: tuple, rep: int) -> np.random.Generator:
+        """A marginalized term's integration stream: the key's last entry."""
+        return np.random.default_rng(derive_seed(spec.seed, rep, key[-1]))
+
+    def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, term) -> dict:
+        """Risks of missing terms on n-length predictions: `term(key)` is
+        the term's `(rep, z) -> (prediction, variance to subtract)`, z the
+        repetition's `_ColumnDraws`. The terms go pair by pair (a term
         goes with the first pair that misses it) and, within a pair,
         repetition by repetition, so both terms of a repetition read one
         set of column draws, and at most two predictors and one
@@ -719,7 +719,7 @@ class ImportanceEvaluator:
         risks = {key: [] for key in misses}
         # misses are in the order first needed, so a pair's terms are adjacent
         for _, group in groupby(misses.items(), key=lambda item: item[1][0]):
-            terms = [(self._term(spec, key, forms), held, risks[key]) for key, (_, held) in group]
+            terms = [(term(key), held, risks[key]) for key, (_, held) in group]
             for rep in range(min(held for _, held, _ in terms), n_reps):
                 z = _ColumnDraws(self.data.n_rows, spec.seed, rep)
                 for predict, held, out in terms:

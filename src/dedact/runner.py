@@ -148,7 +148,8 @@ def _shuffle_split(x: np.ndarray, y: np.ndarray, names: tuple[str, ...], fractio
     """Permute the rows of `x` and `y` in place, one column at a time, and
     split them into (fit x, fit y, eval x, eval y), row slices of the two
     buffers. The caller's arrays are overwritten, and beside them only the
-    permutation (32-bit below 2**31 rows) and one scratch column are held.
+    permutation (narrowed to 32 bits below 2**31 rows) and one scratch
+    column are held.
     Of the seeded permutation perm, the first n_fit = round(n * fraction)
     entries pick the fit rows and the rest the evaluation rows, each part
     bit for bit what the fancy index `x[perm[:n_fit]]` or
@@ -160,9 +161,15 @@ def _shuffle_split(x: np.ndarray, y: np.ndarray, names: tuple[str, ...], fractio
     C-contiguous, so that its row slices are, and `y` must not share
     memory with it, or its values would be permuted twice."""
     n = len(y)
-    # Generator.permutation(n) is arange(n) shuffled: the same permutation
-    perm = np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    # Generator.permutation(n) is arange(n) shuffled: the same permutation.
+    # It is shuffled as int64, for which Generator.shuffle has a fast path
+    # (it copies other item sizes one by one), then narrowed: the int64
+    # array and its int32 copy hold 1.5 n doubles, as the int32 one and
+    # the scratch column do later
+    perm = np.arange(n)
     np.random.default_rng(derive_seed(seed, 90)).shuffle(perm)
+    if n < 2**31:
+        perm = perm.astype(np.int32)
     n_fit = int(round(n * fraction))
     n_eval = n - n_fit
     buf = np.empty(n)

@@ -456,6 +456,36 @@ class TestPlanEngine:
                 expected = predictor.predict(linear._build_matrix(plan, z))
                 np.testing.assert_allclose(x @ u + z @ v + c, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("mode,exact", [("original_f", False), ("marginalized", False), ("marginalized", True)],
+                             ids=["original_f", "monte_carlo", "exact"])
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    @pytest.mark.parametrize("which", ["linear", "opaque"])
+    def test_each_term_takes_its_documented_path(self, monkeypatch, which, loss, mode, exact):
+        # a linear predictor's squared-error terms in `original_f` and exact
+        # mode take the moment form, its other terms the linear row path;
+        # any other predictor reads the materialized plan matrix, and has
+        # no closed form to marginalize exactly
+        linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3, n_mc=2, loss=loss,
+                                               exact_marginalization=exact)
+        ev = linear if which == "linear" else opaque
+        calls = []
+        for name in ("_moment_risks", "_linear_forms", "_build_matrix"):
+            def spy(*args, _name=name, _method=getattr(ev, name), **kw):
+                calls.append(_name)
+                return _method(*args, **kw)
+
+            monkeypatch.setattr(ev, name, spy)
+        if which == "opaque" and exact:
+            with pytest.raises(DimensionMismatch, match="^exact marginalization requires a linear predictor$"):
+                ev.direct_importance([0], [1], mode=mode)
+            assert ev.terms_computed == 0 and not calls
+            return
+        ev.direct_importance([0], [1], mode=mode)
+        expected = {"_build_matrix"} if which == "opaque" else {"_linear_forms"}
+        if which == "linear" and loss is SQUARED_ERROR and (exact or mode == "original_f"):
+            expected.add("_moment_risks")
+        assert set(calls) == expected
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_reused_terms_are_bit_identical(self, exact):
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
@@ -677,6 +707,29 @@ class TestLinearMonteCarloMarginalization:
             specs = _random_specs(4, rng, 4, mode="marginalized", n_mc=3, seed=5)
             got = [(e.value, e.std_error) for e in map(opaque.evaluate, specs)]
             assert got == pytest.approx(pinned[loss.kind], rel=1e-12)
+        # a linear predictor's terms off the moment form, recorded the same
+        # way: the row path's draws and BLAS products, per (loss, mode, exact)
+        pinned_linear = {
+            ("cross_entropy", "original_f", False): [
+                (12.528304346286403, 0.3317268419207909), (40.312438107333264, 4.5989056524234595),
+                (52.89890093228363, 3.853070620835453), (52.88147601337926, 3.7733567240490626)],
+            ("squared_error", "marginalized", False): [
+                (1.4675635919095071, 0.04408904150859464), (4.5559518837749335, 0.35537703632913187),
+                (5.7820746212464975, 0.282802503101104), (5.7864732384649065, 0.28355425541698553)],
+            ("cross_entropy", "marginalized", False): [
+                (10.621826308680754, 0.30015941948167313), (38.852630054149095, 3.615543041298529),
+                (48.07200444898263, 2.943847287592544), (47.8856611055514, 2.7837526937509054)],
+            ("cross_entropy", "marginalized", True): [
+                (8.892444781887765, 0.0), (32.611573035887254, 0.0),
+                (40.57218089869706, 0.0), (40.35062516864661, 0.0)],
+        }
+        for ev, mode in _engine_paths():
+            case = (ev.loss.kind, mode, mode == "marginalized" and ev.exact_marginalization)
+            if isinstance(ev.predictor, LinearPredictor) and case in pinned_linear:
+                specs = _random_specs(4, np.random.default_rng(11), 4, mode=mode, n_mc=3, seed=5)
+                got = [(e.value, e.std_error) for e in map(ev.evaluate, specs)]
+                assert got == pytest.approx(pinned_linear.pop(case), rel=1e-12), case
+        assert not pinned_linear
 
 
 def _shifted(ev, shift):
