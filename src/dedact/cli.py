@@ -60,19 +60,16 @@ def _cmd_run(args, which: str) -> int:
 
 def _cmd_demo(args) -> int:
     # the flags are checked here, so an error names the flag, not the config key it fills
-    orders = {"n_sage_orders": ("--sage-orders", args.sage_orders),
-              "n_decomp_orders": ("--decomp-orders", args.decomp_orders)}
-    for flag, value in orders.values():
-        if value is not None and args.which == "biomarker":  # the biomarker demo solves no Shapley game
-            raise ConfigError(f"{flag} applies to the census demo only")
-        _at_least(flag, value, 1)
+    if args.sage_orders is not None and args.which == "biomarker":  # the biomarker demo solves no Shapley game
+        raise ConfigError("--sage-orders applies to the census demo only")
+    _at_least("--sage-orders", args.sage_orders, 1)
     _at_least("--n", args.n, 4)  # at least 2 rows on each side of the fit / evaluation split
     _at_least("--seed", args.seed, 0)
     if args.which == "biomarker":
         run_biomarker_demo(seed=args.seed, n=args.n, outdir=args.out)
     else:  # a flag left out keeps run_census_demo's default
-        run_census_demo(seed=args.seed, n=args.n, outdir=args.out,
-                        **{key: value for key, (_, value) in orders.items() if value is not None})
+        orders = {} if args.sage_orders is None else {"n_sage_orders": args.sage_orders}
+        run_census_demo(seed=args.seed, n=args.n, outdir=args.out, **orders)
     print(f"demo {args.which} written to {args.out}")
     return 0
 
@@ -151,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--sage-orders", type=int, help="census only: SAGE contexts per table (default 60)")
-    p.add_argument("--decomp-orders", type=int, help="census only: player orders per context (default 25)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("report", help="pretty-print a result bundle")

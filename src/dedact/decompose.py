@@ -21,7 +21,11 @@ sums each player's weighted (exact) or pools the orders (sampled).
 A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
 context: j's surplus AI(j | C), then one contribution per pathway.
 Orders and contexts pool through `dedact.importance.pool`, as a
-measure's repetitions do, each column summed in index order.
+measure's repetitions do, each column summed in index order. Under
+`solver: auto`, an evaluator that solves pathway games in closed form
+(`ImportanceEvaluator.solves_pathway_games`) takes every context's game
+whole, as `PathwayGames` in one `evaluate` call, and no coalition is
+valued.
 """
 
 from __future__ import annotations
@@ -34,7 +38,16 @@ import numpy as np
 
 from .core import FeatureIndexSet, derive_seed
 from .errors import DimensionMismatch, TooManyPlayers
-from .importance import ImportanceEvaluator, MeasureBatch, _mask, _mask_array, check_orders, pool, sage_loop
+from .importance import (
+    ImportanceEvaluator,
+    MeasureBatch,
+    PathwayGames,
+    _mask,
+    _mask_array,
+    check_orders,
+    pool,
+    sage_loop,
+)
 
 EXACT_SOLVER_MAX_PLAYERS = 15
 AUTO_EXACT_THRESHOLD = 8
@@ -77,18 +90,24 @@ class _MeasureGame(CooperativeGame):
     """The game of one measure's `aux` set: player p brings column
     `columns[p]`, and a coalition's value is the estimate with those
     columns as aux. All coalitions valued together take one `evaluate`
-    call, a `MeasureBatch`."""
+    call, a `MeasureBatch`; `grand_se` keeps the grand coalition's SE
+    once it is valued."""
 
     def __init__(self, ev: ImportanceEvaluator, spec, columns: list[int]):
         FeatureIndexSet.of(columns).validate_within(ev.data.n_cols)
         super().__init__(len(columns), None)
         self._ev, self._spec = ev, spec
         self._column_bits = _mask_array([1 << c for c in columns], ev.data.n_cols)
+        self.grand_se: float | None = None
 
     def _value_masks(self, masks: list[int]) -> np.ndarray:
         players = _mask_array(masks, self.n_players)[:, None] >> np.arange(self.n_players) & 1
         auxes = tuple(np.bitwise_or.reduce(players * self._column_bits, axis=1).tolist())
-        return self._ev.evaluate(MeasureBatch(self._spec, auxes))[0]
+        value, se = self._ev.evaluate(MeasureBatch(self._spec, auxes))
+        grand = (1 << self.n_players) - 1
+        if grand in masks:
+            self.grand_se = float(se[masks.index(grand)])
+        return value
 
 
 def _by_aux(ev: ImportanceEvaluator, spec, aux_sets) -> list[tuple[float, float]]:
@@ -294,10 +313,12 @@ def fast_decompose_sage(
     pathways = list(range(d)) if pathways is None else list(pathways)
     blocked = [[c for c in range(d) if c != k] for k in pathways]
 
-    def contributions(o, context):
-        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 811, o))
-        (alpha, _), *vias = _by_aux(ev, spec, [range(d), *blocked])
-        return [alpha, *(alpha - via for via, _ in vias)]
+    def contributions(contexts):
+        batches = [_by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc,
+                                        seed=derive_seed(seed, 811, o)), [range(d), *blocked])
+                   for o, context in enumerate(contexts)]
+        return ([alpha_se for (_, alpha_se), *_ in batches],
+                [[alpha, *(alpha - via for via, _ in vias)] for (alpha, _), *vias in batches])
 
     contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
     return _table(ev, j, pooled[0], pathways, pooled[1:], "fast", order_log=[list(c) for c in contexts])
@@ -308,26 +329,42 @@ def shapley_decompose_sage(
     solver: str = "auto", n_sage_orders: int = 60, n_decomp_orders: int = 25,
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
-    """Pathway games per SAGE context, Shapley-solved and pooled: each
-    context's game is one `evaluate` call under either solver. A context's
-    total is j's surplus AI(j | context), AI-via every column: the game's
-    grand coalition when the pathways cover every column, else that mask
-    in one more evaluation of the game's spec, so the remainder holds the
-    excluded pathways' share."""
+    """Pathway games per SAGE context, Shapley-solved and pooled. A
+    context's total is j's surplus AI(j | context), AI-via every column,
+    so with pathways that leave columns out the remainder holds their
+    share. Under `auto`, an evaluator that solves pathway games in closed
+    form values every context's alpha and components in one `evaluate`
+    call, `PathwayGames` (method `shapley_pairwise`). Otherwise each
+    context's game is one `evaluate` call under the exact or sampled
+    solver, and alpha is the game's grand coalition when the pathways
+    cover every column, else that mask in one more evaluation."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
     every_column = set(pathways) == set(range(d))
+    closed = solver == "auto" and ev.solves_pathway_games and len(set(pathways)) == len(pathways)
     solved = []
 
-    def attributions(o, context):
-        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
-        game = _MeasureGame(ev, spec, pathways)
-        solved.append(solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o)))
-        alpha = game.value(range(len(pathways))) if every_column else _by_aux(ev, spec, [range(d)])[0][0]
-        return [alpha, *solved[-1].attributions]
+    def attributions(contexts):
+        specs = [ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
+                 for o, context in enumerate(contexts)]
+        if closed:
+            alpha, alpha_se, phi = ev.evaluate(PathwayGames(specs, pathways))
+            return alpha_se, np.column_stack([alpha, phi])
+        alpha_se, rows = [], []
+        for o, spec in enumerate(specs):
+            game = _MeasureGame(ev, spec, pathways)
+            solved.append(solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o)))
+            if every_column:
+                alpha = game.value(range(len(pathways))), game.grand_se
+            else:
+                [alpha] = _by_aux(ev, spec, [range(d)])
+            alpha_se.append(alpha[1])
+            rows.append([alpha[0], *solved[-1].attributions])
+        return alpha_se, rows
 
     contexts, rows, pooled = sage_loop(d, j, n_sage_orders, seed, "n_sage_orders", attributions)
     per_context = [{"context": c, "alpha": float(row[0]), "phi": row[1:].tolist()} for c, row in zip(contexts, rows)]
-    return _table(ev, j, pooled[0], pathways, pooled[1:], f"shapley_{solved[-1].solver}",
+    method = "shapley_pairwise" if closed else f"shapley_{solved[-1].solver}"
+    return _table(ev, j, pooled[0], pathways, pooled[1:], method,
                   order_log=[list(c) for c in contexts], per_context=per_context)

@@ -155,6 +155,28 @@ pair by pair and, within a pair, repetition by repetition
 (`_row_risks`), so the two terms of a repetition read one set of column
 draws.
 
+Pathway games (`PathwayGames`): a SAGE context's game `v(K) = AI_via(J |
+C, K)` over the subsets K of p pathways. Under `_moment` with exact
+marginalization it is quadratic in K's indicator vector s: the second
+plan takes pathway column k's forms row for C u J when s_k = 1 and its
+row for C otherwise, so `u(s) = u0 + D's` and `c(s) = c0 + d's`, rows
+D_k and d_k the differences of the forms of `t2({k})` and `t1`. Then
+`R(s) - R(0) = b's + s'Qs` with `kD = d + D x_bar`,
+`Q = D S_xx D' + kD kD'` and `b = 2 D (S_xx u0 - s_xy) + 2 k0 kD`. A
+quadratic game gives each linear term to its player and splits each
+pairwise term equally (Grabisch, Marichal & Roubens 2000), so
+`phi_i = -(b_i + sum_k Q_ik)`: minus the risk's derivative along
+(D_i, d_i) at the midpoint of the plans t1 and t2(all pathways), which
+`_pathway_games` takes from those two plans' forms, no p x p matrix
+formed. A game is valued from p + 2 linear forms (t1, t2(all pathways),
+each t2({k})) and alpha's two risks, AI_via through every column, which
+go through the memo as any term's do; it counts as p + 1 evaluations,
+alpha and each pathway alone. A SAGE table hands all its contexts' games
+to one `evaluate` call: their plans are built, their conditioning sets
+added and their forms stacked together. Every product is a `_dot` in
+canonical order, so phi depends neither on the column order nor on the
+other games of the batch.
+
 Linear Monte-Carlo marginalization (`_linear_rows`): a marginalized term
 averages the prediction over m = n_integration draws. For a linear
 predictor that mean is `X @ u + c + (1/m) sum_k z_k @ v`, and since each
@@ -324,6 +346,22 @@ class MeasureBatch:
     auxes: tuple[int, ...]
 
 
+class PathwayGames:
+    """One game per marginalized AI_via spec (a SAGE context), each over
+    the subsets K of `pathways` (distinct columns). `evaluate` returns
+    three arrays with a row per spec: alpha, the value and the SE of
+    AI_via through every column, and the pathways' Shapley values, in
+    order (see Pathway games in the module docstring). A plain class: a
+    dataclass would add about 0.4 ms to every import of the package."""
+
+    def __init__(self, specs, pathways):
+        self.specs, self.pathways = tuple(specs), tuple(pathways)
+        if not self.specs or any((s.measure, s.mode) != ("AI_via", "marginalized") for s in self.specs):
+            raise DimensionMismatch("pathway games are marginalized AI_via specs, at least one")
+        if not self.pathways or len(FeatureIndexSet.of(self.pathways).indices) != len(self.pathways):
+            raise DimensionMismatch(f"pathways {self.pathways} must be distinct columns, at least one")
+
+
 class ImportanceEvaluator:
     """Evaluates DI/AI/DI-from/AI-via on one (data, model, Gaussian) triple.
 
@@ -370,6 +408,8 @@ class ImportanceEvaluator:
         moment = self._moment if linear and loss.kind == "squared_error" else rows
         exact = moment if linear else None
         self._kernels = {"original_f": moment, "marginalized": exact if exact_marginalization else rows}
+        # a pathway game is quadratic, and its Shapley values closed-form, under `_moment` without draws
+        self.solves_pathway_games = self._kernels["marginalized"] == self._moment
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -592,11 +632,16 @@ class ImportanceEvaluator:
             base = base - mean_variance
         return float(np.mean(base))
 
-    def evaluate(self, spec: MeasureSpec | MeasureBatch) -> ImportanceEstimate | tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, spec: MeasureSpec | MeasureBatch | PathwayGames):
         """One estimate for a `MeasureSpec`; for a `MeasureBatch`, two
         float arrays, the values and the standard errors of its aux
-        bitmasks in order, each mask counted as one evaluation."""
+        bitmasks in order, each mask counted as one evaluation; for
+        `PathwayGames`, the arrays of its games' alphas, their SEs and
+        the pathways' Shapley values, each game counted as p + 1
+        evaluations."""
         global _eval_count
+        if isinstance(spec, PathwayGames):
+            return self._pathway_games(spec)
         single = not isinstance(spec, MeasureBatch)
         batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
         spec = batch.spec
@@ -606,10 +651,21 @@ class ImportanceEvaluator:
         # with exact marginalization the conditional means integrate
         # the expectation in closed form, so a term needs no draws
         exact = spec.mode == "marginalized" and self.exact_marginalization
+        n_reps = 1 if exact else spec.n_mc
+        value, se = self._differences(spec, pairs, n_reps, exact)
+        if not single:
+            return value, se
+        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
+                "aux": spec.aux.indices}
+        return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
+
+    def _differences(self, spec: MeasureSpec, pairs, n_reps: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Each plan pair's mean risk difference over n_reps repetitions
+        and its standard error, its terms taken from the memo or computed
+        by the mode's kernel."""
         kernel = self._kernels[spec.mode]
         if kernel is None and any(t1 != t2 for t1, t2 in pairs):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
-        n_reps = 1 if exact else spec.n_mc
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
         # draws come from independent streams (1 and 2, a key's last
@@ -643,11 +699,36 @@ class ImportanceEvaluator:
                  - np.array([risks[keys[i][1]][:n_reps] for i in live])).reshape(-1, n_reps)
         value, se = np.zeros(len(keys)), np.zeros(len(keys))
         value[live], se[live] = pool(diffs.T)
-        if not single:
-            return value, se
-        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
-                "aux": spec.aux.indices}
-        return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
+        return value, se
+
+    def _pathway_games(self, games: PathwayGames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each game's alpha and its SE, from the memo or the kernel, and
+        the pathways' Shapley values from the forms of the game's plans
+        t1, t2(all pathways) and each t2({k}): minus the risk's derivative
+        along each pathway's step, at the midpoint of the first two (see
+        Pathway games in the module docstring)."""
+        global _eval_count
+        if not self.solves_pathway_games:
+            raise DimensionMismatch("a pathway game has a closed form only for a linear predictor"
+                                    " under squared error and exact marginalization")
+        q, d = len(games.pathways) + 2, self.data.n_cols
+        # alpha, AI_via through every column; then the masks whose plans give phi
+        auxes = ((1 << d) - 1, _mask(games.pathways), *(1 << k for k in games.pathways))
+        pairs = [self._plan_pairs(spec, auxes) for spec in games.specs]
+        _eval_count += (q - 1) * len(pairs)
+        self.evaluations += (q - 1) * len(pairs)
+        # exact marginalization: a term's memo key and risk do not depend on its spec's seed
+        value, se = self._differences(games.specs[0], [game[0] for game in pairs], 1, True)
+        # each game's plans t1, t2(all pathways) and each t2({k})
+        plans = [t for game in pairs for t in (game[0][0], *(t2 for _, t2 in game[1:]))]
+        u, _, c = self._linear_forms(plans, False)
+        u, c = u[:, self._canon_order].reshape(len(pairs), q, d), c.reshape(len(pairs), q)
+        x_bar, y_bar, s_xx, s_xy, _ = self._moments()
+        k = c + _dot(u, x_bar) - y_bar
+        mid_u, mid_k = (u[:, 0] + u[:, 1]) / 2.0, (k[:, 0] + k[:, 1]) / 2.0
+        grad = (_dot(s_xx, mid_u[:, None]) - s_xy)[:, None]
+        # `0.0 -` keeps a null pathway's 0 from reading -0.0
+        return value, se, 0.0 - 2.0 * (_dot(u[:, 2:] - u[:, :1], grad) + (k[:, 2:] - k[:, :1]) * mid_k[:, None])
 
     # -- risk kernels: {memo key: risks of repetitions held..n_reps-1} --------
 
@@ -778,27 +859,32 @@ class ImportanceEvaluator:
         """Average surplus of j over uniformly random permutation prefixes;
         a single context reports its surplus's own standard error."""
         seed = self.seed if seed is None else seed
-        surpluses = []
 
-        def surplus(o, context):
-            surpluses.append(self.evaluate(self._surplus_spec(variant, [j], context, n_mc, derive_seed(seed, 7002, o))))
-            return [surpluses[-1].value]
+        def surpluses(contexts):
+            ests = [self.evaluate(self._surplus_spec(variant, [j], context, n_mc, derive_seed(seed, 7002, o)))
+                    for o, context in enumerate(contexts)]
+            return [est.std_error for est in ests], [[est.value] for est in ests]
 
-        _, _, [(value, se)] = sage_loop(self.data.n_cols, j, n_orders, seed, "n_orders", surplus)
-        se = surpluses[0].std_error if n_orders == 1 else se
+        _, _, [(value, se)] = sage_loop(self.data.n_cols, j, n_orders, seed, "n_orders", surpluses)
         sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
         return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
 
 
-def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_context) -> tuple:
+def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_contexts) -> tuple:
     """The SAGE context loop: check the order count (`name` is its key),
-    draw j's contexts, value context o as the row `value_context(o,
-    context)` of m floats, and `pool` the rows. Returns the contexts, the
-    n_orders x m rows and the m (mean, SE) pairs."""
+    draw j's contexts, value them all by `value_contexts(contexts)`, which
+    returns the standard error of j's surplus in each context and a row
+    of m floats per context with that surplus first, and `pool` the rows.
+    One context reports its surplus's own SE as the first column's (a
+    pooled row has none). Returns the contexts, the n_orders x m rows and
+    the m (mean, SE) pairs."""
     check_orders(n_orders, name)
     contexts = sage_contexts(d, j, n_orders, seed)
-    rows = np.array([value_context(o, context) for o, context in enumerate(contexts)], dtype=float)
+    surplus_se, rows = value_contexts(contexts)
+    rows = np.asarray(rows, dtype=float)
     mean, se = pool(rows)
+    if n_orders == 1:
+        se[0] = surplus_se[0]
     return contexts, rows, list(zip(mean.tolist(), se.tolist()))
 
 

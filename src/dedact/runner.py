@@ -774,7 +774,10 @@ def run_census_demo(seed: int = 0, n: int = 20000, n_sage_orders: int = 60,
     PFI source tables for three mediator features.
 
     The PFI tables take every column but the target as a player, so each
-    table's remainder is the target's conditional FI, not zero.
+    table's remainder is the target's conditional FI, not zero. The SAGE
+    tables' games are solved in closed form, so `n_decomp_orders` is only
+    recorded in their blocks: a re-run of the echoed config with
+    `solver: sampled` reads it.
     """
     columns = census_scm().data_columns()
     sage = [

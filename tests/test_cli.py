@@ -1438,8 +1438,8 @@ class TestDemoAndReport:
         assert (a / "bundle.json").read_bytes() == (b / "bundle.json").read_bytes()
 
     @pytest.mark.parametrize("flags,named", [
-        (["--sage-orders", "0", "--decomp-orders", "-3"], "--sage-orders"),
-        (["--decomp-orders", "25"], "--decomp-orders"),
+        (["--sage-orders", "0"], "--sage-orders"),
+        (["--sage-orders", "25"], "--sage-orders"),
     ])
     def test_biomarker_demo_rejects_the_census_flags(self, tmp_path, capsys, flags, named):
         out = tmp_path / "demo"
@@ -1447,11 +1447,19 @@ class TestDemoAndReport:
         assert capsys.readouterr().err.startswith(f"config error: {named} applies to the census demo only")
         assert not out.exists()
 
+    def test_census_demo_has_no_decomp_orders_flag(self, tmp_path, capsys):
+        # the demo's pathway games are solved in closed form and read no player orders
+        out = tmp_path / "demo"
+        with pytest.raises(SystemExit) as exit_:
+            main(["demo", "census", "--decomp-orders", "2", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --decomp-orders 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("which,flags,message", [
         ("biomarker", ["--n", "3"], "--n must be at least 4, got 3"),
         ("biomarker", ["--seed", "-1"], "--seed must be at least 0, got -1"),
         ("census", ["--sage-orders", "0"], "--sage-orders must be at least 1, got 0"),
-        ("census", ["--decomp-orders", "-1"], "--decomp-orders must be at least 1, got -1"),
     ])
     def test_demo_flag_errors_name_the_flag(self, tmp_path, capsys, which, flags, message):
         out = tmp_path / "demo"
@@ -1469,8 +1477,8 @@ class TestDemoAndReport:
 
         monkeypatch.setattr(cli, "run_census_demo", record)
         assert main(["demo", "census", "--out", str(tmp_path)]) == 0
-        assert main(["demo", "census", "--decomp-orders", "3", "--out", str(tmp_path)]) == 0
-        assert calls == [(60, 25), (60, 3)]
+        assert main(["demo", "census", "--sage-orders", "3", "--out", str(tmp_path)]) == 0
+        assert calls == [(60, 25), (3, 25)]
 
     def test_biomarker_demo_numbers_pinned(self):
         # the demo's numbers at seed 0, n = 2000; any change to its draws moves them

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from math import comb, sqrt
 
@@ -26,13 +27,14 @@ from dedact.importance import (
     SAGE_VARIANTS,
     ImportanceEvaluator,
     MeasureBatch,
+    PathwayGames,
     check_orders,
     evaluation_count,
     pool,
     reset_evaluation_count,
     sage_contexts,
 )
-from dedact.runner import run_census_demo
+from dedact.runner import RunConfig, run, run_census_demo
 from dedact.sampler import GaussianModel
 
 
@@ -257,11 +259,18 @@ def test_players_sharing_a_column_value_that_column():
 
 
 def test_census_demo_engine_counters_unchanged():
+    bundle = run_census_demo(seed=0, n=2000, n_sage_orders=2, n_decomp_orders=2)
+    # each SAGE context is a closed-form pathway game: 11 evaluations, alpha's two terms
+    assert bundle.metadata["engine"] == {"evaluations": 738, "terms_computed": 2021, "terms_reused": 2005}
     # recorded before the Shapley games were valued in one call each: the
     # batch must count the evaluations and plan terms that one call per
-    # coalition counted
-    bundle = run_census_demo(seed=0, n=2000, n_sage_orders=2, n_decomp_orders=2)
-    assert bundle.metadata["engine"] == {"evaluations": 786, "terms_computed": 2087, "terms_reused": 2133}
+    # coalition counted, here with every SAGE context a sampled game
+    sampled = copy.deepcopy(bundle.config_echo)
+    for block in sampled["decompositions"]:
+        if block["kind"] == "sage":
+            block["solver"] = "sampled"
+    assert run(RunConfig(sampled)).metadata["engine"] == {
+        "evaluations": 786, "terms_computed": 2087, "terms_reused": 2133}
 
 
 class TestSolveGame:
@@ -527,6 +536,155 @@ class TestShapleyDecomposeSage:
             assert rec["alpha"] == pytest.approx(sum(rec["phi"]), abs=1e-10)
 
 
+def _pathway_evaluator(d, seed, order=None):
+    """Exact marginalization on d columns with a random SPD covariance,
+    mean, weights and target, the columns stored in `order` (column i of
+    the data is original column order[i], named by its original index)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    cov = a @ a.T / d + 0.2 * np.eye(d)
+    mean = rng.standard_normal(d)
+    values = mean + rng.standard_normal((200, d)) @ np.linalg.cholesky(cov).T
+    w = rng.standard_normal(d)
+    y = TargetVector(values @ rng.standard_normal(d) + rng.standard_normal(200))
+    order = list(range(d)) if order is None else list(order)
+    data = DataMatrix(values[:, order], tuple(f"x{i}" for i in order))
+    pred = LinearPredictor(weights=w[order], intercept=0.3)
+    g = GaussianModel(mean=mean[order], cov=cov[np.ix_(order, order)])
+    return ImportanceEvaluator(data, y, pred, g, seed=seed, exact_marginalization=True)
+
+
+@st.composite
+def _pathway_cases(draw):
+    """(d, seed, j, context, pathways): pathways a restricted set in any order."""
+    d = draw(st.integers(2, 8), label="d")
+    j = draw(st.integers(0, d - 1), label="j")
+    others = [c for c in range(d) if c != j]
+    context = draw(st.lists(st.sampled_from(others), unique=True), label="context")
+    pathways = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True), label="pathways")
+    return d, draw(st.integers(0, 2 ** 16), label="seed"), j, context, pathways
+
+
+class TestPathwayGamesClosedForm:
+    """Under a linear predictor, squared error and exact marginalization a
+    SAGE context's pathway game is quadratic in its pathway set, and its
+    Shapley values come in closed form from one `PathwayGames` evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_pathway_cases())
+    def test_agrees_with_the_exact_solver(self, case):
+        d, seed, j, context, pathways = case
+        ev = _pathway_evaluator(d, seed)
+        spec = ev._spec("AI_via", [j], context, mode="marginalized")
+        [alpha], [alpha_se], [phi] = ev.evaluate(PathwayGames((spec,), tuple(pathways)))
+        s_yy = ev._moments()[4]
+        exact = shapley_exact(_MeasureGame(ev, spec, pathways)).attributions
+        assert np.max(np.abs(phi - exact)) <= 1e-12 * s_yy
+        assert (alpha, alpha_se) == _by_aux(ev, spec, [range(d)])[0]
+        if set(pathways) == set(range(d)):  # efficiency
+            assert abs(float(np.sum(phi)) - alpha) <= 1e-12 * s_yy
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_pathway_cases(), n_contexts=st.integers(1, 3))
+    def test_table_alphas_equal_the_sampled_tables(self, case, n_contexts):
+        d, seed, j, _, pathways = case
+        auto = shapley_decompose_sage(_pathway_evaluator(d, seed), j, pathways, n_sage_orders=n_contexts)
+        sampled = shapley_decompose_sage(_pathway_evaluator(d, seed), j, pathways, solver="sampled",
+                                         n_sage_orders=n_contexts, n_decomp_orders=2)
+        assert (auto.method, sampled.method) == ("shapley_pairwise", "shapley_sampled")
+        assert auto.total == sampled.total
+        assert auto.order_log == sampled.order_log
+        assert [rec["alpha"] for rec in auto.per_context] == [rec["alpha"] for rec in sampled.per_context]
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_pathway_cases(), data=st.data())
+    def test_column_order_leaves_phi_bit_identical(self, case, data):
+        d, seed, j, context, pathways = case
+        order = data.draw(st.permutations(range(d)), label="order")
+        at = {col: order.index(col) for col in range(d)}  # original column -> its position in the copy
+
+        def games(ev, where):
+            spec = ev._spec("AI_via", [where[j]], [where[c] for c in context], mode="marginalized")
+            return ev.evaluate(PathwayGames((spec,), tuple(where[k] for k in pathways)))
+
+        alpha, _, phi = games(_pathway_evaluator(d, seed), {col: col for col in range(d)})
+        moved_alpha, _, moved_phi = games(_pathway_evaluator(d, seed, order), at)
+        assert moved_alpha.tolist() == alpha.tolist()
+        assert moved_phi.tolist() == phi.tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_pathway_cases(), data=st.data())
+    def test_each_game_as_alone(self, case, data):
+        # a batch of games gives each game's floats as a batch of one
+        d, seed, j, _, pathways = case
+        others = [c for c in range(d) if c != j]
+        contexts = data.draw(st.lists(st.lists(st.sampled_from(others), unique=True), min_size=2, max_size=5),
+                             label="contexts")
+        ev = _pathway_evaluator(d, seed)
+        specs = tuple(ev._spec("AI_via", [j], c, mode="marginalized") for c in contexts)
+        together = ev.evaluate(PathwayGames(specs, tuple(pathways)))
+        for g, spec in enumerate(specs):
+            alone = _pathway_evaluator(d, seed).evaluate(PathwayGames((spec,), tuple(pathways)))
+            assert [a[g].tolist() for a in together] == [a[0].tolist() for a in alone]
+
+    def test_counts_alpha_and_each_pathway(self):
+        ev = _pathway_evaluator(4, 0)
+        specs = tuple(ev._spec("AI_via", [0], context, mode="marginalized") for context in ([1], [1, 2], [1]))
+        reset_evaluation_count()
+        ev.evaluate(PathwayGames(specs, (3, 0, 2)))
+        assert evaluation_count() == ev.evaluations == 3 * 4
+        # alpha's two terms per game, the repeated context's reused: the
+        # pathways' plans give linear forms, no risks
+        assert (ev.terms_computed, ev.terms_reused) == (4, 2)
+
+    @pytest.mark.parametrize("pathways, measure, mode", [
+        ((0, 0), "AI_via", "marginalized"), ((), "AI_via", "marginalized"), ((-1,), "AI_via", "marginalized"),
+        ((1,), "DI_from", "marginalized"), ((1,), "AI_via", "original_f"),
+    ])
+    def test_refuses_what_is_no_pathway_game(self, pathways, measure, mode):
+        ev = _pathway_evaluator(3, 0)
+        with pytest.raises(DimensionMismatch):
+            PathwayGames((ev._spec(measure, [2], [], mode=mode),), pathways)
+
+    def test_refuses_no_games_and_out_of_range(self):
+        ev = _pathway_evaluator(3, 0)
+        with pytest.raises(DimensionMismatch):
+            PathwayGames((), (0,))
+        with pytest.raises(DimensionMismatch):
+            ev.evaluate(PathwayGames((ev._spec("AI_via", [2], [], mode="marginalized"),), (0, 3)))
+
+
+class TestOneContextTotalSE:
+    """With one context, every SAGE table and `sage_attribution` report
+    the standard error of that context's surplus evaluation: non-zero
+    under Monte-Carlo marginalization, 0 under exact marginalization. The
+    three read the surplus under different seed tags, so each is checked
+    against its own."""
+
+    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    def test_is_the_surplus_evaluations_own(self, exact_marginalization):
+        cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, seed=4, n_mc=3, n_integration=2,
+                               exact_marginalization=exact_marginalization)
+        j, seed = 1, ev.seed
+        attribution = ev.sage_attribution(j, n_orders=1)
+        fast = fast_decompose_sage(ev, j, n_orders=1)
+        tables = [(fast, 811)]
+        solvers = ("auto", "exact", "sampled")
+        tables += [(shapley_decompose_sage(ev, j, solver=s, n_sage_orders=1, n_decomp_orders=2), 813) for s in solvers]
+        [context] = fast.order_log
+
+        def surplus(tag):
+            return ev.associative_importance([j], context, mode="marginalized", seed=derive_seed(seed, tag, 0))
+
+        assert attribution.std_error == surplus(7002).std_error
+        for table, tag in tables:
+            assert table.order_log == [context]
+            assert table.total == (surplus(tag).value, surplus(tag).std_error)
+        assert (attribution.std_error > 0.0) is not exact_marginalization
+        assert all((table.total[1] > 0.0) is not exact_marginalization for table, _ in tables)
+
+
 class TestFastVsShapleyConsistency:
     def test_agree_for_independent_additive_model(self):
         ev = _linear_evaluator(np.eye(2), [1.0, 2.0], n=10000, n_mc=5)
@@ -697,8 +855,10 @@ def _parent_sage_attribution(ev, j, variant="conditional", n_orders=60, n_mc=Non
     return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
 
 
-def _parent_sage_table(ev, j, pathways, contexts, alphas, contributions, method, seed, per_context=()):
+def _parent_sage_table(ev, j, pathways, contexts, alphas, alpha_ses, contributions, method, seed, per_context=()):
     total = _parent_pool_orders(alphas)
+    if len(alphas) == 1:  # one context reports its surplus's own SE, as `_parent_sage_attribution` does
+        total = total[0], alpha_ses[0]
     components = {
         ev.data.column_names[k]: _parent_pool_orders(contributions[:, p]) for p, k in enumerate(pathways)
     }
@@ -714,16 +874,16 @@ def _parent_fast_decompose_sage(ev, j, pathways=None, n_orders=25, n_mc=None, se
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
     contexts = sage_contexts(d, j, n_orders, seed)
-    alphas = np.empty(n_orders)
+    alphas, alpha_ses = np.empty(n_orders), np.empty(n_orders)
     comp = np.empty((n_orders, len(pathways)))
     blocked = [[c for c in range(d) if c != k] for k in pathways]
     for o, context in enumerate(contexts):
         seed_o = derive_seed(seed, 811, o)
         alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
-        alphas[o] = alpha.value
+        alphas[o], alpha_ses[o] = alpha.value, alpha.std_error
         vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
         comp[o] = [alpha.value - via for via, _ in vias]
-    return _parent_sage_table(ev, j, pathways, contexts, alphas, comp, "fast", seed)
+    return _parent_sage_table(ev, j, pathways, contexts, alphas, alpha_ses, comp, "fast", seed)
 
 
 def _parent_shapley_decompose_sage(ev, j, pathways=None, solver="auto", n_sage_orders=60, n_decomp_orders=25,
@@ -733,19 +893,24 @@ def _parent_shapley_decompose_sage(ev, j, pathways=None, solver="auto", n_sage_o
     d = ev.data.n_cols
     pathways = list(range(d)) if pathways is None else list(pathways)
     contexts = sage_contexts(d, j, n_sage_orders, seed)
-    alphas = np.empty(n_sage_orders)
+    alphas, alpha_ses = np.empty(n_sage_orders), np.empty(n_sage_orders)
     phis = np.empty((n_sage_orders, len(pathways)))
     solver_name = solver
+    # the surplus's SE from a twin evaluator, so that ev's counters see only the game
+    twin = ImportanceEvaluator(ev.data, ev.target, ev.predictor, ev.gaussian, ev.loss, ev.n_mc, ev.seed,
+                               ev.n_integration, ev.exact_marginalization)
     for o, context in enumerate(contexts):
         spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
         game = _MeasureGame(ev, spec, pathways)
         result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
         alphas[o] = game.value(frozenset(range(len(pathways))))
+        alpha_ses[o] = twin.associative_importance([j], context, mode="marginalized", n_mc=n_mc,
+                                                   seed=derive_seed(seed, 813, o)).std_error
         phis[o] = result.attributions
         solver_name = result.solver
     per_context = [{"context": contexts[o], "alpha": float(alphas[o]),
                     "phi": [float(x) for x in phis[o]]} for o in range(n_sage_orders)]
-    return _parent_sage_table(ev, j, pathways, contexts, alphas, phis, f"shapley_{solver_name}", seed,
+    return _parent_sage_table(ev, j, pathways, contexts, alphas, alpha_ses, phis, f"shapley_{solver_name}", seed,
                               per_context=per_context)
 
 

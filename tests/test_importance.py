@@ -16,6 +16,7 @@ from dedact.core import (
     derive_seed,
 )
 import dedact.importance as importance
+from dedact.decompose import shapley_decompose_sage
 from dedact.errors import DimensionMismatch, DisjointnessViolation, SingularConditioning
 from dedact.importance import (
     _KEEP,
@@ -23,6 +24,7 @@ from dedact.importance import (
     ImportanceEvaluator,
     MeasureBatch,
     MeasureSpec,
+    PathwayGames,
     evaluation_count,
     reset_evaluation_count,
 )
@@ -1193,3 +1195,37 @@ class TestBatchEqualsSingles:
             with pytest.raises(DimensionMismatch):
                 ev.evaluate(MeasureBatch(spec, (1, mask)))
         assert ev.evaluations == 0
+
+
+class TestPathwayGamesRouting:
+    """`solver: auto` solves a SAGE table's pathway games in closed form
+    (`shapley_pairwise`) only for a linear predictor under squared error
+    and exact marginalization; everywhere else it keeps the exact solver
+    up to 8 players and the sampled one beyond."""
+
+    # exact marginalization admits no opaque predictor
+    @pytest.mark.parametrize("opaque, loss, exact", [
+        (opaque, loss, exact) for opaque in (False, True) for loss in (SQUARED_ERROR, CROSS_ENTROPY)
+        for exact in (False, True) if not (opaque and exact)
+    ])
+    def test_auto_picks_the_closed_form_only_where_it_holds(self, opaque, loss, exact):
+        linear, hidden, _ = _linear_and_opaque(n=200, n_mc=2, n_integration=2, loss=loss,
+                                               exact_marginalization=exact)
+        ev = hidden if opaque else linear
+        closed = not opaque and loss is SQUARED_ERROR and exact
+        assert ev.solves_pathway_games is closed
+        table = shapley_decompose_sage(ev, 0, n_sage_orders=2, n_decomp_orders=2)
+        assert table.method == ("shapley_pairwise" if closed else "shapley_exact")
+        if not closed:
+            with pytest.raises(DimensionMismatch, match="closed form"):
+                ev.evaluate(PathwayGames((ev._spec("AI_via", [0], [], mode="marginalized"),), (1,)))
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["monte_carlo", "exact"])
+    def test_past_the_exact_threshold(self, exact):
+        ev = _evaluator(np.eye(9) + 0.2, np.linspace(-1.0, 1.0, 9), n=200, n_mc=2, n_integration=2,
+                        exact_marginalization=exact)
+        table = shapley_decompose_sage(ev, 0, n_sage_orders=2, n_decomp_orders=2)
+        assert table.method == ("shapley_pairwise" if exact else "shapley_sampled")
+        for solver in ("exact", "sampled"):  # a named solver keeps its game
+            named = shapley_decompose_sage(ev, 0, [0, 1, 2], solver=solver, n_sage_orders=1, n_decomp_orders=2)
+            assert named.method == f"shapley_{solver}"
