@@ -388,6 +388,9 @@ class ImportanceEvaluator:
             raise DimensionMismatch("target length disagrees with data")
         if gaussian.dim != data.n_cols:
             raise DimensionMismatch("gaussian dimension disagrees with data")
+        for key, count in (("n_mc", n_mc), ("n_integration", n_integration)):
+            if count < 1:
+                raise DimensionMismatch(f"{key} must be >= 1")
         self.data = data
         self.target = target
         self.predictor = predictor
@@ -871,14 +874,16 @@ class ImportanceEvaluator:
 
 
 def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_contexts) -> tuple:
-    """The SAGE context loop: check the order count (`name` is its key),
-    draw j's contexts, value them all by `value_contexts(contexts)`, which
-    returns the standard error of j's surplus in each context and a row
-    of m floats per context with that surplus first, and `pool` the rows.
-    One context reports its surplus's own SE as the first column's (a
-    pooled row has none). Returns the contexts, the n_orders x m rows and
-    the m (mean, SE) pairs."""
+    """The SAGE context loop: check the order count (`name` is its key)
+    and that j is one of the d columns, draw j's contexts, value them all
+    by `value_contexts(contexts)`, which returns the standard error of j's
+    surplus in each context and a row of m floats per context with that
+    surplus first, and `pool` the rows. One context reports its surplus's
+    own SE as the first column's (a pooled row has none). Returns the
+    contexts, the n_orders x m rows and the m (mean, SE) pairs."""
     check_orders(n_orders, name)
+    if not 0 <= j < d:
+        raise DimensionMismatch(f"SAGE target {j} is not a column index in 0..{d - 1}")
     contexts = sage_contexts(d, j, n_orders, seed)
     surplus_se, rows = value_contexts(contexts)
     rows = np.asarray(rows, dtype=float)

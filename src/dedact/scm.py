@@ -12,15 +12,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import MOMENT_BLOCK_ROWS, DataMatrix, FeatureIndexSet, TargetVector
-from .errors import ConfigError, CyclicGraph, DimensionMismatch, ParseError
-
-if TYPE_CHECKING:
-    import networkx as nx
+from .errors import ConfigError, CyclicGraph, DimensionMismatch, DisjointnessViolation, ParseError
 
 ROLES = ("feature", "observed", "target", "label", "latent")
 
@@ -74,15 +70,6 @@ class LinearSCM:
             raise DimensionMismatch("exactly one node must have role target or label")
         # node order must be (or be reordered to) a topological order
         object.__setattr__(self, "nodes", _topological_order(self.nodes, self.edges))
-
-    def graph(self) -> nx.DiGraph:
-        # networkx costs about 0.2 s to import and only graph queries need it
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        g.add_edges_from(self.edges.keys())
-        return g
 
     @property
     def supervision_node(self) -> str:
@@ -234,13 +221,42 @@ def sample_scm(
 
 
 def d_separated(scm: LinearSCM, j, c, y) -> bool:
-    """True iff every path between j and y is blocked given c."""
-    j = {j} if isinstance(j, str) else set(j)
+    """True iff every path between j and y is blocked given c. Decided on
+    the moralized ancestral graph (Lauritzen, Dawid, Larsen & Leimer 1990,
+    "Independence properties of directed Markov fields"): keep the
+    ancestors of j, c and y, link each node to its parents and marry
+    co-parents, all undirected, delete c, and search from j; the sets are
+    separated iff the search reaches no node of y. Every key of
+    `scm.edges` is an edge, one with coefficient 0.0 included. A node
+    that is not in the SCM raises DimensionMismatch, and sets that
+    overlap raise DisjointnessViolation."""
+    j, y = ({s} if isinstance(s, str) else set(s) for s in (j, y))
     c = set() if c is None else ({c} if isinstance(c, str) else set(c))
-    y = {y} if isinstance(y, str) else set(y)
-    import networkx as nx
-
-    return nx.is_d_separator(scm.graph(), j, y, c)
+    unknown = (j | c | y).difference(scm.nodes)
+    if unknown:
+        raise DimensionMismatch(f"d_separated: {', '.join(sorted(map(repr, unknown)))} not among the SCM's nodes")
+    overlap = (j & c) | (j & y) | (c & y)
+    if overlap:
+        raise DisjointnessViolation(f"d_separated: j, c and y overlap in {', '.join(sorted(map(repr, overlap)))}")
+    parents = {node: [] for node in scm.nodes}
+    for parent, child in scm.edges:
+        parents[child].append(parent)
+    links, stack = {}, [*j, *c, *y]
+    while stack:  # the ancestral set; every node's parents are in it
+        node = stack.pop()
+        if node not in links:
+            links[node] = set()
+            stack.extend(parents[node])
+    for node in links:
+        links[node].update(parents[node])
+        for parent in parents[node]:
+            links[parent].update(parents[node], [node])
+    reached, stack = set(j), list(j)
+    while stack:
+        new = links[stack.pop()] - c - reached
+        reached |= new
+        stack.extend(new)
+    return not reached & y
 
 
 def biomarker_scm() -> LinearSCM:

@@ -1431,6 +1431,31 @@ def test_fuzzed_bundle_report_exits_0_or_3(path, drop, value, cut):
 
 
 class TestDemoAndReport:
+    def test_every_command_runs_without_networkx(self, tmp_path):
+        # `sys.modules["networkx"] = None` makes any import of it fail
+        csv = tmp_path / "census.csv"
+        cfg = _config(tmp_path, {
+            "seed": 0, "data": {"csv": str(csv), "target_column": "income"}, "n_mc": 2,
+            "measures": [{"name": "pfi_age", "measure": "PFI", "interest": ["age"]}],
+            "decompositions": [{"name": "sage_race", "kind": "sage", "method": "shapley", "target": "race",
+                                "n_sage_orders": 2}],
+        })
+        commands = [
+            ["demo", "biomarker", "--n", "2000", "--out", str(tmp_path / "biomarker")],
+            ["demo", "census", "--n", "2000", "--sage-orders", "2", "--out", str(tmp_path / "census")],
+            ["simulate", "--scm", "census", "--n", "2000", "--seed", "1", "--out", str(csv)],
+            ["importance", "--config", str(cfg), "--out", str(tmp_path / "importance")],
+            ["decompose", "--config", str(cfg), "--out", str(tmp_path / "decompose")],
+            ["report", "--bundle", str(tmp_path / "decompose")],
+        ]
+        code = (f"import sys\nsys.modules['networkx'] = None\nfrom dedact.cli import main\n"
+                f"for argv in {commands!r}:\n    assert main(argv) == 0, argv\n"
+                f"assert sys.modules['networkx'] is None")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "decompose" / "table_sage_race.csv").exists()
+
     def test_biomarker_demo_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["demo", "biomarker", "--n", "2000", "--seed", "0", "--out", str(a)]) == 0

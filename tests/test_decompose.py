@@ -243,6 +243,20 @@ class TestZeroOrders:
         assert ev.evaluations == 0
 
 
+@pytest.mark.parametrize("j", [3, 7, -1])
+@pytest.mark.parametrize("call", [
+    lambda ev, j: ev.sage_attribution(j, n_orders=2),
+    lambda ev, j: fast_decompose_sage(ev, j, n_orders=2),
+    lambda ev, j: shapley_decompose_sage(ev, j, n_sage_orders=2),
+], ids=["sage_attribution", "fast_decompose_sage", "shapley_decompose_sage"])
+def test_sage_target_out_of_range_raises(call, j):
+    # the context loop checks j once, before any context is drawn
+    ev = _linear_evaluator(np.eye(3), [1.0, 1.0, 1.0], n=200, n_mc=2)
+    with pytest.raises(DimensionMismatch, match=rf"^SAGE target {j} is not a column index in 0\.\.2$"):
+        call(ev, j)
+    assert ev.evaluations == 0
+
+
 def test_players_sharing_a_column_value_that_column():
     # a coalition is worth the DI-from of its set of columns, however
     # many of its players bring the same column

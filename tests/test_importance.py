@@ -358,6 +358,16 @@ class TestEngineContracts:
                 GaussianModel(mean=np.zeros(3), cov=np.eye(3)),
             )
 
+    @pytest.mark.parametrize("key", ["n_mc", "n_integration"])
+    def test_counts_checked_at_construction(self, key):
+        # n_integration=0 used to construct and then divide by zero in the
+        # first marginalized evaluation
+        data = _gaussian_data(np.eye(2), 100, 0)
+        pred = LinearPredictor(weights=np.array([1.0, 1.0]), intercept=0.0)
+        gaussian = GaussianModel(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match=rf"^{key} must be >= 1$"):
+            ImportanceEvaluator(data, TargetVector(np.zeros(100)), pred, gaussian, **{key: 0})
+
 
 class _OpaqueLinear(Predictor):
     """The same affine map as a LinearPredictor, hidden from the engine's

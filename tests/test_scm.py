@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedact.core import MOMENT_BLOCK_ROWS
-from dedact.errors import CyclicGraph, DimensionMismatch
+from dedact.errors import CyclicGraph, DimensionMismatch, DisjointnessViolation
 from dedact.scm import (
     CENSUS_MEDIATORS,
     LinearSCM,
@@ -330,15 +331,14 @@ class TestBiomarkerScm:
 
 class TestCensusScm:
     def test_structure(self):
-        scm = census_scm()
-        g = scm.graph()
+        edges = census_scm().edges
         for root, mediators in CENSUS_MEDIATORS.items():
             for m in mediators:
-                assert g.has_edge(root, m)
-                assert g.has_edge(m, "income")
-        assert g.has_edge("race", "income")
-        assert g.has_edge("sex", "income")
-        assert not g.has_edge("age", "income")
+                assert (root, m) in edges
+                assert (m, "income") in edges
+        assert ("race", "income") in edges
+        assert ("sex", "income") in edges
+        assert ("age", "income") not in edges
 
     def test_age_weight_vanishes_in_full_ols(self):
         from dedact.core import fit_ols
@@ -392,6 +392,68 @@ class TestDSeparation:
                 assert abs(rho) < 1e-10
             else:
                 assert abs(rho) > 0.05
+
+    @pytest.mark.parametrize("j,c,y,error,named", [
+        ("Q", None, "B", DimensionMismatch, "'Q' not among the SCM's nodes"),
+        ("P", ["C", "Z"], "B", DimensionMismatch, "'Z' not among the SCM's nodes"),
+        ("P", "P", "B", DisjointnessViolation, "j, c and y overlap in 'P'"),
+        (["P", "C"], None, ["C", "B"], DisjointnessViolation, "j, c and y overlap in 'C'"),
+        ("P", "B", ["L", "B"], DisjointnessViolation, "j, c and y overlap in 'B'"),
+    ], ids=["unknown-j", "unknown-in-c", "j-in-c", "j-in-y", "c-in-y"])
+    def test_bad_sets_raise_package_errors(self, j, c, y, error, named):
+        with pytest.raises(error, match=f"^d_separated: {named}$"):
+            d_separated(biomarker_scm(), j, c, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_networkx(self, data):
+        # random DAGs of up to 8 nodes with latent nodes and zero-coefficient
+        # edges, and random disjoint triples in every argument form
+        import networkx as nx
+
+        n = data.draw(st.integers(2, 8))
+        names = data.draw(st.permutations([f"v{i}" for i in range(n)]))  # topological, listed shuffled
+        order = sorted(names, key=lambda name: int(name[1:]))
+        pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+        edges = {pair: data.draw(st.sampled_from([0.0, 1.0, -0.5])) for pair in pairs if data.draw(st.booleans())}
+        roles = {name: data.draw(st.sampled_from(["feature", "observed", "latent"])) for name in names}
+        roles[data.draw(st.sampled_from(names))] = "target"
+        scm = LinearSCM(nodes=tuple(names), edges=edges, noise_std=dict.fromkeys(names, 1.0), roles=roles)
+        part = {name: data.draw(st.sampled_from("jcy-")) for name in names}
+        j, c, y = ([name for name in names if part[name] == key] for key in "jcy")
+        graph = nx.DiGraph(list(edges))
+        graph.add_nodes_from(names)
+        expected = nx.is_d_separator(graph, set(j), set(y), set(c))
+
+        def form(nodes, none_if_empty=False):
+            if len(nodes) == 1 and data.draw(st.booleans()):
+                return nodes[0]
+            return None if none_if_empty and not nodes and data.draw(st.booleans()) else nodes
+
+        assert d_separated(scm, form(j), form(c, none_if_empty=True), form(y)) == expected
+
+    @pytest.mark.parametrize("scm,include_observed", [
+        (biomarker_scm(), True), (biomarker_scm(), False), (census_scm(), True), (census_scm(), False),
+    ], ids=["biomarker-observed", "biomarker", "census-observed", "census"])
+    def test_criterion_2_pairs_match_networkx(self, scm, include_observed):
+        # the singleton-J, context-size <= 3 pairs the acceptance test of
+        # criterion 2 picks
+        import networkx as nx
+
+        graph = nx.DiGraph(list(scm.edges))
+        graph.add_nodes_from(scm.nodes)
+        columns = scm.data_columns(include_observed)
+        y = scm.supervision_node
+        ours, theirs = [], []
+        for j in columns:
+            others = [col for col in columns if col != j]
+            for size in range(4):
+                for ctx in itertools.combinations(others, size):
+                    if d_separated(scm, j, list(ctx) or None, y):
+                        ours.append((j, ctx))
+                    if nx.is_d_separator(graph, {j}, {y}, set(ctx)):
+                        theirs.append((j, ctx))
+        assert ours == theirs
 
 
 class TestConfigRoundTrip:
