@@ -19,7 +19,8 @@ solver's weights. `_solve_plan` values and differences them all, then
 sums each player's weighted (exact) or pools the orders (sampled).
 
 A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
-context: j's surplus AI(j | C), then one contribution per pathway.
+context: j's surplus AI(j | C), then one contribution per pathway. The
+loop builds each context's surplus spec, whose aux the tables vary.
 Orders and contexts pool through `dedact.importance.pool`, as a
 measure's repetitions do, each column summed in index order. Under
 `solver: auto`, an evaluator that solves pathway games in closed form
@@ -313,14 +314,12 @@ def fast_decompose_sage(
     pathways = list(range(d)) if pathways is None else list(pathways)
     blocked = [[c for c in range(d) if c != k] for k in pathways]
 
-    def contributions(contexts):
-        batches = [_by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc,
-                                        seed=derive_seed(seed, 811, o)), [range(d), *blocked])
-                   for o, context in enumerate(contexts)]
+    def contributions(specs):
+        batches = [_by_aux(ev, spec, [range(d), *blocked]) for spec in specs]
         return ([alpha_se for (_, alpha_se), *_ in batches],
                 [[alpha, *(alpha - via for via, _ in vias)] for (alpha, _), *vias in batches])
 
-    contexts, _, pooled = sage_loop(d, j, n_orders, seed, "n_orders", contributions)
+    contexts, _, pooled = sage_loop(ev, j, n_orders, seed, "n_orders", contributions, n_mc=n_mc)
     return _table(ev, j, pooled[0], pathways, pooled[1:], "fast", order_log=[list(c) for c in contexts])
 
 
@@ -345,9 +344,7 @@ def shapley_decompose_sage(
     closed = solver == "auto" and ev.solves_pathway_games and len(set(pathways)) == len(pathways)
     solved = []
 
-    def attributions(contexts):
-        specs = [ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
-                 for o, context in enumerate(contexts)]
+    def attributions(specs):
         if closed:
             alpha, alpha_se, phi = ev.evaluate(PathwayGames(specs, pathways))
             return alpha_se, np.column_stack([alpha, phi])
@@ -363,7 +360,7 @@ def shapley_decompose_sage(
             rows.append([alpha[0], *solved[-1].attributions])
         return alpha_se, rows
 
-    contexts, rows, pooled = sage_loop(d, j, n_sage_orders, seed, "n_sage_orders", attributions)
+    contexts, rows, pooled = sage_loop(ev, j, n_sage_orders, seed, "n_sage_orders", attributions, n_mc=n_mc)
     per_context = [{"context": c, "alpha": float(row[0]), "phi": row[1:].tolist()} for c, row in zip(contexts, rows)]
     method = "shapley_pairwise" if closed else f"shapley_{solved[-1].solver}"
     return _table(ev, j, pooled[0], pathways, pooled[1:], method,

@@ -642,15 +642,12 @@ class ImportanceEvaluator:
         `PathwayGames`, the arrays of its games' alphas, their SEs and
         the pathways' Shapley values, each game counted as p + 1
         evaluations."""
-        global _eval_count
         if isinstance(spec, PathwayGames):
             return self._pathway_games(spec)
         single = not isinstance(spec, MeasureBatch)
         batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
         spec = batch.spec
         pairs = self._plan_pairs(spec, batch.auxes)
-        _eval_count += len(pairs)
-        self.evaluations += len(pairs)
         # with exact marginalization the conditional means integrate
         # the expectation in closed form, so a term needs no draws
         exact = spec.mode == "marginalized" and self.exact_marginalization
@@ -662,10 +659,14 @@ class ImportanceEvaluator:
                 "aux": spec.aux.indices}
         return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
 
-    def _differences(self, spec: MeasureSpec, pairs, n_reps: int, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _differences(self, spec: MeasureSpec, pairs, n_reps: int, exact: bool,
+                     per_pair: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Each plan pair's mean risk difference over n_reps repetitions
         and its standard error, its terms taken from the memo or computed
-        by the mode's kernel."""
+        by the mode's kernel. Each pair counts as `per_pair` evaluations."""
+        global _eval_count
+        _eval_count += per_pair * len(pairs)
+        self.evaluations += per_pair * len(pairs)
         kernel = self._kernels[spec.mode]
         if kernel is None and any(t1 != t2 for t1, t2 in pairs):
             raise DimensionMismatch("exact marginalization requires a linear predictor")
@@ -710,7 +711,6 @@ class ImportanceEvaluator:
         t1, t2(all pathways) and each t2({k}): minus the risk's derivative
         along each pathway's step, at the midpoint of the first two (see
         Pathway games in the module docstring)."""
-        global _eval_count
         if not self.solves_pathway_games:
             raise DimensionMismatch("a pathway game has a closed form only for a linear predictor"
                                     " under squared error and exact marginalization")
@@ -718,10 +718,8 @@ class ImportanceEvaluator:
         # alpha, AI_via through every column; then the masks whose plans give phi
         auxes = ((1 << d) - 1, _mask(games.pathways), *(1 << k for k in games.pathways))
         pairs = [self._plan_pairs(spec, auxes) for spec in games.specs]
-        _eval_count += (q - 1) * len(pairs)
-        self.evaluations += (q - 1) * len(pairs)
         # exact marginalization: a term's memo key and risk do not depend on its spec's seed
-        value, se = self._differences(games.specs[0], [game[0] for game in pairs], 1, True)
+        value, se = self._differences(games.specs[0], [game[0] for game in pairs], 1, True, q - 1)
         # each game's plans t1, t2(all pathways) and each t2({k})
         plans = [t for game in pairs for t in (game[0][0], *(t2 for _, t2 in game[1:]))]
         u, _, c = self._linear_forms(plans, False)
@@ -846,13 +844,14 @@ class ImportanceEvaluator:
         rest = FeatureIndexSet.of([j]).complement(self.data.n_cols)
         return self.associative_importance([j], rest, n_mc=n_mc, seed=seed)
 
-    def _surplus_spec(self, variant, interest, context, n_mc, seed) -> MeasureSpec:
+    def _surplus_spec(self, variant, interest, context, n_mc, seed, via=None) -> MeasureSpec:
         """v(context + interest) - v(context), marginalized, as one paired
-        evaluation: DI under the marginal variant, AI under the conditional."""
+        evaluation: DI under the marginal variant; under the conditional, AI,
+        or given `via` (every column) AI_via through it, with AI's plans."""
         if variant not in SAGE_VARIANTS:
             raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
-        measure = "DI" if variant == "marginal" else "AI"
-        return self._spec(measure, interest, context, mode="marginalized", n_mc=n_mc, seed=seed)
+        measure = "DI" if variant == "marginal" else "AI" if via is None else "AI_via"
+        return self._spec(measure, interest, context, via, mode="marginalized", n_mc=n_mc, seed=seed)
 
     def sage_value(self, subset, variant: str = "conditional", n_mc=None, seed=None) -> ImportanceEstimate:
         return self.evaluate(self._surplus_spec(variant, subset, [], n_mc, seed))
@@ -863,29 +862,32 @@ class ImportanceEvaluator:
         a single context reports its surplus's own standard error."""
         seed = self.seed if seed is None else seed
 
-        def surpluses(contexts):
-            ests = [self.evaluate(self._surplus_spec(variant, [j], context, n_mc, derive_seed(seed, 7002, o)))
-                    for o, context in enumerate(contexts)]
+        def surpluses(specs):
+            ests = [self.evaluate(spec) for spec in specs]
             return [est.std_error for est in ests], [[est.value] for est in ests]
 
-        _, _, [(value, se)] = sage_loop(self.data.n_cols, j, n_orders, seed, "n_orders", surpluses)
+        _, _, [(value, se)] = sage_loop(self, j, n_orders, seed, "n_orders", surpluses, variant, n_mc)
         sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
         return ImportanceEstimate(value, se, n_orders, "marginalized", sets, seed)
 
 
-def sage_loop(d: int, j: int, n_orders: int, seed: int, name: str, value_contexts) -> tuple:
+def sage_loop(ev: ImportanceEvaluator, j: int, n_orders: int, seed: int, name: str, value_specs,
+              variant: str = "conditional", n_mc=None) -> tuple:
     """The SAGE context loop: check the order count (`name` is its key)
-    and that j is one of the d columns, draw j's contexts, value them all
-    by `value_contexts(contexts)`, which returns the standard error of j's
-    surplus in each context and a row of m floats per context with that
+    and that j is one of the d columns, draw j's contexts C, build each
+    context o's surplus spec seeded `derive_seed(seed, 7002, o)` (so every
+    SAGE output values the same memo terms), have `value_specs(specs)`
+    return each surplus's SE and a row of m floats per context with that
     surplus first, and `pool` the rows. One context reports its surplus's
     own SE as the first column's (a pooled row has none). Returns the
     contexts, the n_orders x m rows and the m (mean, SE) pairs."""
+    d = ev.data.n_cols
     check_orders(n_orders, name)
     if not 0 <= j < d:
         raise DimensionMismatch(f"SAGE target {j} is not a column index in 0..{d - 1}")
     contexts = sage_contexts(d, j, n_orders, seed)
-    surplus_se, rows = value_contexts(contexts)
+    surplus_se, rows = value_specs([ev._surplus_spec(variant, [j], c, n_mc, derive_seed(seed, 7002, o), range(d))
+                                    for o, c in enumerate(contexts)])
     rows = np.asarray(rows, dtype=float)
     mean, se = pool(rows)
     if n_orders == 1:

@@ -672,8 +672,7 @@ class TestOneContextTotalSE:
     """With one context, every SAGE table and `sage_attribution` report
     the standard error of that context's surplus evaluation: non-zero
     under Monte-Carlo marginalization, 0 under exact marginalization. The
-    three read the surplus under different seed tags, so each is checked
-    against its own."""
+    three read the surplus under one seed tag."""
 
     @pytest.mark.parametrize("exact_marginalization", [False, True])
     def test_is_the_surplus_evaluations_own(self, exact_marginalization):
@@ -683,9 +682,9 @@ class TestOneContextTotalSE:
         j, seed = 1, ev.seed
         attribution = ev.sage_attribution(j, n_orders=1)
         fast = fast_decompose_sage(ev, j, n_orders=1)
-        tables = [(fast, 811)]
+        tables = [(fast, 7002)]
         solvers = ("auto", "exact", "sampled")
-        tables += [(shapley_decompose_sage(ev, j, solver=s, n_sage_orders=1, n_decomp_orders=2), 813) for s in solvers]
+        tables += [(shapley_decompose_sage(ev, j, solver=s, n_sage_orders=1, n_decomp_orders=2), 7002) for s in solvers]
         [context] = fast.order_log
 
         def surplus(tag):
@@ -697,6 +696,38 @@ class TestOneContextTotalSE:
             assert table.total == (surplus(tag).value, surplus(tag).std_error)
         assert (attribution.std_error > 0.0) is not exact_marginalization
         assert all((table.total[1] > 0.0) is not exact_marginalization for table, _ in tables)
+
+
+class TestOneSurplusStream:
+    """`sage_loop` builds and seeds every context's surplus, so
+    `sage_attribution` and every SAGE table of j report one total and
+    total SE bit for bit, from the same memo terms."""
+
+    @pytest.mark.parametrize("n_orders", [1, 4])
+    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    @pytest.mark.parametrize("seed", [5, 12, 21])
+    def test_one_total_from_the_same_terms(self, seed, exact_marginalization, n_orders):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 6))
+        a = rng.standard_normal((d, d))
+        cov, weights = a @ a.T + 0.5 * np.eye(d), rng.standard_normal(d)
+        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, exact_marginalization=exact_marginalization)
+        ev, alone = (_linear_evaluator(cov, weights, **kw) for _ in range(2))
+        j = int(rng.integers(d))
+        attribution = ev.sage_attribution(j, n_orders=n_orders)
+        assert ev.terms_computed > 0
+        totals = [(attribution.value, attribution.std_error), fast_decompose_sage(ev, j, n_orders=n_orders).total]
+        # the fast table computes no term of the surplus again: after
+        # `sage_attribution` it computes only what it lacks alone
+        fast_decompose_sage(alone, j, n_orders=n_orders)
+        assert ev.terms_computed == alone.terms_computed
+        subset = sorted(int(c) for c in rng.choice(d, size=d - 1, replace=False))
+        for pathways in (None, subset):
+            totals.append(fast_decompose_sage(ev, j, pathways, n_orders=n_orders).total)
+            for solver in ("auto", "exact", "sampled"):
+                totals.append(shapley_decompose_sage(ev, j, pathways, solver=solver, n_sage_orders=n_orders,
+                                                     n_decomp_orders=2).total)
+        assert totals == [totals[0]] * len(totals)
 
 
 class TestFastVsShapleyConsistency:
@@ -757,7 +788,7 @@ class TestFastTablesBatched:
         assert ai.components == {f"x{k}": pair(single.ai_via([2], [], [k])) for k in range(3)}
         alphas, comp = [], []
         for o, context in enumerate(sage_contexts(3, 0, 3, ev.seed)):
-            seed_o = derive_seed(ev.seed, 811, o)
+            seed_o = derive_seed(ev.seed, 7002, o)
             alphas.append(single.associative_importance([0], context, mode="marginalized", seed=seed_o).value)
             comp.append([alphas[-1] - single.ai_via([0], context, [c for c in range(3) if c != k],
                                                     mode="marginalized", seed=seed_o).value for k in range(3)])
@@ -892,7 +923,7 @@ def _parent_fast_decompose_sage(ev, j, pathways=None, n_orders=25, n_mc=None, se
     comp = np.empty((n_orders, len(pathways)))
     blocked = [[c for c in range(d) if c != k] for k in pathways]
     for o, context in enumerate(contexts):
-        seed_o = derive_seed(seed, 811, o)
+        seed_o = derive_seed(seed, 7002, o)
         alpha = ev.associative_importance([j], context, mode="marginalized", n_mc=n_mc, seed=seed_o)
         alphas[o], alpha_ses[o] = alpha.value, alpha.std_error
         vias = _by_aux(ev, ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=seed_o), blocked)
@@ -914,12 +945,12 @@ def _parent_shapley_decompose_sage(ev, j, pathways=None, solver="auto", n_sage_o
     twin = ImportanceEvaluator(ev.data, ev.target, ev.predictor, ev.gaussian, ev.loss, ev.n_mc, ev.seed,
                                ev.n_integration, ev.exact_marginalization)
     for o, context in enumerate(contexts):
-        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 813, o))
+        spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 7002, o))
         game = _MeasureGame(ev, spec, pathways)
         result = solve_game(game, solver, n_decomp_orders, derive_seed(seed, 814, o))
         alphas[o] = game.value(frozenset(range(len(pathways))))
         alpha_ses[o] = twin.associative_importance([j], context, mode="marginalized", n_mc=n_mc,
-                                                   seed=derive_seed(seed, 813, o)).std_error
+                                                   seed=derive_seed(seed, 7002, o)).std_error
         phis[o] = result.attributions
         solver_name = result.solver
     per_context = [{"context": contexts[o], "alpha": float(alphas[o]),

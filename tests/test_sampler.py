@@ -228,6 +228,28 @@ class TestMarginalize:
         # dropped column integrates to its marginal mean 0 regardless of x0
         assert exact.predict(np.array([[1.0, 99.0]]))[0] == pytest.approx(1.0, abs=1e-10)
 
+    def test_independent_mode_integrates_at_the_means(self):
+        # the dropped columns integrate over their marginal law, so a linear
+        # inner model sees their means whatever the kept columns hold; the
+        # conditional mode sees the kept column's regression instead
+        mean = np.array([0.5, -1.0, 2.0])
+        cov = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]])
+        g = GaussianModel(mean=mean, cov=cov)
+        inner = LinearPredictor(weights=np.array([1.0, 2.0, -1.5]), intercept=0.3)
+        kept = FeatureIndexSet.of([0])
+        x = np.array([[1.0, 99.0, -99.0], [-0.5, 7.0, 3.0], [2.5, 0.0, 0.0]])
+        at_means = x.copy()
+        at_means[:, 1:] = mean[1:]
+        exact = marginalize(inner, kept, g, "independent", exact=True).predict(x)
+        np.testing.assert_allclose(exact, inner.predict(at_means), rtol=0, atol=1e-12)
+        conditional = marginalize(inner, kept, g, "conditional", exact=True).predict(x)
+        assert np.min(np.abs(conditional - exact)) > 0.1
+        mc = marginalize(inner, kept, g, "independent", n_integration=256, seed=3)
+        samples = mc.predict_samples(x)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(samples.shape[0])
+        assert np.all(se > 0.0)
+        assert np.all(np.abs(mc.predict(x) - exact) < 4 * se)
+
     def test_kept_everything_is_identity(self):
         g = _bivariate(0.2)
         inner = LinearPredictor(weights=np.array([1.0, -1.0]), intercept=0.0)
