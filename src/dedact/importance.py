@@ -12,15 +12,24 @@ a kept column or the bitmask of the columns it is redrawn given (0 for
 an independent redraw). Two measures that assign the same plan to a
 term ask for the same risk.
 
-Risk kernels: the evaluator picks, once per mode when it is built, the
-method that turns missing terms into risks (`_kernels`). `_moment` takes
-a linear predictor under squared error in `original_f` and
-exact-marginalized mode (Moment form below); `_linear_rows` a linear
-predictor's other terms (cross-entropy, Monte-Carlo marginalization);
-`_opaque_rows` any other predictor, on the materialized plan matrix. The
-two row kernels score n-length predictions. Only a linear predictor's
-conditional expectation has a closed form, so exact marginalization of
-any other has no kernel, and `evaluate` refuses a batch that needs one.
+Risk kernels: the evaluator picks, once when it is built, the one
+method that turns missing terms into risks (`_kernel`), from its
+predictor and loss. `_moment` takes a linear predictor under squared
+error (Moment form below); `_linear_rows` a linear predictor under
+cross-entropy; `_opaque_rows` any other predictor, on the materialized
+plan matrix. The two row kernels score n-length predictions.
+
+Marginalization: a marginalized term scores the predictor's conditional
+expectation given the plan's kept columns. For a linear predictor that
+is exactly `X @ u + c` (Linear form below), so its marginalized terms
+take no draws: one repetition, SE 0, whatever n_mc and n_integration.
+Any other predictor is marginalized by Monte Carlo: `_opaque_rows`
+averages n_integration predictions on full n x d draws from the term's
+integration stream `derive_seed(seed, rep, stream)`, and under squared
+error subtracts per row the sampled variance of that mean, S^2 / m,
+which removes the integration bias (nothing when m = 1). Cross-entropy
+gets no such correction: the loss of the mean of m draws is not the
+mean loss, so such a risk keeps a Jensen bias of order 1 / m.
 
 Common random numbers: both terms of a repetition read the same draws,
 keyed by the canonical (name-sorted) column order. In `original_f` mode
@@ -37,23 +46,24 @@ the order or position of the columns: bit for bit under `_moment`, which
 works in canonical order, and to rounding under the row kernels, whose
 row sums follow the column order.
 
-Term memo: a term's risk is a pure function of its plan and the draws
-it consumes, under the evaluator's one loss. Those draws are fixed by
+Term memo: a term's risk is a pure function of its plan and the draws it
+consumes, under the evaluator's one loss. Those draws are fixed by
 (mode, seed, repetition, stream): `original_f` terms share the
 repetition's draws (stream 0: the row kernels' column streams, the
-moments `_moment` samples), Monte-Carlo marginalized terms each take
-their own integration stream (1 or 2), and exact-marginalized terms
-consume no draws at all. So each evaluator keeps one memo entry per
-term, keyed on `(plan, mode, seed, stream)`, or on `(plan,)` alone for
-exact marginalization, holding the risks of repetitions 0..r-1 in
-order. The key is the term's whole description: the engine reads the
-plan and the stream it draws from off the key. Every evaluation asks
-for repetitions 0..n_mc-1, so an entry is always such a prefix: a
-larger n_mc computes only the missing repetitions and extends it. A
-reused risk is the float that recomputation would give, bit for bit;
-only the evaluator's `terms_computed` / `terms_reused` counters (one per
-term and repetition) can tell the two apart. `_moment` samples a
-repetition's moments at most once per evaluator, for all its terms.
+moments `_moment` samples), an opaque predictor's marginalized terms
+each take their own integration stream (1 or 2), and a linear
+predictor's marginalized terms consume no draws at all. So each
+evaluator keeps one memo entry per term, keyed on `(plan, mode, seed,
+stream)`, or on `(plan,)` alone for a linear predictor's marginalized
+terms, holding the risks of repetitions 0..r-1 in order. The key is the
+term's whole description: the engine reads the plan and the stream it
+draws from off the key. Every evaluation asks for repetitions 0..n_mc-1,
+so an entry is always such a prefix: a larger n_mc computes only the
+missing repetitions and extends it. A reused risk is the float that
+recomputation would give, bit for bit; only the evaluator's
+`terms_computed` / `terms_reused` counters (one per term and repetition)
+can tell the two apart. `_moment` samples a repetition's moments at most
+once per evaluator, for all its terms.
 
 Linear form: for a `LinearPredictor` with weights w and intercept b, a
 plan's prediction is `X @ u + z @ v + c`. The engine's unit of
@@ -75,10 +85,10 @@ one: no solve and no matrix product per plan, and a stack of plans is
 assembled by one gather per column from the table. Only draws need the
 Cholesky factor L of a group's conditional covariance block, which puts
 `L^T w_T` in v at the targets' canonical draw columns. When a batch has
-terms that take draws (`original_f`, Monte-Carlo marginalization, or
-`_opaque_rows`), the (C, T) pairs the table lacks are factorized with
-one stacked Cholesky per group size |T| and kept with their `L^T w_T`.
-Exact marginalization is `X @ u + c` and never factorizes, so a
+terms that take draws (`original_f`, or `_opaque_rows`), the (C, T)
+pairs the table lacks are factorized with one stacked Cholesky per
+group size |T| and kept with their `L^T w_T`. A linear predictor's
+marginalization is `X @ u + c` and never factorizes, so a
 conditional block that cannot be factorized raises
 `SingularConditioning` only where draws are taken. LAPACK solves and
 factorizes each matrix of a stack on its own, so a set's tables and
@@ -90,7 +100,7 @@ quadratic form in the moments of the data and the draws, so those terms
 never form an n-length prediction. With `X_c`, `y_c` the evaluation data
 and target minus their means `x_bar`, `y_bar` (columns in canonical
 order, u permuted to match) and `k = c + x_bar . u - y_bar`, the
-exact-marginalized risk is `u' S_xx u - 2 u' s_xy + s_yy + k^2` with
+marginalized risk is `u' S_xx u - 2 u' s_xy + s_yy + k^2` with
 `S_xx = X_c' X_c / n`, `s_xy = X_c' y_c / n` and `s_yy = y_c' y_c / n`.
 The means and the unscaled cross-products come once per evaluator from
 `core.centred_moments`, the summary the fits read: the rows are read in
@@ -156,17 +166,17 @@ pair by pair and, within a pair, repetition by repetition
 draws.
 
 Pathway games (`PathwayGames`): a SAGE context's game `v(K) = AI_via(J |
-C, K)` over the subsets K of p pathways. Under `_moment` with exact
-marginalization it is quadratic in K's indicator vector s: the second
-plan takes pathway column k's forms row for C u J when s_k = 1 and its
-row for C otherwise, so `u(s) = u0 + D's` and `c(s) = c0 + d's`, rows
-D_k and d_k the differences of the forms of `t2({k})` and `t1`. Then
-`R(s) - R(0) = b's + s'Qs` with `kD = d + D x_bar`,
-`Q = D S_xx D' + kD kD'` and `b = 2 D (S_xx u0 - s_xy) + 2 k0 kD`. A
+C, K)` over the subsets K of p pathways. Under `_moment`, whose
+marginalized terms take no draws, it is quadratic in K's indicator
+vector s: the second plan takes pathway column k's forms row for C u J
+when s_k = 1 and its row for C otherwise, so `u(s) = u0 + D's` and `c(s)
+= c0 + d's`, rows D_k and d_k the differences of the forms of `t2({k})`
+and `t1`. Then `R(s) - R(0) = b's + s'Qs` with `kD = d + D x_bar`, `Q =
+D S_xx D' + kD kD'` and `b = 2 D (S_xx u0 - s_xy) + 2 k0 kD`. A
 quadratic game gives each linear term to its player and splits each
-pairwise term equally (Grabisch, Marichal & Roubens 2000), so
-`phi_i = -(b_i + sum_k Q_ik)`: minus the risk's derivative along
-(D_i, d_i) at the midpoint of the plans t1 and t2(all pathways), which
+pairwise term equally (Grabisch, Marichal & Roubens 2000), so `phi_i =
+-(b_i + sum_k Q_ik)`: minus the risk's derivative along (D_i, d_i) at
+the midpoint of the plans t1 and t2(all pathways), which
 `_pathway_games` takes from those two plans' forms, no p x p matrix
 formed. A game is valued from p + 2 linear forms (t1, t2(all pathways),
 each t2({k})) and alpha's two risks, AI_via through every column, which
@@ -175,36 +185,7 @@ alpha and each pathway alone. A SAGE table hands all its contexts' games
 to one `evaluate` call: their plans are built, their conditioning sets
 added and their forms stacked together. Every product is a `_dot` in
 canonical order, so phi depends neither on the column order nor on the
-other games of the batch.
-
-Linear Monte-Carlo marginalization (`_linear_rows`): a marginalized term
-averages the prediction over m = n_integration draws. For a linear
-predictor that mean is `X @ u + c + (1/m) sum_k z_k @ v`, and since each
-`z_k @ v` is N(0, |v|^2) per row, independently across rows and draws,
-the sum is exactly N(0, |v|^2 / m) per row. So the kernel draws one
-standard normal e per row from the term's integration stream and
-predicts `X @ u + c + (|v| / sqrt(m)) e`: the same distribution of mean
-predictions, hence of every cross-entropy risk, from n normals instead
-of m n d. Under squared error `_opaque_rows` subtracts the sampled
-variance of the mean, S^2 / m, per row; `_linear_rows` subtracts the
-known |v|^2 / m (both nothing when m = 1). Both corrections have
-expectation |v|^2 / m, and for Gaussian draws S^2 is independent of
-their mean, so E[S^2 | mean] = |v|^2: the linear risk is the
-Rao-Blackwellisation of the full-draw one, with the same expectation and
-no larger variance. `_opaque_rows` keeps n_integration full n x d draws
-from the term's integration stream `derive_seed(seed, rep, stream)`. So
-here, unlike in `original_f` mode, where both read the same column
-streams and agree to rounding, a `LinearPredictor` and any other
-`Predictor` computing the same map take different normals and agree in
-distribution, not draw for draw.
-
-Cross-entropy under Monte-Carlo marginalization is biased: the loss of
-the mean of n_integration draws is not the mean loss, and unlike the
-squared-error Var/m correction nothing removes the difference, so such a
-risk keeps a Jensen bias of order 1 / n_integration, on both row kernels
-(their mean predictions have one distribution). Exact marginalization
-has no integration noise.
-"""
+other games of the batch."""
 
 from __future__ import annotations
 
@@ -382,7 +363,6 @@ class ImportanceEvaluator:
         n_mc: int = 20,
         seed: int = 0,
         n_integration: int = 32,
-        exact_marginalization: bool = False,
     ):
         if len(target) != data.n_rows:
             raise DimensionMismatch("target length disagrees with data")
@@ -399,20 +379,20 @@ class ImportanceEvaluator:
         self.n_mc = n_mc
         self.seed = seed
         self.n_integration = n_integration
-        self.exact_marginalization = exact_marginalization
         # canonical column order: by name, so estimates do not depend on
         # how the columns are ordered (see the module docstring)
         self._canon_order = sorted(range(data.n_cols), key=lambda i: data.column_names[i])
         self._canon_rank = {col: rank for rank, col in enumerate(self._canon_order)}
-        linear = isinstance(predictor, LinearPredictor)
-        self._table = _Conditioning(gaussian, self._canon_order, predictor.weights if linear else None)
-        # each mode's risk kernel (see the module docstring); None: no closed form to marginalize
-        rows = self._linear_rows if linear else self._opaque_rows
-        moment = self._moment if linear and loss.kind == "squared_error" else rows
-        exact = moment if linear else None
-        self._kernels = {"original_f": moment, "marginalized": exact if exact_marginalization else rows}
-        # a pathway game is quadratic, and its Shapley values closed-form, under `_moment` without draws
-        self.solves_pathway_games = self._kernels["marginalized"] == self._moment
+        # a linear predictor is marginalized in closed form, any other by Monte Carlo
+        self._linear = isinstance(predictor, LinearPredictor)
+        self._table = _Conditioning(gaussian, self._canon_order, predictor.weights if self._linear else None)
+        # the evaluator's one risk kernel (see the module docstring)
+        if not self._linear:
+            self._kernel = self._opaque_rows
+        else:
+            self._kernel = self._moment if loss.kind == "squared_error" else self._linear_rows
+        # a pathway game is quadratic, and its Shapley values closed-form, under `_moment`
+        self.solves_pathway_games = self._kernel == self._moment
         self._risks: dict[tuple, float] = {}
         self._data_moments: tuple | None = None
         self._root: np.ndarray | None = None
@@ -625,9 +605,9 @@ class ImportanceEvaluator:
 
     def _term_risk(self, y: np.ndarray, pred: np.ndarray, mean_variance: np.ndarray | float | None) -> float:
         """Mean loss of the predictions. Under Monte-Carlo
-        marginalization only squared error is corrected for integration
-        noise (per row on `_opaque_rows`, by one known variance on
-        `_linear_rows`); cross-entropy keeps its O(1/n_integration) bias."""
+        marginalization (`_opaque_rows`) only squared error is corrected
+        for integration noise, per row; cross-entropy keeps its
+        O(1/n_integration) bias."""
         base = self.loss.elementwise(y, pred)
         # E[(y - mean of m draws)^2] overshoots the marginalized risk by
         # Var/m; subtracting the unbiased variance estimate removes it
@@ -648,9 +628,9 @@ class ImportanceEvaluator:
         batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
         spec = batch.spec
         pairs = self._plan_pairs(spec, batch.auxes)
-        # with exact marginalization the conditional means integrate
-        # the expectation in closed form, so a term needs no draws
-        exact = spec.mode == "marginalized" and self.exact_marginalization
+        # a linear predictor's conditional means integrate the
+        # expectation in closed form, so a marginalized term needs no draws
+        exact = spec.mode == "marginalized" and self._linear
         n_reps = 1 if exact else spec.n_mc
         value, se = self._differences(spec, pairs, n_reps, exact)
         if not single:
@@ -663,13 +643,10 @@ class ImportanceEvaluator:
                      per_pair: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Each plan pair's mean risk difference over n_reps repetitions
         and its standard error, its terms taken from the memo or computed
-        by the mode's kernel. Each pair counts as `per_pair` evaluations."""
+        by the evaluator's kernel. Each pair counts as `per_pair` evaluations."""
         global _eval_count
         _eval_count += per_pair * len(pairs)
         self.evaluations += per_pair * len(pairs)
-        kernel = self._kernels[spec.mode]
-        if kernel is None and any(t1 != t2 for t1, t2 in pairs):
-            raise DimensionMismatch("exact marginalization requires a linear predictor")
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
         # draws come from independent streams (1 and 2, a key's last
@@ -694,7 +671,7 @@ class ImportanceEvaluator:
         computed = sum(n_reps - held for _, held in misses.values())
         self.terms_computed += computed
         self.terms_reused += 2 * n_reps * len(live) - computed
-        for key, computed_risks in (kernel(spec, misses, n_reps, exact) if misses else {}).items():
+        for key, computed_risks in (self._kernel(spec, misses, n_reps, exact) if misses else {}).items():
             self._risks.setdefault(key, []).extend(computed_risks)
         # each live mask's mean and standard error over the repetitions,
         # one column of `pool`; identical plans differ by 0.0
@@ -713,12 +690,12 @@ class ImportanceEvaluator:
         Pathway games in the module docstring)."""
         if not self.solves_pathway_games:
             raise DimensionMismatch("a pathway game has a closed form only for a linear predictor"
-                                    " under squared error and exact marginalization")
+                                    " under squared error")
         q, d = len(games.pathways) + 2, self.data.n_cols
         # alpha, AI_via through every column; then the masks whose plans give phi
         auxes = ((1 << d) - 1, _mask(games.pathways), *(1 << k for k in games.pathways))
         pairs = [self._plan_pairs(spec, auxes) for spec in games.specs]
-        # exact marginalization: a term's memo key and risk do not depend on its spec's seed
+        # marginalized in closed form: a term's memo key and risk do not depend on its spec's seed
         value, se = self._differences(games.specs[0], [game[0] for game in pairs], 1, True, q - 1)
         # each game's plans t1, t2(all pathways) and each t2({k})
         plans = [t for game in pairs for t in (game[0][0], *(t2 for _, t2 in game[1:]))]
@@ -734,9 +711,9 @@ class ImportanceEvaluator:
     # -- risk kernels: {memo key: risks of repetitions held..n_reps-1} --------
 
     def _moment(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
-        """A linear predictor under squared error, in `original_f` or
-        exact-marginalized mode: the moment form, one key per plan, every
-        plan's risks of every repetition that some term misses at once."""
+        """A linear predictor under squared error: the moment form, one
+        key per plan, every plan's risks of every repetition that some
+        term misses at once."""
         u, v, c = self._linear_forms([key[0] for key in misses], not exact)
         first = min(held for _, held in misses.values())
         draws = None if exact else tuple(
@@ -745,33 +722,26 @@ class ImportanceEvaluator:
         return {key: risks[held - first:, p].tolist() for p, (key, (_, held)) in enumerate(misses.items())}
 
     def _linear_rows(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
-        """A linear predictor's other terms, from its form (u, v, c):
+        """A linear predictor under cross-entropy, from its form (u, v, c):
         `X @ u + c`, plus `z @ v` in `original_f` (the columns v weights
-        only) or, under Monte-Carlo marginalization, one N(0, |v|^2 / m)
-        normal per row from the term's integration stream."""
+        only)."""
         plans = list(dict.fromkeys(key[0] for key in misses))
         u, v, c = self._linear_forms(plans, not exact)
         # per plan, copied out so BLAS sees them as in a batch of one
         forms = {plan: (u[p].copy(), None if v is None else v[p].copy(), c[p]) for p, plan in enumerate(plans)}
-        m = self.n_integration
 
         def term(key):
             u, v, c = forms[key[0]]
             base = self.data.values @ u + c
-            if v is None:
-                return lambda rep, z: (base, None)
-            if spec.mode == "original_f":
-                nz = np.flatnonzero(v)
-                return lambda rep, z: (base + z[:, nz] @ v[nz] if len(nz) else base, None)
-            var = float(v @ v) / m
-            return lambda rep, z: (base + np.sqrt(var) * self._integration(spec, key, rep).standard_normal(len(base)),
-                                   var if m > 1 else 0.0)
+            nz = () if v is None else np.flatnonzero(v)
+            return lambda rep, z: (base + z[:, nz] @ v[nz] if len(nz) else base, None)
 
         return self._row_risks(spec, misses, n_reps, term)
 
     def _opaque_rows(self, spec: MeasureSpec, misses: dict, n_reps: int, exact: bool) -> dict:
         """Any other predictor, on the materialized plan matrix: one
-        prediction, or the mean of n_integration when marginalized."""
+        prediction, or when marginalized the mean of n_integration, drawn
+        from the term's integration stream (the key's last entry)."""
         self._set_up(list(dict.fromkeys(key[0] for key in misses)), draws=True)
 
         def term(key):
@@ -780,14 +750,10 @@ class ImportanceEvaluator:
 
             if spec.mode == "original_f":
                 return lambda rep, z: (model(z), None)
-            return lambda rep, z: self._marginalized_prediction(model, self._integration(spec, key, rep))
+            return lambda rep, z: self._marginalized_prediction(
+                model, np.random.default_rng(derive_seed(spec.seed, rep, key[-1])))
 
         return self._row_risks(spec, misses, n_reps, term)
-
-    @staticmethod
-    def _integration(spec: MeasureSpec, key: tuple, rep: int) -> np.random.Generator:
-        """A marginalized term's integration stream: the key's last entry."""
-        return np.random.default_rng(derive_seed(spec.seed, rep, key[-1]))
 
     def _row_risks(self, spec: MeasureSpec, misses: dict, n_reps: int, term) -> dict:
         """Risks of missing terms on n-length predictions: `term(key)` is

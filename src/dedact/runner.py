@@ -668,7 +668,8 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
     fraction = config.split_fraction
     loss = _loss(raw)
     n_mc = _int_key(raw, "n_mc", 20, "config", minimum=1)
-    exact = _bool_key(raw, "exact_marginalization", False, "config")
+    # checked, and selects nothing: a fitted (linear) model is always marginalized in closed form
+    _bool_key(raw, "exact_marginalization", False, "config")
     data_block, model = _mapping(raw, "data"), _mapping(raw, "model")
     _known_keys(data_block, "data", "data")
     _known_keys(model, "model", "model")
@@ -731,7 +732,6 @@ def run(config: RunConfig, outdir=None) -> ResultBundle:
         x, y = x[:n_eval].copy(), y[:n_eval].copy()
     evaluator = ImportanceEvaluator(
         DataMatrix(x, names), TargetVector(y), predictor, gaussian, loss=loss, n_mc=n_mc, seed=seed,
-        exact_marginalization=exact,
     )
     for add, name, call in calls:
         try:
@@ -794,7 +794,8 @@ def run_census_demo(seed: int = 0, n: int = 20000, n_sage_orders: int = 60,
         "seed": seed,
         "data": {"scm": "census", "n": n},
         "n_mc": 3,
-        # linear model: closed-form marginalization is exact and far cheaper
+        # selects nothing (a fitted linear model is always marginalized in
+        # closed form); the demo's bundle echoes its config with this key
         "exact_marginalization": True,
         "decompositions": sage + pfi,
     }), outdir)

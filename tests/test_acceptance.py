@@ -319,7 +319,7 @@ class TestAcceptance:
         gaussian = GaussianModel(mean=np.zeros(data.n_cols),
                                  cov=cov_all[np.ix_(feat_idx, feat_idx)])
         pop_ev = ImportanceEvaluator(data, target, predictor, gaussian, n_mc=3,
-                                     seed=0, exact_marginalization=True)
+                                     seed=0)
         pop_table = shapley_decompose_sage(pop_ev, data.index_of("age"),
                                            n_sage_orders=20, n_decomp_orders=10)
         age_value, age_se = pop_table.components["age"]

@@ -634,6 +634,29 @@ class TestRunCommands:
         cfg.write_text(text + "exact_marginalization: no\n")
         assert main(["importance", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("loss", ["squared_error", "cross_entropy"])
+    def test_exact_marginalization_selects_nothing(self, tmp_path, loss):
+        # a fitted model is linear, so it is always marginalized in closed
+        # form: the key is checked, and either value gives the same estimates
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((400, 3))
+        y = x @ [1.0, 0.5, -0.5] + rng.standard_normal(400)
+        if loss == "cross_entropy":
+            y = (y > 0).astype(float)
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                              for row in np.column_stack([x, y]).tolist()))
+        measures = [{"name": "ai_a", "measure": "AI", "interest": ["a"], "baseline": [], "mode": "marginalized"},
+                    {"name": "sage_a", "measure": "SAGE_attribution", "interest": ["a"], "n_orders": 1},
+                    {"name": "pfi_b", "measure": "PFI", "interest": ["b"]}]
+        raw = {"seed": 0, "data": {"csv": str(path), "target_column": "y"}, "loss": loss, "n_mc": 4,
+               "measures": measures}
+        off, on = (run(RunConfig(dict(raw, exact_marginalization=flag))).estimates for flag in (False, True))
+        assert off == on
+        # the marginalized estimates take no draws: SE 0, and one repetition
+        assert [e["std_error"] for e in off[:2]] == [0.0, 0.0] and off[0]["n_mc"] == 1
+        assert off[2]["std_error"] > 0.0
+
     def test_every_error_has_one_exit_code(self):
         # every error derives from exactly one kind, which holds its exit code
         assert set(DedactError.__subclasses__()) == {errors._Config, errors._Data, errors._Numerical}
@@ -1095,7 +1118,7 @@ def test_every_measure_block_writes_its_library_estimate(first_evaluation):
     bundle = run(RunConfig(dict(_BASE, measures=blocks, decompositions=[])))
     ev = first_evaluation["evaluator"]
     fresh = ImportanceEvaluator(ev.data, ev.target, ev.predictor, ev.gaussian, ev.loss, ev.n_mc, ev.seed,
-                                ev.n_integration, ev.exact_marginalization)
+                                ev.n_integration)
     b, c, p = (ev.data.column_names.index(name) for name in "BCP")
     expected = runner.ResultBundle({})
     for name, est in zip([block["name"] for block in blocks], [

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedact.core import DataMatrix, ImportanceEstimate, LinearPredictor, TargetVector, derive_seed
+from dedact.core import (
+    DataMatrix,
+    FeatureIndexSet,
+    ImportanceEstimate,
+    LinearPredictor,
+    Predictor,
+    TargetVector,
+    derive_seed,
+)
 from dedact.decompose import (
     CooperativeGame,
     DecompositionTable,
@@ -355,14 +363,29 @@ class TestShapleyAxioms:
             assert phi_boost[0] >= phi[0] - 1e-10
 
 
-def _linear_evaluator(cov, weights, target_weights=None, n=20000, seed=0, **kw):
+class _OpaqueLinear(Predictor):
+    """A linear map that the engine reads only through `predict`, so it is
+    marginalized by Monte Carlo."""
+
+    def __init__(self, weights):
+        self.weights = weights
+        self.support = FeatureIndexSet.of(np.nonzero(weights)[0])
+
+    def predict(self, x):
+        return np.asarray(x, dtype=float) @ self.weights
+
+
+def _linear_evaluator(cov, weights, target_weights=None, n=20000, seed=0, opaque=False, **kw):
+    """A linear model on correlated Gaussian columns with a linear target;
+    with `opaque` the model is hidden behind `_OpaqueLinear`."""
     cov = np.asarray(cov, dtype=float)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, cov.shape[0])) @ np.linalg.cholesky(cov).T
     data = DataMatrix(values, tuple(f"x{i}" for i in range(cov.shape[0])))
     tw = np.asarray(weights if target_weights is None else target_weights, dtype=float)
     y = TargetVector(values @ tw)
-    pred = LinearPredictor(weights=np.asarray(weights, dtype=float), intercept=0.0)
+    w = np.asarray(weights, dtype=float)
+    pred = _OpaqueLinear(w) if opaque else LinearPredictor(weights=w, intercept=0.0)
     g = GaussianModel(mean=np.zeros(cov.shape[0]), cov=cov)
     return ImportanceEvaluator(data, y, pred, g, seed=seed, **kw)
 
@@ -517,10 +540,11 @@ class TestShapleyDecomposeSage:
 
     def test_restricted_pathways_keep_the_full_total(self):
         # the total is j's SAGE value whatever the pathways, as in the fast
-        # table: under exact marginalization the seeds drop out, so the two
-        # totals are the same mean of AI(j | C) over the same contexts
+        # table: a linear predictor's closed-form marginalization takes no
+        # draws, so the seeds drop out and the two totals are the same mean
+        # of AI(j | C) over the same contexts
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=2000, n_mc=2, exact_marginalization=True)
+        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=2000, n_mc=2)
         fast = fast_decompose_sage(ev, 0, pathways=[1, 2], n_orders=5)
         for solver in ("exact", "sampled"):
             table = shapley_decompose_sage(ev, 0, pathways=[2, 1], solver=solver, n_sage_orders=5, n_decomp_orders=3)
@@ -551,9 +575,10 @@ class TestShapleyDecomposeSage:
 
 
 def _pathway_evaluator(d, seed, order=None):
-    """Exact marginalization on d columns with a random SPD covariance,
-    mean, weights and target, the columns stored in `order` (column i of
-    the data is original column order[i], named by its original index)."""
+    """A linear model under squared error on d columns with a random SPD
+    covariance, mean, weights and target, the columns stored in `order`
+    (column i of the data is original column order[i], named by its
+    original index)."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d))
     cov = a @ a.T / d + 0.2 * np.eye(d)
@@ -565,7 +590,7 @@ def _pathway_evaluator(d, seed, order=None):
     data = DataMatrix(values[:, order], tuple(f"x{i}" for i in order))
     pred = LinearPredictor(weights=w[order], intercept=0.3)
     g = GaussianModel(mean=mean[order], cov=cov[np.ix_(order, order)])
-    return ImportanceEvaluator(data, y, pred, g, seed=seed, exact_marginalization=True)
+    return ImportanceEvaluator(data, y, pred, g, seed=seed)
 
 
 @st.composite
@@ -580,8 +605,8 @@ def _pathway_cases(draw):
 
 
 class TestPathwayGamesClosedForm:
-    """Under a linear predictor, squared error and exact marginalization a
-    SAGE context's pathway game is quadratic in its pathway set, and its
+    """Under a linear predictor and squared error a SAGE context's
+    pathway game is quadratic in its pathway set, and its
     Shapley values come in closed form from one `PathwayGames` evaluation."""
 
     @settings(max_examples=60, deadline=None)
@@ -671,14 +696,14 @@ class TestPathwayGamesClosedForm:
 class TestOneContextTotalSE:
     """With one context, every SAGE table and `sage_attribution` report
     the standard error of that context's surplus evaluation: non-zero
-    under Monte-Carlo marginalization, 0 under exact marginalization. The
-    three read the surplus under one seed tag."""
+    under an opaque predictor's Monte-Carlo marginalization, 0 under a
+    linear predictor's closed form. The three read the surplus under one
+    seed tag."""
 
-    @pytest.mark.parametrize("exact_marginalization", [False, True])
-    def test_is_the_surplus_evaluations_own(self, exact_marginalization):
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
+    def test_is_the_surplus_evaluations_own(self, opaque):
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, seed=4, n_mc=3, n_integration=2,
-                               exact_marginalization=exact_marginalization)
+        ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, seed=4, n_mc=3, n_integration=2, opaque=opaque)
         j, seed = 1, ev.seed
         attribution = ev.sage_attribution(j, n_orders=1)
         fast = fast_decompose_sage(ev, j, n_orders=1)
@@ -694,8 +719,8 @@ class TestOneContextTotalSE:
         for table, tag in tables:
             assert table.order_log == [context]
             assert table.total == (surplus(tag).value, surplus(tag).std_error)
-        assert (attribution.std_error > 0.0) is not exact_marginalization
-        assert all((table.total[1] > 0.0) is not exact_marginalization for table, _ in tables)
+        assert (attribution.std_error > 0.0) is opaque
+        assert all((table.total[1] > 0.0) is opaque for table, _ in tables)
 
 
 class TestOneSurplusStream:
@@ -704,14 +729,14 @@ class TestOneSurplusStream:
     total SE bit for bit, from the same memo terms."""
 
     @pytest.mark.parametrize("n_orders", [1, 4])
-    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
     @pytest.mark.parametrize("seed", [5, 12, 21])
-    def test_one_total_from_the_same_terms(self, seed, exact_marginalization, n_orders):
+    def test_one_total_from_the_same_terms(self, seed, opaque, n_orders):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(3, 6))
         a = rng.standard_normal((d, d))
         cov, weights = a @ a.T + 0.5 * np.eye(d), rng.standard_normal(d)
-        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, exact_marginalization=exact_marginalization)
+        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, opaque=opaque)
         ev, alone = (_linear_evaluator(cov, weights, **kw) for _ in range(2))
         j = int(rng.integers(d))
         attribution = ev.sage_attribution(j, n_orders=n_orders)
@@ -754,10 +779,10 @@ class TestFastTablesBatched:
     pathways): the table one evaluation per entry gives, from one
     `evaluate` call."""
 
-    @pytest.mark.parametrize("exact_marginalization", [False, True])
-    def test_same_table_as_one_evaluation_per_component(self, monkeypatch, exact_marginalization):
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
+    def test_same_table_as_one_evaluation_per_component(self, monkeypatch, opaque):
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        kw = dict(n=500, n_mc=3, n_integration=4, exact_marginalization=exact_marginalization)
+        kw = dict(n=500, n_mc=3, n_integration=4, opaque=opaque)
         ev, single = (_linear_evaluator(cov, [1.0, -0.5, 0.8], **kw) for _ in range(2))
         calls = []
         evaluate = ImportanceEvaluator.evaluate
@@ -834,7 +859,7 @@ class _FreshPerEvaluation(ImportanceEvaluator):
     def evaluate(self, spec):
         fresh = ImportanceEvaluator(
             self.data, self.target, self.predictor, self.gaussian, self.loss, self.n_mc,
-            self.seed, self.n_integration, self.exact_marginalization,
+            self.seed, self.n_integration,
         )
         return fresh.evaluate(spec)
 
@@ -853,11 +878,11 @@ def _shapley_tables(ev):
 
 
 class TestTermMemoInvisible:
-    @pytest.mark.parametrize("exact_marginalization", [False, True])
-    def test_tables_equal_fresh_evaluations(self, exact_marginalization):
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
+    def test_tables_equal_fresh_evaluations(self, opaque):
         cov = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        kw = dict(n_mc=3, n_integration=4, exact_marginalization=exact_marginalization)
-        shared = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=3000, **kw)
+        kw = dict(n_mc=3, n_integration=4)
+        shared = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=3000, opaque=opaque, **kw)
         fresh = _FreshPerEvaluation(shared.data, shared.target, shared.predictor, shared.gaussian, **kw)
         (tables, count), (fresh_tables, fresh_count) = _shapley_tables(shared), _shapley_tables(fresh)
         for a, b in zip(tables, fresh_tables):
@@ -943,7 +968,7 @@ def _parent_shapley_decompose_sage(ev, j, pathways=None, solver="auto", n_sage_o
     solver_name = solver
     # the surplus's SE from a twin evaluator, so that ev's counters see only the game
     twin = ImportanceEvaluator(ev.data, ev.target, ev.predictor, ev.gaussian, ev.loss, ev.n_mc, ev.seed,
-                               ev.n_integration, ev.exact_marginalization)
+                               ev.n_integration)
     for o, context in enumerate(contexts):
         spec = ev._spec("AI_via", [j], context, mode="marginalized", n_mc=n_mc, seed=derive_seed(seed, 7002, o))
         game = _MeasureGame(ev, spec, pathways)
@@ -965,13 +990,13 @@ class TestSageLoopReference:
     evaluations (equal counters on twin evaluators)."""
 
     @pytest.mark.parametrize("n_orders", [1, 4])
-    @pytest.mark.parametrize("exact_marginalization", [False, True])
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_equals_the_frozen_loops(self, seed, exact_marginalization, n_orders):
+    def test_equals_the_frozen_loops(self, seed, opaque, n_orders):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 4))
         cov, weights = a @ a.T + 0.5 * np.eye(4), rng.standard_normal(4)
-        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, exact_marginalization=exact_marginalization)
+        kw = dict(n=300, seed=seed, n_mc=2, n_integration=3, opaque=opaque)
         ev, parent = (_linear_evaluator(cov, weights, **kw) for _ in range(2))
         j = int(rng.integers(4))
         for variant in SAGE_VARIANTS:

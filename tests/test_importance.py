@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dedact.core import (
     Predictor,
     TargetVector,
     derive_seed,
+    fit_ols,
 )
 import dedact.importance as importance
 from dedact.decompose import shapley_decompose_sage
@@ -21,6 +23,7 @@ from dedact.errors import DimensionMismatch, DisjointnessViolation, SingularCond
 from dedact.importance import (
     _KEEP,
     MEASURES,
+    MODES,
     ImportanceEvaluator,
     MeasureBatch,
     MeasureSpec,
@@ -35,9 +38,11 @@ from dedact.sampler import (
     _Conditioning,
     _stable_cholesky,
     conditional_params,
+    fit_gaussian,
     marginalize,
     perturb,
 )
+from dedact.scm import census_scm, sample_scm
 
 
 def _gaussian_data(cov, n, seed):
@@ -280,12 +285,14 @@ class TestEngineContracts:
         assert one.std_error == 0.0
         assert np.isfinite(singles[0])
 
-    @pytest.mark.parametrize("exact,n_reps", [(False, 5), (True, 1)])
-    def test_structural_zero_reports_its_batch_n_mc(self, exact, n_reps):
+    @pytest.mark.parametrize("which,n_reps", [("linear", 1), ("opaque", 5)])
+    def test_structural_zero_reports_its_batch_n_mc(self, which, n_reps):
         # an empty pathway makes both plans identical: a structural zero,
-        # reported with the repetitions of every other estimate
+        # reported with the repetitions of every other estimate (one under
+        # a linear predictor's closed-form marginalization)
         cov = [[1.0, 0.5, 0.3], [0.5, 1.0, 0.2], [0.3, 0.2, 1.0]]
-        ev = _evaluator(cov, [1.0, 1.0, 1.0], n=200, n_mc=5, exact_marginalization=exact)
+        ev = _evaluator(cov, [1.0, 1.0, 1.0], n=200, n_mc=5)
+        ev = ev if which == "linear" else _opaque_twin(ev)
         zero = ev.ai_via([0], [], [], mode="marginalized")
         live = ev.ai_via([0], [], [1], mode="marginalized")
         assert (zero.value, zero.std_error) == (0.0, 0.0)
@@ -296,24 +303,16 @@ class TestEngineContracts:
         assert (value == 0.0).tolist() == [True, False, True, False]
         assert (se[[0, 2]] == 0.0).all()
 
-    def test_exact_marginalization_needs_a_linear_predictor(self):
-        # only a linear predictor's conditional expectation has a closed
-        # form; any other is refused rather than run by Monte-Carlo draws
-        linear, opaque, rng = _linear_and_opaque(exact_marginalization=True)
-        drawn = ImportanceEvaluator(opaque.data, opaque.target, opaque.predictor, opaque.gaussian)
-        with pytest.raises(DimensionMismatch, match="exact marginalization requires a linear predictor"):
-            opaque.ai_via([0], [1], [2], mode="marginalized")
-        spec = MeasureSpec("DI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]), mode="marginalized")
-        with pytest.raises(DimensionMismatch, match="linear predictor"):
-            opaque.evaluate(MeasureBatch(spec, (0, 0b100)))
-        assert opaque.terms_computed == 0
-        # identical plans take no expectation: a structural zero
-        zero = opaque.ai_via([0], [1], [], mode="marginalized")
-        assert (zero.value, zero.std_error, zero.n_mc) == (0.0, 0.0, 1)
-        # original_f terms take none either, exact or not
-        for spec in _random_specs(4, rng, 8, mode="original_f", n_mc=2):
-            assert opaque.evaluate(spec) == drawn.evaluate(spec)
-        assert linear.ai_via([0], [1], [2], mode="marginalized").std_error == 0.0
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    def test_the_predictor_picks_the_one_kernel(self, loss):
+        # no flag selects the marginalization: a linear predictor takes
+        # the moment form or the linear row path, any other the plan matrix
+        linear, opaque, _ = _linear_and_opaque(loss=loss)
+        assert linear._kernel == (linear._moment if loss is SQUARED_ERROR else linear._linear_rows)
+        assert opaque._kernel == opaque._opaque_rows
+        with pytest.raises(TypeError, match="exact_marginalization"):
+            ImportanceEvaluator(linear.data, linear.target, linear.predictor, linear.gaussian, loss=loss,
+                                exact_marginalization=True)
 
     def test_evaluation_counter(self):
         ev = _evaluator(np.eye(2), [1.0, 1.0], n=2000, n_mc=2)
@@ -396,7 +395,11 @@ def _random_specs(d, rng, count, **kw):
     return specs
 
 
-def _linear_and_opaque(d=4, n=400, seed=3, **kw):
+def _linear_and_opaque(d=4, n=400, seed=3, loss=SQUARED_ERROR, **kw):
+    """A linear predictor and its `_OpaqueLinear` twin on correlated
+    Gaussian columns. Under cross-entropy the target is 0/1 (a linear
+    target cut at its median) and the predictor is its least-squares fit,
+    as `run()` fits one."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((d, d)) / np.sqrt(d)
     cov = a @ a.T + 0.5 * np.eye(d)
@@ -405,10 +408,22 @@ def _linear_and_opaque(d=4, n=400, seed=3, **kw):
     data = DataMatrix(values, tuple(f"c{i}" for i in (3, 0, 2, 1)[:d]))
     w, b = rng.standard_normal(d), 0.7
     y = TargetVector(values @ w + rng.standard_normal(n))
+    if loss is CROSS_ENTROPY:
+        y = TargetVector((y.values > np.median(y.values)).astype(float))
+        fitted = fit_ols(data, y)
+        w, b = fitted.weights, fitted.intercept
     g = GaussianModel(mean=mean, cov=cov)
-    linear = ImportanceEvaluator(data, y, LinearPredictor(weights=w, intercept=b), g, **kw)
-    opaque = ImportanceEvaluator(data, y, _OpaqueLinear(w, b), g, **kw)
+    linear = ImportanceEvaluator(data, y, LinearPredictor(weights=w, intercept=b), g, loss=loss, **kw)
+    opaque = ImportanceEvaluator(data, y, _OpaqueLinear(w, b), g, loss=loss, **kw)
     return linear, opaque, rng
+
+
+def _opaque_twin(ev):
+    """ev with its linear predictor behind `_OpaqueLinear`: the same map,
+    marginalized by Monte Carlo."""
+    p = ev.predictor
+    return ImportanceEvaluator(ev.data, ev.target, _OpaqueLinear(p.weights, p.intercept), ev.gaussian, loss=ev.loss,
+                               n_mc=ev.n_mc, seed=ev.seed, n_integration=ev.n_integration)
 
 
 def _plans(ev, spec):
@@ -418,16 +433,14 @@ def _plans(ev, spec):
 
 def _engine_paths():
     """(evaluator, mode) over every engine path that an identity between
-    measures must hold on: `original_f`, Monte-Carlo and exact
-    marginalization, both losses, and a linear predictor as well as one
-    the engine reads only through `predict` (which exact marginalization
-    does not admit)."""
-    for mode, exact in (("original_f", False), ("marginalized", False), ("marginalized", True)):
+    measures must hold on: both modes, both losses, and a linear predictor
+    (marginalized in closed form) as well as one the engine reads only
+    through `predict` (marginalized by Monte Carlo)."""
+    for mode in MODES:
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
-            linear, opaque, _ = _linear_and_opaque(n=300, n_integration=3, n_mc=3, loss=loss,
-                                                   exact_marginalization=exact)
-            for ev in (linear,) if exact else (linear, opaque):
-                yield ev, mode
+            linear, opaque, _ = _linear_and_opaque(n=300, n_integration=3, n_mc=3, loss=loss)
+            yield linear, mode
+            yield opaque, mode
 
 
 def _risks_on_one_draw(linear, opaque, plan, rng):
@@ -445,8 +458,8 @@ def _risks_on_one_draw(linear, opaque, plan, rng):
 
 
 class TestPlanEngine:
-    # the two paths take different draws (see TestLinearMonteCarloMarginalization
-    # and TestMomentForm), so each plan's risk is matched on one explicit z
+    # the two paths take different draws (see TestMomentForm), so each
+    # plan's risk is matched on one explicit z
     @pytest.mark.parametrize("mode", ["original_f"])
     def test_generic_path_matches_linear_form(self, mode):
         linear, opaque, rng = _linear_and_opaque(n_integration=4)
@@ -468,17 +481,14 @@ class TestPlanEngine:
                 expected = predictor.predict(linear._build_matrix(plan, z))
                 np.testing.assert_allclose(x @ u + z @ v + c, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("mode,exact", [("original_f", False), ("marginalized", False), ("marginalized", True)],
-                             ids=["original_f", "monte_carlo", "exact"])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
     @pytest.mark.parametrize("which", ["linear", "opaque"])
-    def test_each_term_takes_its_documented_path(self, monkeypatch, which, loss, mode, exact):
-        # a linear predictor's squared-error terms in `original_f` and exact
-        # mode take the moment form, its other terms the linear row path;
-        # any other predictor reads the materialized plan matrix, and has
-        # no closed form to marginalize exactly
-        linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3, n_mc=2, loss=loss,
-                                               exact_marginalization=exact)
+    def test_each_term_takes_its_documented_path(self, monkeypatch, which, loss, mode):
+        # a linear predictor's squared-error terms take the moment form in
+        # either mode, its cross-entropy terms the linear row path; any
+        # other predictor reads the materialized plan matrix
+        linear, opaque, _ = _linear_and_opaque(n=200, n_integration=3, n_mc=2, loss=loss)
         ev = linear if which == "linear" else opaque
         calls = []
         for name in ("_moment_risks", "_linear_forms", "_build_matrix"):
@@ -487,29 +497,23 @@ class TestPlanEngine:
                 return _method(*args, **kw)
 
             monkeypatch.setattr(ev, name, spy)
-        if which == "opaque" and exact:
-            with pytest.raises(DimensionMismatch, match="^exact marginalization requires a linear predictor$"):
-                ev.direct_importance([0], [1], mode=mode)
-            assert ev.terms_computed == 0 and not calls
-            return
         ev.direct_importance([0], [1], mode=mode)
         expected = {"_build_matrix"} if which == "opaque" else {"_linear_forms"}
-        if which == "linear" and loss is SQUARED_ERROR and (exact or mode == "original_f"):
+        if which == "linear" and loss is SQUARED_ERROR:
             expected.add("_moment_risks")
         assert set(calls) == expected
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_reused_terms_are_bit_identical(self, exact):
+    @pytest.mark.parametrize("which", ["linear", "opaque"])
+    def test_reused_terms_are_bit_identical(self, which):
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
-            linear, _, rng = _linear_and_opaque(n_integration=4, exact_marginalization=exact, loss=loss)
-            specs = [s for mode in ("original_f", "marginalized")
-                     for s in _random_specs(4, rng, 8, mode=mode, n_mc=3, seed=2)]
-            warm = [linear.evaluate(s) for s in specs + specs]
-            assert linear.terms_reused > linear.terms_computed
+            linear, opaque, rng = _linear_and_opaque(n_integration=4, loss=loss)
+            ev = linear if which == "linear" else opaque
+            specs = [s for mode in MODES for s in _random_specs(4, rng, 8, mode=mode, n_mc=3, seed=2)]
+            warm = [ev.evaluate(s) for s in specs + specs]
+            assert ev.terms_reused > ev.terms_computed
             for spec, est in zip(specs + specs, warm):
                 fresh = ImportanceEvaluator(
-                    linear.data, linear.target, linear.predictor, linear.gaussian,
-                    loss=loss, n_integration=4, exact_marginalization=exact,
+                    ev.data, ev.target, ev.predictor, ev.gaussian, loss=loss, n_integration=4,
                 ).evaluate(spec)
                 assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
 
@@ -526,9 +530,9 @@ class TestPlanEngine:
     @pytest.mark.parametrize("which,loss,mode", [
         ("linear", SQUARED_ERROR, "original_f"),
         ("linear", CROSS_ENTROPY, "original_f"),
-        ("linear", SQUARED_ERROR, "marginalized"),
         ("opaque", SQUARED_ERROR, "original_f"),
-    ], ids=["moment_form", "cross_entropy_row_path", "linear_monte_carlo", "opaque_plan_matrix"])
+        ("opaque", SQUARED_ERROR, "marginalized"),
+    ], ids=["moment_form", "cross_entropy_row_path", "opaque_plan_matrix", "opaque_monte_carlo"])
     def test_more_repetitions_extend_each_held_prefix(self, which, loss, mode):
         # a term's memo entry holds its repetitions 0..r-1; asking for more
         # computes only the new ones, and the estimates are a fresh run's
@@ -637,82 +641,59 @@ class TestColumnDraws:
         assert derive_seed(seed, 5, 0) == derive_seed(seed, 5)
 
 
-class TestLinearMonteCarloMarginalization:
-    """A linear predictor's Monte-Carlo marginalized terms draw one
-    normal per row (see the module docstring); other predictors keep
-    n_integration full draws."""
+class TestOpaqueMarginalization:
+    """A predictor other than a `LinearPredictor` is marginalized by Monte
+    Carlo: each marginalized term averages n_integration full n x d draws
+    from its own integration stream (see the module docstring)."""
 
     @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
     @pytest.mark.parametrize("m", [1, 4])
     def test_term_risk_matches_hand_computation(self, loss, m):
-        # the linear path draws one normal per row; any other predictor
-        # averages m full n x d draws on the plan matrix, whose mean
-        # prediction is X @ u + c + mean_k(z_k @ v) for the same map
+        # the mean prediction of m draws on the plan matrix is
+        # X @ u + c + mean_k(z_k @ v) for the linear form of the same map
         linear, opaque, rng = _linear_and_opaque(n_integration=m, loss=loss)
         x, y = linear.data.values, linear.target.values
         specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", n_mc=2, seed=9)
                  if len(set(_plans(linear, s))) == 2]
-        for ev, tol in ((linear, 1e-12), (opaque, 1e-10)):
-            for spec in specs:
-                est = ev.evaluate(spec)
-                plans = _plans(ev, spec)
-                forms = list(zip(*linear._linear_forms(plans, True)))
-                diffs = []
-                for rep in range(spec.n_mc):
-                    risks = []
-                    for slot, (plan, (u, v, c)) in enumerate(zip(plans, forms), 1):
-                        draws = np.random.default_rng(derive_seed(spec.seed, rep, slot))
-                        if ev is linear:
-                            pred = x @ u + c + np.linalg.norm(v) / np.sqrt(m) * draws.standard_normal(len(y))
-                            correction = v @ v / m
-                        else:
-                            preds = np.array([x @ u + c + draws.standard_normal(x.shape) @ v for _ in range(m)])
-                            pred = preds.mean(axis=0)
-                            correction = preds.var(axis=0, ddof=1) / m if m > 1 else 0.0
-                        risk = np.mean(loss.elementwise(y, pred))
-                        if loss.kind == "squared_error" and m > 1:
-                            risk -= np.mean(correction)
-                        # one memo entry per term, holding its repetitions in order
-                        key = (plan, "marginalized", spec.seed, slot)
-                        assert len(ev._risks[key]) == spec.n_mc
-                        assert ev._risks[key][rep] == pytest.approx(risk, rel=tol, abs=tol), spec
-                        risks.append(risk)
-                    diffs.append(risks[0] - risks[1])
-                assert est.value == pytest.approx(np.mean(diffs), rel=1e-10, abs=tol), spec
+        for spec in specs:
+            est = opaque.evaluate(spec)
+            plans = _plans(opaque, spec)
+            forms = list(zip(*linear._linear_forms(plans, True)))
+            diffs = []
+            for rep in range(spec.n_mc):
+                risks = []
+                for slot, (plan, (u, v, c)) in enumerate(zip(plans, forms), 1):
+                    draws = np.random.default_rng(derive_seed(spec.seed, rep, slot))
+                    preds = np.array([x @ u + c + draws.standard_normal(x.shape) @ v for _ in range(m)])
+                    risk = np.mean(loss.elementwise(y, preds.mean(axis=0)))
+                    if loss.kind == "squared_error" and m > 1:
+                        risk -= np.mean(preds.var(axis=0, ddof=1) / m)
+                    # one memo entry per term, holding its repetitions in order
+                    key = (plan, "marginalized", spec.seed, slot)
+                    assert len(opaque._risks[key]) == spec.n_mc
+                    assert opaque._risks[key][rep] == pytest.approx(risk, rel=1e-10, abs=1e-10), spec
+                    risks.append(risk)
+                diffs.append(risks[0] - risks[1])
+            assert est.value == pytest.approx(np.mean(diffs), rel=1e-10, abs=1e-10), spec
 
-    @staticmethod
-    def _seeded(specs, seeds):
-        return [[replace(s, n_mc=1, seed=seed) for seed in seeds] for s in specs]
-
-    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
-    def test_linear_and_opaque_agree_in_distribution(self, loss):
-        linear, opaque, rng = _linear_and_opaque(n=200, n_integration=4, loss=loss)
-        specs = _random_specs(4, rng, 3, mode="marginalized")
-        for per_seed in self._seeded(specs, range(200)):
-            diff = np.array([linear.evaluate(s).value - opaque.evaluate(s).value for s in per_seed])
-            se = diff.std(ddof=1) / np.sqrt(diff.size)
-            assert abs(diff.mean()) <= 4 * se, per_seed[0]
-
-    def test_squared_error_mean_is_the_exact_marginalized_risk(self):
-        linear, _, rng = _linear_and_opaque(n=200, n_integration=4)
-        exact = ImportanceEvaluator(linear.data, linear.target, linear.predictor, linear.gaussian,
-                                    exact_marginalization=True)
-        specs = _random_specs(4, rng, 3, mode="marginalized")
-        for per_seed in self._seeded(specs, range(200)):
-            values = np.array([linear.evaluate(s).value for s in per_seed])
-            target = exact.evaluate(per_seed[0]).value
+    def test_squared_error_mean_is_the_closed_form(self):
+        # the variance correction leaves no integration bias: over seeds,
+        # the mean estimate is the linear predictor's closed form
+        linear, opaque, rng = _linear_and_opaque(n=200, n_integration=4)
+        for spec in _random_specs(4, rng, 3, mode="marginalized"):
+            values = np.array([opaque.evaluate(replace(spec, n_mc=1, seed=seed)).value for seed in range(200)])
             se = values.std(ddof=1) / np.sqrt(values.size)
-            assert abs(values.mean() - target) <= 4 * se, per_seed[0]
+            assert abs(values.mean() - linear.evaluate(spec).value) <= 4 * se, spec
 
     def test_opaque_estimates_unchanged(self):
-        # recorded before the linear path drew its noise directly; the
-        # opaque path still takes n_integration full draws per term, so
-        # only the platform's BLAS rounding could move these
+        # the opaque path takes n_integration full draws per term from
+        # fixed streams, so only the platform's BLAS rounding could move
+        # these (the cross-entropy pins score the 0/1 target)
         pinned = {
             "squared_error": [(0.620986085043989, 0.13018444494272877), (0.7222893894061247, 0.06497762419773385),
                               (0.9964268358084714, 0.04469947354123671), (1.0709383696498103, 0.13701454125660648)],
-            "cross_entropy": [(3.7863650704399974, 0.6961945405260843), (7.006444247058244, 0.4423405523980216),
-                              (10.657697526144334, 1.1180916261733578), (16.244643358219154, 0.5821585355567392)],
+            "cross_entropy": [(0.40067274859202423, 0.07823903549094073), (0.2442831220406798, 0.0175580423279033),
+                              (0.1589396018709169, 0.013894719560388364), (0.13157607319423878, 0.049463009458660286)],
         }
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
             _, opaque, rng = _linear_and_opaque(n_integration=4, loss=loss)
@@ -720,28 +701,112 @@ class TestLinearMonteCarloMarginalization:
             got = [(e.value, e.std_error) for e in map(opaque.evaluate, specs)]
             assert got == pytest.approx(pinned[loss.kind], rel=1e-12)
         # a linear predictor's terms off the moment form, recorded the same
-        # way: the row path's draws and BLAS products, per (loss, mode, exact)
+        # way: the row path's draws and BLAS products, per (loss, mode)
         pinned_linear = {
-            ("cross_entropy", "original_f", False): [
-                (12.528304346286403, 0.3317268419207909), (40.312438107333264, 4.5989056524234595),
-                (52.89890093228363, 3.853070620835453), (52.88147601337926, 3.7733567240490626)],
-            ("squared_error", "marginalized", False): [
-                (1.4675635919095071, 0.04408904150859464), (4.5559518837749335, 0.35537703632913187),
-                (5.7820746212464975, 0.282802503101104), (5.7864732384649065, 0.28355425541698553)],
-            ("cross_entropy", "marginalized", False): [
-                (10.621826308680754, 0.30015941948167313), (38.852630054149095, 3.615543041298529),
-                (48.07200444898263, 2.943847287592544), (47.8856611055514, 2.7837526937509054)],
-            ("cross_entropy", "marginalized", True): [
-                (8.892444781887765, 0.0), (32.611573035887254, 0.0),
-                (40.57218089869706, 0.0), (40.35062516864661, 0.0)],
+            ("cross_entropy", "original_f"): [
+                (0.32752153440991516, 0.1316774262291666), (2.4765621658033194, 0.33658791299719487),
+                (2.783646579505874, 0.19278557828165024), (2.7324839753991657, 0.21101650727749996)],
+            ("cross_entropy", "marginalized"): [
+                (0.08554456531293103, 0.0), (0.2762716377954226, 0.0),
+                (0.3530239064751353, 0.0), (0.35135296396442456, 0.0)],
         }
         for ev, mode in _engine_paths():
-            case = (ev.loss.kind, mode, mode == "marginalized" and ev.exact_marginalization)
+            case = (ev.loss.kind, mode)
             if isinstance(ev.predictor, LinearPredictor) and case in pinned_linear:
                 specs = _random_specs(4, np.random.default_rng(11), 4, mode=mode, n_mc=3, seed=5)
                 got = [(e.value, e.std_error) for e in map(ev.evaluate, specs)]
                 assert got == pytest.approx(pinned_linear.pop(case), rel=1e-12), case
         assert not pinned_linear
+
+
+def _closed_form_risk(ev, plan):
+    """A linear predictor's marginalized risk on a plan, from numpy alone:
+    the loss of its conditional expectation `X u + c`; under squared error
+    `u' S_xx u - 2 u' s_xy + s_yy + k^2` on the evaluation data's centred
+    moments, with `k = c + x_bar . u - y_bar`."""
+    (u,), _, (c,) = ev._linear_forms([plan], False)
+    x, y = ev.data.values, ev.target.values
+    if ev.loss.kind == "cross_entropy":
+        return float(np.mean(ev.loss.elementwise(y, x @ u + c)))
+    x_c, y_c = x - x.mean(axis=0), y - y.mean()
+    k = c + x.mean(axis=0) @ u - y.mean()
+    return u @ (x_c.T @ x_c) @ u / len(y) - 2.0 * u @ (x_c.T @ y_c) / len(y) + y_c @ y_c / len(y) + k * k
+
+
+class TestClosedFormMarginalization:
+    """A `LinearPredictor` is always marginalized in closed form: its
+    marginalized estimates take no draws, so they report SE 0 and one
+    repetition, and do not move with n_mc or n_integration."""
+
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    def test_bit_identical_across_draw_counts(self, loss):
+        rng = np.random.default_rng(21)
+        specs = [s for s in _random_specs(4, rng, 16, mode="marginalized", seed=4) if s.measure in ("DI", "AI")]
+        results = set()
+        for m, n_mc in product((1, 4, 32), (1, 5)):
+            ev = _linear_and_opaque(loss=loss, n_integration=m, n_mc=n_mc)[0]
+            got = tuple((e.value, e.std_error, e.n_mc) for e in (ev.evaluate(replace(s, n_mc=n_mc)) for s in specs))
+            assert all((se, reps) == (0.0, 1) for _, se, reps in got), (m, n_mc)
+            results.add(got)
+        assert len(results) == 1
+        for spec, (value, _, _) in zip(specs, results.pop()):
+            t1, t2 = _plans(ev, spec)
+            expected = _closed_form_risk(ev, t1) - _closed_form_risk(ev, t2)
+            assert value == pytest.approx(expected, rel=1e-9, abs=1e-12), spec
+
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    def test_games_bit_identical_across_draw_counts(self, loss):
+        # a whole game over every aux mask, for both pathway measures
+        masks = tuple(range(16))
+        results = set()
+        for m, n_mc in product((1, 4, 32), (1, 5)):
+            ev = _linear_and_opaque(loss=loss, n_integration=m, n_mc=n_mc)[0]
+            got = []
+            for measure in ("DI_from", "AI_via"):
+                spec = MeasureSpec(measure, FeatureIndexSet.of([1]), FeatureIndexSet.of([3]), mode="marginalized",
+                                   n_mc=n_mc, seed=4)
+                value, se = ev.evaluate(MeasureBatch(spec, masks))
+                assert (se == 0.0).all(), (measure, m, n_mc)
+                got.append(tuple(value.tolist()))
+            results.add(tuple(got))
+        assert len(results) == 1
+        for measure, values in zip(("DI_from", "AI_via"), results.pop()):
+            spec = MeasureSpec(measure, FeatureIndexSet.of([1]), FeatureIndexSet.of([3]), mode="marginalized")
+            for (t1, t2), value in zip(ev._plan_pairs(spec, masks), values):
+                expected = _closed_form_risk(ev, t1) - _closed_form_risk(ev, t2) if t1 != t2 else 0.0
+                assert value == pytest.approx(expected, rel=1e-9, abs=1e-12), (measure, t1, t2)
+
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    def test_sage_tables_ignore_draw_counts(self, loss):
+        # a SAGE table's terms are all marginalized, so it is the same
+        # table at every n_integration, pairwise-solved or not
+        tables = []
+        for m in (1, 4, 32):
+            ev = _linear_and_opaque(n=200, n_mc=2, n_integration=m, loss=loss)[0]
+            table = shapley_decompose_sage(ev, 0, n_sage_orders=3, n_decomp_orders=2)
+            tables.append((table.method, table.total, table.components))
+        assert tables[0][0] == ("shapley_pairwise" if loss is SQUARED_ERROR else "shapley_exact")
+        assert tables[1:] == tables[:1] * 2
+
+    def test_census_at_one_integration_draw(self):
+        # the census SCM with model and Gaussian fitted on all 20k rows: a
+        # linear Monte-Carlo branch that draws one integration sample and
+        # subtracts no variance read AI(age | {}) = 18.17 +- 0.12 and
+        # DI(nr_educ | rest) = 4.048 +- 0.006 here, twice the closed form
+        scm = census_scm()
+        data, target = sample_scm(scm, 20000, seed=derive_seed(0, 1))
+        support = FeatureIndexSet.of(i for i, c in enumerate(data.column_names) if scm.roles.get(c) == "feature")
+        ev = ImportanceEvaluator(data, target, fit_ols(data, target, support), fit_gaussian(data), n_mc=40, seed=0,
+                                 n_integration=1)
+        age, educ = data.index_of("age"), data.index_of("nr_educ")
+        ai = ev.associative_importance([age], [], mode="marginalized")
+        di = ev.direct_importance([educ], [c for c in range(data.n_cols) if c != educ], mode="marginalized")
+        for est, expected in ((ai, 9.0786), (di, 2.0192)):
+            assert (est.std_error, est.n_mc) == (0.0, 1)
+            t1, t2 = ev._plan_pairs(ev._spec(est.sets["measure"], est.sets["interest"], est.sets["baseline"],
+                                             mode="marginalized"), (0,))[0]
+            assert est.value == pytest.approx(_closed_form_risk(ev, t1) - _closed_form_risk(ev, t2), rel=1e-9)
+            assert est.value == pytest.approx(expected, abs=1e-4)
 
 
 def _shifted(ev, shift):
@@ -752,16 +817,16 @@ def _shifted(ev, shift):
     return ImportanceEvaluator(
         DataMatrix(ev.data.values + shift, ev.data.column_names), TargetVector(ev.target.values + shift),
         type(p)(p.weights, intercept), GaussianModel(mean=ev.gaussian.mean + shift, cov=ev.gaussian.cov),
-        n_mc=ev.n_mc, seed=ev.seed, exact_marginalization=ev.exact_marginalization,
+        n_mc=ev.n_mc, seed=ev.seed,
     )
 
 
 class TestMomentForm:
-    """Linear squared-error terms in `original_f` and exact-marginalized
-    mode come from centred moments in canonical column order."""
+    """Linear squared-error terms, in either mode, come from centred
+    moments in canonical column order."""
 
-    @pytest.mark.parametrize("exact", [False, True])
-    def test_permutation_invariance_bitwise_d10(self, exact):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_permutation_invariance_bitwise_d10(self, mode):
         d, n = 10, 2000
         rng = np.random.default_rng(7)
         a = rng.standard_normal((d, d)) / np.sqrt(d)
@@ -772,12 +837,11 @@ class TestMomentForm:
         perm = rng.permutation(d)  # new position p holds old column perm[p]
         moved = np.argsort(perm)
         data_p = DataMatrix(data.values[:, perm], tuple(data.column_names[i] for i in perm))
-        kw = dict(n_mc=3, seed=7, exact_marginalization=exact)
+        kw = dict(n_mc=3, seed=7)
         ev = ImportanceEvaluator(data, y, LinearPredictor(weights=w, intercept=0.3),
                                  GaussianModel(mean=mean, cov=cov), **kw)
         ev_p = ImportanceEvaluator(data_p, y, LinearPredictor(weights=w[perm], intercept=0.3),
                                    GaussianModel(mean=mean[perm], cov=cov[np.ix_(perm, perm)]), **kw)
-        mode = "marginalized" if exact else "original_f"
         for spec in _random_specs(d, rng, 20, mode=mode, n_mc=3, seed=7):
             spec_p = MeasureSpec(
                 spec.measure, *(FeatureIndexSet.of(moved[list(s)]) for s in (spec.interest, spec.baseline, spec.aux)),
@@ -803,7 +867,7 @@ class TestMomentForm:
             assert abs(diff.mean()) <= 4 * se, spec
 
     def test_offset_data_exact_risks_match_residuals(self):
-        linear, _, rng = _linear_and_opaque(n=2000, exact_marginalization=True)
+        linear, _, rng = _linear_and_opaque(n=2000)
         linear = _shifted(linear, 1e3)
         x, y = linear.data.values, linear.target.values
         for spec in _random_specs(4, rng, 24, mode="marginalized"):
@@ -907,7 +971,7 @@ class TestConditioningCache:
             np.testing.assert_allclose(form[t, :d], rows, rtol=0, atol=1e-12)
             np.testing.assert_allclose(form[t, d], offs, rtol=0, atol=1e-12)
 
-    def test_exact_marginalization_never_factorizes(self, monkeypatch):
+    def test_linear_marginalization_never_factorizes(self, monkeypatch):
         calls = []
 
         def spy(cov):
@@ -916,7 +980,7 @@ class TestConditioningCache:
 
         monkeypatch.setattr("dedact.sampler._stable_cholesky", spy)
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
-            linear, _, rng = _linear_and_opaque(exact_marginalization=True, loss=loss)
+            linear, _, rng = _linear_and_opaque(loss=loss)
             for spec in _random_specs(4, rng, 24, mode="marginalized"):
                 linear.evaluate(spec)
                 linear.evaluate(MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, 5))))
@@ -925,9 +989,8 @@ class TestConditioningCache:
             linear.evaluate(spec)
         assert calls  # the spy sees the factorizations of draws
 
-    @pytest.mark.parametrize("mode,exact", [("original_f", False), ("marginalized", False),
-                                            ("marginalized", True)])
-    def test_one_solve_per_conditioning_set(self, monkeypatch, mode, exact):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_solve_per_conditioning_set(self, monkeypatch, mode):
         solved = []
 
         def counted(blocks, size):
@@ -935,7 +998,7 @@ class TestConditioningCache:
             return _conditionals(blocks, size)
 
         monkeypatch.setattr("dedact.sampler._conditionals", counted)
-        linear, opaque, rng = _linear_and_opaque(n_integration=2, exact_marginalization=exact)
+        linear, opaque, rng = _linear_and_opaque(n_integration=2)
         specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
         # each spec once alone, then as a game over random aux masks, in
         # batches that share some sets and not others
@@ -945,7 +1008,7 @@ class TestConditioningCache:
         pairs = [pair for batch in batches for pair in (
             linear._plan_pairs(batch.spec, batch.auxes) if isinstance(batch, MeasureBatch) else [_plans(linear, batch)])]
         expected = {mask for t1, t2 in pairs if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
-        for ev in (linear, opaque) if not exact else (linear,):
+        for ev in (linear, opaque):
             solved.clear()
             for batch in batches + batches:
                 ev.evaluate(batch)
@@ -971,8 +1034,7 @@ class TestConditioningCache:
         g = GaussianModel(mean=np.zeros(2), cov=np.diag([1.0, -5e-9]))
         data = _gaussian_data(np.eye(2), 200, 0)
         y = TargetVector(data.values.sum(axis=1))
-        ev = ImportanceEvaluator(data, y, LinearPredictor(weights=np.ones(2), intercept=0.0), g,
-                                 exact_marginalization=True)
+        ev = ImportanceEvaluator(data, y, LinearPredictor(weights=np.ones(2), intercept=0.0), g)
         est = ev.direct_importance([1], [0], mode="marginalized")
         assert np.isfinite(est.value) and est.std_error == 0.0
         with pytest.raises(SingularConditioning):
@@ -1112,8 +1174,8 @@ class TestBatchEqualsSingles:
     def test_batch_equals_one_call_per_mask(self, data):
         d = data.draw(st.integers(1, 6), label="d")
         seed = data.draw(st.integers(0, 2 ** 16), label="seed")
-        mode, exact = data.draw(st.sampled_from([("original_f", False), ("marginalized", False),
-                                                  ("marginalized", True)]), label="mode")
+        mode = data.draw(st.sampled_from(MODES), label="mode")
+        opaque = data.draw(st.booleans(), label="opaque")
         loss = data.draw(st.sampled_from([SQUARED_ERROR, CROSS_ENTROPY]), label="loss")
         measure = data.draw(st.sampled_from(MEASURES), label="measure")
         # 0: neither set, 1: interest, 2: baseline
@@ -1132,11 +1194,11 @@ class TestBatchEqualsSingles:
         else:
             w, b = rng.standard_normal(d), 0.2
             y = values @ w + rng.standard_normal(n)
+        predictor = _OpaqueLinear(w, b) if opaque else LinearPredictor(weights=w, intercept=b)
 
         def evaluator():
-            return ImportanceEvaluator(data_matrix, TargetVector(y), LinearPredictor(weights=w, intercept=b),
-                                       GaussianModel(mean=mean, cov=cov), loss=loss, n_mc=3, seed=seed,
-                                       n_integration=3, exact_marginalization=exact)
+            return ImportanceEvaluator(data_matrix, TargetVector(y), predictor, GaussianModel(mean=mean, cov=cov),
+                                       loss=loss, n_mc=3, seed=seed, n_integration=3)
 
         spec = MeasureSpec(measure, FeatureIndexSet.of([c for c in range(d) if roles[c] == 1]),
                            FeatureIndexSet.of([c for c in range(d) if roles[c] == 2]), mode=mode,
@@ -1152,9 +1214,8 @@ class TestBatchEqualsSingles:
         if measure in ("DI_from", "AI_via"):
             assert (value[-1], se[-1]) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("measure,mode,exact", [("DI_from", "original_f", False),
-                                                    ("AI_via", "marginalized", True)])
-    def test_whole_game_equals_one_call_per_mask(self, measure, mode, exact):
+    @pytest.mark.parametrize("measure,mode", [("DI_from", "original_f"), ("AI_via", "marginalized")])
+    def test_whole_game_equals_one_call_per_mask(self, measure, mode):
         # all 1024 coalitions of a 10-column game: stacks far past the
         # sizes at which numpy's own reductions change their loop order
         d, n = 10, 200
@@ -1168,7 +1229,7 @@ class TestBatchEqualsSingles:
         def evaluator():
             return ImportanceEvaluator(DataMatrix(values, tuple(f"v{(7 * i) % 11}" for i in range(d))), y,
                                        LinearPredictor(weights=w, intercept=0.1), GaussianModel(mean=mean, cov=cov),
-                                       n_mc=3, seed=4, exact_marginalization=exact)
+                                       n_mc=3, seed=4)
 
         spec = MeasureSpec(measure, FeatureIndexSet.of([2]), FeatureIndexSet.of([0, 5]), mode=mode, n_mc=3, seed=4)
         masks = tuple(range(1 << d))
@@ -1188,7 +1249,7 @@ class TestBatchEqualsSingles:
         ev = ImportanceEvaluator(DataMatrix(values, tuple(f"x{i:02d}" for i in range(d))),
                                  TargetVector(values @ w + rng.standard_normal(n)),
                                  LinearPredictor(weights=w, intercept=0.0),
-                                 GaussianModel(mean=np.zeros(d), cov=np.eye(d)), exact_marginalization=True)
+                                 GaussianModel(mean=np.zeros(d), cov=np.eye(d)))
         spec = MeasureSpec("AI_via", FeatureIndexSet.of([66]), FeatureIndexSet.of([1, 64]), mode="marginalized")
         masks = (0, 1 << 69, 1 << 66 | 1 << 3, (1 << 70) - 1)
         value, se = ev.evaluate(MeasureBatch(spec, masks))
@@ -1209,20 +1270,16 @@ class TestBatchEqualsSingles:
 
 class TestPathwayGamesRouting:
     """`solver: auto` solves a SAGE table's pathway games in closed form
-    (`shapley_pairwise`) only for a linear predictor under squared error
-    and exact marginalization; everywhere else it keeps the exact solver
-    up to 8 players and the sampled one beyond."""
+    (`shapley_pairwise`) only for a linear predictor under squared error;
+    everywhere else it keeps the exact solver up to 8 players and the
+    sampled one beyond."""
 
-    # exact marginalization admits no opaque predictor
-    @pytest.mark.parametrize("opaque, loss, exact", [
-        (opaque, loss, exact) for opaque in (False, True) for loss in (SQUARED_ERROR, CROSS_ENTROPY)
-        for exact in (False, True) if not (opaque and exact)
-    ])
-    def test_auto_picks_the_closed_form_only_where_it_holds(self, opaque, loss, exact):
-        linear, hidden, _ = _linear_and_opaque(n=200, n_mc=2, n_integration=2, loss=loss,
-                                               exact_marginalization=exact)
+    @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
+    @pytest.mark.parametrize("opaque", [False, True], ids=["linear", "opaque"])
+    def test_auto_picks_the_closed_form_only_where_it_holds(self, opaque, loss):
+        linear, hidden, _ = _linear_and_opaque(n=200, n_mc=2, n_integration=2, loss=loss)
         ev = hidden if opaque else linear
-        closed = not opaque and loss is SQUARED_ERROR and exact
+        closed = not opaque and loss is SQUARED_ERROR
         assert ev.solves_pathway_games is closed
         table = shapley_decompose_sage(ev, 0, n_sage_orders=2, n_decomp_orders=2)
         assert table.method == ("shapley_pairwise" if closed else "shapley_exact")
@@ -1230,12 +1287,12 @@ class TestPathwayGamesRouting:
             with pytest.raises(DimensionMismatch, match="closed form"):
                 ev.evaluate(PathwayGames((ev._spec("AI_via", [0], [], mode="marginalized"),), (1,)))
 
-    @pytest.mark.parametrize("exact", [False, True], ids=["monte_carlo", "exact"])
-    def test_past_the_exact_threshold(self, exact):
-        ev = _evaluator(np.eye(9) + 0.2, np.linspace(-1.0, 1.0, 9), n=200, n_mc=2, n_integration=2,
-                        exact_marginalization=exact)
+    @pytest.mark.parametrize("which", ["linear", "opaque"])
+    def test_past_the_exact_threshold(self, which):
+        ev = _evaluator(np.eye(9) + 0.2, np.linspace(-1.0, 1.0, 9), n=200, n_mc=2, n_integration=2)
+        ev = ev if which == "linear" else _opaque_twin(ev)
         table = shapley_decompose_sage(ev, 0, n_sage_orders=2, n_decomp_orders=2)
-        assert table.method == ("shapley_pairwise" if exact else "shapley_sampled")
+        assert table.method == ("shapley_pairwise" if which == "linear" else "shapley_sampled")
         for solver in ("exact", "sampled"):  # a named solver keeps its game
             named = shapley_decompose_sage(ev, 0, [0, 1, 2], solver=solver, n_sage_orders=1, n_decomp_orders=2)
             assert named.method == f"shapley_{solver}"
