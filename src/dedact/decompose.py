@@ -10,8 +10,8 @@ DI_from and AI_via through every column) and all its components, a fast
 SAGE context its alpha and blocked pathways, a Shapley decomposition's
 game every coalition a solver asks for. Totals and components are
 (value, SE) pairs, and `_table` names them by their columns in every
-table; both fast tables share `_fast_table`, and the three PFI tables
-read the one spec of `_pfi_spec`.
+table, which `_columns` checks are distinct; both fast tables share
+`_fast_table`, and the three PFI tables read the one spec of `_pfi_spec`.
 
 Each Shapley solver builds a contribution plan: mask arrays `plus` and
 `minus`, one contribution `v(plus) - v(minus)` per entry, and the exact
@@ -20,13 +20,13 @@ sums each player's weighted (exact) or pools the orders (sampled).
 
 A SAGE table pools the rows of `dedact.importance.sage_loop`, one per
 context: j's surplus AI(j | C), then one contribution per pathway. The
-loop builds each context's surplus spec, whose aux the tables vary.
-Orders and contexts pool through `dedact.importance.pool`, as a
+loop builds each context's AI_via surplus spec, whose aux the tables
+vary. Orders and contexts pool through `dedact.importance.pool`, as a
 measure's repetitions do, each column summed in index order. Under
 `solver: auto`, an evaluator that solves pathway games in closed form
 (`ImportanceEvaluator.solves_pathway_games`) takes every context's game
-whole, as `PathwayGames` in one `evaluate` call, and no coalition is
-valued.
+whole, as `PathwayGames` in one `evaluate` call whose rows are those the
+loop pools, and no coalition is valued.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class _MeasureGame(CooperativeGame):
     once it is valued."""
 
     def __init__(self, ev: ImportanceEvaluator, spec, columns: list[int]):
-        FeatureIndexSet.of(columns).validate_within(ev.data.n_cols)
         super().__init__(len(columns), None)
         self._ev, self._spec = ev, spec
         self._column_bits = _mask_array([1 << c for c in columns], ev.data.n_cols)
@@ -233,6 +232,16 @@ def _table(ev: ImportanceEvaluator, target: int, total, columns: list[int], pair
     return DecompositionTable(names[target], total, {names[c]: pair for c, pair in zip(columns, pairs)}, method, **logs)
 
 
+def _columns(ev: ImportanceEvaluator, columns: Optional[list[int]]) -> list[int]:
+    """A table's columns, every one when None, none of them twice."""
+    columns = list(range(ev.data.n_cols)) if columns is None else list(columns)
+    FeatureIndexSet.of(columns).validate_within(ev.data.n_cols)
+    for i, c in enumerate(columns):
+        if c in columns[:i]:
+            raise DimensionMismatch(f"column {ev.data.column_names[c]!r} is listed twice")
+    return columns
+
+
 def _fast_table(ev: ImportanceEvaluator, target: int, spec, columns: list[int]) -> DecompositionTable:
     """A fast table from one batch: the spec with every column as its aux
     gives the total, and with each column alone that column's component."""
@@ -254,8 +263,7 @@ def fast_decompose_pfi(
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """PFI (DI-from every column) and one DI-from per information source, in one batch."""
-    sources = list(range(ev.data.n_cols)) if sources is None else list(sources)
-    return _fast_table(ev, k, _pfi_spec(ev, k, n_mc, seed), sources)
+    return _fast_table(ev, k, _pfi_spec(ev, k, n_mc, seed), _columns(ev, sources))
 
 
 def fast_decompose_pfi_ordered(
@@ -264,6 +272,7 @@ def fast_decompose_pfi_ordered(
 ) -> DecompositionTable:
     """Additive, order-dependent variant: PFI and the telescoping DI-from
     prefixes, all in one batch."""
+    order = _columns(ev, order)
     prefixes = [order[: i + 1] for i in range(len(order))]
     total, *pairs = _by_aux(ev, _pfi_spec(ev, k, n_mc, seed), [range(ev.data.n_cols), *prefixes])
     steps = [(value - prev, float(np.hypot(se, prev_se)))
@@ -278,7 +287,7 @@ def shapley_decompose_pfi(
 ) -> DecompositionTable:
     """Additive attribution of PFI over variable-players via DI-from games."""
     seed = ev.seed if seed is None else seed
-    players = list(range(ev.data.n_cols)) if players is None else list(players)
+    players = _columns(ev, players)
     spec = _pfi_spec(ev, k, n_mc, derive_seed(seed, 41))
     result = solve_game(_MeasureGame(ev, spec, players), solver, n_orders, derive_seed(seed, 42))
     [total] = _by_aux(ev, spec, [range(ev.data.n_cols)])
@@ -294,8 +303,7 @@ def fast_decompose_ai(
     n_mc: Optional[int] = None, seed: Optional[int] = None,
 ) -> DecompositionTable:
     """AI(j | {}) (AI-via every column) and one AI-via per feature pathway, in one batch."""
-    pathways = list(range(ev.data.n_cols)) if pathways is None else list(pathways)
-    return _fast_table(ev, j, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), pathways)
+    return _fast_table(ev, j, ev._spec("AI_via", [j], [], n_mc=n_mc, seed=seed), _columns(ev, pathways))
 
 
 def fast_decompose_sage(
@@ -311,7 +319,7 @@ def fast_decompose_sage(
     """
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
-    pathways = list(range(d)) if pathways is None else list(pathways)
+    pathways = _columns(ev, pathways)
     blocked = [[c for c in range(d) if c != k] for k in pathways]
 
     def contributions(specs):
@@ -339,15 +347,15 @@ def shapley_decompose_sage(
     cover every column, else that mask in one more evaluation."""
     seed = ev.seed if seed is None else seed
     d = ev.data.n_cols
-    pathways = list(range(d)) if pathways is None else list(pathways)
+    pathways = _columns(ev, pathways)
     every_column = set(pathways) == set(range(d))
-    closed = solver == "auto" and ev.solves_pathway_games and len(set(pathways)) == len(pathways)
+    closed = solver == "auto" and ev.solves_pathway_games
     solved = []
 
     def attributions(specs):
         if closed:
-            alpha, alpha_se, phi = ev.evaluate(PathwayGames(specs, pathways))
-            return alpha_se, np.column_stack([alpha, phi])
+            rows, se = ev.evaluate(PathwayGames(specs, pathways))
+            return se[:, 0], rows
         alpha_se, rows = [], []
         for o, spec in enumerate(specs):
             game = _MeasureGame(ev, spec, pathways)

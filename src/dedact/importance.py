@@ -136,12 +136,12 @@ row kernels agree in law, not draw for draw: given the same z, their
 risks agree to rounding.
 
 Games: a Shapley decomposition values many coalitions of one measure
-that differ only in their `aux` set. `evaluate` takes such a game whole,
-as a `MeasureBatch` (a `MeasureSpec` and a tuple of aux column
-bitmasks), and returns two float arrays, the masks' values and standard
-errors in order; no estimate is built per mask. A `MeasureSpec` alone is
-a batch of one (there is no per-plan path) that returns one
-`ImportanceEstimate`, and each mask counts as one evaluation. DI and AI
+that differ only in their `aux` set. `evaluate` takes one request, a
+`MeasureBatch` (a `MeasureSpec` and a tuple of aux column bitmasks) or
+`PathwayGames` (below), and returns two float arrays: for a batch, the
+masks' values and standard errors in order, each mask one evaluation. A
+spec has no aux, so one measure is a batch of one mask, from which the
+measure methods build an `ImportanceEstimate` (`_estimate`). DI and AI
 are DI_from and AI_via through every column (`_plan_pairs`), so a table's
 total is that mask in its components' batch. The sets are validated
 once per batch, both plan keys of every mask are built with bit
@@ -181,15 +181,16 @@ the midpoint of the plans t1 and t2(all pathways), which
 formed. A game is valued from p + 2 linear forms (t1, t2(all pathways),
 each t2({k})) and alpha's two risks, AI_via through every column, which
 go through the memo as any term's do; it counts as p + 1 evaluations,
-alpha and each pathway alone. A SAGE table hands all its contexts' games
-to one `evaluate` call: their plans are built, their conditioning sets
-added and their forms stacked together. Every product is a `_dot` in
-canonical order, so phi depends neither on the column order nor on the
-other games of the batch."""
+alpha and each pathway alone, and gives one row `[alpha, *phi]`, SEs
+`[alpha_se, 0, ...]`: the row a SAGE table pools per context. A table
+hands all its contexts' games to one `evaluate` call: their plans are
+built, their conditioning sets added and their forms stacked together.
+Every product is a `_dot` in canonical order, so phi depends neither on
+the column order nor on the other games of the batch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -287,18 +288,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class MeasureSpec:
     """What varies between the importance evaluations of one evaluator,
-    whose data, predictor, Gaussian and loss are fixed.
+    whose data, predictor, Gaussian and loss are fixed, but the aux set.
 
     `interest` is K for DI/DI_from and J for AI/AI_via; `baseline` is B
-    or C; `aux` is the information source J for DI_from and the feature
-    pathway K for AI_via. DI is DI_from from every column, and AI is
-    AI_via through every column, so DI and AI ignore `aux`.
-    """
+    or C."""
 
     measure: str
     interest: FeatureIndexSet
     baseline: FeatureIndexSet
-    aux: FeatureIndexSet = field(default_factory=FeatureIndexSet.empty)
     mode: str = "original_f"
     n_mc: int = 20
     seed: int = 0
@@ -318,10 +315,10 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class MeasureBatch:
-    """One measure over many `aux` sets: `spec` with its aux replaced by
-    each column bitmask of `auxes` in turn. `evaluate` values the batch
-    in one call and returns its values and standard errors as two arrays,
-    in mask order."""
+    """One measure over many aux sets: `spec` with each column bitmask of
+    `auxes` as its aux, the source J of DI_from or the pathway K of
+    AI_via (DI and AI read none). `evaluate` returns two float arrays,
+    the values and the standard errors, one entry per mask in order."""
 
     spec: MeasureSpec
     auxes: tuple[int, ...]
@@ -329,11 +326,11 @@ class MeasureBatch:
 
 class PathwayGames:
     """One game per marginalized AI_via spec (a SAGE context), each over
-    the subsets K of `pathways` (distinct columns). `evaluate` returns
-    three arrays with a row per spec: alpha, the value and the SE of
-    AI_via through every column, and the pathways' Shapley values, in
-    order (see Pathway games in the module docstring). A plain class: a
-    dataclass would add about 0.4 ms to every import of the package."""
+    the subsets K of `pathways` (distinct columns). `evaluate` returns a
+    row `[alpha, *phi]` per spec, SEs `[alpha_se, 0, ...]`: alpha is AI_via
+    through every column, phi the pathways' Shapley values (see Pathway
+    games in the module docstring). A plain class: a dataclass would add
+    about 0.4 ms to every import of the package."""
 
     def __init__(self, specs, pathways):
         self.specs, self.pathways = tuple(specs), tuple(pathways)
@@ -615,38 +612,37 @@ class ImportanceEvaluator:
             base = base - mean_variance
         return float(np.mean(base))
 
-    def evaluate(self, spec: MeasureSpec | MeasureBatch | PathwayGames):
-        """One estimate for a `MeasureSpec`; for a `MeasureBatch`, two
-        float arrays, the values and the standard errors of its aux
-        bitmasks in order, each mask counted as one evaluation; for
-        `PathwayGames`, the arrays of its games' alphas, their SEs and
-        the pathways' Shapley values, each game counted as p + 1
-        evaluations."""
-        if isinstance(spec, PathwayGames):
-            return self._pathway_games(spec)
-        single = not isinstance(spec, MeasureBatch)
-        batch = MeasureBatch(spec, (_mask(spec.aux),)) if single else spec
-        spec = batch.spec
-        pairs = self._plan_pairs(spec, batch.auxes)
-        # a linear predictor's conditional means integrate the
-        # expectation in closed form, so a marginalized term needs no draws
-        exact = spec.mode == "marginalized" and self._linear
-        n_reps = 1 if exact else spec.n_mc
-        value, se = self._differences(spec, pairs, n_reps, exact)
-        if not single:
-            return value, se
-        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
-                "aux": spec.aux.indices}
-        return ImportanceEstimate(float(value[0]), float(se[0]), n_reps, spec.mode, sets, spec.seed)
+    def evaluate(self, request: MeasureBatch | PathwayGames, /) -> tuple[np.ndarray, np.ndarray]:
+        """The engine's one entry: two float arrays, values and SEs. A
+        `MeasureBatch` gets one entry per aux bitmask, in order, each one
+        evaluation; `PathwayGames` one row `[alpha, *phi]` per game, SEs
+        `[alpha_se, 0, ...]`, each game p + 1 evaluations."""
+        if isinstance(request, PathwayGames):
+            return self._pathway_games(request)
+        return self._differences(request.spec, self._plan_pairs(request.spec, request.auxes))
 
-    def _differences(self, spec: MeasureSpec, pairs, n_reps: int, exact: bool,
-                     per_pair: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Each plan pair's mean risk difference over n_reps repetitions
-        and its standard error, its terms taken from the memo or computed
-        by the evaluator's kernel. Each pair counts as `per_pair` evaluations."""
+    def _estimate(self, spec: MeasureSpec, aux=()) -> ImportanceEstimate:
+        """One measure with the columns `aux` as its aux: a batch of one."""
+        aux = FeatureIndexSet.of(aux)
+        [value], [se] = self.evaluate(MeasureBatch(spec, (_mask(aux),)))
+        sets = {"measure": spec.measure, "interest": spec.interest.indices, "baseline": spec.baseline.indices,
+                "aux": aux.indices}
+        n_reps = 1 if self._exact(spec) else spec.n_mc
+        return ImportanceEstimate(float(value), float(se), n_reps, spec.mode, sets, spec.seed)
+
+    def _exact(self, spec: MeasureSpec) -> bool:
+        """A linear predictor's marginalized terms take no draws: one repetition."""
+        return spec.mode == "marginalized" and self._linear
+
+    def _differences(self, spec: MeasureSpec, pairs, per_pair: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Each plan pair's mean risk difference over the spec's repetitions
+        and its standard error, its terms from the memo or the evaluator's
+        kernel. Each pair counts as `per_pair` evaluations."""
         global _eval_count
         _eval_count += per_pair * len(pairs)
         self.evaluations += per_pair * len(pairs)
+        exact = self._exact(spec)
+        n_reps = 1 if exact else spec.n_mc
         # in marginalized mode the two plans assign different
         # conditionals to the perturbed columns, so their integration
         # draws come from independent streams (1 and 2, a key's last
@@ -682,12 +678,12 @@ class ImportanceEvaluator:
         value[live], se[live] = pool(diffs.T)
         return value, se
 
-    def _pathway_games(self, games: PathwayGames) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each game's alpha and its SE, from the memo or the kernel, and
-        the pathways' Shapley values from the forms of the game's plans
-        t1, t2(all pathways) and each t2({k}): minus the risk's derivative
-        along each pathway's step, at the midpoint of the first two (see
-        Pathway games in the module docstring)."""
+    def _pathway_games(self, games: PathwayGames) -> tuple[np.ndarray, np.ndarray]:
+        """Each game's row `[alpha, *phi]`, SEs `[alpha_se, 0, ...]`: alpha
+        from the memo or the kernel, the pathways' Shapley values from the
+        forms of the plans t1, t2(all pathways) and each t2({k}), minus the
+        risk's derivative along each pathway's step at the midpoint of the
+        first two (see Pathway games in the module docstring)."""
         if not self.solves_pathway_games:
             raise DimensionMismatch("a pathway game has a closed form only for a linear predictor"
                                     " under squared error")
@@ -696,7 +692,7 @@ class ImportanceEvaluator:
         auxes = ((1 << d) - 1, _mask(games.pathways), *(1 << k for k in games.pathways))
         pairs = [self._plan_pairs(spec, auxes) for spec in games.specs]
         # marginalized in closed form: a term's memo key and risk do not depend on its spec's seed
-        value, se = self._differences(games.specs[0], [game[0] for game in pairs], 1, True, q - 1)
+        alpha, alpha_se = self._differences(games.specs[0], [game[0] for game in pairs], q - 1)
         # each game's plans t1, t2(all pathways) and each t2({k})
         plans = [t for game in pairs for t in (game[0][0], *(t2 for _, t2 in game[1:]))]
         u, _, c = self._linear_forms(plans, False)
@@ -706,7 +702,8 @@ class ImportanceEvaluator:
         mid_u, mid_k = (u[:, 0] + u[:, 1]) / 2.0, (k[:, 0] + k[:, 1]) / 2.0
         grad = (_dot(s_xx, mid_u[:, None]) - s_xy)[:, None]
         # `0.0 -` keeps a null pathway's 0 from reading -0.0
-        return value, se, 0.0 - 2.0 * (_dot(u[:, 2:] - u[:, :1], grad) + (k[:, 2:] - k[:, :1]) * mid_k[:, None])
+        phi = 0.0 - 2.0 * (_dot(u[:, 2:] - u[:, :1], grad) + (k[:, 2:] - k[:, :1]) * mid_k[:, None])
+        return np.column_stack([alpha, phi]), np.column_stack([alpha_se, np.zeros_like(phi)])
 
     # -- risk kernels: {memo key: risks of repetitions held..n_reps-1} --------
 
@@ -777,28 +774,21 @@ class ImportanceEvaluator:
 
     # -- the four measures ---------------------------------------------------
 
-    def _spec(self, measure, interest, baseline, aux=None, mode="original_f", n_mc=None, seed=None):
-        return MeasureSpec(
-            measure=measure,
-            interest=FeatureIndexSet.of(interest),
-            baseline=FeatureIndexSet.of(baseline),
-            aux=FeatureIndexSet.of(aux) if aux is not None else FeatureIndexSet.empty(),
-            mode=mode,
-            n_mc=self.n_mc if n_mc is None else n_mc,
-            seed=self.seed if seed is None else seed,
-        )
+    def _spec(self, measure, interest, baseline, mode="original_f", n_mc=None, seed=None):
+        return MeasureSpec(measure, FeatureIndexSet.of(interest), FeatureIndexSet.of(baseline), mode,
+                           self.n_mc if n_mc is None else n_mc, self.seed if seed is None else seed)
 
     def direct_importance(self, interest, baseline, mode="original_f", n_mc=None, seed=None) -> ImportanceEstimate:
-        return self.evaluate(self._spec("DI", interest, baseline, mode=mode, n_mc=n_mc, seed=seed))
+        return self._estimate(self._spec("DI", interest, baseline, mode, n_mc, seed))
 
     def associative_importance(self, interest, context, mode="original_f", n_mc=None, seed=None) -> ImportanceEstimate:
-        return self.evaluate(self._spec("AI", interest, context, mode=mode, n_mc=n_mc, seed=seed))
+        return self._estimate(self._spec("AI", interest, context, mode, n_mc, seed))
 
     def di_from(self, interest, baseline, sources, mode="original_f", n_mc=None, seed=None) -> ImportanceEstimate:
-        return self.evaluate(self._spec("DI_from", interest, baseline, aux=sources, mode=mode, n_mc=n_mc, seed=seed))
+        return self._estimate(self._spec("DI_from", interest, baseline, mode, n_mc, seed), sources)
 
     def ai_via(self, interest, context, pathway, mode="original_f", n_mc=None, seed=None) -> ImportanceEstimate:
-        return self.evaluate(self._spec("AI_via", interest, context, aux=pathway, mode=mode, n_mc=n_mc, seed=seed))
+        return self._estimate(self._spec("AI_via", interest, context, mode, n_mc, seed), pathway)
 
     # -- named special cases --------------------------------------------------
 
@@ -810,17 +800,17 @@ class ImportanceEvaluator:
         rest = FeatureIndexSet.of([j]).complement(self.data.n_cols)
         return self.associative_importance([j], rest, n_mc=n_mc, seed=seed)
 
-    def _surplus_spec(self, variant, interest, context, n_mc, seed, via=None) -> MeasureSpec:
+    def _surplus_spec(self, variant, interest, context, n_mc, seed, conditional="AI") -> MeasureSpec:
         """v(context + interest) - v(context), marginalized, as one paired
-        evaluation: DI under the marginal variant; under the conditional, AI,
-        or given `via` (every column) AI_via through it, with AI's plans."""
+        evaluation: DI under the marginal variant; under the conditional,
+        `conditional`: AI, or AI_via, whose mask of every column is AI."""
         if variant not in SAGE_VARIANTS:
             raise DimensionMismatch(f"unknown SAGE variant {variant!r}")
-        measure = "DI" if variant == "marginal" else "AI" if via is None else "AI_via"
-        return self._spec(measure, interest, context, via, mode="marginalized", n_mc=n_mc, seed=seed)
+        measure = "DI" if variant == "marginal" else conditional
+        return self._spec(measure, interest, context, "marginalized", n_mc, seed)
 
     def sage_value(self, subset, variant: str = "conditional", n_mc=None, seed=None) -> ImportanceEstimate:
-        return self.evaluate(self._surplus_spec(variant, subset, [], n_mc, seed))
+        return self._estimate(self._surplus_spec(variant, subset, [], n_mc, seed))
 
     def sage_attribution(self, j: int, variant: str = "conditional", n_orders: int = 60,
                          n_mc=None, seed=None) -> ImportanceEstimate:
@@ -829,8 +819,8 @@ class ImportanceEvaluator:
         seed = self.seed if seed is None else seed
 
         def surpluses(specs):
-            ests = [self.evaluate(spec) for spec in specs]
-            return [est.std_error for est in ests], [[est.value] for est in ests]
+            results = [self.evaluate(MeasureBatch(spec, ((1 << self.data.n_cols) - 1,))) for spec in specs]
+            return [se[0] for _, se in results], [value for value, _ in results]
 
         _, _, [(value, se)] = sage_loop(self, j, n_orders, seed, "n_orders", surpluses, variant, n_mc)
         sets = {"measure": "SAGE", "interest": (j,), "variant": variant, "n_orders": n_orders}
@@ -841,9 +831,10 @@ def sage_loop(ev: ImportanceEvaluator, j: int, n_orders: int, seed: int, name: s
               variant: str = "conditional", n_mc=None) -> tuple:
     """The SAGE context loop: check the order count (`name` is its key)
     and that j is one of the d columns, draw j's contexts C, build each
-    context o's surplus spec seeded `derive_seed(seed, 7002, o)` (so every
-    SAGE output values the same memo terms), have `value_specs(specs)`
-    return each surplus's SE and a row of m floats per context with that
+    context o's surplus spec (AI_via; DI under the marginal variant)
+    seeded `derive_seed(seed, 7002, o)`, so every SAGE output values the
+    same memo terms, have `value_specs(specs)` return each surplus's SE
+    (its mask of every column) and a row of m floats per context with that
     surplus first, and `pool` the rows. One context reports its surplus's
     own SE as the first column's (a pooled row has none). Returns the
     contexts, the n_orders x m rows and the m (mean, SE) pairs."""
@@ -852,7 +843,7 @@ def sage_loop(ev: ImportanceEvaluator, j: int, n_orders: int, seed: int, name: s
     if not 0 <= j < d:
         raise DimensionMismatch(f"SAGE target {j} is not a column index in 0..{d - 1}")
     contexts = sage_contexts(d, j, n_orders, seed)
-    surplus_se, rows = value_specs([ev._surplus_spec(variant, [j], c, n_mc, derive_seed(seed, 7002, o), range(d))
+    surplus_se, rows = value_specs([ev._surplus_spec(variant, [j], c, n_mc, derive_seed(seed, 7002, o), "AI_via")
                                     for o, c in enumerate(contexts)])
     rows = np.asarray(rows, dtype=float)
     mean, se = pool(rows)

@@ -521,7 +521,7 @@ def _resolve_measure(block: dict, data: DataMatrix) -> tuple[str, Callable]:
     reads = ("name", "measure", "interest", "n_mc", "seed")
     if kind in MEASURES:  # DI and AI read no aux: they are DI_from and AI_via through every column
         def call(evaluator, n_mc, seed):
-            return evaluator.evaluate(evaluator._spec(kind, interest, baseline, aux, mode, n_mc, seed))
+            return evaluator._estimate(evaluator._spec(kind, interest, baseline, mode, n_mc, seed), aux)
         reads += ("baseline", "mode") + (("aux",) if kind in ("DI_from", "AI_via") else ())
     elif kind == "PFI":
         call = partial(ev.pfi, k=interest[0])

@@ -267,17 +267,39 @@ def test_sage_target_out_of_range_raises(call, j):
 
 def test_players_sharing_a_column_value_that_column():
     # a coalition is worth the DI-from of its set of columns, however
-    # many of its players bring the same column
+    # many of its players bring the same column (a table refuses such
+    # players, as it names its components by column; the game does not)
     cov = [[1.0, 0.6, 0.3], [0.6, 1.0, 0.2], [0.3, 0.2, 1.0]]
     ev = _linear_evaluator(cov, [1.0, 1.0, 1.0], n=500, n_mc=2)
     players = [1, 1, 2]
     table = {frozenset(s): ev.di_from([0], [1, 2], sorted({players[p] for p in s}), seed=derive_seed(ev.seed, 41)).value
              for size in range(4) for s in itertools.combinations(range(3), size)}
     phi = _manual_shapley(3, table)
-    got = shapley_decompose_pfi(ev, 0, players=players, solver="exact").components
+    spec = ev._spec("DI_from", [0], [1, 2], seed=derive_seed(ev.seed, 41))
+    got = shapley_exact(_MeasureGame(ev, spec, players)).attributions
     assert abs(phi[1]) > 0.01 and abs(phi[2]) > 0.01
-    assert got["x1"][0] == pytest.approx(phi[1], rel=1e-12)  # the second copy; the first has the same share
-    assert got["x2"][0] == pytest.approx(phi[2], rel=1e-12)
+    assert got[1] == pytest.approx(phi[1], rel=1e-12)  # the second copy; the first has the same share
+    assert got[2] == pytest.approx(phi[2], rel=1e-12)
+
+
+@pytest.mark.parametrize("table, repeated", [
+    pytest.param(lambda ev: fast_decompose_pfi(ev, 0, sources=[1, 1]), "x1", id="fast_pfi"),
+    pytest.param(lambda ev: fast_decompose_pfi_ordered(ev, 0, [2, 1, 2]), "x2", id="fast_pfi_ordered"),
+    pytest.param(lambda ev: shapley_decompose_pfi(ev, 2, players=[0, 0, 1], solver="exact"), "x0",
+                 id="shapley_pfi"),
+    pytest.param(lambda ev: fast_decompose_ai(ev, 0, pathways=[2, 1, 2]), "x2", id="fast_ai"),
+    pytest.param(lambda ev: fast_decompose_sage(ev, 0, pathways=[1, 1, 2], n_orders=2), "x1", id="fast_sage"),
+    pytest.param(lambda ev: shapley_decompose_sage(ev, 0, pathways=[1, 1, 2], n_sage_orders=2), "x1",
+                 id="shapley_sage"),
+])
+def test_tables_refuse_a_repeated_column(table, repeated):
+    # a table names its components by column, so a repeated column would
+    # keep one of its two components; it is refused before any evaluation
+    cov = [[1.0, 0.6, 0.3], [0.6, 1.0, 0.2], [0.3, 0.2, 1.0]]
+    ev = _linear_evaluator(cov, [1.0, -0.5, 0.8], n=500, n_mc=2)
+    with pytest.raises(DimensionMismatch, match=f"'{repeated}' is listed twice"):
+        table(ev)
+    assert ev.evaluations == 0
 
 
 def test_census_demo_engine_counters_unchanged():
@@ -615,7 +637,8 @@ class TestPathwayGamesClosedForm:
         d, seed, j, context, pathways = case
         ev = _pathway_evaluator(d, seed)
         spec = ev._spec("AI_via", [j], context, mode="marginalized")
-        [alpha], [alpha_se], [phi] = ev.evaluate(PathwayGames((spec,), tuple(pathways)))
+        [row], [row_se] = ev.evaluate(PathwayGames((spec,), tuple(pathways)))
+        alpha, alpha_se, phi = row[0], row_se[0], row[1:]
         s_yy = ev._moments()[4]
         exact = shapley_exact(_MeasureGame(ev, spec, pathways)).attributions
         assert np.max(np.abs(phi - exact)) <= 1e-12 * s_yy
@@ -646,8 +669,9 @@ class TestPathwayGamesClosedForm:
             spec = ev._spec("AI_via", [where[j]], [where[c] for c in context], mode="marginalized")
             return ev.evaluate(PathwayGames((spec,), tuple(where[k] for k in pathways)))
 
-        alpha, _, phi = games(_pathway_evaluator(d, seed), {col: col for col in range(d)})
-        moved_alpha, _, moved_phi = games(_pathway_evaluator(d, seed, order), at)
+        rows, _ = games(_pathway_evaluator(d, seed), {col: col for col in range(d)})
+        moved, _ = games(_pathway_evaluator(d, seed, order), at)
+        alpha, phi, moved_alpha, moved_phi = rows[:, 0], rows[:, 1:], moved[:, 0], moved[:, 1:]
         assert moved_alpha.tolist() == alpha.tolist()
         assert moved_phi.tolist() == phi.tolist()
 

@@ -256,10 +256,10 @@ class TestEngineContracts:
                 data_p, y, LinearPredictor(weights=w[perm], intercept=0.0),
                 GaussianModel(mean=np.zeros(3), cov=cov_p), loss=loss, n_mc=3, seed=7, n_integration=4,
             )
-            est = ev.evaluate(MeasureSpec("AI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]),
-                                          mode=mode, n_mc=3, seed=7))
-            est_p = ev_p.evaluate(MeasureSpec("AI", FeatureIndexSet.of([perm.index(0)]), FeatureIndexSet.of([perm.index(1)]),
-                                              mode=mode, n_mc=3, seed=7))
+            est = ev._estimate(MeasureSpec("AI", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]),
+                                           mode=mode, n_mc=3, seed=7))
+            est_p = ev_p._estimate(MeasureSpec("AI", FeatureIndexSet.of([perm.index(0)]), FeatureIndexSet.of([perm.index(1)]),
+                                               mode=mode, n_mc=3, seed=7))
             if (mode, loss) == ("original_f", SQUARED_ERROR):
                 assert est.value == est_p.value
             else:
@@ -342,7 +342,7 @@ class TestEngineContracts:
 
         spec = MeasureSpec("DI", FeatureIndexSet.of([0]), FeatureIndexSet.empty(), mode=mode, n_mc=3, seed=0)
         for ev, twin in zip(evaluators(), evaluators()):
-            direct, named = ev.evaluate(spec), twin.direct_importance([0], [], mode=mode)
+            direct, named = ev._estimate(spec), twin.direct_importance([0], [], mode=mode)
             assert (direct.value, direct.std_error) == (named.value, named.std_error)
 
     def test_shape_validation(self):
@@ -381,6 +381,7 @@ class _OpaqueLinear(Predictor):
 
 
 def _random_specs(d, rng, count, **kw):
+    """(spec, aux columns) pairs, one per measure in turn."""
     specs = []
     while len(specs) < count:
         cols = rng.permutation(d)
@@ -388,10 +389,10 @@ def _random_specs(d, rng, count, **kw):
         interest = cols[:n_interest]
         baseline = cols[n_interest:n_interest + n_baseline]
         aux = rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False)
-        specs.append(MeasureSpec(
+        specs.append((MeasureSpec(
             MEASURES[len(specs) % len(MEASURES)], FeatureIndexSet.of(interest),
-            FeatureIndexSet.of(baseline), FeatureIndexSet.of(aux), **kw,
-        ))
+            FeatureIndexSet.of(baseline), **kw,
+        ), FeatureIndexSet.of(aux).indices))
     return specs
 
 
@@ -426,9 +427,9 @@ def _opaque_twin(ev):
                                n_mc=ev.n_mc, seed=ev.seed, n_integration=ev.n_integration)
 
 
-def _plans(ev, spec):
-    """The plan keys of one spec's two terms."""
-    return ev._plan_pairs(spec, (importance._mask(spec.aux),))[0]
+def _plans(ev, spec, aux):
+    """The plan keys of one spec's two terms, the columns aux its aux."""
+    return ev._plan_pairs(spec, (importance._mask(aux),))[0]
 
 
 def _engine_paths():
@@ -463,16 +464,16 @@ class TestPlanEngine:
     @pytest.mark.parametrize("mode", ["original_f"])
     def test_generic_path_matches_linear_form(self, mode):
         linear, opaque, rng = _linear_and_opaque(n_integration=4)
-        for spec in _random_specs(4, rng, 24, mode=mode, n_mc=3, seed=5):
-            for plan in _plans(linear, spec):
+        for spec, aux in _random_specs(4, rng, 24, mode=mode, n_mc=3, seed=5):
+            for plan in _plans(linear, spec, aux):
                 moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
                 assert moment == pytest.approx(row, rel=0, abs=1e-12), spec
 
     def test_linear_form_matches_materialized_plan(self):
         linear, _, rng = _linear_and_opaque()
         x, predictor = linear.data.values, linear.predictor
-        for spec in _random_specs(4, rng, 24):
-            plans = _plans(linear, spec)
+        for spec, aux in _random_specs(4, rng, 24):
+            plans = _plans(linear, spec, aux)
             for plan, u, v, c in zip(plans, *linear._linear_forms(plans, True)):
                 zero = np.zeros(x.shape)
                 z = rng.standard_normal(x.shape)
@@ -509,12 +510,12 @@ class TestPlanEngine:
             linear, opaque, rng = _linear_and_opaque(n_integration=4, loss=loss)
             ev = linear if which == "linear" else opaque
             specs = [s for mode in MODES for s in _random_specs(4, rng, 8, mode=mode, n_mc=3, seed=2)]
-            warm = [ev.evaluate(s) for s in specs + specs]
+            warm = [ev._estimate(*s) for s in specs + specs]
             assert ev.terms_reused > ev.terms_computed
-            for spec, est in zip(specs + specs, warm):
+            for (spec, aux), est in zip(specs + specs, warm):
                 fresh = ImportanceEvaluator(
                     ev.data, ev.target, ev.predictor, ev.gaussian, loss=loss, n_integration=4,
-                ).evaluate(spec)
+                )._estimate(spec, aux)
                 assert (est.value, est.std_error) == (fresh.value, fresh.std_error)
 
     def test_baseline_term_computed_once_per_rep(self):
@@ -543,25 +544,25 @@ class TestPlanEngine:
         ev = evaluator()
         specs = _random_specs(4, np.random.default_rng(11), 12, mode=mode, n_mc=2, seed=6)
         slots = (1, 2) if mode == "marginalized" else (0, 0)
-        distinct = [pair for pair in (_plans(ev, spec) for spec in specs) if pair[0] != pair[1]]
+        distinct = [pair for pair in (_plans(ev, *spec) for spec in specs) if pair[0] != pair[1]]
         terms = {(plan, slot) for pair in distinct for slot, plan in zip(slots, pair)}
         assert distinct and len(terms) < 2 * len(distinct)  # some terms are shared
         for spec in specs:
-            ev.evaluate(spec)
+            ev._estimate(*spec)
         before = ev.counters()
         assert before["terms_computed"] == 2 * len(terms)
-        got = [ev.evaluate(replace(spec, n_mc=5)) for spec in specs]
+        got = [ev._estimate(replace(spec, n_mc=5), aux) for spec, aux in specs]
         fresh = evaluator()
-        expected = [fresh.evaluate(replace(spec, n_mc=5)) for spec in specs]
+        expected = [fresh._estimate(replace(spec, n_mc=5), aux) for spec, aux in specs]
         assert [(e.value, e.std_error, e.n_mc) for e in got] == [(e.value, e.std_error, e.n_mc) for e in expected]
         assert ev.terms_computed - before["terms_computed"] == 3 * len(terms)
         assert ev.terms_reused - before["terms_reused"] == 2 * 5 * len(distinct) - 3 * len(terms)
         assert fresh.terms_computed == 5 * len(terms)
         # a smaller n_mc reads the held prefix and computes nothing
-        again = [ev.evaluate(spec) for spec in specs]
+        again = [ev._estimate(*spec) for spec in specs]
         assert ev.terms_computed - before["terms_computed"] == 3 * len(terms)
         assert [(e.value, e.std_error) for e in again] == \
-            [(e.value, e.std_error) for e in map(evaluator().evaluate, specs)]
+            [(e.value, e.std_error) for e in (evaluator()._estimate(*spec) for spec in specs)]
 
     def test_counters_belong_to_the_evaluator(self):
         a = _evaluator(np.eye(2), [1.0, 1.0], n=200, n_mc=2)
@@ -584,8 +585,8 @@ class TestColumnDraws:
         # both read the same column streams, the linear form only those
         # its v weights, the materialized plan matrix every redrawn one
         linear, opaque, rng = _linear_and_opaque(n=400, loss=CROSS_ENTROPY)
-        for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
-            est, est_o = linear.evaluate(spec), opaque.evaluate(spec)
+        for spec, aux in _random_specs(4, rng, 24, n_mc=3, seed=5):
+            est, est_o = linear._estimate(spec, aux), opaque._estimate(spec, aux)
             assert est.value == pytest.approx(est_o.value, rel=1e-12, abs=1e-12), spec
             assert est.std_error == pytest.approx(est_o.std_error, rel=1e-12, abs=1e-12), spec
 
@@ -654,10 +655,10 @@ class TestOpaqueMarginalization:
         linear, opaque, rng = _linear_and_opaque(n_integration=m, loss=loss)
         x, y = linear.data.values, linear.target.values
         specs = [s for s in _random_specs(4, rng, 8, mode="marginalized", n_mc=2, seed=9)
-                 if len(set(_plans(linear, s))) == 2]
-        for spec in specs:
-            est = opaque.evaluate(spec)
-            plans = _plans(opaque, spec)
+                 if len(set(_plans(linear, *s))) == 2]
+        for spec, aux in specs:
+            est = opaque._estimate(spec, aux)
+            plans = _plans(opaque, spec, aux)
             forms = list(zip(*linear._linear_forms(plans, True)))
             diffs = []
             for rep in range(spec.n_mc):
@@ -680,10 +681,10 @@ class TestOpaqueMarginalization:
         # the variance correction leaves no integration bias: over seeds,
         # the mean estimate is the linear predictor's closed form
         linear, opaque, rng = _linear_and_opaque(n=200, n_integration=4)
-        for spec in _random_specs(4, rng, 3, mode="marginalized"):
-            values = np.array([opaque.evaluate(replace(spec, n_mc=1, seed=seed)).value for seed in range(200)])
+        for spec, aux in _random_specs(4, rng, 3, mode="marginalized"):
+            values = np.array([opaque._estimate(replace(spec, n_mc=1, seed=seed), aux).value for seed in range(200)])
             se = values.std(ddof=1) / np.sqrt(values.size)
-            assert abs(values.mean() - linear.evaluate(spec).value) <= 4 * se, spec
+            assert abs(values.mean() - linear._estimate(spec, aux).value) <= 4 * se, spec
 
     def test_opaque_estimates_unchanged(self):
         # the opaque path takes n_integration full draws per term from
@@ -698,7 +699,7 @@ class TestOpaqueMarginalization:
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
             _, opaque, rng = _linear_and_opaque(n_integration=4, loss=loss)
             specs = _random_specs(4, rng, 4, mode="marginalized", n_mc=3, seed=5)
-            got = [(e.value, e.std_error) for e in map(opaque.evaluate, specs)]
+            got = [(e.value, e.std_error) for e in (opaque._estimate(*spec) for spec in specs)]
             assert got == pytest.approx(pinned[loss.kind], rel=1e-12)
         # a linear predictor's terms off the moment form, recorded the same
         # way: the row path's draws and BLAS products, per (loss, mode)
@@ -714,7 +715,7 @@ class TestOpaqueMarginalization:
             case = (ev.loss.kind, mode)
             if isinstance(ev.predictor, LinearPredictor) and case in pinned_linear:
                 specs = _random_specs(4, np.random.default_rng(11), 4, mode=mode, n_mc=3, seed=5)
-                got = [(e.value, e.std_error) for e in map(ev.evaluate, specs)]
+                got = [(e.value, e.std_error) for e in (ev._estimate(*spec) for spec in specs)]
                 assert got == pytest.approx(pinned_linear.pop(case), rel=1e-12), case
         assert not pinned_linear
 
@@ -741,16 +742,17 @@ class TestClosedFormMarginalization:
     @pytest.mark.parametrize("loss", [SQUARED_ERROR, CROSS_ENTROPY], ids=["squared_error", "cross_entropy"])
     def test_bit_identical_across_draw_counts(self, loss):
         rng = np.random.default_rng(21)
-        specs = [s for s in _random_specs(4, rng, 16, mode="marginalized", seed=4) if s.measure in ("DI", "AI")]
+        specs = [s for s in _random_specs(4, rng, 16, mode="marginalized", seed=4) if s[0].measure in ("DI", "AI")]
         results = set()
         for m, n_mc in product((1, 4, 32), (1, 5)):
             ev = _linear_and_opaque(loss=loss, n_integration=m, n_mc=n_mc)[0]
-            got = tuple((e.value, e.std_error, e.n_mc) for e in (ev.evaluate(replace(s, n_mc=n_mc)) for s in specs))
+            got = tuple((e.value, e.std_error, e.n_mc) for e in (ev._estimate(replace(s, n_mc=n_mc), aux)
+                                                                 for s, aux in specs))
             assert all((se, reps) == (0.0, 1) for _, se, reps in got), (m, n_mc)
             results.add(got)
         assert len(results) == 1
         for spec, (value, _, _) in zip(specs, results.pop()):
-            t1, t2 = _plans(ev, spec)
+            t1, t2 = _plans(ev, *spec)
             expected = _closed_form_risk(ev, t1) - _closed_form_risk(ev, t2)
             assert value == pytest.approx(expected, rel=1e-9, abs=1e-12), spec
 
@@ -842,26 +844,26 @@ class TestMomentForm:
                                  GaussianModel(mean=mean, cov=cov), **kw)
         ev_p = ImportanceEvaluator(data_p, y, LinearPredictor(weights=w[perm], intercept=0.3),
                                    GaussianModel(mean=mean[perm], cov=cov[np.ix_(perm, perm)]), **kw)
-        for spec in _random_specs(d, rng, 20, mode=mode, n_mc=3, seed=7):
+        for spec, aux in _random_specs(d, rng, 20, mode=mode, n_mc=3, seed=7):
             spec_p = MeasureSpec(
-                spec.measure, *(FeatureIndexSet.of(moved[list(s)]) for s in (spec.interest, spec.baseline, spec.aux)),
+                spec.measure, *(FeatureIndexSet.of(moved[list(s)]) for s in (spec.interest, spec.baseline)),
                 mode=mode, n_mc=3, seed=7,
             )
-            est, est_p = ev.evaluate(spec), ev_p.evaluate(spec_p)
+            est, est_p = ev._estimate(spec, aux), ev_p._estimate(spec_p, moved[list(aux)])
             assert (est.value, est.std_error) == (est_p.value, est_p.std_error), spec
 
     def test_offset_data_original_f_matches_row_path(self):
         linear, opaque, rng = _linear_and_opaque(n=2000)
         linear, opaque = _shifted(linear, 1e3), _shifted(opaque, 1e3)
-        for spec in _random_specs(4, rng, 24, n_mc=3, seed=5):
-            for plan in _plans(linear, spec):
+        for spec, aux in _random_specs(4, rng, 24, n_mc=3, seed=5):
+            for plan in _plans(linear, spec, aux):
                 moment, row = _risks_on_one_draw(linear, opaque, plan, rng)
                 assert moment == pytest.approx(row, rel=1e-10), spec
 
     def test_linear_and_opaque_agree_in_law(self):
         linear, opaque, rng = _linear_and_opaque(n=200)
-        for spec in _random_specs(4, rng, 3):
-            diff = np.array([linear.evaluate(s).value - opaque.evaluate(s).value
+        for spec, aux in _random_specs(4, rng, 3):
+            diff = np.array([linear._estimate(s, aux).value - opaque._estimate(s, aux).value
                              for s in (replace(spec, n_mc=1, seed=seed) for seed in range(200))])
             se = diff.std(ddof=1) / np.sqrt(diff.size)
             assert abs(diff.mean()) <= 4 * se, spec
@@ -871,7 +873,7 @@ class TestMomentForm:
         linear = _shifted(linear, 1e3)
         x, y = linear.data.values, linear.target.values
         for spec in _random_specs(4, rng, 24, mode="marginalized"):
-            linear.evaluate(spec)
+            linear._estimate(*spec)
         assert len(linear._risks) > 10
         for (plan,), (risk,) in linear._risks.items():
             u, _, c = linear._linear_forms([plan], False)
@@ -981,12 +983,12 @@ class TestConditioningCache:
         monkeypatch.setattr("dedact.sampler._stable_cholesky", spy)
         for loss in (SQUARED_ERROR, CROSS_ENTROPY):
             linear, _, rng = _linear_and_opaque(loss=loss)
-            for spec in _random_specs(4, rng, 24, mode="marginalized"):
-                linear.evaluate(spec)
+            for spec, aux in _random_specs(4, rng, 24, mode="marginalized"):
+                linear._estimate(spec, aux)
                 linear.evaluate(MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, 5))))
             assert linear.terms_computed > 0 and calls == []
         for spec in _random_specs(4, rng, 4, n_mc=2):
-            linear.evaluate(spec)
+            linear._estimate(*spec)
         assert calls  # the spy sees the factorizations of draws
 
     @pytest.mark.parametrize("mode", MODES)
@@ -1002,11 +1004,10 @@ class TestConditioningCache:
         specs = _random_specs(4, rng, 40, mode=mode, n_mc=2)
         # each spec once alone, then as a game over random aux masks, in
         # batches that share some sets and not others
-        batches = specs + [MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, int(rng.integers(1, 6)))))
-                           for spec in specs]
+        batches = [MeasureBatch(spec, (importance._mask(aux),)) for spec, aux in specs] + [
+            MeasureBatch(spec, tuple(int(m) for m in rng.integers(0, 16, int(rng.integers(1, 6))))) for spec, _ in specs]
         # identical plans return early and set nothing up
-        pairs = [pair for batch in batches for pair in (
-            linear._plan_pairs(batch.spec, batch.auxes) if isinstance(batch, MeasureBatch) else [_plans(linear, batch)])]
+        pairs = [pair for batch in batches for pair in linear._plan_pairs(batch.spec, batch.auxes)]
         expected = {mask for t1, t2 in pairs if t1 != t2 for mask in t1 + t2 if mask != _KEEP}
         for ev in (linear, opaque):
             solved.clear()
@@ -1207,8 +1208,7 @@ class TestBatchEqualsSingles:
         reset_evaluation_count()
         value, se = batched.evaluate(MeasureBatch(spec, tuple(masks)))
         assert evaluation_count() == len(masks)
-        expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
-                    for m in masks]
+        expected = [single._estimate(spec, [c for c in range(d) if m >> c & 1]) for m in masks]
         assert [(value[i], se[i]) for i in range(len(masks))] == [(e.value, e.std_error) for e in expected]
         assert batched.counters() == single.counters()
         if measure in ("DI_from", "AI_via"):
@@ -1235,8 +1235,7 @@ class TestBatchEqualsSingles:
         masks = tuple(range(1 << d))
         batched, single = evaluator(), evaluator()
         value, se = batched.evaluate(MeasureBatch(spec, masks))
-        expected = [single.evaluate(replace(spec, aux=FeatureIndexSet.of([c for c in range(d) if m >> c & 1])))
-                    for m in masks]
+        expected = [single._estimate(spec, [c for c in range(d) if m >> c & 1]) for m in masks]
         assert [(value[i], se[i]) for i in range(len(masks))] == [(e.value, e.std_error) for e in expected]
         assert batched.counters() == single.counters()
 
@@ -1296,3 +1295,50 @@ class TestPathwayGamesRouting:
         for solver in ("exact", "sampled"):  # a named solver keeps its game
             named = shapley_decompose_sage(ev, 0, [0, 1, 2], solver=solver, n_sage_orders=1, n_decomp_orders=2)
             assert named.method == f"shapley_{solver}"
+
+
+class TestOneResult:
+    """`evaluate` takes one request and returns one result, two float
+    arrays: a value and an SE per aux mask of a `MeasureBatch`, and per
+    game of `PathwayGames` a row `[alpha, *phi]` with SEs
+    `[alpha_se, 0, ...]`, the row a SAGE table pools."""
+
+    @staticmethod
+    def _assert_arrays(result, shape):
+        assert isinstance(result, tuple) and len(result) == 2
+        for array in result:
+            assert isinstance(array, np.ndarray) and array.dtype == np.float64 and array.shape == shape
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("which, loss, kernel", [
+        ("linear", SQUARED_ERROR, "_moment"), ("linear", CROSS_ENTROPY, "_linear_rows"),
+        ("opaque", SQUARED_ERROR, "_opaque_rows"),
+    ], ids=["moment_form", "linear_rows", "opaque_rows"])
+    def test_batch_gives_one_entry_per_mask(self, which, loss, kernel, mode):
+        linear, opaque, _ = _linear_and_opaque(n=200, n_mc=2, n_integration=2, loss=loss)
+        ev = linear if which == "linear" else opaque
+        assert ev._kernel == getattr(ev, kernel)
+        spec = MeasureSpec("AI_via", FeatureIndexSet.of([0]), FeatureIndexSet.of([1]), mode=mode, n_mc=2)
+        for masks in ((0b1111,), (0, 0b100, 0b1100, 0b1111, 0b100)):
+            self._assert_arrays(ev.evaluate(MeasureBatch(spec, masks)), (len(masks),))
+
+    def test_pathway_games_give_one_row_per_game(self):
+        ev = _linear_and_opaque(n=200)[0]
+        assert ev._kernel == ev._moment
+        specs = tuple(MeasureSpec("AI_via", FeatureIndexSet.of([0]), FeatureIndexSet.of(context), mode="marginalized")
+                      for context in ([], [1], [1, 2]))
+        rows, se = result = ev.evaluate(PathwayGames(specs, (3, 1)))
+        self._assert_arrays(result, (3, 1 + 2))
+        assert (se[:, 1:] == 0.0).all()
+        for row, row_se, spec in zip(rows, se, specs):  # alpha is the spec's mask of every column
+            assert (row[0], row_se[0]) == tuple(a[0] for a in ev.evaluate(MeasureBatch(spec, (0b1111,))))
+
+    def test_sage_table_rows_are_the_games_rows(self):
+        ev = _linear_and_opaque(n=300)[0]
+        table = shapley_decompose_sage(ev, 2, solver="auto", n_sage_orders=5)
+        assert table.method == "shapley_pairwise"
+        fresh = _linear_and_opaque(n=300)[0]
+        specs = [fresh._spec("AI_via", [2], rec["context"], mode="marginalized", seed=derive_seed(ev.seed, 7002, o))
+                 for o, rec in enumerate(table.per_context)]
+        rows, _ = fresh.evaluate(PathwayGames(specs, range(4)))
+        assert [[rec["alpha"], *rec["phi"]] for rec in table.per_context] == rows.tolist()
